@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 UNIT_SYMBOL = "1"
 
@@ -390,10 +390,3 @@ class MClass:
 
     def __repr__(self) -> str:
         return f"MClass({self})"
-
-
-def msum(items: Iterable[MClass]) -> MClass:
-    out = MClass.zero()
-    for x in items:
-        out = out + x
-    return out

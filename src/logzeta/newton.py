@@ -18,18 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .cones import (
-    Cone,
-    ConeComplex,
-    box_points,
-    cone_from_rays,
-    faces,
-    triangulate_half_open,
-)
-from .cones import complex_from_cones
+from .cones import Cone, ConeComplex, complex_from_cones, cone_from_rays, faces
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
 from .mring import MClass
-from .series import ZSeries
+from .series import ZSeries, relint_cone_sum
 from .zeta import FanModel
 
 
@@ -131,10 +123,6 @@ def _compact(ncone: Cone, n: int) -> bool:
     return all(x > 0 for x in total)
 
 
-def is_compact(face: FaceRecord) -> bool:
-    return face.is_compact
-
-
 def normal_complex(records: Sequence[FaceRecord], n: int) -> ConeComplex:
     return complex_from_cones(n, [r.normal_cone_closure for r in records], validate=False)
 
@@ -147,35 +135,17 @@ def _sigma(u: Vec) -> int:
     return sum(u)
 
 
-def _face_sum(rec: FaceRecord, n: int) -> ZSeries:
-    """Closed form of sum over relint(normal cone) of L^{-sigma(u)} T^{m(u)}."""
-    out = ZSeries.zero()
-    for piece in triangulate_half_open(rec.normal_cone_closure, "relint"):
-        denoms = []
-        horiz = 0
-        for g in piece.gens:
-            b = rec.m_of(g)
-            if b == 0:
-                # facet normals with m = 0 are coordinate vectors: sigma = 1
-                assert _sigma(g) == 1
-                horiz += 1
-            else:
-                denoms.append((-_sigma(g), b))
-        fold = MClass.l_power(horiz).mul_l1_pow(-horiz) if horiz else MClass.one()
-        for u0 in box_points(piece):
-            c = fold.scale_l(-_sigma(u0))
-            out = out + ZSeries.term(c, rec.m_of(u0), denoms)
-    return out
-
-
 def _zeta(inp: NewtonInput, which: Literal["global", "local"]) -> ZSeries:
     records = newton_polyhedron(inp)
     jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])  # L^{-1}T/(1-L^{-1}T)
+    sigma = (1,) * inp.n
     out = ZSeries.zero()
     for rec in records:
         if which == "local" and not rec.is_compact:
             continue
-        s_tau = _face_sum(rec, inp.n)
+        # sum over relint(normal cone) of L^{-sigma(u)} T^{m(u)}; facet
+        # normals with m = 0 are coordinate vectors, so sigma = 1 on them
+        s_tau = relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one())
         x0 = MClass.symbol(f"X_tau(0)@{rec.face_id}")
         out = out + s_tau.scale(x0) * jet_factor
         # The unit-section term exists only when the uniformizer is not

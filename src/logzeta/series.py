@@ -9,12 +9,15 @@ with ``c`` an :class:`~logzeta.mring.MClass`.  Terms with identical
 canonical form used for printing and golden tests.  Mathematical equality is
 decided exactly by cross-multiplication.
 
-The heart of the module is :func:`cone_series`: the closed form of the sum
-of ``L^{-<u,a>} T^{<u,e>}`` over the interior dual points of a marked
-monoid, computed by half-open simplicial decomposition.  Dual rays paired to
-zero by the marking ("horizontal" directions) contribute pure-L geometric
-factors; they are folded into the coefficient as ``L/(L-1)`` and are only
-legal when the divisor pairs them to one, so the fold is exact.
+The heart of the module is :func:`relint_cone_sum`, the one cone-sum kernel
+shared by the fan-model, Newton and monoid pipelines: the closed form of the
+sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice points ``u`` in the
+relative interior of a rational cone, computed by half-open simplicial
+decomposition.  Rays paired to zero by ``e`` ("horizontal" directions)
+contribute pure-L geometric factors; they are folded into the coefficient as
+``L/(L-1)`` and are only legal when ``a`` pairs them to one, so the fold is
+exact.  :func:`cone_series` applies it to the interior dual points of a
+marked monoid.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cones import box_points, triangulate_half_open
-from .intlin import dot
+from .cones import Cone, box_points, triangulate_half_open
+from .intlin import Vec, dot
 from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff
 from .monoids import MarkedMonoid
 
@@ -250,46 +253,50 @@ def format_poles(poles: frozenset[Fraction]) -> str:
 # Cone sums in closed form.
 
 
-def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
-    """Closed form of ``weight * sum L^{-<u,a>} T^{<u,e>}`` over interior dual
-    points ``u`` of the marked monoid.
+def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
+    """Closed form of ``weight * sum L^{-<u,a>} T^{<u,e>}`` over the lattice
+    points ``u`` in the relative interior of ``cone``.
 
-    Uses the half-open simplicial decomposition of the dual cone and
-    fundamental-parallelepiped enumeration.  Dual rays with ``<v,e> = 0``
-    must satisfy ``<v,a> = 1`` (checked), and fold into the coefficient as a
+    Uses the half-open simplicial decomposition of the cone and
+    fundamental-parallelepiped enumeration.  Rays with ``<v,e> = 0`` must
+    satisfy ``<v,a> = 1`` (checked), and fold into the coefficient as a
     factor ``L/(L-1)`` each.
     """
-    if not mm.is_local():
-        raise ValueError("cone series needs a local marking (e_pi != 0)")
-    dual = mm.base.dual()
-    for v in dual.rays:
-        if dot(v, mm.e_pi) == 0 and dot(v, mm.a_div) != 1:
+    for v in cone.rays:
+        if dot(v, e) == 0 and dot(v, a) != 1:
             raise ValueError(
-                f"horizontal dual ray {v} must pair to 1 with the divisor, got {dot(v, mm.a_div)}"
+                f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
     acc: dict[tuple[int, Denoms], MClass] = {}
-    for piece in triangulate_half_open(dual, "relint"):
+    for piece in triangulate_half_open(cone, "relint"):
         denoms = []
         horiz = 0
         for g in piece.gens:
-            b = dot(g, mm.e_pi)
-            a = -dot(g, mm.a_div)
+            b = dot(g, e)
             if b == 0:
-                horiz += 1  # a == -1 here; factor 1/(1-L^{-1}) = L/(L-1)
+                horiz += 1  # <g,a> == 1 here; factor 1/(1-L^{-1}) = L/(L-1)
             else:
-                denoms.append((a, b))
+                denoms.append((-dot(g, a), b))
         key_denoms = _canon_denoms(denoms)
-        fold = MClass.l_power(horiz).mul_l1_pow(-horiz) if horiz else MClass.one()
+        coeff = weight * MClass.l_power(horiz).mul_l1_pow(-horiz) if horiz else weight
         # group the parallelepiped points by T-exponent, summing L-monomials
         numerators: dict[int, dict[int, int]] = {}
         for u0 in box_points(piece):
-            beta = dot(u0, mm.e_pi)
-            lexp = -dot(u0, mm.a_div)
+            beta = dot(u0, e)
+            lexp = -dot(u0, a)
             bucket = numerators.setdefault(beta, {})
             bucket[lexp] = bucket.get(lexp, 0) + 1
         for beta, bucket in numerators.items():
             poly = MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.from_dict(bucket))})
-            c = weight * fold * poly
+            c = coeff * poly
             key = (beta, key_denoms)
             acc[key] = acc[key] + c if key in acc else c
     return ZSeries(acc)
+
+
+def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
+    """Closed form of ``weight * sum L^{-<u,a>} T^{<u,e>}`` over interior dual
+    points ``u`` of the marked monoid; see :func:`relint_cone_sum`."""
+    if not mm.is_local():
+        raise ValueError("cone series needs a local marking (e_pi != 0)")
+    return relint_cone_sum(mm.base.dual(), mm.e_pi, mm.a_div, weight)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Literal, Optional
 
 from .cones import (
     Cone,
@@ -30,13 +30,10 @@ from .cones import (
     check_subdivision,
     complex_from_cones,
     cone_from_rays,
-    resolve_complex,
-    star_subdivision,
 )
 from .intlin import Vec, dot, from_columns, saturation_basis, solve_integer
 from .mring import MClass
-from .monoids import MarkedMonoid, SharpFsMonoid
-from .series import ZSeries, cone_series
+from .series import ZSeries, relint_cone_sum
 
 
 # ---------------------------------------------------------------------------
@@ -83,43 +80,37 @@ class SncdData:
         raise KeyError(cid)
 
 
-def _stratum_series(d: SncdData, subset: frozenset, symbol: str, orders: dict[str, int]) -> ZSeries:
-    ids = sorted(subset)
-    coeff = MClass.symbol(symbol).mul_l1_pow(len(ids) - 1)
-    coeff = coeff.scale_l(-sum(orders[i] for i in ids))
-    beta = sum(d.component(i).N for i in ids)
-    denoms = [(-orders[i], d.component(i).N) for i in ids]
-    return ZSeries.term(coeff, beta, denoms)
+def _strata_sum(d: SncdData, order: Literal["mu", "nu"]) -> ZSeries:
+    """The strata sum of :func:`sncd_poincare` (``order="mu"``, before the
+    L^{-m} factor) and of :func:`dl_zeta` (``order="nu"``)."""
+    orders = {}
+    for c in d.components:
+        if getattr(c, order) is None:
+            raise ValueError(f"component {c.id} carries no {order}")
+        orders[c.id] = getattr(c, order)
+    out = ZSeries.zero()
+    for subset, symbol in d.strata:
+        ids = sorted(subset)
+        coeff = MClass.symbol(symbol).mul_l1_pow(len(ids) - 1)
+        coeff = coeff.scale_l(-sum(orders[i] for i in ids))
+        beta = sum(d.component(i).N for i in ids)
+        denoms = [(-orders[i], d.component(i).N) for i in ids]
+        out = out + ZSeries.term(coeff, beta, denoms)
+    return out
 
 
 def sncd_poincare(d: SncdData) -> ZSeries:
     """Volume Poincare series of an sncd model: L^{-m} times the sum over
     strata of (L-1)^{|J|-1} [symbol_J] prod_j L^{-mu_j} T^{N_j} / (1 - L^{-mu_j} T^{N_j}).
     """
-    orders = {}
-    for c in d.components:
-        if c.mu is None:
-            raise ValueError(f"component {c.id} carries no mu")
-        orders[c.id] = c.mu
-    out = ZSeries.zero()
-    for subset, symbol in d.strata:
-        out = out + _stratum_series(d, subset, symbol, orders)
-    return out.scale(MClass.l_power(-d.m))
+    return _strata_sum(d, "mu").scale(MClass.l_power(-d.m))
 
 
 def dl_zeta(d: SncdData) -> ZSeries:
     """Motivic zeta function from a resolution:
     sum over strata of (L-1)^{|J|-1} [symbol_J] prod_j L^{-nu_j} T^{N_j} / (1 - L^{-nu_j} T^{N_j}).
     """
-    orders = {}
-    for c in d.components:
-        if c.nu is None:
-            raise ValueError(f"component {c.id} carries no nu")
-        orders[c.id] = c.nu
-    out = ZSeries.zero()
-    for subset, symbol in d.strata:
-        out = out + _stratum_series(d, subset, symbol, orders)
-    return out
+    return _strata_sum(d, "nu")
 
 
 def nearby_fibre(z: ZSeries) -> MClass:
@@ -221,28 +212,26 @@ def validate_model(f: FanModel) -> list[str]:
     return sorted(set(problems))
 
 
-def _marked_monoid_for_cell(f: FanModel, cell: Cone) -> MarkedMonoid:
-    """Sharp monoid dual to a cell, with the restricted markings.
+def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
+    """A cell with its e and a in coordinates of its saturated span lattice.
 
-    Dual points of the monoid are exactly the lattice points of the cell; the
-    reduction to the cell's span lattice keeps all pairings integral.
+    The lattice points of the reduced cell are exactly those of the cell.
+    Triangulating there rather than in ambient coordinates fixes the ray
+    order that the pulling triangulation follows, which keeps printed
+    series canonical on lower-dimensional cells.
     """
-    n = f.complex.ambient_rank
     owner = f.owning_maximal(cell)
-    evec, avec = f.e_vecs[owner], f.a_vecs[owner]
-    span = saturation_basis(cell.rays, n)
+    span = saturation_basis(cell.rays, f.complex.ambient_rank)
     bmat = from_columns(span)
     coords = []
     for r in cell.rays:
         x = solve_integer(bmat, r)
-        assert x is not None
+        if x is None:
+            raise ValueError(f"ray {r} outside the span lattice of {cell}")
         coords.append(x)
-    d = len(span)
-    cell_c = cone_from_rays(d, coords)
-    sigma = Cone(d, cell_c.facets, cell_c.rays)  # dual swap
-    e_red = tuple(dot(evec, b) for b in span)
-    a_red = tuple(dot(avec, b) for b in span)
-    return MarkedMonoid(SharpFsMonoid(d, sigma), e_red, a_red)
+    e_red = tuple(dot(f.e_vecs[owner], b) for b in span)
+    a_red = tuple(dot(f.a_vecs[owner], b) for b in span)
+    return cone_from_rays(len(span), coords), e_red, a_red
 
 
 def fan_poincare(f: FanModel, m: int) -> ZSeries:
@@ -255,8 +244,7 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
         weight = f.weight(cell)
         if weight.is_zero() or f.e_identically_zero(cell):
             continue
-        mm = _marked_monoid_for_cell(f, cell)
-        out = out + cone_series(mm, weight)
+        out = out + relint_cone_sum(*_cell_in_span(f, cell), weight)
     return out.scale(MClass.l_power(-m))
 
 
@@ -325,11 +313,3 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
         new_e[mc] = f.e_vecs[old_owner]
         new_a[mc] = f.a_vecs[old_owner]
     return FanModel(kp, new_e, new_a, new_weights)
-
-
-def subdivide_model(f: FanModel, rho: Vec) -> FanModel:
-    return transport_subdivide(f, star_subdivision(f.complex, rho))
-
-
-def resolve_model(f: FanModel) -> FanModel:
-    return transport_subdivide(f, resolve_complex(f.complex))

@@ -190,6 +190,29 @@ def random_fan_model(rng: random.Random, rank: int, horizontals: bool = False) -
     return FanModel(k, e_vecs, a_vecs, weights)
 
 
+def brute_fan_sum(model: FanModel, m: int, degree: int) -> list[MClass]:
+    """Coefficients T^1..T^degree of ``fan_poincare(model, m)``, by enumeration.
+
+    Every lattice point ``u`` of each maximal cell with ``1 <= e(u) <= degree``
+    is assigned to the cell whose relative interior contains it and adds that
+    cell's weight times ``L^{-a(u)}`` at ``T^{e(u)}``.  Needs ``e`` positive
+    off the origin (no horizontal rays), so the enumeration is finite.
+    """
+    n = model.complex.ambient_rank
+    points = set()
+    for mc in model.complex.maximal_cells():
+        e = model.e_vecs[mc]
+        ineqs = [(0, f) for f in mc.facets] + [(degree, vec_scale(-1, e))]
+        points.update(affine_lattice_points(n, ineqs))
+    out = [MClass.zero() for _ in range(degree)]
+    for u in points:
+        cell = next(c for c in model.complex.cells if c.relint_contains(u))
+        d = model.e_value(u, cell)
+        if d >= 1:
+            out[d - 1] = out[d - 1] + model.weight(cell).scale_l(-model.a_value(u, cell))
+    return [c.scale_l(-m) for c in out]
+
+
 # ---------------------------------------------------------------------------
 # Newton oracles.
 

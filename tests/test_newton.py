@@ -215,6 +215,27 @@ def test_cross_pipeline_identity():
         assert equal(lhs, newton_zeta(inp)), inp.support
 
 
+def test_fan_series_text_pinned():
+    # Fan cells are triangulated in their saturated span lattice.  In ambient
+    # coordinates the pulling order of the rays differs on non-simplicial
+    # lower-dimensional cells, giving an equal series printed with other terms.
+    model = newton_to_fanmodel(NewtonInput(3, ((0, 0, 2), (1, 1, 1), (2, 2, 0))))
+    assert str(fan_poincare(model, 2)) == (
+        "([X_tau(0)@tau12]*L^-2/(L-1) + [X_tau(0)@tau13]*L^-2 + [X_tau(0)@tau3]*L^-2/(L-1)^2"
+        " + [X_tau(0)@tau8]*L^-2/(L-1) + [X_tau(0)@tau9]*L^-2/(L-1))*T/(1-T)"
+        " + ([X_tau(1)@tau0]*L^-2/(L-1)^2 + [X_tau(1)@tau10]*L^-2 + [X_tau(1)@tau11]*L^-2"
+        " + [X_tau(1)@tau2]*L^-2/(L-1) + [X_tau(1)@tau4]*L^-2/(L-1) + [X_tau(1)@tau6]*L^-2/(L-1)"
+        " + [X_tau(1)@tau7]*L^-2/(L-1))*T^2/(1-T^2)"
+        " + [X_tau(1)@tau0]*L^-2/(L-1)*T^2/((1-T^2)*(1-T^2))"
+        " + ([X_tau(0)@tau0]*L^-1/(L-1)^2 + [X_tau(0)@tau10]*L^-2 + [X_tau(0)@tau11]*L^-2"
+        " + [X_tau(0)@tau2]*L^-2/(L-1) + [X_tau(0)@tau4]*L^-2/(L-1) + [X_tau(0)@tau6]*L^-2/(L-1)"
+        " + [X_tau(0)@tau7]*L^-2/(L-1))*T^3/((1-T)*(1-T^2))"
+        " + ([X_tau(1)@tau1]*L^-2/(L-1) + [X_tau(1)@tau5]*L^-2)*T^4/((1-T^2)*(1-T^2))"
+        " + ([X_tau(0)@tau0]*L^-2/(L-1) + [X_tau(0)@tau1]*L^-2/(L-1) + [X_tau(0)@tau5]*L^-2)"
+        "*T^5/((1-T)*(1-T^2)*(1-T^2))"
+    )
+
+
 def test_fan_poles_shifted_match():
     model = newton_to_fanmodel(CUSP)
     shifted = {p - 1 for p in fan_poles(model)}

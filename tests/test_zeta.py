@@ -20,7 +20,7 @@ from logzeta.zeta import (
     validate_model,
 )
 
-from genutil import random_fan_model, random_sncd
+from genutil import brute_fan_sum, random_fan_model, random_sncd
 
 SINGLE = SncdData(1, (SncdComponent("E", 1, mu=0, nu=1),), ((frozenset({"E"}), "E"),))
 PAIR = SncdData(
@@ -270,3 +270,39 @@ def test_poles_never_grow_under_subdivision():
         base = fan_poincare(model, 0)
         m2 = transport_subdivide(model, resolve_complex(model.complex))
         assert equal(fan_poincare(m2, 0), base)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_fan_poincare_brute_force_oracle(rank):
+    rng = random.Random(70 + rank)
+    for _ in range(5):
+        model = random_fan_model(rng, rank, horizontals=False)
+        m = rng.randint(0, 2)
+        assert fan_poincare(model, m).expand(6) == brute_fan_sum(model, m, 6)
+
+
+@pytest.mark.parametrize(
+    "stars",
+    [
+        # (1,1,2) lies in the relative interior of the face spanned by
+        # (1,1,0) and e3; the new face cone((1,1,0),(1,1,2)) has index 2
+        [(1, 1, 0), (1, 1, 2)],
+        [(1, 1, 0, 0), (1, 1, 0, 2), (0, 1, 1, 1)],
+    ],
+)
+def test_fan_poincare_brute_force_non_unimodular_faces(stars):
+    n = len(stars[0])
+    orthant = cone_from_rays(n, [tuple(int(j == i) for j in range(n)) for i in range(n)])
+    k = complex_from_cones(n, [orthant])
+    for rho in stars:
+        k = star_subdivision(k, rho)
+    assert any(0 < c.dim < n and not c.is_smooth() for c in k.cells)
+    weights = {c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim}
+    e_vec = tuple(range(1, n + 1))
+    a_vec = tuple((-1) ** i * i for i in range(n))
+    model = FanModel(
+        k, {mc: e_vec for mc in k.maximal_cells()}, {mc: a_vec for mc in k.maximal_cells()}, weights
+    )
+    assert validate_model(model) == []
+    for m in (0, 1):
+        assert fan_poincare(model, m).expand(7) == brute_fan_sum(model, m, 7)
