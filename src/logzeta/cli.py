@@ -27,6 +27,7 @@ from .newton import (
 from .series import ZSeries, format_poles
 from .zeta import (
     FanModel,
+    InvalidModel,
     SncdComponent,
     SncdData,
     dl_zeta,
@@ -258,18 +259,13 @@ def _load_fan_checked(args) -> FanModel:
     model = parse_fan(load_input(args.input))
     problems = validate_model(model)
     if problems:
-        raise Diagnostics(problems)
+        raise InvalidModel(problems)
     return model
 
 
-class Diagnostics(Exception):
-    def __init__(self, problems):
-        super().__init__("validation failed")
-        self.problems = problems
-
-
 def cmd_fan_series(args) -> int:
-    return _emit_series(fan_poincare(_load_fan_checked(args), args.m), args)
+    # fan_poincare validates the model itself
+    return _emit_series(fan_poincare(parse_fan(load_input(args.input)), args.m), args)
 
 
 def cmd_fan_poles(args) -> int:
@@ -298,11 +294,7 @@ def cmd_expand(args) -> int:
         d = parse_sncd(data)
         series = dl_zeta(d) if all(c.nu is not None for c in d.components) else sncd_poincare(d)
     else:
-        model = parse_fan(data)
-        problems = validate_model(model)
-        if problems:
-            raise Diagnostics(problems)
-        series = fan_poincare(model, args.m)
+        series = fan_poincare(parse_fan(data), args.m)
     coeffs = series.expand(args.degree)
     if args.json:
         print(json.dumps([mclass_to_json(c) for c in coeffs], sort_keys=True))
@@ -405,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except Diagnostics as d:
+    except InvalidModel as d:
         for p in d.problems:
             print(p)
         return 2

@@ -30,12 +30,11 @@ from .intlin import (
     from_columns,
     inverse_rational,
     is_zero_vec,
-    kernel_basis,
+    mat_vec,
     rank as mat_rank,
-    saturation_basis,
     smith_normal_form,
-    solve_integer,
     solve_rational,
+    span_lattice,
     vec_add,
     vec_scale,
     vec_sub,
@@ -147,9 +146,6 @@ class Cone:
 
     def is_strictly_convex(self) -> bool:
         return not self.lineality()
-
-    def is_full_dim(self) -> bool:
-        return self.dim == self.ambient_rank
 
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_rank:
@@ -345,21 +341,15 @@ def _interior_dual(c: Cone) -> Vec:
     return total
 
 
-def _volume_sum(cells: Sequence[Cone], ell: Vec, span: Sequence[Vec]) -> Fraction:
+def _volume_sum(cells: Sequence[Cone], ell: Vec, proj: Sequence[Vec]) -> Fraction:
     """Sum of normalized volumes of ``cell ∩ {<ell,x> <= 1}`` over ``cells``.
 
-    ``span`` is a basis of the saturated span lattice all cells live in.
+    ``proj`` maps the saturated span lattice all cells live in onto Z^r.
     """
-    bmat = from_columns(list(span))
     total = Fraction(0)
     for c in cells:
         for piece in _triangulate(c):
-            coords = []
-            for r in piece:
-                x = solve_integer(bmat, r)
-                assert x is not None
-                coords.append(x)
-            vol = Fraction(abs(det(from_columns(coords))))
+            vol = Fraction(abs(det(tuple(mat_vec(proj, r) for r in piece))))
             for r in piece:
                 vol /= dot(ell, r)
             total += vol
@@ -379,9 +369,9 @@ def check_subdivision(kp: ConeComplex, k: ConeComplex) -> bool:
         if big.dim == 0:
             continue
         ell = _interior_dual(big)
-        span = saturation_basis(big.rays, big.ambient_rank)
+        _, proj, _ = span_lattice(big.rays, big.ambient_rank)
         inside = [c for c in kp.cells if c.dim == big.dim and cone_le(c, big)]
-        if _volume_sum(inside, ell, span) != _volume_sum([big], ell, span):
+        if _volume_sum(inside, ell, proj) != _volume_sum([big], ell, proj):
             return False
     return True
 
@@ -546,8 +536,7 @@ def triangulate_half_open(
     if region == "relint":
         base = vec_scale(-1, base)
     directions = list(c.rays) if region == "closed" else [vec_scale(-1, r) for r in c.rays]
-    span = saturation_basis(c.rays, c.ambient_rank)
-    comp = kernel_basis(tuple(span))  # functionals vanishing on span(c)
+    comp = list(span_lattice(c.rays, c.ambient_rank)[2])  # functionals vanishing on span(c)
     out = []
     for gens in _triangulate(c):
         flags = []
@@ -634,55 +623,26 @@ def box_points(h: HalfOpenCone) -> list[Vec]:
     """Lattice points of the half-open fundamental parallelepiped of ``h``.
 
     The count always equals the index of the generator lattice inside the
-    saturated lattice of its span.
+    saturated lattice of its span.  With ``G`` the generators in span
+    coordinates, ``S = U @ G @ V`` its Smith normal form and ``D`` the last
+    divisor, the divisor-box vector ``c`` gives the point with parallelepiped
+    coordinates ``((V @ diag(D/d_j) @ c) mod D) / D``, where a strict
+    generator takes residue ``D`` in place of 0.
     """
     n = h.ambient_rank
     k = len(h.gens)
     if k == 0:
         return [zero_vec(n)]
-    span = saturation_basis(h.gens, n)
-    bmat = from_columns(span)
-    coords = []
-    for g in h.gens:
-        x = solve_integer(bmat, g)
-        assert x is not None
-        coords.append(x)
-    gmat = from_columns(coords)  # k x k, invertible over Q
-    s, u, _ = smith_normal_form(gmat)
+    _, proj, _ = span_lattice(h.gens, n)
+    s, _, v = smith_normal_form(from_columns([mat_vec(proj, g) for g in h.gens]))
     divisors = [s[i][i] for i in range(k)]
-    uinv_cols = []
-    for i in range(k):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        col = solve_integer(u, e)
-        assert col is not None
-        uinv_cols.append(col)
-    ginv = inverse_rational(gmat)
+    big = divisors[-1]
+    steps = [tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v]
     points: list[Vec] = []
     for combo in itertools.product(*[range(d) for d in divisors]):
-        z = [0] * k
-        for j, c in enumerate(combo):
-            if c:
-                for i in range(k):
-                    z[i] += c * uinv_cols[j][i]
-        lam = [sum(ginv[i][j] * z[j] for j in range(k)) for i in range(k)]
-        shifted = []
-        for lam_j, strict in zip(lam, h.strict):
-            if strict:
-                frac = lam_j - ceil(lam_j) + 1  # in (0, 1]
-            else:
-                frac = lam_j - floor(lam_j)  # in [0, 1)
-            shifted.append(frac)
-        y = []
-        for i in range(k):
-            val = sum((coords[j][i] * shifted[j] for j in range(k)), Fraction(0))
-            assert val.denominator == 1
-            y.append(int(val))
-        pt = zero_vec(n)
-        for i in range(k):
-            pt = vec_add(pt, vec_scale(y[i], span[i]))
-        points.append(pt)
-    expect = 1
-    for d in divisors:
-        expect *= d
-    assert len(points) == expect
+        lam = []
+        for row, strict in zip(steps, h.strict):
+            x = dot(row, combo) % big
+            lam.append(big if strict and x == 0 else x)
+        points.append(tuple(dot(col, lam) // big for col in zip(*h.gens)))
     return points

@@ -411,21 +411,32 @@ def kernel_basis(a: Mat) -> list[Vec]:
     return out
 
 
+def span_lattice(vectors: Sequence[Vec], n: int) -> tuple[list[Vec], Mat, Mat]:
+    """Coordinates of the saturated span lattice ``span_Q(vectors) ∩ Z^n``.
+
+    Returns ``(basis, proj, annihilator)``, all read off one Smith normal
+    form ``S = U @ A @ V`` of the matrix ``A`` with the vectors as columns:
+
+    * ``basis``: ``r`` vectors spanning the lattice, the first ``r`` columns
+      of ``U^{-1}`` (column ``i`` of ``A @ V`` is ``s_ii`` times column ``i``);
+    * ``proj``: the first ``r`` rows of ``U``; a lattice point ``v`` has
+      coordinates ``proj @ v``, so ``proj @ basis`` is the identity;
+    * ``annihilator``: the other ``n - r`` rows of ``U``, a basis of the
+      integer functionals vanishing on the span.
+    """
+    if not vectors:
+        return [], (), identity(n)
+    a = from_columns(list(vectors))
+    s, u, v = smith_normal_form(a)
+    r = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
+    vcols = columns(v)
+    basis = [tuple(dot(row, vcols[i]) // s[i][i] for row in a) for i in range(r)]
+    return basis, u[:r], u[r:]
+
+
 def saturation_basis(vectors: Sequence[Vec], n: int) -> list[Vec]:
     """Basis of the saturation of the span of ``vectors`` inside Z^n.
 
     Returns ``r`` integer vectors spanning ``span_Q(vectors) ∩ Z^n``.
     """
-    if not vectors:
-        return []
-    a = from_columns(list(vectors))
-    s, u, _ = smith_normal_form(a)
-    r = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
-    # First r columns of U^{-1} span the saturation; recover them by solving.
-    uinv_cols: list[Vec] = []
-    for i in range(r):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        col = solve_integer(u, e)
-        assert col is not None  # U unimodular
-        uinv_cols.append(col)
-    return uinv_cols
+    return span_lattice(vectors, n)[0]

@@ -43,6 +43,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer,
     solve_rational,
+    span_lattice,
     torsion_order,
     transpose,
     vec_add,
@@ -157,22 +158,8 @@ def _reduce_to_span(cone: Cone, r: int) -> tuple[Cone, Mat]:
     Returns the full-dimensional cone and the projection (d x r rows, integer
     on the span lattice and surjective onto Z^d).
     """
-    d = cone.dim
-    span = saturation_basis(cone.rays, r)
-    bmat = from_columns(span)
-    coords = []
-    for ray in cone.rays:
-        x = solve_integer(bmat, ray)
-        assert x is not None
-        coords.append(x)
-    rows = []
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        # integer w with <w, span_j> = e_j; exists since the span is saturated
-        w = solve_integer(tuple(span), e)
-        assert w is not None
-        rows.append(w)
-    return cone_from_rays(d, coords), tuple(rows)
+    _, proj, _ = span_lattice(cone.rays, r)
+    return cone_from_rays(len(proj), [mat_vec(proj, ray) for ray in cone.rays]), proj
 
 
 def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:

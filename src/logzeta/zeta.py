@@ -31,7 +31,7 @@ from .cones import (
     complex_from_cones,
     cone_from_rays,
 )
-from .intlin import Vec, dot, from_columns, saturation_basis, solve_integer
+from .intlin import Vec, dot, mat_vec, span_lattice
 from .mring import MClass
 from .series import ZSeries, relint_cone_sum
 
@@ -165,6 +165,15 @@ class FanModel:
         return all(dot(self.e_vecs[owner], r) == 0 for r in cell.rays)
 
 
+class InvalidModel(ValueError):
+    """A fan model that breaks the invariants of :func:`validate_model`;
+    ``problems`` holds its diagnostics."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid model: " + "; ".join(problems[:3]))
+        self.problems = problems
+
+
 def validate_model(f: FanModel) -> list[str]:
     """Diagnostics for the model invariants; empty when the model is legal.
 
@@ -221,14 +230,8 @@ def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
     series canonical on lower-dimensional cells.
     """
     owner = f.owning_maximal(cell)
-    span = saturation_basis(cell.rays, f.complex.ambient_rank)
-    bmat = from_columns(span)
-    coords = []
-    for r in cell.rays:
-        x = solve_integer(bmat, r)
-        if x is None:
-            raise ValueError(f"ray {r} outside the span lattice of {cell}")
-        coords.append(x)
+    span, proj, _ = span_lattice(cell.rays, f.complex.ambient_rank)
+    coords = [mat_vec(proj, r) for r in cell.rays]
     e_red = tuple(dot(f.e_vecs[owner], b) for b in span)
     a_red = tuple(dot(f.a_vecs[owner], b) for b in span)
     return cone_from_rays(len(span), coords), e_red, a_red
@@ -238,7 +241,7 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
     """Weighted sum of interior cone series over the special cells, times L^{-m}."""
     problems = validate_model(f)
     if problems:
-        raise ValueError("invalid model: " + "; ".join(problems[:3]))
+        raise InvalidModel(problems)
     out = ZSeries.zero()
     for cell in f.complex.cells:
         weight = f.weight(cell)

@@ -75,6 +75,33 @@ def test_validate_good_model(capsys):
     assert out.strip() == "ok"
 
 
+@pytest.mark.parametrize(
+    "argv", [("fan-series",), ("expand", "--degree", "2"), ("fan-poles",), ("resolve",)]
+)
+def test_invalid_model_prints_diagnostics(capsys, argv):
+    code, out = run(capsys, argv[0], path("bad_model.json"), *argv[1:])
+    assert code == 2
+    assert "horizontal-divisor" in out
+
+
+def test_fan_series_validates_once(capsys, monkeypatch):
+    import logzeta.cli
+    import logzeta.zeta
+
+    calls = []
+    real = logzeta.zeta.validate_model
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(logzeta.zeta, "validate_model", counting)
+    monkeypatch.setattr(logzeta.cli, "validate_model", counting)
+    code, _ = run(capsys, "fan-series", path("orthant_model.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_nearby(capsys):
     code, out = run(capsys, "nearby", path("single_component.json"))
     assert code == 0
@@ -183,9 +210,14 @@ def test_byte_identical_across_processes():
     import subprocess
     import sys
 
+    import logzeta
+
+    # the child processes import the same logzeta as this one
+    src = os.path.dirname(os.path.dirname(logzeta.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "logzeta.cli", "newton-zeta", path("cusp_newton.json")],
             capture_output=True,

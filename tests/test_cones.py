@@ -19,7 +19,7 @@ from logzeta.cones import (
     star_subdivision,
     triangulate_half_open,
 )
-from logzeta.intlin import det, dot, from_columns, is_zero_vec, solve_integer
+from logzeta.intlin import det, dot, from_columns, is_zero_vec, solve_integer, solve_rational
 
 from genutil import random_cone
 
@@ -330,8 +330,15 @@ def test_box_point_count_is_index(seed):
     for i in range(k):
         idx *= s[i][i]
     assert len(pts) == idx
+    assert len(set(pts)) == len(pts)
+    # Each point has parallelepiped coordinates in (0, 1] (strict) or [0, 1);
+    # with the count equal to the index this pins the point set exactly.
     for p in pts:
         assert HalfOpenCone(rank, tuple(gens), flags).contains_lattice_point(p)
+        lam = solve_rational(mat, p)
+        assert lam is not None
+        for x, strict in zip(lam, flags):
+            assert (0 < x <= 1) if strict else (0 <= x < 1)
 
 
 def test_affine_lattice_points_simplex():

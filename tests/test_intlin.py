@@ -11,10 +11,12 @@ from logzeta.intlin import (
     mat,
     mat_mul,
     mat_vec,
+    rank as mat_rank,
     saturation_basis,
     smith_normal_form,
     solve_integer,
     solve_rational,
+    span_lattice,
     torsion_order,
 )
 
@@ -167,6 +169,49 @@ def test_kernel_and_saturation():
     assert len(sat) == 1
     g, p = content_primitive(sat[0])
     assert g == 1 and p in [(1, 2), (-1, -2)]
+
+
+# Up to five vectors in Z^1..Z^5; each later vector may be an integer
+# combination of the earlier ones, so dependent sets are common.
+span_inputs = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+            st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    ).map(lambda draws: (n, _span_vectors(draws)))
+)
+
+
+def _span_vectors(draws):
+    out = []
+    for fresh, coeffs, combine in draws:
+        if combine and out:
+            v = tuple(sum(c * w[i] for c, w in zip(coeffs, out)) for i in range(len(fresh)))
+        else:
+            v = tuple(fresh)
+        out.append(v)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_inputs)
+def test_span_lattice_coordinates(data):
+    n, vectors = data
+    basis, proj, annihilator = span_lattice(vectors, n)
+    r = mat_rank(tuple(vectors))
+    assert len(basis) == len(proj) == r and len(annihilator) == n - r
+    if r:
+        assert mat_mul(proj, from_columns(basis)) == identity(r)
+    for v in vectors:
+        coords = mat_vec(proj, v)
+        assert tuple(sum(c * b[i] for c, b in zip(coords, basis)) for i in range(n)) == v
+        assert all(x == 0 for x in mat_vec(annihilator, v))
+    assert abs(det(tuple(proj) + tuple(annihilator))) == 1
+    assert saturation_basis(vectors, n) == basis
 
 
 def test_solve_rational():
