@@ -128,10 +128,18 @@ def input_kind(data: dict[str, Any]) -> str:
     raise InputError("unrecognized input: expected 'support', 'components' or 'cells'")
 
 
+def _int(x: Any, what: str) -> int:
+    """A JSON integer; booleans, fractional numbers and strings are refused
+    rather than coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def parse_newton(data: dict[str, Any]) -> NewtonInput:
     try:
-        n = int(data["n"])
-        support = tuple(tuple(int(x) for x in w) for w in data["support"])
+        n = _int(data["n"], "n")
+        support = tuple(tuple(_int(x, "support coordinate") for x in w) for w in data["support"])
     except (KeyError, TypeError) as e:
         raise InputError(f"bad newton input: {e}")
     coeffs = None
@@ -151,27 +159,27 @@ def parse_sncd(data: dict[str, Any]) -> SncdData:
         comps = tuple(
             SncdComponent(
                 id=str(c["id"]),
-                N=int(c["N"]),
-                mu=int(c["mu"]) if c.get("mu") is not None else None,
-                nu=int(c["nu"]) if c.get("nu") is not None else None,
+                N=_int(c["N"], "N"),
+                mu=_int(c["mu"], "mu") if c.get("mu") is not None else None,
+                nu=_int(c["nu"], "nu") if c.get("nu") is not None else None,
             )
             for c in data["components"]
         )
         strata = tuple(
             (frozenset(str(i) for i in s["J"]), str(s["symbol"])) for s in data["strata"]
         )
-        return SncdData(int(data["m"]), comps, strata)
+        return SncdData(_int(data["m"], "m"), comps, strata)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sncd input: {e}")
 
 
 def parse_fan(data: dict[str, Any]) -> FanModel:
     try:
-        rank = int(data["rank"])
+        rank = _int(data["rank"], "rank")
         listed = []
         weights = {}
         for cell_data in data["cells"]:
-            rays = [tuple(int(x) for x in r) for r in cell_data["rays"]]
+            rays = [tuple(_int(x, "ray coordinate") for x in r) for r in cell_data["rays"]]
             cell = cone_from_rays(rank, rays)
             listed.append(cell)
             w = parse_mclass(cell_data.get("weight", {}))
@@ -179,11 +187,12 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
                 weights[cell] = w
         complex_ = complex_from_cones(rank, listed, validate=False)
         maximal = complex_.maximal_cells()
-        listed_maximal = [c for c in listed if c in set(maximal)]
-        rest = [c for c in maximal if c not in set(listed_maximal)]
-        ordered = listed_maximal + rest
-        e_list = [tuple(int(x) for x in v) for v in data["e"]]
-        a_list = [tuple(int(x) for x in v) for v in data["a"]]
+        maximal_set, listed_set = set(maximal), set(listed)
+        ordered = [c for c in listed if c in maximal_set] + [
+            c for c in maximal if c not in listed_set
+        ]
+        e_list = [tuple(_int(x, "e entry") for x in v) for v in data["e"]]
+        a_list = [tuple(_int(x, "a entry") for x in v) for v in data["a"]]
         if len(e_list) != len(ordered) or len(a_list) != len(ordered):
             raise InputError(
                 f"need one e and one a vector per maximal cell ({len(ordered)} cells)"
@@ -199,7 +208,8 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
 
 def fan_to_json(f: FanModel) -> dict[str, Any]:
     maximal = f.complex.maximal_cells()
-    ordered = list(maximal) + [c for c in f.complex.cells if c not in set(maximal)]
+    maximal_set = set(maximal)
+    ordered = list(maximal) + [c for c in f.complex.cells if c not in maximal_set]
     cells = []
     e_list = []
     a_list = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, floor, gcd
 from typing import Iterable, Literal, Optional, Sequence
 
@@ -257,12 +257,17 @@ class ConeComplex:
     ambient_rank: int
     cells: tuple[Cone, ...]
 
-    def maximal_cells(self) -> list[Cone]:
-        return [
+    def maximal_cells(self) -> tuple[Cone, ...]:
+        """Cells contained in no other cell, in cell order."""
+        return self._maximal_cells
+
+    @cached_property
+    def _maximal_cells(self) -> tuple[Cone, ...]:
+        return tuple(
             c
             for c in self.cells
             if not any(o != c and cone_le(c, o) for o in self.cells)
-        ]
+        )
 
     def rays_of_complex(self) -> list[Vec]:
         rays: set[Vec] = set()
@@ -285,18 +290,35 @@ class ConeComplex:
         return min(candidates, key=lambda c: (c.dim, c._key()))
 
     def validate(self) -> list[str]:
-        """Diagnostics for the complex axioms (empty list when valid)."""
+        """Diagnostics for the complex axioms (empty list when valid).
+
+        Every pair of cells meets in a common face as soon as every cell is a
+        face of a maximal cell and the maximal cells meet pairwise in common
+        faces: for faces c1 of M1 and c2 of M2, both c1 ∩ F and c2 ∩ F are
+        faces of F = M1 ∩ M2, and c1 ∩ c2 is their intersection, hence a face
+        of each.  Only when that certificate fails is every pair of cells
+        intersected, to list each offending pair.
+        """
         problems = []
         cellset = set(self.cells)
         for c in self.cells:
             for f in faces(c):
                 if f not in cellset:
                     problems.append(f"missing face {f} of {c}")
+        maximal = self.maximal_cells()
+        if cellset <= {f for m in maximal for f in faces(m)} and all(
+            _meet_in_common_face(m1, m2) for m1, m2 in itertools.combinations(maximal, 2)
+        ):
+            return problems
         for c1, c2 in itertools.combinations(self.cells, 2):
-            inter = cone_intersection(c1, c2)
-            if not (is_face_of(inter, c1) and is_face_of(inter, c2)):
+            if not _meet_in_common_face(c1, c2):
                 problems.append(f"{c1} and {c2} do not meet in a common face")
         return problems
+
+
+def _meet_in_common_face(c1: Cone, c2: Cone) -> bool:
+    inter = cone_intersection(c1, c2)
+    return is_face_of(inter, c1) and is_face_of(inter, c2)
 
 
 def complex_from_cones(

@@ -305,7 +305,8 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
     new_weights: dict[Cone, MClass] = {}
     for cell in kp.cells:
         old = f.complex.smallest_containing(cell)
-        assert old is not None
+        if old is None:
+            raise ValueError(f"cell {cell} lies in no cell of the model's complex")
         w = f.weight(old)
         if not w.is_zero():
             new_weights[cell] = w

@@ -7,10 +7,12 @@ accumulated term by term, and truncation arguments replace closed forms.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from logzeta.cones import (
     Cone,
+    ConeComplex,
     affine_lattice_points,
     complex_from_cones,
     cone_from_rays,
@@ -124,6 +126,57 @@ def brute_cone_sum(mm: MarkedMonoid, weight: MClass, degree: int) -> list[MClass
         if 1 <= d <= degree:
             out[d - 1] = out[d - 1] + weight.scale_l(-dot(u, mm.a_div))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Cone complexes from the definition.
+
+
+def _tight(c: Cone, normals) -> frozenset:
+    """The rays of ``c`` on which every functional in ``normals`` vanishes."""
+    return frozenset(r for r in c.rays if all(dot(u, r) == 0 for u in normals))
+
+
+def brute_faces(c: Cone) -> list[Cone]:
+    """Every face of ``c`` as an intersection of facets, ordered by
+    (dimension, rays, facets)."""
+    ray_sets = {
+        _tight(c, normals)
+        for k in range(len(c.facets) + 1)
+        for normals in itertools.combinations(c.facets, k)
+    }
+    found = {cone_from_rays(c.ambient_rank, list(rs)) for rs in ray_sets}
+    return sorted(found, key=lambda f: (f.dim, f.rays, f.facets))
+
+
+def brute_is_face(g: Cone, c: Cone) -> bool:
+    """``g`` lies in ``c`` and equals the smallest face of ``c`` containing it."""
+    if not all(c.contains(r) for r in g.rays):
+        return False
+    normals = [u for u in c.facets if all(dot(u, r) == 0 for r in g.rays)]
+    return cone_from_rays(c.ambient_rank, list(_tight(c, normals))) == g
+
+
+def brute_intersection(c1: Cone, c2: Cone) -> Cone:
+    """``c1 ∩ c2`` as the dual of the sum of the two dual cones."""
+    dual_sum = cone_from_rays(c1.ambient_rank, list(c1.facets) + list(c2.facets))
+    return Cone(c1.ambient_rank, dual_sum.facets, dual_sum.rays)
+
+
+def brute_complex_problems(k: ConeComplex) -> list[str]:
+    """The diagnostics of ``k.validate()``, from the definition: every face of
+    every cell is a cell, and every pair of cells meets in a common face."""
+    problems = []
+    cellset = set(k.cells)
+    for c in k.cells:
+        for f in brute_faces(c):
+            if f not in cellset:
+                problems.append(f"missing face {f} of {c}")
+    for c1, c2 in itertools.combinations(k.cells, 2):
+        inter = brute_intersection(c1, c2)
+        if not (brute_is_face(inter, c1) and brute_is_face(inter, c2)):
+            problems.append(f"{c1} and {c2} do not meet in a common face")
+    return problems
 
 
 # ---------------------------------------------------------------------------

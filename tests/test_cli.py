@@ -6,7 +6,7 @@ import pytest
 from logzeta.cli import main, parse_coeff, parse_fan
 from logzeta.mring import LaurentPoly, MCoeff
 from logzeta.series import equal
-from logzeta.zeta import fan_poincare
+from logzeta.zeta import InvalidModel, fan_poincare
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "scripts", "data")
 
@@ -84,6 +84,31 @@ def test_invalid_model_prints_diagnostics(capsys, argv):
     assert "horizontal-divisor" in out
 
 
+# Two maximal cells whose interiors overlap.
+OVERLAP_MODEL = {
+    "rank": 2,
+    "cells": [
+        {"rays": [[1, 0], [1, 2]], "weight": {"U": "L-1"}},
+        {"rays": [[1, 1], [0, 1]], "weight": {"V": "L-1"}},
+    ],
+    "e": [[1, 1], [1, 1]],
+    "a": [[0, 0], [0, 0]],
+}
+
+
+def test_overlapping_cells_rejected(tmp_path, capsys):
+    with pytest.raises(InvalidModel) as exc:
+        fan_poincare(parse_fan(OVERLAP_MODEL), 0)
+    problems = exc.value.problems
+    assert (
+        "Cone(rank 2, rays [(0, 1), (1, 1)]) and Cone(rank 2, rays [(1, 0), (1, 2)])"
+        " do not meet in a common face"
+    ) in problems
+    code, out = run(capsys, "validate", write(tmp_path, "overlap.json", OVERLAP_MODEL))
+    assert code == 2
+    assert out.splitlines() == problems
+
+
 def test_fan_series_validates_once(capsys, monkeypatch):
     import logzeta.cli
     import logzeta.zeta
@@ -138,6 +163,32 @@ def test_json_output(capsys):
 def test_parse_errors(capsys):
     code = main(["dl-zeta", "/nonexistent/file.json"])
     assert code == 1
+
+
+def _sncd(component):
+    return {"m": 1, "components": [component], "strata": [{"J": ["E"], "symbol": "E"}]}
+
+
+def _fan(rays, e):
+    return {"rank": 2, "cells": [{"rays": rays}], "e": [e], "a": [[0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("newton-poles", {"n": 2, "support": [[2.7, 0], [0, 3]]}),
+        ("newton-poles", {"n": 2, "support": [[True, 0], [0, 3]]}),
+        ("dl-zeta", _sncd({"id": "E", "N": True, "nu": 1})),
+        ("dl-zeta", _sncd({"id": "E", "N": 1, "nu": 1.5})),
+        ("fan-series", _fan([[1, 0], [0.5, 1]], [1, 1])),
+        ("fan-series", _fan([[1, 0], [0, 1]], [1, False])),
+    ],
+)
+def test_non_integers_rejected(tmp_path, capsys, verb, doc):
+    # coercing with int() would read 2.7 as 2 and true as 1, and exit 0
+    code = main([verb, write(tmp_path, "input.json", doc)])
+    assert code == 1
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_bad_schema(tmp_path, capsys):

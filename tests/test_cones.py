@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logzeta.cones import (
+    ConeComplex,
     HalfOpenCone,
     LinealityError,
     affine_lattice_points,
@@ -19,9 +20,17 @@ from logzeta.cones import (
     star_subdivision,
     triangulate_half_open,
 )
-from logzeta.intlin import det, dot, from_columns, is_zero_vec, solve_integer, solve_rational
+from logzeta.intlin import (
+    det,
+    dot,
+    from_columns,
+    is_zero_vec,
+    solve_integer,
+    solve_rational,
+    vec_add,
+)
 
-from genutil import random_cone
+from genutil import brute_complex_problems, random_cone
 
 ORTHANT2 = cone_from_rays(2, [(1, 0), (0, 1)])
 ORTHANT3 = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -167,6 +176,9 @@ def test_star_subdivision_orthant():
     k2 = star_subdivision(k, (1, 1))
     tops = [c.rays for c in k2.maximal_cells()]
     assert tops == [((0, 1), (1, 1)), ((1, 0), (1, 1))]
+    # computed once per complex, and not open to mutation by callers
+    assert k2.maximal_cells() is k2.maximal_cells()
+    assert isinstance(k2.maximal_cells(), tuple)
     assert all(c.is_smooth() for c in k2.cells)
     assert check_subdivision(k2, k)
 
@@ -364,3 +376,46 @@ def test_complex_validation_catches_bad_pair():
     b = cone_from_rays(2, [(1, 1), (0, 1)])  # overlaps a's interior
     with pytest.raises(ValueError):
         complex_from_cones(2, [a, b])
+
+
+def test_complex_validation_catches_cell_inside_maximal_cell():
+    # the orthant is the only maximal cell, so no pair of maximal cells
+    # fails; the ray (1,1) is a cell that is not a face of it
+    k = complex_from_cones(2, [ORTHANT2, cone_from_rays(2, [(1, 1)])], validate=False)
+    expected = [f"{cone_from_rays(2, [(1, 1)])} and {ORTHANT2} do not meet in a common face"]
+    assert k.validate() == expected
+    assert brute_complex_problems(k) == expected
+
+
+def random_complex(rng: random.Random) -> ConeComplex:
+    """A rank-2 or rank-3 complex of one of four kinds, by draw: a subdivided
+    cone (valid), random overlapping cones, a subdivided cone with one
+    non-maximal cell dropped, or with an extra cell inside a maximal cell."""
+    rank = rng.randint(2, 3)
+    kind = rng.randrange(4)
+    if kind == 1:
+        cones = [random_cone(rng, rank, max_entry=3) for _ in range(rng.randint(2, 3))]
+        return complex_from_cones(rank, cones, validate=False)
+    k = complex_from_cones(rank, [random_cone(rng, rank, max_entry=3)])
+    for _ in range(rng.randint(0, 2)):
+        v = tuple(rng.randint(0, 3) for _ in range(rank))
+        if not is_zero_vec(v) and k.support_cell(v) is not None:
+            k = star_subdivision(k, v)
+    if kind == 2:
+        maximal = k.maximal_cells()
+        dropped = rng.choice([c for c in k.cells if c not in maximal])
+        return ConeComplex(rank, tuple(c for c in k.cells if c != dropped))
+    if kind == 3:
+        big = rng.choice(k.maximal_cells())
+        interior = tuple(sum(xs) for xs in zip(*big.rays))
+        rays = [interior, vec_add(interior, big.rays[0])][: rng.randint(1, 2)]
+        extra = cone_from_rays(rank, rays)
+        return complex_from_cones(rank, list(k.cells) + [extra], validate=False)
+    return k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_complex_validation_matches_definition(seed):
+    k = random_complex(random.Random(seed))
+    assert k.validate() == brute_complex_problems(k)
