@@ -24,14 +24,15 @@ from typing import Iterable, Literal, Optional, Sequence
 
 from .intlin import (
     Vec,
+    columns,
     content_primitive,
     det,
     dot,
     from_columns,
-    inverse_rational,
     is_zero_vec,
     mat_vec,
     rank as mat_rank,
+    scaled_inverse,
     smith_normal_form,
     solve_rational,
     span_lattice,
@@ -131,9 +132,11 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        if not self.rays:
-            return 0
-        return mat_rank(tuple(self.rays))
+        """The ambient rank minus the codimension, which is the number of
+        span-cutting ``u, -u`` facet pairs."""
+        facetset = set(self.facets)
+        pairs = sum(1 for u in self.facets if vec_scale(-1, u) in facetset) // 2
+        return self.ambient_rank - pairs
 
     def lineality(self) -> list[Vec]:
         """One representative per line direction contained in the cone."""
@@ -506,16 +509,8 @@ class HalfOpenCone:
 def _piece_normals(gens: tuple[Vec, ...], comp: list[Vec]) -> list[Vec]:
     """For each generator, the functional in span(c) that vanishes on the
     other generators and is positive on it (the inward wall normals)."""
-    rows = list(gens) + comp
-    inv = inverse_rational(tuple(rows))
-    out = []
-    for j in range(len(gens)):
-        col = [inv[i][j] for i in range(len(rows))]
-        denom = 1
-        for x in col:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append(primitive(tuple(int(x * denom) for x in col)))
-    return out
+    inv, _ = scaled_inverse(gens + tuple(comp))
+    return [primitive(col) for col in columns(inv)[: len(gens)]]
 
 
 def _perturbed_sign(u: Vec, base: Vec, directions: Sequence[Vec]) -> int:

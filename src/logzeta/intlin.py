@@ -10,6 +10,9 @@ multiplication.  Conventions used throughout the package:
   of a pivot reduced into ``[0, pivot)``.
 * Smith normal form is two sided: ``S = U @ A @ V`` with nonnegative
   diagonal entries satisfying ``d_1 | d_2 | ...``.
+* Rank, determinant, rational solve and inverse all read one fraction-free
+  Gauss-Jordan elimination in integers; rationals appear only in the values
+  ``solve_rational`` and ``inverse_rational`` return.
 """
 
 from __future__ import annotations
@@ -298,101 +301,95 @@ def in_lattice(lattice: Mat, v: Vec) -> bool:
     return solve_integer(lattice, v) is not None
 
 
-def solve_rational(a: Mat, b: Vec) -> Optional[tuple[Fraction, ...]]:
-    """A particular rational solution of ``A x = b``, or None."""
-    m = len(a)
-    n = len(a[0]) if a else 0
-    rows = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+def _gauss_jordan(
+    a: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination with pivots in the first ``ncols`` columns.
+
+    Each pivot ``p`` at row ``r``, column ``c`` applies the Bareiss update
+    ``row_i = (p * row_i - row_i[c] * row_r) // prev`` to every other row,
+    ``prev`` being the previous pivot (1 at first).  Every entry stays a
+    minor of ``A`` (Bareiss, Math. Comp. 22, 1968), so each division is
+    exact.  Returns ``(rows, pivots, d, sign)``: the reduced rows equal ``d``
+    times the reduced row echelon form of ``A``; pivot ``k`` sits at row
+    ``k``, column ``pivots[k]``; ``d`` is the last pivot (1 when there is
+    none) and ``sign`` that of the row permutation.  Rows past the rank are
+    zero in the first ``ncols`` columns.
+    """
+    rows = [list(r) for r in a]
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        d = p
+        pivots.append(c)
+    return rows, pivots, d, sign
+
+
+def solve_rational(a: Mat, b: Vec) -> Optional[tuple[Fraction, ...]]:
+    """A particular rational solution of ``A x = b``, or None.
+
+    The solution is the reduced row echelon one: zero off the pivot columns.
+    """
+    n = len(a[0]) if a else 0
+    rows, pivots, d, _ = _gauss_jordan([[*row, b[i]] for i, row in enumerate(a)], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for pr, pc in pivots:
-        x[pc] = rows[pr][n]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n], d)
     return tuple(x)
 
 
-def inverse_rational(a: Mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square matrix over the rationals (Gauss-Jordan)."""
+def scaled_inverse(a: Mat) -> tuple[Mat, int]:
+    """``(B, d)`` with ``A @ B = d * I`` and ``d = |det A| > 0``.
+
+    ``B`` is the adjugate up to sign, so ``A^{-1} = B / d`` and the columns
+    of ``B`` point the same way as those of ``A^{-1}``.
+    """
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("square matrix required")
-    rows = [[Fraction(x) for x in a[i]] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        rows[c], rows[pr] = rows[pr], rows[c]
-        pv = rows[c][c]
-        rows[c] = [x / pv for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return tuple(tuple(r[n:]) for r in rows)
+    augmented = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(a)]
+    rows, pivots, d, _ = _gauss_jordan(augmented, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    s = 1 if d > 0 else -1
+    return tuple(tuple(s * x for x in row[n:]) for row in rows), abs(d)
+
+
+def inverse_rational(a: Mat) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of a square matrix over the rationals."""
+    b, d = scaled_inverse(a)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in b)
 
 
 def rank(a: Mat) -> int:
-    """Rational rank via fraction-free elimination."""
-    rows = [[Fraction(x) for x in r] for r in a]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(r + 1, m):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rational rank: the number of pivots of the fraction-free elimination."""
+    return len(_gauss_jordan(a, len(a[0]) if a else 0)[1])
 
 
 def det(a: Mat) -> int:
-    """Determinant of a square integer matrix (Bareiss algorithm)."""
+    """Determinant of a square integer matrix: the signed last pivot."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("square matrix required")
-    if n == 0:
-        return 1
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    _, pivots, d, sign = _gauss_jordan(a, n)
+    return sign * d if len(pivots) == n else 0
 
 
 def kernel_basis(a: Mat) -> list[Vec]:

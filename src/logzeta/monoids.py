@@ -15,7 +15,6 @@ the generating-function machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .cones import (
@@ -40,9 +39,9 @@ from .intlin import (
     mat_vec,
     rank as mat_rank,
     saturation_basis,
+    scaled_inverse,
     smith_normal_form,
     solve_integer,
-    solve_rational,
     span_lattice,
     torsion_order,
     transpose,
@@ -141,15 +140,8 @@ def monoid_from_generators(ambient_rank: int, gens: Sequence[Vec]) -> SharpFsMon
 
 
 def _rays_in_basis(rays: Sequence[Vec], bmat: Mat) -> list[Vec]:
-    out = []
-    for ray in rays:
-        x = solve_rational(bmat, ray)
-        assert x is not None
-        denom = 1
-        for c in x:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        out.append(primitive(tuple(int(c * denom) for c in x)))
-    return out
+    inv, _ = scaled_inverse(bmat)
+    return [primitive(mat_vec(inv, ray)) for ray in rays]
 
 
 def _reduce_to_span(cone: Cone, r: int) -> tuple[Cone, Mat]:

@@ -7,7 +7,7 @@ A :class:`ZSeries` is a finite sum of terms
 with ``c`` an :class:`~logzeta.mring.MClass`.  Terms with identical
 ``(beta, denominators)`` are merged and zero coefficients dropped, giving a
 canonical form used for printing and golden tests.  Mathematical equality is
-decided exactly by cross-multiplication.
+decided exactly by clearing the denominators of the difference.
 
 The heart of the module is :func:`relint_cone_sum`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
@@ -230,19 +230,17 @@ def _denom_str(a: int, b: int) -> str:
 
 
 def equal(s1: ZSeries, s2: ZSeries) -> bool:
-    """Exact equality in the ring, by cross-multiplication."""
+    """Exact equality in the ring: the difference has a zero numerator over
+    the common denominator of its own terms."""
+    diff = s1 - s2
     counts: dict[tuple[int, int], int] = {}
-    for s in (s1, s2):
-        for (_, ds) in s.terms.keys():
-            local: dict[tuple[int, int], int] = {}
-            for d in ds:
-                local[d] = local.get(d, 0) + 1
-            for d, k in local.items():
-                counts[d] = max(counts.get(d, 0), k)
+    for (_, ds) in diff.terms.keys():
+        for d in set(ds):
+            counts[d] = max(counts.get(d, 0), ds.count(d))
     common: list[tuple[int, int]] = []
     for d, k in sorted(counts.items()):
         common.extend([d] * k)
-    return s1._numerator_against(tuple(common)) == s2._numerator_against(tuple(common))
+    return not diff._numerator_against(tuple(common))
 
 
 def format_poles(poles: frozenset[Fraction]) -> str:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logzeta.cones import (
     ConeComplex,
@@ -25,6 +25,7 @@ from logzeta.intlin import (
     dot,
     from_columns,
     is_zero_vec,
+    rank as mat_rank,
     solve_integer,
     solve_rational,
     vec_add,
@@ -117,6 +118,33 @@ def test_dim_and_convexity():
     assert not line.is_strictly_convex()
     assert line.dim == 1
     assert ORTHANT2.is_strictly_convex()
+
+
+@st.composite
+def cones_any_shape(draw):
+    """Cones of rank 1-5 generated inside a random subspace, some with lines."""
+    rank = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-3, 3)] * rank)
+    span = draw(st.lists(vector, min_size=1, max_size=rank))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span))
+    rays = [
+        tuple(sum(k * v[i] for k, v in zip(ks, span)) for i in range(rank))
+        for ks in draw(st.lists(coeffs, max_size=5))
+    ]
+    if rays and draw(st.booleans()):
+        rays.append(tuple(-x for x in rays[0]))  # a line through the first ray
+    return cone_from_rays(rank, rays)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cones_any_shape())
+@example(cone_from_rays(2, [(1, 0), (-1, 0)]))
+@example(cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1)]))
+@example(cone_from_rays(3, [(1, 2, 0), (2, 1, 0)]))
+@example(cone_from_rays(4, []))
+def test_dim_is_rank_of_rays(c):
+    for d in (c, dual_cone(c), *faces(c)):
+        assert d.dim == (mat_rank(d.rays) if d.rays else 0), d
 
 
 def test_smoothness():
@@ -326,8 +354,6 @@ def test_box_point_count_is_index(seed):
             if d != 0:
                 break
         else:
-            from logzeta.intlin import rank as mat_rank
-
             if not any(is_zero_vec(g) for g in gens) and mat_rank(tuple(gens)) == k:
                 break
     flags = tuple(rng.random() < 0.5 for _ in range(k))

@@ -1,12 +1,16 @@
 """Cross-checks against sympy's normal forms (independent implementation).
 
-Sympy is an optional test dependency: these tests are skipped when it is
-not importable.  Smith normal forms are compared directly (the diagonal is
-unique); for Hermite forms we compare the column span and the canonical
-shape, since conventions differ.
+Sympy is a declared test dependency (``pip install -e .[test]``); the
+module is skipped only when it is not importable.  Smith normal forms are
+compared directly (the diagonal is unique); for Hermite forms we compare the
+column span and the canonical shape, since conventions differ.  Rank,
+determinant, inverse and rational solve, which share one fraction-free
+elimination in ``intlin``, are checked against sympy's exact rational
+arithmetic on matrices with forced dependent rows.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +20,14 @@ from sympy import Matrix  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 from logzeta.intlin import (
+    det,
     hermite_normal_form,
     in_lattice,
+    inverse_rational,
     mat,
+    rank,
     smith_normal_form as our_snf,
+    solve_rational,
 )
 
 
@@ -54,3 +62,70 @@ def test_hnf_column_spans_agree_with_input():
             assert in_lattice(a, tuple(col))
         for col in zip(*a):
             assert in_lattice(h, tuple(col))
+
+
+def dependent_matrix(rng, m, n, bound=6):
+    """Random ``m x n`` matrix in which some rows combine earlier ones."""
+    rows = random_matrix(rng, m, n, bound)
+    for i in range(1, m):
+        if rng.random() < 0.4:
+            j, k = rng.randrange(i), rng.randrange(i)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+def as_fraction(q):
+    return Fraction(int(q.p), int(q.q))
+
+
+def test_rank_and_det_match_sympy():
+    rng = random.Random(101)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = dependent_matrix(rng, m, n)
+        assert rank(mat(rows)) == Matrix(rows).rank(), rows
+        sq = dependent_matrix(rng, m, m)
+        assert det(mat(sq)) == int(Matrix(sq).det()), sq
+
+
+def test_inverse_rational_matches_sympy():
+    rng = random.Random(102)
+    singular = 0
+    for _ in range(150):
+        m = rng.randint(1, 6)
+        rows = dependent_matrix(rng, m, m)
+        theirs = Matrix(rows)
+        if theirs.det() == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                inverse_rational(mat(rows))
+            continue
+        inv = theirs.inv()
+        expected = tuple(tuple(as_fraction(inv[i, j]) for j in range(m)) for i in range(m))
+        assert inverse_rational(mat(rows)) == expected, rows
+    assert singular  # the dependent rows must reach the singular branch
+
+
+def test_solve_rational_matches_sympy():
+    rng = random.Random(103)
+    inconsistent = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = dependent_matrix(rng, m, n)
+        if rng.random() < 0.5:
+            x0 = [rng.randint(-3, 3) for _ in range(n)]
+            b = [sum(r[j] * x0[j] for j in range(n)) for r in rows]
+        else:
+            b = [rng.randint(-6, 6) for _ in range(m)]
+        a = Matrix(rows)
+        x = solve_rational(mat(rows), tuple(b))
+        if a.rank() < a.row_join(Matrix(b)).rank():
+            inconsistent += 1
+            assert x is None, (rows, b)
+            continue
+        assert x is not None, (rows, b)
+        assert all(sum(Fraction(r[j]) * x[j] for j in range(n)) == bi for r, bi in zip(rows, b))
+        _, pivots = a.rref()
+        assert all(x[j] == 0 for j in range(n) if j not in pivots), (rows, b, x)
+    assert inconsistent
