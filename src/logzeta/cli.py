@@ -111,11 +111,12 @@ def series_to_json(s: ZSeries) -> dict[str, Any]:
 def load_input(path: str) -> dict[str, Any]:
     try:
         with open(path) as f:
-            return json.load(f)
+            data = json.load(f)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}")
+    return _object(data, path)
 
 
 def input_kind(data: dict[str, Any]) -> str:
@@ -126,6 +127,12 @@ def input_kind(data: dict[str, Any]) -> str:
     if "cells" in data:
         return "fan"
     raise InputError("unrecognized input: expected 'support', 'components' or 'cells'")
+
+
+def _object(x: Any, what: str) -> dict[str, Any]:
+    if not isinstance(x, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(x).__name__}")
+    return x
 
 
 def _int(x: Any, what: str) -> int:
@@ -145,7 +152,7 @@ def parse_newton(data: dict[str, Any]) -> NewtonInput:
     coeffs = None
     if data.get("coeffs") is not None:
         coeffs = {}
-        for key, val in data["coeffs"].items():
+        for key, val in _object(data["coeffs"], "coeffs").items():
             pt = tuple(int(x) for x in key.strip("()").split(","))
             coeffs[pt] = Fraction(str(val))
     try:
@@ -182,7 +189,7 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
             rays = [tuple(_int(x, "ray coordinate") for x in r) for r in cell_data["rays"]]
             cell = cone_from_rays(rank, rays)
             listed.append(cell)
-            w = parse_mclass(cell_data.get("weight", {}))
+            w = parse_mclass(_object(cell_data.get("weight", {}), "cell weight"))
             if not w.is_zero():
                 weights[cell] = w
         complex_ = complex_from_cones(rank, listed, validate=False)

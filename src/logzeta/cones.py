@@ -455,9 +455,11 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
             raise RuntimeError("simplicialization did not terminate")
 
     # Phase 2: shrink multiplicities via fundamental-parallelepiped points.
+    # A cell that a subdivision leaves in place keeps its verdict.
+    is_smooth = lru_cache(maxsize=None)(Cone.is_smooth)
     guard = 0
     while True:
-        bad = next((c for c in k.cells if not c.is_smooth()), None)
+        bad = next((c for c in k.cells if not is_smooth(c)), None)
         if bad is None:
             return k
         box = box_points(

@@ -222,7 +222,8 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
             ):
                 break
             pos = _min_nonzero_pos(s, k)
-            assert pos is not None
+            if pos is None:
+                raise RuntimeError("smith_normal_form lost its pivot")
             i, j = pos
             if i != k:
                 swap_rows(k, i)

@@ -126,12 +126,14 @@ def monoid_from_generators(ambient_rank: int, gens: Sequence[Vec]) -> SharpFsMon
     r = mat_rank(tuple(nonzero))
     h, _ = hermite_normal_form(from_columns(nonzero))
     basis = [col for col in transpose(h) if not is_zero_vec(col)]
-    assert len(basis) == r
+    if len(basis) != r:
+        raise RuntimeError("Hermite basis rank differs from the generators' rank")
     bmat = from_columns(basis)
     coords = []
     for g in nonzero:
         x = solve_integer(bmat, g)
-        assert x is not None  # generators lie in the lattice they generate
+        if x is None:
+            raise RuntimeError(f"generator {g} outside the lattice it generates")
         coords.append(x)
     cone = cone_from_rays(r, coords)
     if not cone.is_strictly_convex():
@@ -175,7 +177,8 @@ def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
         # the unit lattice is the saturation of the line span in Z^r
         sat = saturation_basis(lines, r)
         s, p, _ = smith_normal_form(from_columns(sat))
-        assert all(s[i][i] == 1 for i in range(u))
+        if any(s[i][i] != 1 for i in range(u)):
+            raise RuntimeError("saturated unit lattice has a non-unit elementary divisor")
         proj = tuple(p[u:])
         new_rays = [v for v in (mat_vec(proj, ray) for ray in cone_l.rays) if not is_zero_vec(v)]
         pointed = cone_from_rays(r - u, new_rays)
@@ -242,12 +245,14 @@ def base_change(mm: MarkedMonoid, d: int) -> MarkedMonoid:
     cols = [vec_scale(d, col) for col in transpose(identity(r))] + [mm.e_pi]
     h, _ = hermite_normal_form(from_columns(cols))
     basis = [col for col in transpose(h) if not is_zero_vec(col)]
-    assert len(basis) == r
+    if len(basis) != r:
+        raise RuntimeError("base-changed lattice has the wrong rank")
     bmat = from_columns(basis)
     newcone = cone_from_rays(r, _rays_in_basis(mm.base.cone.rays, bmat))
     new_e = solve_integer(bmat, mm.e_pi)  # old e_pi is d * (e_pi/d) in scaled coords
     new_a = solve_integer(bmat, vec_scale(d, mm.a_div))
-    assert new_e is not None and new_a is not None
+    if new_e is None or new_a is None:
+        raise RuntimeError("marking outside the base-changed lattice")
     embed = mat_mul(mm.base.lattice, bmat)
     return MarkedMonoid(SharpFsMonoid(r, newcone, embed), new_e, new_a)
 
@@ -280,7 +285,8 @@ def max_ideal_generated_by_base(mm: MarkedMonoid, d: int, height: int = 8) -> bo
         if is_zero_vec(p):
             continue
         x = solve_integer(bmat, vec_scale(d, p))
-        assert x is not None
+        if x is None:
+            raise RuntimeError(f"monoid point {p} outside the base-changed lattice")
         old_in_new.append(x)
     for q in _monoid_points(changed.base, height):
         if is_zero_vec(q):

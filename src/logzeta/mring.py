@@ -15,9 +15,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import chain
+from typing import Any, Hashable, Iterable, Mapping
 
 UNIT_SYMBOL = "1"
+
+
+def merge(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
+    """Sum the values of ``(key, value)`` pairs that share a key, in order,
+    and drop the keys whose sum is zero.
+
+    This is the one place where the canonical forms of :class:`MClass` and
+    :class:`~logzeta.series.ZSeries` are built: values need ``+`` and
+    ``is_zero()``, and the keys are taken as they come, already checked.
+    """
+    out: dict = {}
+    for k, v in pairs:
+        out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 class LPoleError(ValueError):
@@ -61,9 +76,6 @@ class LaurentPoly:
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((e, -c) for e, c in self.coeffs))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         d: dict[int, int] = {}
@@ -122,7 +134,6 @@ class LaurentPoly:
         return "".join(parts)
 
 
-L = LaurentPoly.monomial(1)
 L_MINUS_1 = LaurentPoly.from_dict({1: 1, 0: -1})
 
 
@@ -150,10 +161,6 @@ class MCoeff:
         return MCoeff(num, den_pow)
 
     @staticmethod
-    def zero() -> "MCoeff":
-        return MCoeff(LaurentPoly.zero(), 0)
-
-    @staticmethod
     def one() -> "MCoeff":
         return MCoeff(LaurentPoly.one(), 0)
 
@@ -172,9 +179,6 @@ class MCoeff:
 
     def __neg__(self) -> "MCoeff":
         return MCoeff(-self.num, self.den_pow)
-
-    def __sub__(self, other: "MCoeff") -> "MCoeff":
-        return self + (-other)
 
     def __mul__(self, other: "MCoeff") -> "MCoeff":
         return MCoeff.make(self.num * other.num, self.den_pow + other.den_pow)
@@ -244,17 +248,23 @@ def _symbol_product(s1: str, s2: str) -> str:
 
 
 class MClass:
-    """Element of the symbolic localized Grothendieck ring."""
+    """Element of the symbolic localized Grothendieck ring.
+
+    Only the public constructors check symbols; ring operations go through
+    :meth:`_sum_pairs` with symbols that are already checked.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[str, MCoeff] | None = None):
-        clean: dict[str, MCoeff] = {}
-        if terms:
-            for sym, c in terms.items():
-                if not c.is_zero():
-                    clean[_check_symbol(sym)] = c
-        self.terms = clean
+        self.terms = merge((_check_symbol(sym), c) for sym, c in (terms or {}).items())
+
+    @classmethod
+    def _sum_pairs(cls, pairs: Iterable[tuple[str, MCoeff]]) -> "MClass":
+        """Class of the merged ``(symbol, coefficient)`` pairs, unchecked."""
+        out = object.__new__(cls)
+        out.terms = merge(pairs)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -264,11 +274,11 @@ class MClass:
 
     @staticmethod
     def one() -> "MClass":
-        return MClass({UNIT_SYMBOL: MCoeff.one()})
+        return MClass._sum_pairs(((UNIT_SYMBOL, MCoeff.one()),))
 
     @staticmethod
     def from_int(n: int) -> "MClass":
-        return MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.from_dict({0: n}))})
+        return MClass._sum_pairs(((UNIT_SYMBOL, MCoeff.make(LaurentPoly.from_dict({0: n}))),))
 
     @staticmethod
     def symbol(name: str) -> "MClass":
@@ -276,7 +286,7 @@ class MClass:
 
     @staticmethod
     def l_power(k: int) -> "MClass":
-        return MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.monomial(k))})
+        return MClass._sum_pairs(((UNIT_SYMBOL, MCoeff.make(LaurentPoly.monomial(k))),))
 
     @staticmethod
     def l_minus_1(power: int = 1) -> "MClass":
@@ -291,25 +301,20 @@ class MClass:
         return bool(self.terms)
 
     def __add__(self, other: "MClass") -> "MClass":
-        d = dict(self.terms)
-        for sym, c in other.terms.items():
-            d[sym] = d[sym] + c if sym in d else c
-        return MClass(d)
+        return MClass._sum_pairs(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "MClass":
-        return MClass({s: -c for s, c in self.terms.items()})
+        return MClass._sum_pairs((s, -c) for s, c in self.terms.items())
 
     def __sub__(self, other: "MClass") -> "MClass":
         return self + (-other)
 
     def __mul__(self, other: "MClass") -> "MClass":
-        d: dict[str, MCoeff] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                sym = _symbol_product(s1, s2)
-                c = c1 * c2
-                d[sym] = d[sym] + c if sym in d else c
-        return MClass(d)
+        return MClass._sum_pairs(
+            (_symbol_product(s1, s2), c1 * c2)
+            for s1, c1 in self.terms.items()
+            for s2, c2 in other.terms.items()
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MClass) and self.terms == other.terms
@@ -319,11 +324,13 @@ class MClass:
 
     def scale_l(self, k: int) -> "MClass":
         """Multiply by L^k."""
-        return MClass({s: MCoeff.make(c.num.shift(k), c.den_pow) for s, c in self.terms.items()})
+        return MClass._sum_pairs(
+            (s, MCoeff.make(c.num.shift(k), c.den_pow)) for s, c in self.terms.items()
+        )
 
     def mul_l1_pow(self, e: int) -> "MClass":
         """Multiply by (L-1)^e; negative ``e`` raises denominator powers."""
-        return MClass({s: c.mul_l1_pow(e) for s, c in self.terms.items()})
+        return MClass._sum_pairs((s, c.mul_l1_pow(e)) for s, c in self.terms.items())
 
     # -- specializations ----------------------------------------------------
 
@@ -334,15 +341,12 @@ class MClass:
         return self
 
     def mod_l_minus_1(self) -> "MClass":
+        """Value at L = 1: each numerator's coefficient sum."""
         self.assert_no_l1_pole()
-        out: dict[str, MCoeff] = {}
-        for sym, c in self.terms.items():
-            val = c.num.evaluate(Fraction(1))
-            assert val.denominator == 1
-            cc = MCoeff.make(LaurentPoly.from_dict({0: int(val)}))
-            if not cc.is_zero():
-                out[sym] = cc
-        return MClass(out)
+        return MClass._sum_pairs(
+            (sym, MCoeff(LaurentPoly.from_dict({0: sum(x for _, x in c.num.coeffs)}), 0))
+            for sym, c in self.terms.items()
+        )
 
     def specialize(self, table: Mapping[str, Fraction], l_value: Fraction) -> Fraction:
         if l_value == 1:
@@ -360,12 +364,9 @@ class MClass:
 
     def truncate_l_below(self, low: int) -> "MClass":
         """L-adic truncation of every coefficient (used by test oracles)."""
-        out: dict[str, MCoeff] = {}
-        for sym, c in self.terms.items():
-            t = c.laurent_series(low)
-            if not t.is_zero():
-                out[sym] = MCoeff(t, 0)
-        return MClass(out)
+        return MClass._sum_pairs(
+            (sym, MCoeff(c.laurent_series(low), 0)) for sym, c in self.terms.items()
+        )
 
     # -- presentation -------------------------------------------------------
 

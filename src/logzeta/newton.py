@@ -139,7 +139,7 @@ def _zeta(inp: NewtonInput, which: Literal["global", "local"]) -> ZSeries:
     records = newton_polyhedron(inp)
     jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])  # L^{-1}T/(1-L^{-1}T)
     sigma = (1,) * inp.n
-    out = ZSeries.zero()
+    parts = []
     for rec in records:
         if which == "local" and not rec.is_compact:
             continue
@@ -147,14 +147,14 @@ def _zeta(inp: NewtonInput, which: Literal["global", "local"]) -> ZSeries:
         # normals with m = 0 are coordinate vectors, so sigma = 1 on them
         s_tau = relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one())
         x0 = MClass.symbol(f"X_tau(0)@{rec.face_id}")
-        out = out + s_tau.scale(x0) * jet_factor
+        parts.append(s_tau.scale(x0) * jet_factor)
         # The unit-section term exists only when the uniformizer is not
         # invertible along the face, i.e. m does not vanish identically on
         # the normal cone; it then has positive T-degree throughout.
         if any(rec.m_of(r) != 0 for r in rec.normal_cone_closure.rays):
             x1 = MClass.symbol(f"X_tau(1)@{rec.face_id}")
-            out = out + s_tau.scale(x1)
-    return out
+            parts.append(s_tau.scale(x1))
+    return ZSeries.sum(parts)
 
 
 def newton_zeta(inp: NewtonInput) -> ZSeries:
@@ -191,23 +191,24 @@ def newton_to_fanmodel(inp: NewtonInput) -> FanModel:
     n = inp.n
     records = newton_polyhedron(inp)
     cells: dict[Cone, MClass] = {}
-    vertical: list[tuple[Cone, FaceRecord]] = []
+    vertical: dict[Cone, FaceRecord] = {}
     for rec in records:
         base_rays = [_lift(r, 0) for r in rec.normal_cone_closure.rays]
-        flat = cone_from_rays(n + 1, base_rays) if base_rays else cone_from_rays(n + 1, [])
+        flat = cone_from_rays(n + 1, base_rays)
         prism = cone_from_rays(n + 1, base_rays + [_lift(zero_vec(n), 1)])
         cells[flat] = MClass.symbol(f"X_tau(1)@{rec.face_id}")
         cells[prism] = MClass.symbol(f"X_tau(0)@{rec.face_id}")
-        vertical.append((prism, rec))
+        vertical[prism] = rec
     complex_ = complex_from_cones(n + 1, list(cells.keys()), validate=False)
     e_vecs: dict[Cone, Vec] = {}
     a_vecs: dict[Cone, Vec] = {}
     ones = (1,) * n
     for mc in complex_.maximal_cells():
-        rec = next(r for c, r in vertical if c == mc)
+        rec = vertical[mc]
         e_vecs[mc] = _lift(rec.m_witness, 1)
         a_vecs[mc] = _lift(tuple(o - w for o, w in zip(ones, rec.m_witness)), 0)
-    weights = {c: w for c, w in cells.items() if c in set(complex_.cells)}
+    kept = set(complex_.cells)
+    weights = {c: w for c, w in cells.items() if c in kept}
     return FanModel(complex_, e_vecs, a_vecs, weights)
 
 

@@ -27,10 +27,11 @@ from typing import Iterable, Mapping
 
 from .cones import Cone, box_points, triangulate_half_open
 from .intlin import Vec, dot
-from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff
+from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff, merge
 from .monoids import MarkedMonoid
 
 Denoms = tuple[tuple[int, int], ...]  # sorted multiset of (a, b), b >= 1
+Key = tuple[int, Denoms]
 
 
 def _canon_denoms(denoms: Iterable[tuple[int, int]]) -> Denoms:
@@ -40,21 +41,30 @@ def _canon_denoms(denoms: Iterable[tuple[int, int]]) -> Denoms:
     return ds
 
 
+def _canon_key(beta: int, denoms: Iterable[tuple[int, int]]) -> Key:
+    if beta < 0:
+        raise ValueError("T-exponent must be nonnegative")
+    return beta, _canon_denoms(denoms)
+
+
 class ZSeries:
-    """Finite sum of rational terms in T with MClass coefficients."""
+    """Finite sum of rational terms in T with MClass coefficients.
+
+    Only the public constructors check and sort keys; ring operations go
+    through :meth:`_sum_pairs` with keys that are already canonical.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, Denoms], MClass] | None = None):
-        clean: dict[tuple[int, Denoms], MClass] = {}
-        if terms:
-            for (beta, denoms), c in terms.items():
-                if beta < 0:
-                    raise ValueError("T-exponent must be nonnegative")
-                if not c.is_zero():
-                    key = (beta, _canon_denoms(denoms))
-                    clean[key] = clean[key] + c if key in clean else c
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero()}
+    def __init__(self, terms: Mapping[Key, MClass] | None = None):
+        self.terms = merge((_canon_key(*k), c) for k, c in (terms or {}).items())
+
+    @classmethod
+    def _sum_pairs(cls, pairs: Iterable[tuple[Key, MClass]]) -> "ZSeries":
+        """Series of the merged ``(key, coefficient)`` pairs, unchecked."""
+        out = object.__new__(cls)
+        out.terms = merge(pairs)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -64,11 +74,16 @@ class ZSeries:
 
     @staticmethod
     def term(c: MClass, beta: int, denoms: Iterable[tuple[int, int]] = ()) -> "ZSeries":
-        return ZSeries({(beta, _canon_denoms(denoms)): c})
+        return ZSeries._sum_pairs(((_canon_key(beta, denoms), c),))
 
     @staticmethod
     def one() -> "ZSeries":
         return ZSeries.term(MClass.one(), 0)
+
+    @staticmethod
+    def sum(parts: Iterable["ZSeries"]) -> "ZSeries":
+        """The sum of ``parts``, merged in one pass."""
+        return ZSeries._sum_pairs(kv for p in parts for kv in p.terms.items())
 
     # -- ring operations ----------------------------------------------------
 
@@ -76,64 +91,53 @@ class ZSeries:
         return not self.terms
 
     def __add__(self, other: "ZSeries") -> "ZSeries":
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            d[k] = d[k] + c if k in d else c
-        return ZSeries(d)
+        return ZSeries.sum((self, other))
 
     def __neg__(self) -> "ZSeries":
-        return ZSeries({k: -c for k, c in self.terms.items()})
+        return ZSeries._sum_pairs((k, -c) for k, c in self.terms.items())
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
         return self + (-other)
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
-        d: dict[tuple[int, Denoms], MClass] = {}
-        for (b1, ds1), c1 in self.terms.items():
-            for (b2, ds2), c2 in other.terms.items():
-                key = (b1 + b2, _canon_denoms(ds1 + ds2))
-                c = c1 * c2
-                d[key] = d[key] + c if key in d else c
-        return ZSeries(d)
+        return ZSeries._sum_pairs(
+            ((b1 + b2, tuple(sorted(ds1 + ds2))), c1 * c2)
+            for (b1, ds1), c1 in self.terms.items()
+            for (b2, ds2), c2 in other.terms.items()
+        )
 
     def scale(self, c: MClass) -> "ZSeries":
-        return ZSeries({k: v * c for k, v in self.terms.items()})
+        return ZSeries._sum_pairs((k, v * c) for k, v in self.terms.items())
 
     def shift_T(self, k: int) -> "ZSeries":
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        return ZSeries({(beta + k, ds): c for (beta, ds), c in self.terms.items()})
+        return ZSeries._sum_pairs(((beta + k, ds), c) for (beta, ds), c in self.terms.items())
 
     def subst_T_L(self, k: int) -> "ZSeries":
         """Substitute T -> L^k T."""
-        out: dict[tuple[int, Denoms], MClass] = {}
-        for (beta, ds), c in self.terms.items():
-            new_ds = _canon_denoms((a + k * b, b) for a, b in ds)
-            key = (beta, new_ds)
-            cc = c.scale_l(k * beta)
-            out[key] = out[key] + cc if key in out else cc
-        return ZSeries(out)
+        return ZSeries._sum_pairs(
+            ((beta, tuple(sorted((a + k * b, b) for a, b in ds))), c.scale_l(k * beta))
+            for (beta, ds), c in self.terms.items()
+        )
 
     # -- expansion, limits, poles -------------------------------------------
 
     def expand(self, degree: int) -> list[MClass]:
         """Coefficients of T^1 ... T^degree of the power-series expansion."""
-        total: dict[int, MClass] = {}
-        for (beta, ds), c in self.terms.items():
-            poly: dict[int, MClass] = {beta: c}
-            for a, b in ds:
-                new: dict[int, MClass] = {}
-                for m, cm in poly.items():
-                    k = 0
-                    while m + k * b <= degree:
-                        e = m + k * b
-                        cc = cm.scale_l(k * a)
-                        new[e] = new[e] + cc if e in new else cc
-                        k += 1
-                poly = new
-            for m, cm in poly.items():
-                if m <= degree:
-                    total[m] = total[m] + cm if m in total else cm
+
+        def parts():  # lazily, so that merge holds one term's expansion at a time
+            for (beta, ds), c in self.terms.items():
+                poly = {beta: c}
+                for a, b in ds:
+                    poly = merge(
+                        (m + k * b, cm.scale_l(k * a))
+                        for m, cm in poly.items()
+                        for k in range((degree - m) // b + 1)
+                    )
+                yield from ((m, cm) for m, cm in poly.items() if m <= degree)
+
+        total = merge(parts())
         return [total.get(d, MClass.zero()) for d in range(1, degree + 1)]
 
     def limit_T_inf(self) -> MClass:
@@ -166,21 +170,20 @@ class ZSeries:
 
     def _numerator_against(self, common: Denoms) -> dict[int, MClass]:
         """Polynomial (in T) equal to self * prod(1 - L^a T^b) over ``common``."""
-        poly: dict[int, MClass] = {}
-        for (beta, ds), c in self.terms.items():
-            missing = list(common)
-            for d in ds:
-                missing.remove(d)
-            part: dict[int, MClass] = {beta: c}
-            for a, b in missing:
-                new: dict[int, MClass] = {}
-                for m, cm in part.items():
-                    new[m] = new.get(m, MClass.zero()) + cm
-                    new[m + b] = new.get(m + b, MClass.zero()) - cm.scale_l(a)
-                part = new
-            for m, cm in part.items():
-                poly[m] = poly.get(m, MClass.zero()) + cm
-        return {m: c for m, c in poly.items() if not c.is_zero()}
+
+        def parts():  # lazily, so that merge holds one term's numerator at a time
+            for (beta, ds), c in self.terms.items():
+                missing = list(common)
+                for d in ds:
+                    missing.remove(d)
+                part = {beta: c}
+                for a, b in missing:
+                    part = merge(
+                        kv for m, cm in part.items() for kv in ((m, cm), (m + b, -cm.scale_l(a)))
+                    )
+                yield from part.items()
+
+        return merge(parts())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZSeries):
@@ -265,7 +268,7 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
             raise ValueError(
                 f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
-    acc: dict[tuple[int, Denoms], MClass] = {}
+    pairs: list[tuple[Key, MClass]] = []
     for piece in triangulate_half_open(cone, "relint"):
         denoms = []
         horiz = 0
@@ -286,10 +289,8 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
             bucket[lexp] = bucket.get(lexp, 0) + 1
         for beta, bucket in numerators.items():
             poly = MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.from_dict(bucket))})
-            c = coeff * poly
-            key = (beta, key_denoms)
-            acc[key] = acc[key] + c if key in acc else c
-    return ZSeries(acc)
+            pairs.append(((beta, key_denoms), coeff * poly))
+    return ZSeries._sum_pairs(pairs)
 
 
 def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:

@@ -88,15 +88,15 @@ def _strata_sum(d: SncdData, order: Literal["mu", "nu"]) -> ZSeries:
         if getattr(c, order) is None:
             raise ValueError(f"component {c.id} carries no {order}")
         orders[c.id] = getattr(c, order)
-    out = ZSeries.zero()
+    parts = []
     for subset, symbol in d.strata:
         ids = sorted(subset)
         coeff = MClass.symbol(symbol).mul_l1_pow(len(ids) - 1)
         coeff = coeff.scale_l(-sum(orders[i] for i in ids))
         beta = sum(d.component(i).N for i in ids)
         denoms = [(-orders[i], d.component(i).N) for i in ids]
-        out = out + ZSeries.term(coeff, beta, denoms)
-    return out
+        parts.append(ZSeries.term(coeff, beta, denoms))
+    return ZSeries.sum(parts)
 
 
 def sncd_poincare(d: SncdData) -> ZSeries:
@@ -242,13 +242,11 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
     problems = validate_model(f)
     if problems:
         raise InvalidModel(problems)
-    out = ZSeries.zero()
-    for cell in f.complex.cells:
-        weight = f.weight(cell)
-        if weight.is_zero() or f.e_identically_zero(cell):
-            continue
-        out = out + relint_cone_sum(*_cell_in_span(f, cell), weight)
-    return out.scale(MClass.l_power(-m))
+    return ZSeries.sum(
+        relint_cone_sum(*_cell_in_span(f, cell), f.weight(cell))
+        for cell in f.complex.cells
+        if not f.weight(cell).is_zero() and not f.e_identically_zero(cell)
+    ).scale(MClass.l_power(-m))
 
 
 def fan_poles(f: FanModel) -> frozenset[Fraction]:

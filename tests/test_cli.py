@@ -191,6 +191,29 @@ def test_non_integers_rejected(tmp_path, capsys, verb, doc):
     assert "must be an integer" in capsys.readouterr().err
 
 
+def _weighted(weight):
+    return {"rank": 2, "cells": [{"rays": [[1, 0], [0, 1]], "weight": weight}], "e": [[1, 1]], "a": [[1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (("expand", "--degree", "2"), 5),
+        (("nearby",), 5),
+        (("newton-zeta",), [1, 2]),
+        (("newton-zeta",), {"n": 2, "support": [[1, 0], [0, 1]], "coeffs": [1, 2]}),
+        (("fan-series",), _weighted(3)),
+        (("fan-series",), _weighted({"A**B": "1"})),
+    ],
+)
+def test_wrong_json_types_rejected(tmp_path, capsys, argv, doc):
+    code = main([argv[0], write(tmp_path, "input.json", doc), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_bad_schema(tmp_path, capsys):
     p = write(tmp_path, "bad.json", {"foo": 1})
     code = main(["expand", p, "--degree", "2"])

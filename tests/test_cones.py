@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logzeta.cones import (
+    Cone,
     ConeComplex,
     HalfOpenCone,
     LinealityError,
@@ -265,6 +267,26 @@ def test_resolve_random_complexes():
         assert all(cell.is_smooth() for cell in r.cells)
         assert check_subdivision(r, k)
         assert r.validate() == []
+
+
+def test_resolve_tests_each_cell_once(monkeypatch):
+    calls = collections.Counter()
+    real = Cone.is_smooth
+
+    def counting(self):
+        calls[self] += 1
+        return real(self)
+
+    monkeypatch.setattr(Cone, "is_smooth", counting)
+    k = complex_from_cones(3, [cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 2, 5)])])
+    r = resolve_complex(k)
+    assert max(calls.values()) == 1
+    assert set(r.cells) <= set(calls)
+    # pinned: subdividing the first non-smooth cell in cell order each time
+    assert len(r.cells) == 38
+    assert [c.rays[0] for c in r.cells if c.dim == 1] == [
+        (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5)
+    ]
 
 
 def test_resolve_preserves_smooth_neighbors():

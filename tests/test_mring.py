@@ -22,6 +22,15 @@ def test_basic_identities():
     assert a.mul_l1_pow(-1) * lm1 == a
 
 
+def test_public_constructors_check_symbols():
+    with pytest.raises(ValueError, match="bad class symbol"):
+        MClass({"A*1": MCoeff.one()})
+    with pytest.raises(ValueError, match="empty class symbol"):
+        MClass.symbol("")
+    with pytest.raises(ValueError, match="bad class symbol"):
+        MClass.symbol("A**B")
+
+
 def test_normalization():
     # (L^2-1)/(L-1) normalizes to L+1
     c = MCoeff.make(LaurentPoly.from_dict({2: 1, 0: -1}), 1)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logzeta.cones import cone_from_rays
 from logzeta.mring import MClass
@@ -67,6 +68,43 @@ def test_expand_commutes_with_subst():
         subst = s.subst_T_L(k).expand(8)
         direct = [c.scale_l(k * d) for d, c in enumerate(s.expand(8), start=1)]
         assert subst == direct
+
+
+def test_public_constructors_check_keys():
+    with pytest.raises(ValueError, match="T-exponent must be nonnegative"):
+        ZSeries({(-1, ((0, 1),)): ONE})
+    with pytest.raises(ValueError, match="denominator T-exponent must be positive"):
+        ZSeries.term(ONE, 1, [(2, 0)])
+    # keys are sorted on the way in
+    assert list(ZSeries({(1, ((2, 3), (0, 1))): ONE}).terms) == [(1, ((0, 1), (2, 3)))]
+
+
+_classes = st.sampled_from(
+    [ONE, -ONE, MClass.symbol("A"), -MClass.symbol("A"), MClass.symbol("B").scale_l(1)]
+)
+_keys = st.tuples(
+    st.integers(0, 2), st.lists(st.sampled_from([(0, 1), (-1, 2)]), max_size=2).map(sorted)
+)
+_series = st.lists(st.tuples(_keys, _classes), max_size=4).map(
+    lambda kvs: ZSeries.sum(ZSeries.term(c, beta, ds) for (beta, ds), c in kvs)
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_series, max_size=5))
+def test_sum_is_left_fold(parts):
+    # the few keys and +-classes make terms cancel on the way
+    folded = ZSeries.zero()
+    for p in parts:
+        folded = folded + p
+    total = ZSeries.sum(parts)
+    assert total.terms == folded.terms
+    assert str(total) == str(folded)
+
+
+def test_empty_sum_is_zero():
+    assert ZSeries.sum([]).is_zero()
+    assert str(ZSeries.sum(iter(()))) == "0"
 
 
 def test_limit():
