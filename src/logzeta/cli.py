@@ -3,7 +3,8 @@
 Input kinds are recognized by schema: an object with ``support`` is Newton
 input, with ``components`` sncd data, with ``cells`` a fan model.  Exit
 status is 0 on success, 2 when validation diagnostics were printed, 1 on
-parse or usage errors.
+parse or usage errors and when a computation gives up (a loop guard or an
+internal check raising ``RuntimeError``).
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
         for p in d.problems:
             print(p)
         return 2
-    except (InputError, ValueError) as e:
+    except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

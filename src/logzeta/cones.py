@@ -255,7 +255,12 @@ def is_face_of(f: Cone, c: Cone) -> bool:
 
 @dataclass(frozen=True)
 class ConeComplex:
-    """Finite collection of cones closed under taking faces."""
+    """Finite collection of cones closed under taking faces.
+
+    ``cells`` is sorted by :meth:`Cone._key`, dimension first, as
+    :func:`complex_from_cones` builds it, so the first cell in order that
+    contains a vector or a cone is a smallest one.
+    """
 
     ambient_rank: int
     cells: tuple[Cone, ...]
@@ -280,17 +285,11 @@ class ConeComplex:
 
     def support_cell(self, v: Vec) -> Optional[Cone]:
         """A smallest cell containing ``v``, or None if outside the support."""
-        best = None
-        for c in self.cells:
-            if c.contains(v) and (best is None or c.dim < best.dim):
-                best = c
-        return best
+        return next((c for c in self.cells if c.contains(v)), None)
 
     def smallest_containing(self, other: Cone) -> Optional[Cone]:
-        candidates = [c for c in self.cells if cone_le(other, c)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: (c.dim, c._key()))
+        """A smallest cell containing ``other`` (the first in cell order), or None."""
+        return next((c for c in self.cells if cone_le(other, c)), None)
 
     def validate(self) -> list[str]:
         """Diagnostics for the complex axioms (empty list when valid).
@@ -383,11 +382,18 @@ def _volume_sum(cells: Sequence[Cone], ell: Vec, proj: Sequence[Vec]) -> Fractio
 
 def check_subdivision(kp: ConeComplex, k: ConeComplex) -> bool:
     """Whether ``kp`` refines ``k`` with identical support."""
+    return _carriers(kp, k) is not None
+
+
+def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
+    """The carrier of each cell of ``kp`` in cell order, the smallest cell of
+    ``k`` containing it, when ``kp`` refines ``k`` with identical support;
+    None otherwise."""
     if kp.ambient_rank != k.ambient_rank:
         raise ValueError("dimension mismatch")
-    for c in kp.cells:
-        if k.smallest_containing(c) is None:
-            return False
+    carriers = [k.smallest_containing(c) for c in kp.cells]
+    if None in carriers:
+        return None
     # Supports agree iff every maximal cell of k is exactly filled by the
     # kp-cells inside it; containment plus exact volume equality decides it.
     for big in k.maximal_cells():
@@ -397,8 +403,8 @@ def check_subdivision(kp: ConeComplex, k: ConeComplex) -> bool:
         _, proj, _ = span_lattice(big.rays, big.ambient_rank)
         inside = [c for c in kp.cells if c.dim == big.dim and cone_le(c, big)]
         if _volume_sum(inside, ell, proj) != _volume_sum([big], ell, proj):
-            return False
-    return True
+            return None
+    return carriers
 
 
 # ---------------------------------------------------------------------------
@@ -642,18 +648,17 @@ def box_points(h: HalfOpenCone) -> list[Vec]:
     """Lattice points of the half-open fundamental parallelepiped of ``h``.
 
     The count always equals the index of the generator lattice inside the
-    saturated lattice of its span.  With ``G`` the generators in span
-    coordinates, ``S = U @ G @ V`` its Smith normal form and ``D`` the last
-    divisor, the divisor-box vector ``c`` gives the point with parallelepiped
+    saturated lattice of its span.  With ``G`` the generators as columns,
+    ``S = U @ G @ V`` its Smith normal form and ``D`` the last divisor, the
+    columns of ``G @ V`` are ``d_j`` times a basis of that saturated lattice,
+    so the divisor-box vector ``c`` gives the point with parallelepiped
     coordinates ``((V @ diag(D/d_j) @ c) mod D) / D``, where a strict
     generator takes residue ``D`` in place of 0.
     """
-    n = h.ambient_rank
     k = len(h.gens)
     if k == 0:
-        return [zero_vec(n)]
-    _, proj, _ = span_lattice(h.gens, n)
-    s, _, v = smith_normal_form(from_columns([mat_vec(proj, g) for g in h.gens]))
+        return [zero_vec(h.ambient_rank)]
+    s, _, v = smith_normal_form(from_columns(h.gens))
     divisors = [s[i][i] for i in range(k)]
     big = divisors[-1]
     steps = [tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v]

@@ -236,7 +236,7 @@ def _check_symbol(symbol: str) -> str:
         raise ValueError("empty class symbol")
     if any(not atom or atom == UNIT_SYMBOL for atom in symbol.split("*")) and symbol != UNIT_SYMBOL:
         raise ValueError(f"bad class symbol {symbol!r}")
-    return symbol
+    return "*".join(sorted(_symbol_atoms(symbol)))
 
 
 def _symbol_product(s1: str, s2: str) -> str:
@@ -323,9 +323,9 @@ class MClass:
         return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
 
     def scale_l(self, k: int) -> "MClass":
-        """Multiply by L^k."""
+        """Multiply by L^k; a unit keeps every coefficient normalized."""
         return MClass._sum_pairs(
-            (s, MCoeff.make(c.num.shift(k), c.den_pow)) for s, c in self.terms.items()
+            (s, MCoeff(c.num.shift(k), c.den_pow)) for s, c in self.terms.items()
         )
 
     def mul_l1_pow(self, e: int) -> "MClass":

@@ -27,9 +27,10 @@ from typing import Literal, Optional
 from .cones import (
     Cone,
     ConeComplex,
-    check_subdivision,
+    _carriers,
     complex_from_cones,
     cone_from_rays,
+    cone_le,
 )
 from .intlin import Vec, dot, mat_vec, span_lattice
 from .mring import MClass
@@ -139,23 +140,9 @@ class FanModel:
 
     def owning_maximal(self, cell: Cone) -> Cone:
         for mc in self.e_vecs:
-            if all(mc.contains(r) for r in cell.rays):
+            if cone_le(cell, mc):
                 return mc
         raise KeyError(f"cell {cell} not contained in any maximal cell")
-
-    def e_value(self, v: Vec, cell: Optional[Cone] = None) -> int:
-        owner = self.owning_maximal(cell if cell is not None else self._cell_of(v))
-        return dot(self.e_vecs[owner], v)
-
-    def a_value(self, v: Vec, cell: Optional[Cone] = None) -> int:
-        owner = self.owning_maximal(cell if cell is not None else self._cell_of(v))
-        return dot(self.a_vecs[owner], v)
-
-    def _cell_of(self, v: Vec) -> Cone:
-        cell = self.complex.support_cell(v)
-        if cell is None:
-            raise ValueError(f"{v} outside the support")
-        return cell
 
     def weight(self, cell: Cone) -> MClass:
         return self.weights.get(cell, MClass.zero())
@@ -193,7 +180,7 @@ def validate_model(f: FanModel) -> list[str]:
                 problems.append(f"e negative on ray {r} of {mc}")
     # Face consistency: all maximal cells containing a cell agree on it.
     for cell in f.complex.cells:
-        owners = [mc for mc in maximal if all(mc.contains(r) for r in cell.rays)]
+        owners = [mc for mc in maximal if cone_le(cell, mc)]
         for r in cell.rays:
             evals = {dot(f.e_vecs[mc], r) for mc in owners}
             avals = {dot(f.a_vecs[mc], r) for mc in owners}
@@ -295,16 +282,14 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
     """Move a model to a subdivision of its complex.
 
     Weights are copied unchanged from the unique old cell whose relative
-    interior contains the new cell's relative interior; the functionals are
-    the same dual vectors restricted.
+    interior contains the new cell's relative interior (its carrier); the
+    functionals are the same dual vectors restricted.
     """
-    if not check_subdivision(kp, f.complex):
+    carriers = _carriers(kp, f.complex)
+    if carriers is None:
         raise ValueError("not a subdivision of the model's complex")
     new_weights: dict[Cone, MClass] = {}
-    for cell in kp.cells:
-        old = f.complex.smallest_containing(cell)
-        if old is None:
-            raise ValueError(f"cell {cell} lies in no cell of the model's complex")
+    for cell, old in zip(kp.cells, carriers):
         w = f.weight(old)
         if not w.is_zero():
             new_weights[cell] = w

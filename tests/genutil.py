@@ -248,21 +248,24 @@ def brute_fan_sum(model: FanModel, m: int, degree: int) -> list[MClass]:
 
     Every lattice point ``u`` of each maximal cell with ``1 <= e(u) <= degree``
     is assigned to the cell whose relative interior contains it and adds that
-    cell's weight times ``L^{-a(u)}`` at ``T^{e(u)}``.  Needs ``e`` positive
-    off the origin (no horizontal rays), so the enumeration is finite.
+    cell's weight times ``L^{-a(u)}`` at ``T^{e(u)}``, with ``e`` and ``a``
+    read from a maximal cell whose facet inequalities enumerated ``u``.  Needs
+    ``e`` positive off the origin (no horizontal rays), so the enumeration is
+    finite.
     """
     n = model.complex.ambient_rank
-    points = set()
+    owner = {}
     for mc in model.complex.maximal_cells():
         e = model.e_vecs[mc]
         ineqs = [(0, f) for f in mc.facets] + [(degree, vec_scale(-1, e))]
-        points.update(affine_lattice_points(n, ineqs))
+        for u in affine_lattice_points(n, ineqs):
+            owner.setdefault(u, mc)
     out = [MClass.zero() for _ in range(degree)]
-    for u in points:
+    for u, mc in owner.items():
         cell = next(c for c in model.complex.cells if c.relint_contains(u))
-        d = model.e_value(u, cell)
+        d = dot(model.e_vecs[mc], u)
         if d >= 1:
-            out[d - 1] = out[d - 1] + model.weight(cell).scale_l(-model.a_value(u, cell))
+            out[d - 1] = out[d - 1] + model.weight(cell).scale_l(-dot(model.a_vecs[mc], u))
     return [c.scale_l(-m) for c in out]
 
 

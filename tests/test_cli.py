@@ -214,6 +214,25 @@ def test_wrong_json_types_rejected(tmp_path, capsys, argv, doc):
     assert "Traceback" not in err
 
 
+def test_runtime_error_is_an_error_line(capsys, monkeypatch):
+    def give_up(k):
+        raise RuntimeError("resolution did not terminate")
+
+    monkeypatch.setattr("logzeta.cli.resolve_complex", give_up)
+    code = main(["resolve", path("orthant_model.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: resolution did not terminate\n"
+
+
+def test_composite_weight_symbols_merge(tmp_path, capsys):
+    both = _weighted({"B*A": "1", "A*B": "1"})
+    code, out = run(capsys, "fan-series", write(tmp_path, "both.json", both))
+    code, doubled = run(capsys, "fan-series", write(tmp_path, "doubled.json", _weighted({"A*B": "2"})))
+    assert (code, out) == (0, doubled)
+    assert "[A*B]" in out and "B*A" not in out
+
+
 def test_bad_schema(tmp_path, capsys):
     p = write(tmp_path, "bad.json", {"foo": 1})
     code = main(["expand", p, "--degree", "2"])

@@ -467,3 +467,28 @@ def random_complex(rng: random.Random) -> ConeComplex:
 def test_complex_validation_matches_definition(seed):
     k = random_complex(random.Random(seed))
     assert k.validate() == brute_complex_problems(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_first_containing_cell_is_smallest(seed):
+    rng = random.Random(seed)
+    k = random_complex(rng)
+    n = k.ambient_rank
+
+    def smallest(contains):
+        return min(
+            (c for c in k.cells if contains(c)), key=lambda c: (c.dim, c._key()), default=None
+        )
+
+    for _ in range(8):
+        v = tuple(rng.randint(-1, 3) for _ in range(n))
+        assert k.support_cell(v) == smallest(lambda c: c.contains(v))
+    others = [rng.choice(k.cells) for _ in range(3)]
+    for _ in range(5):
+        rays = [tuple(rng.randint(-1, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        others.append(cone_from_rays(n, rays))
+    for other in others:
+        assert k.smallest_containing(other) == smallest(
+            lambda c: all(c.contains(r) for r in other.rays)
+        )

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logzeta.mring import LaurentPoly, LPoleError, MClass, MCoeff
 
@@ -69,6 +69,39 @@ def test_symbol_products_commute_and_concatenate():
     assert list((a * b).terms) == ["A*B"]
     assert list((a * a).terms) == ["A*A"]
     assert a * MClass.one() == a
+
+
+def test_composite_symbols_are_canonical():
+    assert MClass.symbol("B*A") - MClass.symbol("A") * MClass.symbol("B") == MClass.zero()
+    assert list(MClass.symbol("C*A*B").terms) == ["A*B*C"]
+    merged = MClass({"B*A": MCoeff.one(), "A*B": MCoeff.one()})
+    assert merged == MClass.from_int(2) * MClass.symbol("A*B")
+
+
+L_MINUS_1 = LaurentPoly.from_dict({1: 1, 0: -1})
+
+
+def over_l1_powers(p: LaurentPoly, j: int, d: int) -> MCoeff:
+    """``p * (L-1)^j / (L-1)^d``, normalized: a pole is left when d > j and
+    a numerator divisible by L-1 when j > d."""
+    for _ in range(j):
+        p = p * L_MINUS_1
+    return MCoeff.make(p, d)
+
+
+unnormalized = st.builds(over_l1_powers, polys, st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(symbols, unnormalized, max_size=3).map(MClass), st.integers(-4, 4))
+@example(
+    MClass({"A": over_l1_powers(LaurentPoly.one(), 2, 0), "B": over_l1_powers(LaurentPoly.one(), 0, 2)}),
+    -3,
+)
+def test_scale_l_keeps_normal_form(x, k):
+    made = MClass({s: MCoeff.make(c.num.shift(k), c.den_pow) for s, c in x.terms.items()})
+    assert x.scale_l(k).terms == made.terms
+    assert x.scale_l(k) == x * MClass.l_power(k)
 
 
 @settings(max_examples=120)

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logzeta.cones import cone_from_rays, complex_from_cones, resolve_complex, star_subdivision
 from logzeta.mring import MClass
@@ -261,6 +262,27 @@ def test_random_model_invariance():
         assert equal(fan_poincare(m3, 1), base)
         for c in base.expand(6):
             c.assert_no_l1_pole()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_transport_copies_weight_of_relint_cell(seed, resolve):
+    rng = random.Random(seed)
+    model = random_fan_model(rng, rng.randint(2, 3), horizontals=rng.random() < 0.5)
+    n = model.complex.ambient_rank
+    kp = model.complex
+    for _ in range(rng.randint(1, 2)):
+        v = tuple(rng.randint(0, 2) for _ in range(n))
+        if any(v):
+            kp = star_subdivision(kp, v)
+    if resolve:
+        kp = resolve_complex(kp)
+    moved = transport_subdivide(model, kp)
+    for cell in kp.cells:
+        # the sum of a cell's rays lies in its relative interior
+        inner = tuple(sum(xs) for xs in zip(*cell.rays)) if cell.rays else (0,) * n
+        (old,) = [c for c in model.complex.cells if c.relint_contains(inner)]
+        assert moved.weight(cell) == model.weight(old)
 
 
 def test_poles_never_grow_under_subdivision():
