@@ -16,6 +16,7 @@ is built on it.  Intended scale is small ambient rank and a few dozen rays.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -271,11 +272,24 @@ class ConeComplex:
 
     @cached_property
     def _maximal_cells(self) -> tuple[Cone, ...]:
+        # Only a cell of equal or higher dimension can contain a cell: those
+        # are the cells from the first one of its dimension on.
+        dims = [c.dim for c in self.cells]
         return tuple(
             c
-            for c in self.cells
-            if not any(o != c and cone_le(c, o) for o in self.cells)
+            for c, d in zip(self.cells, dims)
+            if not any(o != c and cone_le(c, o) for o in self.cells[bisect_left(dims, d) :])
         )
+
+    def owners(self, cell: Cone) -> tuple[Cone, ...]:
+        """The maximal cells containing ``cell``, a cell of the complex, in
+        cell order."""
+        return self._owners[cell]
+
+    @cached_property
+    def _owners(self) -> dict[Cone, tuple[Cone, ...]]:
+        maximal = self.maximal_cells()
+        return {c: tuple(m for m in maximal if cone_le(c, m)) for c in self.cells}
 
     def rays_of_complex(self) -> list[Vec]:
         rays: set[Vec] = set()
@@ -299,8 +313,13 @@ class ConeComplex:
         faces: for faces c1 of M1 and c2 of M2, both c1 ∩ F and c2 ∩ F are
         faces of F = M1 ∩ M2, and c1 ∩ c2 is their intersection, hence a face
         of each.  Only when that certificate fails is every pair of cells
-        intersected, to list each offending pair.
+        intersected, to list each offending pair.  The complex and its cells
+        are immutable, so the diagnostics are worked out once per complex.
         """
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
         problems = []
         cellset = set(self.cells)
         for c in self.cells:
@@ -311,11 +330,11 @@ class ConeComplex:
         if cellset <= {f for m in maximal for f in faces(m)} and all(
             _meet_in_common_face(m1, m2) for m1, m2 in itertools.combinations(maximal, 2)
         ):
-            return problems
+            return tuple(problems)
         for c1, c2 in itertools.combinations(self.cells, 2):
             if not _meet_in_common_face(c1, c2):
                 problems.append(f"{c1} and {c2} do not meet in a common face")
-        return problems
+        return tuple(problems)
 
 
 def _meet_in_common_face(c1: Cone, c2: Cone) -> bool:
@@ -396,12 +415,14 @@ def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
         return None
     # Supports agree iff every maximal cell of k is exactly filled by the
     # kp-cells inside it; containment plus exact volume equality decides it.
+    # In a complex, the kp-cells of its dimension inside it are those it
+    # carries.
     for big in k.maximal_cells():
         if big.dim == 0:
             continue
         ell = _interior_dual(big)
         _, proj, _ = span_lattice(big.rays, big.ambient_rank)
-        inside = [c for c in kp.cells if c.dim == big.dim and cone_le(c, big)]
+        inside = [c for c, o in zip(kp.cells, carriers) if o == big and c.dim == big.dim]
         if _volume_sum(inside, ell, proj) != _volume_sum([big], ell, proj):
             return None
     return carriers

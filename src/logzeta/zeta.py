@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .cones import (
-    Cone,
-    ConeComplex,
-    _carriers,
-    complex_from_cones,
-    cone_from_rays,
-    cone_le,
-)
+from .cones import Cone, ConeComplex, _carriers, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, mat_vec, span_lattice
 from .mring import MClass
 from .series import ZSeries, relint_cone_sum
@@ -139,10 +132,8 @@ class FanModel:
     weights: dict[Cone, MClass] = field(default_factory=dict)
 
     def owning_maximal(self, cell: Cone) -> Cone:
-        for mc in self.e_vecs:
-            if cone_le(cell, mc):
-                return mc
-        raise KeyError(f"cell {cell} not contained in any maximal cell")
+        """The first maximal cell, in cell order, containing a cell of the complex."""
+        return self.complex.owners(cell)[0]
 
     def weight(self, cell: Cone) -> MClass:
         return self.weights.get(cell, MClass.zero())
@@ -180,7 +171,7 @@ def validate_model(f: FanModel) -> list[str]:
                 problems.append(f"e negative on ray {r} of {mc}")
     # Face consistency: all maximal cells containing a cell agree on it.
     for cell in f.complex.cells:
-        owners = [mc for mc in maximal if cone_le(cell, mc)]
+        owners = f.complex.owners(cell)
         for r in cell.rays:
             evals = {dot(f.e_vecs[mc], r) for mc in owners}
             avals = {dot(f.a_vecs[mc], r) for mc in owners}
@@ -229,10 +220,11 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
     problems = validate_model(f)
     if problems:
         raise InvalidModel(problems)
+    weighted = ((cell, f.weight(cell)) for cell in f.complex.cells)
     return ZSeries.sum(
-        relint_cone_sum(*_cell_in_span(f, cell), f.weight(cell))
-        for cell in f.complex.cells
-        if not f.weight(cell).is_zero() and not f.e_identically_zero(cell)
+        relint_cone_sum(*_cell_in_span(f, cell), w)
+        for cell, w in weighted
+        if not w.is_zero() and not f.e_identically_zero(cell)
     ).scale(MClass.l_power(-m))
 
 
@@ -283,20 +275,19 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
 
     Weights are copied unchanged from the unique old cell whose relative
     interior contains the new cell's relative interior (its carrier); the
-    functionals are the same dual vectors restricted.
+    functionals of a new maximal cell are those of its carrier's owner,
+    restricted.
     """
     carriers = _carriers(kp, f.complex)
     if carriers is None:
         raise ValueError("not a subdivision of the model's complex")
+    carrier = dict(zip(kp.cells, carriers))
     new_weights: dict[Cone, MClass] = {}
-    for cell, old in zip(kp.cells, carriers):
+    for cell, old in carrier.items():
         w = f.weight(old)
         if not w.is_zero():
             new_weights[cell] = w
-    new_e: dict[Cone, Vec] = {}
-    new_a: dict[Cone, Vec] = {}
-    for mc in kp.maximal_cells():
-        old_owner = f.owning_maximal(mc)
-        new_e[mc] = f.e_vecs[old_owner]
-        new_a[mc] = f.a_vecs[old_owner]
+    owner = {mc: f.owning_maximal(carrier[mc]) for mc in kp.maximal_cells()}
+    new_e = {mc: f.e_vecs[o] for mc, o in owner.items()}
+    new_a = {mc: f.a_vecs[o] for mc, o in owner.items()}
     return FanModel(kp, new_e, new_a, new_weights)

@@ -179,6 +179,18 @@ def brute_complex_problems(k: ConeComplex) -> list[str]:
     return problems
 
 
+def brute_incidence(k: ConeComplex) -> tuple[list[Cone], dict[Cone, list[Cone]]]:
+    """The maximal cells of ``k`` and, for each cell, the maximal cells
+    containing it, both in cell order, from the facet inequalities: ``c``
+    lies in ``o`` when every ray of ``c`` satisfies every inequality of ``o``."""
+
+    def inside(c: Cone, o: Cone) -> bool:
+        return all(dot(u, r) >= 0 for u in o.facets for r in c.rays)
+
+    maximal = [c for c in k.cells if not any(o != c and inside(c, o) for o in k.cells)]
+    return maximal, {c: [m for m in maximal if inside(c, m)] for c in k.cells}
+
+
 # ---------------------------------------------------------------------------
 # Random sncd data and fan models.
 

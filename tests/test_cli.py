@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -327,3 +328,163 @@ def test_byte_identical_across_processes():
         )
         outs.append(proc2.stdout)
     assert outs[0] == outs[2] and outs[1] == outs[3]
+
+
+# ---------------------------------------------------------------------------
+# Pinned output: the sha256 of stdout and the exit code of every verb on every
+# sample input, as text and as JSON.  A change that moves any of them changes
+# printed output, which must stay byte-identical.
+
+PIN_ARGS = {
+    "expand": ("--degree", "4"),
+    "subdivide": ("--ray", "1,1"),
+    "probe-nondegenerate": ("--prime", "7"),
+}
+PIN_VERBS = [
+    "newton-zeta", "newton-zeta-local", "newton-poles", "sncd-zeta", "dl-zeta",
+    "fan-series", "fan-poles", "nearby", "expand", "subdivide", "resolve",
+    "validate", "probe-nondegenerate",
+]
+# "verb file [--json]": (exit code, sha256 of stdout)
+PINNED = {
+    "newton-zeta bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta bad_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta cusp_newton.json": (0, "c18a48208bf5a8d87a727d3ccf1469e706bfe46f504bc49303f94dd7cd954afd"),
+    "newton-zeta cusp_newton.json --json": (0, "594f483a55e5b8907c379022d9120147fc85fd812770968b5004b731a6bfd56f"),
+    "newton-zeta cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta orthant_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta orthant_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local bad_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local cusp_newton.json": (0, "275b87933b8d23cb2e03dd1fa0316d2a7932caba022a3a7402671de31dabb867"),
+    "newton-zeta-local cusp_newton.json --json": (0, "db81af384debb487a738e35a4012326fe35f967909bcf07425401e2e67b99d20"),
+    "newton-zeta-local cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local orthant_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local orthant_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-zeta-local single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles bad_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles cusp_newton.json": (0, "40190b2abbd55de9ca7dfffec2afb738bc7e451ab362c1aa72725ce01502f021"),
+    "newton-poles cusp_newton.json --json": (0, "4414604eefa087f80315f400855318cdbabde504ff76f89408a92b19b5c390de"),
+    "newton-poles cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles orthant_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles orthant_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "newton-poles single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sncd-zeta bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sncd-zeta bad_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sncd-zeta cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sncd-zeta cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sncd-zeta cusp_resolution.json": (0, "bedc6fac33d40b74719b12939949bf67c5aef5c8ffd1920619b30987b41c700b"),
+    "sncd-zeta cusp_resolution.json --json": (0, "d1d3d8844359e7ed25381a309644193c42b89d6394d3486a96f7ca279e572891"),
+    "sncd-zeta orthant_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sncd-zeta orthant_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "sncd-zeta single_component.json": (0, "4a9e0a39110353f789f863a32c00a74cc3a4c78d46f47a00c94176a920f9670c"),
+    "sncd-zeta single_component.json --json": (0, "1e2e8270725329a4cdeaa781a6544a0913e0657861158545dbe1f511973b1b71"),
+    "dl-zeta bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dl-zeta bad_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dl-zeta cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dl-zeta cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dl-zeta cusp_resolution.json": (0, "d73b02fe45023ea5151f07cce90891488e25b2db292c8f77733abd1997b04a36"),
+    "dl-zeta cusp_resolution.json --json": (0, "974da7692facd00493e067a2f5c71221640d677858cdb94ef473ebdf94c6080b"),
+    "dl-zeta orthant_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dl-zeta orthant_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dl-zeta single_component.json": (0, "267f4447d02f9edbd93e84dfa1cd13904ce2f73c212a40450931d226ee4d130a"),
+    "dl-zeta single_component.json --json": (0, "7b609e6b573274f306a43e2080ff598eebda923ad1a6798e7e8cf2887f902c3c"),
+    "fan-series bad_model.json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "fan-series bad_model.json --json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "fan-series cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-series cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-series cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-series cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-series orthant_model.json": (0, "386dcf68e276f3ed082aa30d66fb53af8e8c698a0382d33496fce5a92056dfb7"),
+    "fan-series orthant_model.json --json": (0, "b0fd815beb7d36451ae95947b61cda8c9a2fe7baa0b8a7554585f15b9a56fd3c"),
+    "fan-series single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-series single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-poles bad_model.json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "fan-poles bad_model.json --json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "fan-poles cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-poles cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-poles cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-poles cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-poles orthant_model.json": (0, "682775742284ad438f7939a09e6955068bdd3c1e44b0b40251d91bc5211572ca"),
+    "fan-poles orthant_model.json --json": (0, "674e16016e1a0c79d57c908060cda3ba4a02f3f6b680314ed41e7af338c0381f"),
+    "fan-poles single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fan-poles single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby bad_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby cusp_resolution.json": (0, "9176c0dfc7b3b260692a12a08451471e9554475c6bf6e4062a3072be3b12d8de"),
+    "nearby cusp_resolution.json --json": (0, "988af2bcec82ad12343312fdb5eee70c93353d205450cd0a4eb423c65ed8cfcc"),
+    "nearby orthant_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby orthant_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nearby single_component.json": (0, "41cddbe80663ef76c5ac6672f39c61c4ca562a89e2a53e1e190c0df3b8f289b0"),
+    "nearby single_component.json --json": (0, "52e9a0f00ce01502c834a50a95b971b0b19d0e651155f7efc5ccce8292def00b"),
+    "expand bad_model.json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "expand bad_model.json --json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "expand cusp_newton.json": (0, "f4fb9795220652397fa73e3eb1f0c35c71e145bfc2a60be2367a3a4b808a5eec"),
+    "expand cusp_newton.json --json": (0, "45f2fb552518fca58b7da9c252627f1870df0d156c7b60f937027cfe3bb41654"),
+    "expand cusp_resolution.json": (0, "f41d14a452e28620ca367e926c91eff5a48a5bf15568f8464d70212c6668ce05"),
+    "expand cusp_resolution.json --json": (0, "5caa66da2e118949729adbded18fe1a6dcbe141ba932e61c7dc9e0b48b8a8d67"),
+    "expand orthant_model.json": (0, "eda1b9bdba52f9c03070b42cbc380f2c4099fd6d8e3c56a55368e505f05c88fc"),
+    "expand orthant_model.json --json": (0, "9dc9dd4f58766802cf0b3509d9bb59118e8f6fae8264c50d92f3d37319e84a15"),
+    "expand single_component.json": (0, "4e96357400250446adc401132c3b2341d21acbdc4ca0cc3cd977848cccba5afd"),
+    "expand single_component.json --json": (0, "0ed8efb4c04eb779d385d669affe74584ec3bdd0351535ab0e34f7437010def6"),
+    "subdivide bad_model.json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "subdivide bad_model.json --json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "subdivide cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide orthant_model.json": (0, "f6111bdfcfce828127a81923b01a90094039878716c81ceaf9de8a80ebebac23"),
+    "subdivide orthant_model.json --json": (0, "f6111bdfcfce828127a81923b01a90094039878716c81ceaf9de8a80ebebac23"),
+    "subdivide single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "resolve bad_model.json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "resolve bad_model.json --json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "resolve cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "resolve cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "resolve cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "resolve cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "resolve orthant_model.json": (0, "97907f7b981c3b589d713b8370a914d982043238af3c528ab50e3c73ad8e8ebb"),
+    "resolve orthant_model.json --json": (0, "97907f7b981c3b589d713b8370a914d982043238af3c528ab50e3c73ad8e8ebb"),
+    "resolve single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "resolve single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "validate bad_model.json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "validate bad_model.json --json": (2, "6d55ae8550518f86f64a47cab97dd8a7dcf2dc21237df7a960a1ef2248cd1dae"),
+    "validate cusp_newton.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "validate cusp_newton.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "validate cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "validate cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "validate orthant_model.json": (0, "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22"),
+    "validate orthant_model.json --json": (0, "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22"),
+    "validate single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "validate single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate bad_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate cusp_newton.json": (0, "9f56e761d79bfdb34304a012586cb04d16b435ef6130091a97702e559260a2f2"),
+    "probe-nondegenerate cusp_newton.json --json": (0, "df8b5ecbe4574e325bb9578a527b3bcefb4f369e5e1da45a2d20d6004c8d05f2"),
+    "probe-nondegenerate cusp_resolution.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate cusp_resolution.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate orthant_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate orthant_model.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "probe-nondegenerate single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("verb", PIN_VERBS)
+def test_cli_outputs_pinned(capsys, verb):
+    seen = {}
+    for name in sorted(os.listdir(DATA)):
+        for fmt in ((), ("--json",)):
+            code, out = run(capsys, verb, path(name), *PIN_ARGS.get(verb, ()), *fmt)
+            seen[" ".join([verb, name, *fmt])] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert seen == {key: pin for key, pin in PINNED.items() if key.split()[0] == verb}

@@ -33,7 +33,7 @@ from logzeta.intlin import (
     vec_add,
 )
 
-from genutil import brute_complex_problems, random_cone
+from genutil import brute_complex_problems, brute_incidence, random_cone
 
 ORTHANT2 = cone_from_rays(2, [(1, 0), (0, 1)])
 ORTHANT3 = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -492,3 +492,14 @@ def test_first_containing_cell_is_smallest(seed):
         assert k.smallest_containing(other) == smallest(
             lambda c: all(c.contains(r) for r in other.rays)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+@example(3)  # draws a cell that only cells of its own dimension contain
+def test_owners_match_definition(seed):
+    k = random_complex(random.Random(seed))
+    maximal, owners = brute_incidence(k)
+    assert list(k.maximal_cells()) == maximal
+    for c in k.cells:
+        assert list(k.owners(c)) == owners[c]

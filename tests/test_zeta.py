@@ -23,6 +23,7 @@ from logzeta.zeta import (
 
 from genutil import brute_fan_sum, random_fan_model, random_sncd
 
+ORTHANT3 = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 SINGLE = SncdData(1, (SncdComponent("E", 1, mu=0, nu=1),), ((frozenset({"E"}), "E"),))
 PAIR = SncdData(
     2,
@@ -278,11 +279,44 @@ def test_transport_copies_weight_of_relint_cell(seed, resolve):
     if resolve:
         kp = resolve_complex(kp)
     moved = transport_subdivide(model, kp)
-    for cell in kp.cells:
+
+    def old_cells_holding(cell, old_cells):
         # the sum of a cell's rays lies in its relative interior
         inner = tuple(sum(xs) for xs in zip(*cell.rays)) if cell.rays else (0,) * n
-        (old,) = [c for c in model.complex.cells if c.relint_contains(inner)]
+        return [c for c in old_cells if c.relint_contains(inner)]
+
+    for cell in kp.cells:
+        (old,) = old_cells_holding(cell, model.complex.cells)
         assert moved.weight(cell) == model.weight(old)
+    for mc in kp.maximal_cells():
+        (old,) = old_cells_holding(mc, model.complex.maximal_cells())
+        assert moved.e_vecs[mc] == model.e_vecs[old]
+        assert moved.a_vecs[mc] == model.a_vecs[old]
+
+
+def test_complex_verdict_computed_once(monkeypatch):
+    import logzeta.cones
+
+    k = star_subdivision(star_subdivision(complex_from_cones(3, [ORTHANT3]), (1, 1, 0)), (1, 1, 1))
+    maximal = k.maximal_cells()
+    e_vec, a_vec = (1, 2, 3), (0, 1, -1)
+    model = FanModel(
+        k,
+        {mc: e_vec for mc in maximal},
+        {mc: a_vec for mc in maximal},
+        {c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim},
+    )
+    calls = []
+    real = logzeta.cones._meet_in_common_face
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return real(c1, c2)
+
+    monkeypatch.setattr(logzeta.cones, "_meet_in_common_face", counting)
+    assert validate_model(model) == []
+    fan_poincare(model, 0)
+    assert len(calls) == len(maximal) * (len(maximal) - 1) // 2 > 0
 
 
 def test_poles_never_grow_under_subdivision():
