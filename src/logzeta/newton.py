@@ -8,17 +8,23 @@ nondegeneracy probe.
 
 The polyhedron is never built as a vertex/facet hull: we take the cone over
 the lifted support points together with the recession orthant, and read
-faces, normal cones and witnesses from its face lattice.  That keeps all
-computations inside the exact cone kernel.
+faces, normal cones and witnesses from the incidence of its rays and facets.
+That keeps all computations inside the exact cone kernel.  The faces and
+their per-face series are computed once per support (a small cache keyed on
+``(n, support)``); the global and local zeta functions are two sums over the
+same series, the local one over the compact faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 from typing import Literal, Optional, Sequence
 
-from .cones import Cone, ConeComplex, complex_from_cones, cone_from_rays, faces
+from .cones import Cone, ConeComplex, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
 from .mring import MClass
 from .series import ZSeries, relint_cone_sum
@@ -74,6 +80,88 @@ def _lift(w: Vec, last: int) -> Vec:
     return tuple(w) + (last,)
 
 
+def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
+    """The face records of the Newton polyhedron of ``support``, sorted.
+
+    ``c`` is the cone over the lifted support points and the recession
+    orthant.  Its generators are nonnegative and span R^{n+1}, so ``c`` is
+    pointed and full dimensional: its faces are exactly the intersections of
+    the ray sets of its facets, and each face is cut out by the facets that
+    contain it.  The faces are read off the ray/facet incidence table, with
+    the closure loop of :func:`cones.faces` but no cone built per face.
+
+    A face whose cutting facets pass through some lifted point ``(w, 1)`` is
+    the cone over a face of the polyhedron; its normal cone is spanned by the
+    projections ``u`` of the cutting facets ``(u, t)``.  These are extreme
+    and primitive: ``t = -<u, w>``, so ``gcd(u) = gcd(u, t) = 1``.
+    """
+    gens = [_lift(w, 1) for w in support] + [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n)]
+    c = cone_from_rays(n + 1, gens)
+    # bit i of on_facet[j]: ray i lies on facet j; bit j of on_point[w]: (w, 1) does
+    on_facet = [sum(1 << i for i, r in enumerate(c.rays) if dot(y, r) == 0) for y in c.facets]
+    on_point = {w: sum(1 << j for j, y in enumerate(c.facets) if dot(y, _lift(w, 1)) == 0) for w in support}
+    seen: set[int] = set()
+    queue = [(1 << len(c.rays)) - 1]
+    while queue:
+        rs = queue.pop()
+        if rs in seen:
+            continue
+        seen.add(rs)
+        for mask in on_facet:
+            sub = rs & mask
+            if sub not in seen:
+                queue.append(sub)
+    found = []
+    for rs in seen:
+        tight = [j for j, mask in enumerate(on_facet) if rs & mask == rs]
+        cut = sum(1 << j for j in tight)
+        argmin = frozenset(w for w in support if on_point[w] & cut == cut)
+        if not argmin:
+            continue  # face at infinity
+        ncone = cone_from_rays(n, [c.facets[j][:n] for j in tight])
+        found.append((n - ncone.dim, argmin, ncone))
+    found.sort(key=lambda t: (t[0], sorted(t[1]), t[2].rays))
+    return tuple(
+        FaceRecord(
+            face_id=f"tau{k}",
+            argmin_support=argmin,
+            normal_cone_closure=ncone,
+            dim_face=dim_face,
+            is_compact=_compact(ncone, n),
+            m_witness=min(argmin),
+        )
+        for k, (dim_face, argmin, ncone) in enumerate(found)
+    )
+
+
+@dataclass(frozen=True)
+class _FaceTable:
+    """The faces of one Newton support and, once asked for, their series."""
+
+    n: int
+    records: tuple[FaceRecord, ...]
+
+    @cached_property
+    def series(self) -> tuple[ZSeries, ...]:
+        """Per face, the sum of L^{-sigma(u)} T^{m(u)} over the relative
+        interior of its normal cone; facet normals with m = 0 are coordinate
+        vectors, so sigma = 1 on them."""
+        sigma = (1,) * self.n
+        return tuple(
+            relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one()) for rec in self.records
+        )
+
+
+@lru_cache(maxsize=4)
+def _face_table(n: int, support: tuple[Vec, ...]) -> _FaceTable:
+    """The face table of a support; coefficients do not change the faces."""
+    return _FaceTable(n, _newton_faces(n, support))
+
+
+def _table(inp: NewtonInput) -> _FaceTable:
+    return _face_table(inp.n, tuple(inp.support))
+
+
 def newton_polyhedron(inp: NewtonInput) -> list[FaceRecord]:
     """All faces of the Newton polyhedron with their normal-cone data.
 
@@ -81,34 +169,7 @@ def newton_polyhedron(inp: NewtonInput) -> list[FaceRecord]:
     to the vertices (full-dimensional normal cones); their normal cones form
     a complete complex subdividing the dual orthant.
     """
-    n = inp.n
-    lifted = [_lift(w, 1) for w in inp.support]
-    gens = lifted + [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n)]
-    c = cone_from_rays(n + 1, gens)
-    dual_rays = c.facets  # rays of the dual cone
-    found = []
-    for g in faces(c):
-        argmin = frozenset(w for w in inp.support if g.contains(_lift(w, 1)))
-        if not argmin:
-            continue  # face at infinity
-        normals = [y for y in dual_rays if all(dot(y, r) == 0 for r in g.rays)]
-        proj = [y[:n] for y in normals if not is_zero_vec(y[:n])]
-        ncone = cone_from_rays(n, proj)
-        found.append((g.dim - 1, argmin, ncone))
-    found.sort(key=lambda t: (t[0], sorted(t[1]), t[2].rays))
-    records = []
-    for k, (dim_face, argmin, ncone) in enumerate(found):
-        records.append(
-            FaceRecord(
-                face_id=f"tau{k}",
-                argmin_support=argmin,
-                normal_cone_closure=ncone,
-                dim_face=dim_face,
-                is_compact=_compact(ncone, inp.n),
-                m_witness=min(argmin),
-            )
-        )
-    return records
+    return list(_table(inp).records)
 
 
 def _compact(ncone: Cone, n: int) -> bool:
@@ -136,16 +197,12 @@ def _sigma(u: Vec) -> int:
 
 
 def _zeta(inp: NewtonInput, which: Literal["global", "local"]) -> ZSeries:
-    records = newton_polyhedron(inp)
+    table = _table(inp)
     jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])  # L^{-1}T/(1-L^{-1}T)
-    sigma = (1,) * inp.n
     parts = []
-    for rec in records:
+    for rec, s_tau in zip(table.records, table.series):
         if which == "local" and not rec.is_compact:
             continue
-        # sum over relint(normal cone) of L^{-sigma(u)} T^{m(u)}; facet
-        # normals with m = 0 are coordinate vectors, so sigma = 1 on them
-        s_tau = relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one())
         x0 = MClass.symbol(f"X_tau(0)@{rec.face_id}")
         parts.append(s_tau.scale(x0) * jet_factor)
         # The unit-section term exists only when the uniformizer is not
@@ -237,6 +294,10 @@ def face_report(inp: NewtonInput) -> list[dict]:
 
 ProbeResult = tuple[str, Optional[str], Optional[Vec]]  # (status, face_id, witness)
 
+# Most torus points the probe visits, summed over faces: (faces) * (p-1)^n.
+# A larger search is refused up front; a million points take seconds.
+PROBE_MAX_POINTS = 1_000_000
+
 
 def nondegeneracy_probe(inp: NewtonInput, p: int) -> ProbeResult:
     """Search (F_p^x)^n for singular points of the face polynomials.
@@ -245,13 +306,23 @@ def nondegeneracy_probe(inp: NewtonInput, p: int) -> ProbeResult:
     not a proof of nondegeneracy), ("fail", face_id, point) for a witness
     where the face polynomial and all its torus partials vanish, and
     ("inconclusive", None, None) when p < 3 or the coefficients do not
-    reduce faithfully mod p.
+    reduce faithfully mod p.  Raises ``ValueError`` when p is not prime or
+    the search would exceed :data:`PROBE_MAX_POINTS`.
     """
     if inp.coeffs is None:
         raise ValueError("probe needs coefficients")
     if len(inp.coeffs) != len(inp.support):
         raise ValueError("probe needs a coefficient for every support point")
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    records = newton_polyhedron(inp)
+    points = len(records) * (p - 1) ** inp.n
+    if points > PROBE_MAX_POINTS:
+        raise ValueError(
+            f"probe would visit {points} torus points ({len(records)} faces, (p-1)^{inp.n} each),"
+            f" more than {PROBE_MAX_POINTS}; use a smaller prime"
+        )
+    if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
     if p < 3:
         return ("inconclusive", None, None)
@@ -266,13 +337,16 @@ def nondegeneracy_probe(inp: NewtonInput, p: int) -> ProbeResult:
         if val == 0:
             return ("inconclusive", None, None)  # support degenerates mod p
         red[w] = val
-    units = list(range(1, p))
-    from itertools import product
-
-    for rec in newton_polyhedron(inp):
-        pts = sorted(rec.argmin_support)
-        for x in product(units, repeat=inp.n):
-            powers = [[pow(xi, k, p) for k in range(max(w[i] for w in pts) + 1)] for i, xi in enumerate(x)]
+    # The answer is the first face (in record order) with a witness, and its
+    # first witness in product order.  Points run outermost, so each point's
+    # powers are computed once for all faces; once a face has a witness, only
+    # the faces before it are still searched.
+    faces = [sorted(rec.argmin_support) for rec in records]
+    exponents = [{w[i] for w in inp.support} for i in range(inp.n)]
+    best: Optional[tuple[int, Vec]] = None
+    for x in product(range(1, p), repeat=inp.n):
+        powers = [{k: pow(xi, k, p) for k in exps} for xi, exps in zip(x, exponents)]
+        for f, pts in enumerate(faces[: len(faces) if best is None else best[0]]):
             val = 0
             partials = [0] * inp.n
             for w in pts:
@@ -283,5 +357,10 @@ def nondegeneracy_probe(inp: NewtonInput, p: int) -> ProbeResult:
                 for i in range(inp.n):
                     partials[i] = (partials[i] + w[i] * mono) % p
             if val == 0 and all(pi == 0 for pi in partials):
-                return ("fail", rec.face_id, tuple(x))
-    return ("pass", None, None)
+                best = (f, tuple(x))
+                break
+        if best is not None and best[0] == 0:
+            break
+    if best is None:
+        return ("pass", None, None)
+    return ("fail", records[best[0]].face_id, best[1])

@@ -18,7 +18,7 @@ from logzeta.cones import (
     cone_from_rays,
     star_subdivision,
 )
-from logzeta.intlin import Vec, dot, is_zero_vec, vec_add, vec_scale
+from logzeta.intlin import Vec, dot, is_zero_vec, rank, vec_add, vec_scale
 from logzeta.mring import MClass
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid, local_dual_points
 from logzeta.newton import NewtonInput, newton_polyhedron
@@ -294,6 +294,54 @@ def random_support(rng: random.Random, n: int, max_points: int = 6, max_coord: i
     if not pts:
         pts.add(tuple(1 for _ in range(n)))
     return NewtonInput(n, tuple(sorted(pts)))
+
+
+def _minimised_face(support, u: Vec) -> tuple[frozenset, frozenset]:
+    """The face of the Newton polyhedron on which ``<u, .>`` is least, for
+    ``u >= 0``: conv(A) + cone(e_i : u_i = 0), with A the support points of
+    least value.  Returned as (A, {i : u_i = 0})."""
+    values = [dot(u, w) for w in support]
+    low = min(values)
+    return (
+        frozenset(w for w, v in zip(support, values) if v == low),
+        frozenset(i for i, x in enumerate(u) if x == 0),
+    )
+
+
+def brute_newton_faces(inp: NewtonInput, records, box: int) -> list[str]:
+    """Problems with the face records of a Newton polyhedron, from the
+    definition and without the cone kernel.
+
+    A form ``u >= 0`` lies in the relative interior of the normal cone of the
+    face it minimises, and of no other.  A record's face is read off the sum
+    of its normal-cone rays, which lies in that relative interior; it must
+    have the record's support points and dimension.  Then every test point
+    (the box {0..box}^n, every normal ray, every ray sum) must minimise the
+    face of exactly one record.
+    """
+    n, support = inp.n, list(inp.support)
+    problems: list[str] = []
+    owner: dict[tuple[frozenset, frozenset], list[str]] = {}
+    points: list[Vec] = list(itertools.product(range(box + 1), repeat=n))
+    for rec in records:
+        rays = rec.normal_cone_closure.rays
+        total = tuple(sum(col) for col in zip(*rays)) if rays else (0,) * n
+        face = _minimised_face(support, total)
+        owner.setdefault(face, []).append(rec.face_id)
+        points += [total, *rays]
+        if face[0] != rec.argmin_support:
+            problems.append(f"{rec.face_id}: ray sum {total} minimises {sorted(face[0])}")
+        a0 = min(face[0])
+        span = [vec_add(w, vec_scale(-1, a0)) for w in face[0] if w != a0]
+        span += [tuple(1 if j == i else 0 for j in range(n)) for i in face[1]]
+        dim = rank(span) if span else 0
+        if dim != rec.dim_face:
+            problems.append(f"{rec.face_id}: face of dimension {dim}, recorded {rec.dim_face}")
+    for u in points:
+        ids = owner.get(_minimised_face(support, u), [])
+        if len(ids) != 1:
+            problems.append(f"{u} is in the relative interior of {len(ids)} normal cones {ids}")
+    return problems
 
 
 def newton_expand_oracle(inp: NewtonInput, degree: int, lcut: int) -> list[MClass]:

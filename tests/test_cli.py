@@ -146,6 +146,27 @@ def test_probe(capsys):
     assert out.strip() == "pass"
 
 
+def test_probe_large_prime_refused_fast():
+    # (p-1)^n torus points per face: a large prime is refused before any search
+    import subprocess
+    import sys
+
+    import logzeta
+
+    src = os.path.dirname(os.path.dirname(logzeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logzeta.cli", "probe-nondegenerate", path("cusp_newton.json"), "--prime", "1000000007"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: probe would visit") and "Traceback" not in proc.stderr
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "newton-zeta", path("cusp_newton.json"))
     _, out2 = run(capsys, "newton-zeta", path("cusp_newton.json"))

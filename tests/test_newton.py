@@ -1,8 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import logzeta.newton
+from logzeta.cli import format_poles
 from logzeta.mring import MClass
 from logzeta.newton import (
     NewtonInput,
@@ -18,7 +22,7 @@ from logzeta.newton import (
 from logzeta.series import equal
 from logzeta.zeta import fan_poincare, fan_poles, validate_model
 
-from genutil import newton_expand_oracle, random_support
+from genutil import brute_newton_faces, newton_expand_oracle, random_support
 
 CUSP = NewtonInput(2, ((2, 0), (0, 3)))
 
@@ -113,6 +117,76 @@ def test_normal_complex_is_complete():
         for p in pts:
             owners = [r for r in records if r.normal_cone_closure.relint_contains(p)]
             assert len(owners) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_faces_match_brute_force(seed, n):
+    inp = random_support(random.Random(seed), n)
+    assert brute_newton_faces(inp, newton_polyhedron(inp), box={2: 6, 3: 3, 4: 2}[n]) == []
+
+
+def test_face_table_built_once_per_support(monkeypatch):
+    calls = []
+    real = logzeta.newton._newton_faces
+
+    def counting(n, support):
+        calls.append(support)
+        return real(n, support)
+
+    monkeypatch.setattr(logzeta.newton, "_newton_faces", counting)
+    logzeta.newton._face_table.cache_clear()
+    inp = NewtonInput(3, ((0, 0, 2), (1, 1, 1), (2, 2, 0)))
+    newton_zeta(inp)
+    newton_zeta_local(inp)
+    newton_poles(inp)
+    face_report(inp)
+    newton_to_fanmodel(inp)
+    assert len(calls) == 1
+    # the returned list is the caller's own
+    records = newton_polyhedron(inp)
+    first = list(records)
+    records.clear()
+    assert newton_polyhedron(inp) == first
+    newton_polyhedron(inp)[0] = None
+    assert newton_polyhedron(inp) == first
+    # coefficients do not change the faces, so they share one table
+    support = ((2, 0), (1, 1), (0, 2))
+    a = NewtonInput(2, support, {(2, 0): Fraction(1), (1, 1): Fraction(2), (0, 2): Fraction(1)})
+    b = NewtonInput(2, support, {(2, 0): Fraction(1), (1, 1): Fraction(3), (0, 2): Fraction(-1, 2)})
+    assert nondegeneracy_probe(a, 7)[0] == "fail"
+    assert nondegeneracy_probe(b, 7)[0] == "pass"
+    assert newton_polyhedron(a) == newton_polyhedron(b)
+    assert len(calls) == 2
+
+
+def test_newton_outputs_pinned():
+    # 300 random supports (seed i, n = 2 + i % 3): the canonical text of both
+    # zeta functions, the poles, the face report and every record field.
+    digest = hashlib.sha256()
+    for seed in range(300):
+        inp = random_support(random.Random(seed), 2 + seed % 3, max_points=4, max_coord=4)
+        records = [
+            (
+                r.face_id,
+                sorted(r.argmin_support),
+                r.normal_cone_closure.rays,
+                r.normal_cone_closure.facets,
+                r.dim_face,
+                r.is_compact,
+                r.m_witness,
+            )
+            for r in newton_polyhedron(inp)
+        ]
+        text = [
+            str(newton_zeta(inp)),
+            str(newton_zeta_local(inp)),
+            format_poles(newton_poles(inp)),
+            repr(face_report(inp)),
+            repr(records),
+        ]
+        digest.update("\n".join(text).encode() + b"\n")
+    assert digest.hexdigest() == "decb65e76684bcc62a1409beb7eb8741dcf316aced1ed1bcad5c54eaf7ca157a"
 
 
 def test_face_report_is_json_ready():
