@@ -10,7 +10,10 @@ full dimensional lists complementary ``u, -u`` pairs among its facets, so
 The double description computation is done from scratch with incremental
 halfspace insertion; everything downstream (faces, subdivision, resolution,
 half-open simplicial decomposition, fundamental-parallelepiped enumeration)
-is built on it.  Intended scale is small ambient rank and a few dozen rays.
+is built on it.  Faces and the pulling triangulation are read off the
+ray/facet incidence as bitmasks (:func:`_face_lattice`); only :func:`faces`
+turns masks back into cones.  Intended scale is small ambient rank and a
+few dozen rays.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, floor, gcd
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 from .intlin import (
     Vec,
@@ -105,22 +108,15 @@ def _dd_insert(lines: list[Vec], rays: list[_Ray], u: Vec, idx: int) -> tuple[li
     return lines, out
 
 
-def _dd_generators(n: int, ineqs: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
-    """Generators (lines, pointed rays) of {x in R^n : <u,x> >= 0 for all u}."""
+def _dd_generators(n: int, ineqs: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Canonical generators of {x in R^n : <u,x> >= 0 for all u}: the pointed
+    rays and both directions of each line, sorted."""
     lines: list[Vec] = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays: list[_Ray] = []
     clean = [u for u in ineqs if not is_zero_vec(u)]
     for idx, u in enumerate(clean):
         lines, rays = _dd_insert(lines, rays, u, idx)
-    return lines, sorted({r for r, _ in rays})
-
-
-def _canon_generators(lines: Iterable[Vec], rays: Iterable[Vec]) -> tuple[Vec, ...]:
-    gens: set[Vec] = set(rays)
-    for l in lines:
-        gens.add(l)
-        gens.add(vec_scale(-1, l))
-    return tuple(sorted(gens))
+    return tuple(sorted({r for r, _ in rays} | set(lines) | {vec_scale(-1, l) for l in lines}))
 
 
 @dataclass(frozen=True)
@@ -193,17 +189,15 @@ def cone_from_rays(ambient_rank: int, rays: Sequence[Vec]) -> Cone:
     for r in rays:
         if len(r) != ambient_rank:
             raise ValueError("dimension mismatch")
-    gens = [primitive(r) for r in rays if not is_zero_vec(r)]
-    dual_lines, dual_rays = _dd_generators(ambient_rank, gens)
-    facets = _canon_generators(dual_lines, dual_rays)
-    prim_lines, prim_rays = _dd_generators(ambient_rank, facets)
-    return Cone(ambient_rank, _canon_generators(prim_lines, prim_rays), facets)
+    facets = _dd_generators(ambient_rank, [primitive(r) for r in rays if not is_zero_vec(r)])
+    return Cone(ambient_rank, _dd_generators(ambient_rank, facets), facets)
 
 
 def cone_from_facets(ambient_rank: int, facets: Sequence[Vec]) -> Cone:
-    """Canonical cone cut out by the inward normals ``facets``."""
-    lines, rays = _dd_generators(ambient_rank, list(facets))
-    return cone_from_rays(ambient_rank, _canon_generators(lines, rays))
+    """Canonical cone cut out by the inward normals ``facets`` (possibly
+    redundant): its rays, then the irredundant facets of those rays."""
+    rays = _dd_generators(ambient_rank, list(facets))
+    return Cone(ambient_rank, rays, _dd_generators(ambient_rank, rays))
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -221,29 +215,39 @@ def cone_le(small: Cone, big: Cone) -> bool:
     return all(big.contains(r) for r in small.rays)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, increasing."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _incidence(c: Cone) -> tuple[int, ...]:
+    """One ray mask per facet of ``c``: bit ``i`` is set when ``c.rays[i]``
+    lies on the facet (lines lie on all; a span-cutting facet holds all)."""
+    return tuple(sum(1 << i for i, r in enumerate(c.rays) if dot(u, r) == 0) for u in c.facets)
+
+
+def _face_lattice(c: Cone) -> tuple[tuple[int, ...], set[int]]:
+    """The incidence of ``c`` and the ray masks of all its faces: the closure
+    of the facet masks under intersection, from all rays (``c`` itself) down
+    (Ziegler, *Lectures on Polytopes*, §2.1)."""
+    on_facet = _incidence(c)
+    seen: set[int] = set()
+    queue = [(1 << len(c.rays)) - 1]
+    while queue:
+        g = queue.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        queue.extend(g & m for m in on_facet if g & m not in seen)
+    return on_facet, seen
+
+
 @lru_cache(maxsize=None)
 def faces(c: Cone) -> tuple[Cone, ...]:
     """All faces of ``c``, including ``c`` itself and the minimal face."""
-    pointed = tuple(c.pointed_rays())
-    lines = c.lineality()
-    facetset = set(c.facets)
-    normals = [u for u in c.facets if vec_scale(-1, u) not in facetset]
-    seen: set[frozenset] = set()
-    queue: list[frozenset] = [frozenset(pointed)]
-    while queue:
-        rs = queue.pop()
-        if rs in seen:
-            continue
-        seen.add(rs)
-        for u in normals:
-            sub = frozenset(r for r in rs if dot(u, r) == 0)
-            if sub not in seen:
-                queue.append(sub)
-    out = []
-    for rs in seen:
-        gens = list(rs) + lines + [vec_scale(-1, l) for l in lines]
-        out.append(cone_from_rays(c.ambient_rank, gens))
-    return tuple(sorted(set(out), key=Cone._key))
+    _, lattice = _face_lattice(c)
+    out = [cone_from_rays(c.ambient_rank, [c.rays[i] for i in _bits(g)]) for g in lattice]
+    return tuple(sorted(out, key=Cone._key))
 
 
 def is_face_of(f: Cone, c: Cone) -> bool:
@@ -434,27 +438,36 @@ def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
 
 @lru_cache(maxsize=None)
 def _triangulate(c: Cone) -> tuple[tuple[Vec, ...], ...]:
-    """Pulling triangulation into simplicial pieces using existing rays only."""
+    """Pulling triangulation into simplicial pieces using existing rays only.
+
+    On ray masks: a face ``g`` with as many rays as its dimension is a piece;
+    otherwise its first ray is pulled over each facet of ``g`` missing it, in
+    ray-tuple order (De Loera, Rambau & Santos, *Triangulations*, §4.3).  The
+    facets of ``g`` are the maximal proper ``g & m`` over ``c``'s facets ``m``.
+    """
     if not c.is_strictly_convex():
         raise LinealityError("strictly convex cone required")
-    rays = tuple(c.rays)
-    if c.dim == 0:
-        return ((),)
-    if len(rays) == c.dim:
-        return (rays,)
-    v = rays[0]
-    pieces: list[tuple[Vec, ...]] = []
-    for f in faces(c):
-        if f.dim != c.dim - 1 or f.contains(v):
-            continue
-        for sub in _triangulate(f):
-            pieces.append((v,) + sub)
-    return tuple(pieces)
+    on_facet = _incidence(c)
+
+    def pull(g: int, dim: int) -> list[tuple[Vec, ...]]:
+        idx = _bits(g)
+        if len(idx) == dim:
+            return [tuple(c.rays[i] for i in idx)]
+        meets = {g & m for m in on_facet} - {g}
+        walls = [f for f in meets if not any(f != o and f | o == o for o in meets)]
+        v = c.rays[idx[0]]
+        return [
+            (v,) + sub
+            for f in sorted((f for f in walls if not f >> idx[0] & 1), key=_bits)
+            for sub in pull(f, dim - 1)
+        ]
+
+    return tuple(pull((1 << len(c.rays)) - 1, c.dim))
 
 
 def _is_pyramid_apex(c: Cone, ray: Vec) -> bool:
-    others = [r for r in c.rays if r != ray]
-    return is_face_of(cone_from_rays(c.ambient_rank, others), c)
+    """Whether the rays of ``c`` other than ``ray`` make up a facet of ``c``."""
+    return ((1 << len(c.rays)) - 1) ^ (1 << c.rays.index(ray)) in _incidence(c)
 
 
 def resolve_complex(k: ConeComplex) -> ConeComplex:

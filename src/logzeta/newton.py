@@ -10,9 +10,9 @@ The polyhedron is never built as a vertex/facet hull: we take the cone over
 the lifted support points together with the recession orthant, and read
 faces, normal cones and witnesses from the incidence of its rays and facets.
 That keeps all computations inside the exact cone kernel.  The faces and
-their per-face series are computed once per support (a small cache keyed on
-``(n, support)``); the global and local zeta functions are two sums over the
-same series, the local one over the compact faces.
+their per-face zeta terms are computed once per support (a small cache keyed
+on ``(n, support)``); the global and local zeta functions are one sum each
+over the same terms, the local one over the compact faces.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
-from .cones import Cone, ConeComplex, complex_from_cones, cone_from_rays
+from .cones import Cone, ConeComplex, _face_lattice, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
 from .mring import MClass
 from .series import ZSeries, relint_cone_sum
@@ -87,8 +87,8 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
     orthant.  Its generators are nonnegative and span R^{n+1}, so ``c`` is
     pointed and full dimensional: its faces are exactly the intersections of
     the ray sets of its facets, and each face is cut out by the facets that
-    contain it.  The faces are read off the ray/facet incidence table, with
-    the closure loop of :func:`cones.faces` but no cone built per face.
+    contain it.  The faces are the ray masks of ``cones._face_lattice``, the
+    incidence closure behind :func:`cones.faces`; no cone is built per face.
 
     A face whose cutting facets pass through some lifted point ``(w, 1)`` is
     the cone over a face of the polyhedron; its normal cone is spanned by the
@@ -97,22 +97,11 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
     """
     gens = [_lift(w, 1) for w in support] + [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n)]
     c = cone_from_rays(n + 1, gens)
-    # bit i of on_facet[j]: ray i lies on facet j; bit j of on_point[w]: (w, 1) does
-    on_facet = [sum(1 << i for i, r in enumerate(c.rays) if dot(y, r) == 0) for y in c.facets]
+    on_facet, lattice = _face_lattice(c)
+    # bit j of on_point[w]: (w, 1) lies on facet j
     on_point = {w: sum(1 << j for j, y in enumerate(c.facets) if dot(y, _lift(w, 1)) == 0) for w in support}
-    seen: set[int] = set()
-    queue = [(1 << len(c.rays)) - 1]
-    while queue:
-        rs = queue.pop()
-        if rs in seen:
-            continue
-        seen.add(rs)
-        for mask in on_facet:
-            sub = rs & mask
-            if sub not in seen:
-                queue.append(sub)
     found = []
-    for rs in seen:
+    for rs in lattice:
         tight = [j for j, mask in enumerate(on_facet) if rs & mask == rs]
         cut = sum(1 << j for j in tight)
         argmin = frozenset(w for w in support if on_point[w] & cut == cut)
@@ -136,20 +125,28 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
 
 @dataclass(frozen=True)
 class _FaceTable:
-    """The faces of one Newton support and, once asked for, their series."""
+    """The faces of one Newton support and, once asked for, their terms."""
 
     n: int
     records: tuple[FaceRecord, ...]
 
     @cached_property
-    def series(self) -> tuple[ZSeries, ...]:
-        """Per face, the sum of L^{-sigma(u)} T^{m(u)} over the relative
-        interior of its normal cone; facet normals with m = 0 are coordinate
-        vectors, so sigma = 1 on them."""
+    def terms(self) -> tuple[ZSeries, ...]:
+        """Per face, ``[X_tau(0)]·S·L^{-1}T/(1-L^{-1}T) + [X_tau(1)]·S`` with
+        ``S`` the sum of L^{-sigma(u)} T^{m(u)} over the relative interior of
+        the normal cone (sigma = 1 on the coordinate vectors, where m = 0).
+        The unit-section term ``[X_tau(1)]·S`` exists only when m does not
+        vanish on the whole normal cone; it then has positive T-degree."""
         sigma = (1,) * self.n
-        return tuple(
-            relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one()) for rec in self.records
-        )
+        jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])  # L^{-1}T/(1-L^{-1}T)
+        out = []
+        for rec in self.records:
+            s_tau = relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one())
+            parts = [s_tau.scale(MClass.symbol(f"X_tau(0)@{rec.face_id}")) * jet_factor]
+            if any(rec.m_of(r) != 0 for r in rec.normal_cone_closure.rays):
+                parts.append(s_tau.scale(MClass.symbol(f"X_tau(1)@{rec.face_id}")))
+            out.append(ZSeries.sum(parts))
+        return tuple(out)
 
 
 @lru_cache(maxsize=4)
@@ -196,33 +193,16 @@ def _sigma(u: Vec) -> int:
     return sum(u)
 
 
-def _zeta(inp: NewtonInput, which: Literal["global", "local"]) -> ZSeries:
-    table = _table(inp)
-    jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])  # L^{-1}T/(1-L^{-1}T)
-    parts = []
-    for rec, s_tau in zip(table.records, table.series):
-        if which == "local" and not rec.is_compact:
-            continue
-        x0 = MClass.symbol(f"X_tau(0)@{rec.face_id}")
-        parts.append(s_tau.scale(x0) * jet_factor)
-        # The unit-section term exists only when the uniformizer is not
-        # invertible along the face, i.e. m does not vanish identically on
-        # the normal cone; it then has positive T-degree throughout.
-        if any(rec.m_of(r) != 0 for r in rec.normal_cone_closure.rays):
-            x1 = MClass.symbol(f"X_tau(1)@{rec.face_id}")
-            parts.append(s_tau.scale(x1))
-    return ZSeries.sum(parts)
-
-
 def newton_zeta(inp: NewtonInput) -> ZSeries:
     """Motivic zeta function of a polynomial nondegenerate for its Newton
     polyhedron, summed over all faces."""
-    return _zeta(inp, "global")
+    return ZSeries.sum(_table(inp).terms)
 
 
 def newton_zeta_local(inp: NewtonInput) -> ZSeries:
     """Local motivic zeta function at the origin: compact faces only."""
-    return _zeta(inp, "local")
+    table = _table(inp)
+    return ZSeries.sum(term for rec, term in zip(table.records, table.terms) if rec.is_compact)
 
 
 def newton_poles(inp: NewtonInput) -> frozenset[Fraction]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logzeta.cones import (
+    _triangulate,
     Cone,
     ConeComplex,
     HalfOpenCone,
@@ -15,6 +16,7 @@ from logzeta.cones import (
     check_subdivision,
     complex_from_cones,
     cone_from_rays,
+    cone_intersection,
     dual_cone,
     faces,
     is_face_of,
@@ -33,12 +35,20 @@ from logzeta.intlin import (
     vec_add,
 )
 
-from genutil import brute_complex_problems, brute_incidence, random_cone
+from genutil import (
+    brute_complex_problems,
+    brute_faces,
+    brute_incidence,
+    brute_intersection,
+    random_cone,
+)
 
 ORTHANT2 = cone_from_rays(2, [(1, 0), (0, 1)])
 ORTHANT3 = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 WEDGE = cone_from_rays(2, [(1, 0), (1, 2)])
 SQUARE = cone_from_rays(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+# SQUARE in the hyperplane 2*x4 = x1 + 3*x2 + x3: non-simplicial, not full dimensional
+SQUARE_IN_4 = cone_from_rays(4, [(1, 0, 1, 1), (0, 1, 1, 2), (-1, 0, 1, 0), (0, -1, 1, -1)])
 
 
 def small_cones(seed):
@@ -123,9 +133,10 @@ def test_dim_and_convexity():
 
 
 @st.composite
-def cones_any_shape(draw):
-    """Cones of rank 1-5 generated inside a random subspace, some with lines."""
-    rank = draw(st.integers(1, 5))
+def cones_any_shape(draw, ranks=st.integers(1, 5)):
+    """Cones of a rank drawn from ``ranks`` generated inside a random
+    subspace, some with lines."""
+    rank = draw(ranks)
     vector = st.tuples(*[st.integers(-3, 3)] * rank)
     span = draw(st.lists(vector, min_size=1, max_size=rank))
     coeffs = st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span))
@@ -191,10 +202,44 @@ def test_faces_by_supporting_functional_enumeration():
         assert len(tight_sets) == len(faces(c))
 
 
+@settings(max_examples=80, deadline=None)
+@given(cones_any_shape(st.integers(1, 4)))
+@example(cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (1, 1, 0)]))
+@example(SQUARE_IN_4)
+@example(cone_from_rays(4, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 1)]))
+def test_faces_match_brute_force(c):
+    assert faces(c) == tuple(brute_faces(c))
+
+
 def test_face_of():
     for f in faces(SQUARE):
         assert is_face_of(f, SQUARE)
     assert not is_face_of(cone_from_rays(3, [(1, 1, 1)]), SQUARE)
+
+
+# ---------------------------------------------------------------------------
+# Intersections.
+
+
+def cone_pairs():
+    """Pairs of cones of one rank 1-4, any shape, so the intersection may be
+    lower dimensional or carry lines."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(cones_any_shape(st.just(n)), cones_any_shape(st.just(n)))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_pairs())
+@example((ORTHANT2, cone_from_rays(2, [(1, 0), (0, -1)])))  # meet in a ray
+@example((ORTHANT2, cone_from_rays(2, [(-1, 0), (0, -1)])))  # meet in the origin
+@example((cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)]), cone_from_rays(2, [(1, 0), (-1, 0), (0, -1)])))  # in a line
+@example((cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]), SQUARE))
+def test_cone_intersection_matches_brute_force(pair):
+    c1, c2 = pair
+    inter = cone_intersection(c1, c2)
+    assert inter == brute_intersection(c1, c2)
+    assert inter == cone_from_rays(inter.ambient_rank, inter.rays)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +378,41 @@ def region_points(c, region, bound):
     return [p for p in affine_lattice_points(n, ineqs)]
 
 
+def pulled(c):
+    """The pulling triangulation from its definition on cones: pull the first
+    ray over each facet missing it, facets in (dimension, rays) order."""
+    if c.dim == len(c.rays):
+        return (c.rays,)
+    v = c.rays[0]
+    walls = [f for f in brute_faces(c) if f.dim == c.dim - 1 and not f.contains(v)]
+    return tuple((v,) + sub for f in walls for sub in pulled(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cones_any_shape(st.integers(1, 4)).filter(lambda c: c.is_strictly_convex()))
+@example(SQUARE)
+@example(SQUARE_IN_4)
+def test_triangulate_is_pulling_triangulation(c):
+    assert _triangulate(c) == pulled(c)
+
+
+def non_simplicial_lower_dim(rng, count):
+    """Non-simplicial rank-3 cones embedded in rank 4 by x -> (x, <w, x>),
+    which adds one span-cutting facet pair."""
+    out = []
+    while len(out) < count:
+        c = random_cone(rng, 3, 3)
+        if len(c.rays) > c.dim:
+            w = tuple(rng.randint(-1, 1) for _ in range(3))
+            out.append(cone_from_rays(4, [r + (dot(w, r),) for r in c.rays]))
+    return out
+
+
 @pytest.mark.parametrize("region", ["relint", "closed"])
 def test_half_open_coverage(region):
     rng = random.Random(77)
     cones = [ORTHANT2, WEDGE, SQUARE] + [random_cone(rng, rng.randint(2, 3), 5) for _ in range(8)]
+    cones += [SQUARE_IN_4] + non_simplicial_lower_dim(rng, 3)
     for c in cones:
         pieces = triangulate_half_open(c, region)
         for p in region_points(c, region, 10):
