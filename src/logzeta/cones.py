@@ -28,7 +28,7 @@ from typing import Literal, Optional, Sequence
 
 from .intlin import (
     Vec,
-    columns,
+    _gauss_jordan,
     content_primitive,
     det,
     dot,
@@ -36,7 +36,6 @@ from .intlin import (
     is_zero_vec,
     mat_vec,
     rank as mat_rank,
-    scaled_inverse,
     smith_normal_form,
     solve_rational,
     span_lattice,
@@ -295,12 +294,6 @@ class ConeComplex:
         maximal = self.maximal_cells()
         return {c: tuple(m for m in maximal if cone_le(c, m)) for c in self.cells}
 
-    def rays_of_complex(self) -> list[Vec]:
-        rays: set[Vec] = set()
-        for c in self.cells:
-            rays.update(c.pointed_rays())
-        return sorted(rays)
-
     def support_cell(self, v: Vec) -> Optional[Cone]:
         """A smallest cell containing ``v``, or None if outside the support."""
         return next((c for c in self.cells if c.contains(v)), None)
@@ -363,7 +356,12 @@ def complex_from_cones(
 
 
 def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
-    """Star subdivision of the complex at the primitive lattice point ``rho``."""
+    """Star subdivision of the complex at the primitive lattice point ``rho``.
+
+    Raises :class:`LinealityError` when ``rho`` lies in the lineality space of
+    a cell: every face of that cell contains ``rho``, so nothing would
+    replace it.
+    """
     rho = primitive(rho)
     if k.support_cell(rho) is None:
         raise ValueError("subdivision point outside the support")
@@ -372,6 +370,8 @@ def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
         if not c.contains(rho):
             new_cells.add(c)
             continue
+        if c.contains(vec_scale(-1, rho)):
+            raise LinealityError("subdivision point in the lineality space of a cell")
         for g in faces(c):
             if not g.contains(rho):
                 new_cells.add(cone_from_rays(k.ambient_rank, list(g.rays) + [rho]))
@@ -548,25 +548,6 @@ class HalfOpenCone:
         )
 
 
-def _piece_normals(gens: tuple[Vec, ...], comp: list[Vec]) -> list[Vec]:
-    """For each generator, the functional in span(c) that vanishes on the
-    other generators and is positive on it (the inward wall normals)."""
-    inv, _ = scaled_inverse(gens + tuple(comp))
-    return [primitive(col) for col in columns(inv)[: len(gens)]]
-
-
-def _perturbed_sign(u: Vec, base: Vec, directions: Sequence[Vec]) -> int:
-    """Sign of <u, base + eps*d1 + eps^2*d2 + ...> for infinitesimal eps > 0."""
-    s = dot(u, base)
-    if s:
-        return 1 if s > 0 else -1
-    for d in directions:
-        s = dot(u, d)
-        if s:
-            return 1 if s > 0 else -1
-    raise ValueError("perturbation directions do not span the cone")
-
-
 def triangulate_half_open(
     c: Cone, region: Literal["relint", "closed"] = "relint"
 ) -> list[HalfOpenCone]:
@@ -576,32 +557,28 @@ def triangulate_half_open(
     of every piece are rays of ``c``; the openness flags implement the
     disjointness (walls counted once, boundary excluded for ``relint``).
     The construction is deterministic: pulling triangulation on the
-    canonically ordered rays, wall sides resolved against a symbolically
-    perturbed interior witness point.
+    canonically ordered rays, and the wall opposite generator ``g_j`` open
+    exactly when the witness ``s*(r1 + ... + rm) + eps*s*r1 + eps^2*s*r2 +
+    ...`` (``s = 1`` for ``closed``, ``-1`` for ``relint``; ``eps > 0``
+    infinitesimal) has a negative ``g_j``-coordinate (Köppe & Verdoolaege,
+    Electron. J. Combin. 15, 2008, Thm. 3).  Row ``j`` of one fraction-free
+    elimination of ``[gens | rays of c]`` holds ``d * x_j(r)`` for each ray
+    ``r``, ``d`` the last pivot.  A wall in a facet of ``c`` has every
+    ``x_j(r) >= 0``, so it is open for ``relint`` and closed for ``closed``.
     """
     if region not in ("relint", "closed"):
         raise ValueError("region must be 'relint' or 'closed'")
     if not c.is_strictly_convex():
         raise LinealityError("strictly convex cone required")
-    if c.dim == 0:
-        return [HalfOpenCone(c.ambient_rank, (), ())]
-    # A lattice point belongs to the piece it enters when nudged towards the
-    # witness: a facet stays closed exactly when the witness is on its strict
-    # inner side.  The sum of the rays is interior (keeps the closed cone);
-    # its negation is strictly outside every facet (drops the full boundary).
-    base = zero_vec(c.ambient_rank)
-    for r in c.rays:
-        base = vec_add(base, r)
-    if region == "relint":
-        base = vec_scale(-1, base)
-    directions = list(c.rays) if region == "closed" else [vec_scale(-1, r) for r in c.rays]
-    comp = list(span_lattice(c.rays, c.ambient_rank)[2])  # functionals vanishing on span(c)
+    s = 1 if region == "closed" else -1
     out = []
     for gens in _triangulate(c):
+        k = len(gens)
+        rows, _, d, _ = _gauss_jordan(list(zip(*gens, *c.rays)), k)
         flags = []
-        for normal in _piece_normals(gens, comp):
-            side = _perturbed_sign(normal, base, directions)
-            flags.append(side < 0)
+        for row in rows[:k]:
+            x = next(v for v in (sum(row[k:]), *row[k:]) if v)
+            flags.append(s * x * d < 0)
         out.append(HalfOpenCone(c.ambient_rank, gens, tuple(flags)))
     return out
 

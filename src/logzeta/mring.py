@@ -288,10 +288,6 @@ class MClass:
     def l_power(k: int) -> "MClass":
         return MClass._sum_pairs(((UNIT_SYMBOL, MCoeff.make(LaurentPoly.monomial(k))),))
 
-    @staticmethod
-    def l_minus_1(power: int = 1) -> "MClass":
-        return MClass.one().mul_l1_pow(power)
-
     # -- ring operations ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -339,14 +335,6 @@ class MClass:
             if c.den_pow > 0:
                 raise LPoleError(f"coefficient of [{sym}] has a pole at L = 1: {c}")
         return self
-
-    def mod_l_minus_1(self) -> "MClass":
-        """Value at L = 1: each numerator's coefficient sum."""
-        self.assert_no_l1_pole()
-        return MClass._sum_pairs(
-            (sym, MCoeff(LaurentPoly.from_dict({0: sum(x for _, x in c.num.coeffs)}), 0))
-            for sym, c in self.terms.items()
-        )
 
     def specialize(self, table: Mapping[str, Fraction], l_value: Fraction) -> Fraction:
         if l_value == 1:

@@ -22,9 +22,9 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Optional, Sequence
+from typing import Optional
 
-from .cones import Cone, ConeComplex, _face_lattice, complex_from_cones, cone_from_rays
+from .cones import Cone, _face_lattice, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
 from .mring import MClass
 from .series import ZSeries, relint_cone_sum
@@ -179,10 +179,6 @@ def _compact(ncone: Cone, n: int) -> bool:
     for r in ncone.rays:
         total = vec_add(total, r)
     return all(x > 0 for x in total)
-
-
-def normal_complex(records: Sequence[FaceRecord], n: int) -> ConeComplex:
-    return complex_from_cones(n, [r.normal_cone_closure for r in records], validate=False)
 
 
 # ---------------------------------------------------------------------------

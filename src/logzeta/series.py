@@ -109,11 +109,6 @@ class ZSeries:
     def scale(self, c: MClass) -> "ZSeries":
         return ZSeries._sum_pairs((k, v * c) for k, v in self.terms.items())
 
-    def shift_T(self, k: int) -> "ZSeries":
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return ZSeries._sum_pairs(((beta + k, ds), c) for (beta, ds), c in self.terms.items())
-
     def subst_T_L(self, k: int) -> "ZSeries":
         """Substitute T -> L^k T."""
         return ZSeries._sum_pairs(

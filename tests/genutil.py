@@ -191,6 +191,37 @@ def brute_incidence(k: ConeComplex) -> tuple[list[Cone], dict[Cone, list[Cone]]]
     return maximal, {c: [m for m in maximal if inside(c, m)] for c in k.cells}
 
 
+def witness_flags(c: Cone, region: str) -> list[tuple[bool, ...]]:
+    """The openness flags of each piece of ``_triangulate(c)``, from inward
+    wall normals and a symbolically perturbed witness point.
+
+    The wall opposite generator ``g_j`` is open when the witness ``base +
+    eps*d1 + eps^2*d2 + ...`` lies strictly on its outer side; ``base`` is
+    the sum of the rays and the ``d_i`` are the rays, all negated for
+    ``relint``.  The inward normal of a wall is the primitive functional in
+    ``span(c)`` vanishing on the other generators and positive on ``g_j``: a
+    column of the scaled inverse of the generators padded with functionals
+    vanishing on ``span(c)``.
+    """
+    from logzeta.cones import _triangulate
+    from logzeta.intlin import columns, content_primitive, scaled_inverse, span_lattice
+
+    s = 1 if region == "closed" else -1
+    base = vec_scale(s, tuple(map(sum, zip(*c.rays))))
+    directions = [vec_scale(s, r) for r in c.rays]
+    comp = tuple(span_lattice(c.rays, c.ambient_rank)[2])
+    out = []
+    for gens in _triangulate(c):
+        inv, _ = scaled_inverse(gens + comp)
+        flags = []
+        for col in columns(inv)[: len(gens)]:
+            u = content_primitive(col)[1]
+            side = next(x for x in (dot(u, v) for v in (base, *directions)) if x)
+            flags.append(side < 0)
+        out.append(tuple(flags))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Random sncd data and fan models.
 

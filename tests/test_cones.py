@@ -41,6 +41,7 @@ from genutil import (
     brute_incidence,
     brute_intersection,
     random_cone,
+    witness_flags,
 )
 
 ORTHANT2 = cone_from_rays(2, [(1, 0), (0, 1)])
@@ -271,6 +272,13 @@ def test_star_subdivision_outside_support():
         star_subdivision(k, (-1, 0))
 
 
+def test_star_subdivision_in_lineality_space():
+    # every face of the half-plane contains (1, 0): the cell would be dropped
+    half_plane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
+    with pytest.raises(LinealityError):
+        star_subdivision(complex_from_cones(2, [half_plane]), (1, 0))
+
+
 def test_check_subdivision_reflexive_and_negative():
     k = complex_from_cones(2, [ORTHANT2])
     assert check_subdivision(k, k)
@@ -292,7 +300,7 @@ def test_resolve_wedge():
     r = resolve_complex(k)
     assert all(c.is_smooth() for c in r.cells)
     assert check_subdivision(r, k)
-    assert (1, 1) in r.rays_of_complex()
+    assert cone_from_rays(2, [(1, 1)]) in r.cells
 
 
 def test_resolve_square_cone():
@@ -394,6 +402,17 @@ def pulled(c):
 @example(SQUARE_IN_4)
 def test_triangulate_is_pulling_triangulation(c):
     assert _triangulate(c) == pulled(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cones_any_shape(st.integers(1, 5)).filter(lambda c: c.is_strictly_convex()))
+@example(SQUARE)
+@example(SQUARE_IN_4)
+@example(cone_from_rays(3, []))
+def test_half_open_flags_match_witness_oracle(c):
+    for region in ("relint", "closed"):
+        flags = [piece.strict for piece in triangulate_half_open(c, region)]
+        assert flags == witness_flags(c, region), region
 
 
 def non_simplicial_lower_dim(rng, count):

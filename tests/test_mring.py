@@ -15,7 +15,7 @@ mclasses = st.dictionaries(symbols, coeffs, max_size=3).map(MClass)
 
 def test_basic_identities():
     one = MClass.one()
-    lm1 = MClass.l_minus_1()
+    lm1 = MClass.one().mul_l1_pow(1)
     assert lm1 * one.mul_l1_pow(-1) == one
     a = MClass.symbol("A")
     assert a + a == MClass({"A": MCoeff.make(LaurentPoly.from_dict({0: 2}))})
@@ -45,13 +45,6 @@ def test_assert_no_pole():
     with pytest.raises(LPoleError) as e:
         bad.assert_no_l1_pole()
     assert "A" in str(e.value)
-
-
-def test_mod_l_minus_1():
-    assert (MClass.l_power(1) * MClass.symbol("A")).mod_l_minus_1() == MClass.symbol("A")
-    assert (MClass.l_minus_1() * MClass.symbol("A")).mod_l_minus_1() == MClass.zero()
-    two_l_minus_one = MClass.symbol("A").scale_l(1) * MClass.from_int(2) - MClass.symbol("A")
-    assert two_l_minus_one.mod_l_minus_1() == MClass.symbol("A")
 
 
 def test_specialize():
@@ -135,18 +128,6 @@ def test_specialize_is_ring_hom(x, y):
     assert (x * y).specialize(table, lv) == x.specialize(table, lv) * y.specialize(table, lv) * prod_val
 
 
-@settings(max_examples=80)
-@given(mclasses, mclasses)
-def test_mod_l1_multiplicative(x, y):
-    try:
-        x.assert_no_l1_pole()
-        y.assert_no_l1_pole()
-        (x * y).assert_no_l1_pole()
-    except LPoleError:
-        return
-    assert (x * y).mod_l_minus_1() == (x.mod_l_minus_1() * y.mod_l_minus_1()).mod_l_minus_1()
-
-
 @settings(max_examples=100)
 @given(coeffs, st.integers(-8, 0))
 def test_laurent_series_truncation(c, low):
@@ -162,6 +143,6 @@ def test_canonical_text():
     assert str(MClass.symbol("E").scale_l(-1)) == "[E]*L^-1"
     assert str(MClass.one()) == "1"
     assert str(MClass.zero()) == "0"
-    assert str(MClass.l_minus_1()) == "L-1"
+    assert str(MClass.one().mul_l1_pow(1)) == "L-1"
     assert str(MClass.symbol("A").mul_l1_pow(-1)) == "[A]*1/(L-1)"
     assert str(MClass.symbol("A") + MClass.symbol("B").scale_l(2)) == "[A] + [B]*L^2"

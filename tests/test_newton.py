@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import logzeta.newton
 from logzeta.cli import format_poles
+from logzeta.cones import complex_from_cones
 from logzeta.mring import MClass
 from logzeta.newton import (
     NewtonInput,
@@ -17,7 +18,6 @@ from logzeta.newton import (
     newton_zeta,
     newton_zeta_local,
     nondegeneracy_probe,
-    normal_complex,
 )
 from logzeta.series import equal
 from logzeta.zeta import fan_poincare, fan_poles, validate_model
@@ -107,7 +107,7 @@ def test_normal_complex_is_complete():
     for _ in range(6):
         inp = random_support(rng, 2)
         records = newton_polyhedron(inp)
-        k = normal_complex(records, inp.n)
+        k = complex_from_cones(inp.n, [r.normal_cone_closure for r in records], validate=False)
         assert k.validate() == []
         # partition: relint point counts of cells sum to the orthant count
         import itertools

@@ -29,11 +29,8 @@ def test_arithmetic_identities():
     assert ZSeries.term(ONE, 1, [(0, 1)]).scale(MClass.zero()).is_zero()
 
 
-def test_shift_and_scale():
+def test_scale():
     s = ZSeries.term(ONE, 1, [(0, 1)])
-    assert list(s.shift_T(2).terms) == [(3, ((0, 1),))]
-    with pytest.raises(ValueError):
-        s.shift_T(-1)
     assert s.scale(MClass.l_power(2)).terms[(1, ((0, 1),))] == MClass.l_power(2)
 
 

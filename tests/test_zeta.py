@@ -9,6 +9,7 @@ from logzeta.mring import MClass
 from logzeta.series import ZSeries, equal
 from logzeta.zeta import (
     FanModel,
+    InvalidModel,
     SncdComponent,
     SncdData,
     dl_zeta,
@@ -238,6 +239,23 @@ def test_transport_star_subdivision_invariance():
     new_ray = cone_from_rays(2, [(1, 1)])
     orthant = cone_from_rays(2, [(1, 0), (0, 1)])
     assert m2.weight(new_ray) == model.weight(orthant)
+
+
+def test_transported_model_is_still_model_checked():
+    # a star subdivision keeps the complex valid, but not the model: the new
+    # ray (0,1,2) has e-value 0 and a-value 3, and cuts off a singular cell
+    # of the generic part
+    k = complex_from_cones(3, [ORTHANT3])
+    weight = MClass.symbol("X").mul_l1_pow(2)
+    model = FanModel(k, {ORTHANT3: (1, 0, 0)}, {ORTHANT3: (1, 1, 1)}, {ORTHANT3: weight})
+    assert validate_model(model) == []
+    moved = transport_subdivide(model, star_subdivision(k, (0, 1, 2)))
+    assert moved.complex.validate() == []
+    generic, horizontal = validate_model(moved)
+    assert "(0, 1, 0), (0, 1, 2)" in generic and "generic part" in generic
+    assert "horizontal-divisor" in horizontal and "a-value 3" in horizontal
+    with pytest.raises(InvalidModel):
+        fan_poincare(moved, 0)
 
 
 def test_transport_requires_subdivision():
