@@ -184,20 +184,22 @@ def parse_sncd(data: dict[str, Any]) -> SncdData:
 def parse_fan(data: dict[str, Any]) -> FanModel:
     try:
         rank = _int(data["rank"], "rank")
-        listed = []
+        listed = {}  # the cells, in input order
         weights = {}
         for cell_data in data["cells"]:
             rays = [tuple(_int(x, "ray coordinate") for x in r) for r in cell_data["rays"]]
             cell = cone_from_rays(rank, rays)
-            listed.append(cell)
+            if cell in listed:
+                raise InputError(f"cell {cell} listed twice")
+            listed[cell] = None
             w = parse_mclass(_object(cell_data.get("weight", {}), "cell weight"))
             if not w.is_zero():
                 weights[cell] = w
-        complex_ = complex_from_cones(rank, listed, validate=False)
+        complex_ = complex_from_cones(rank, list(listed), validate=False)
         maximal = complex_.maximal_cells()
-        maximal_set, listed_set = set(maximal), set(listed)
+        maximal_set = set(maximal)
         ordered = [c for c in listed if c in maximal_set] + [
-            c for c in maximal if c not in listed_set
+            c for c in maximal if c not in listed
         ]
         e_list = [tuple(_int(x, "e entry") for x in v) for v in data["e"]]
         a_list = [tuple(_int(x, "a entry") for x in v) for v in data["a"]]

@@ -10,10 +10,17 @@ full dimensional lists complementary ``u, -u`` pairs among its facets, so
 The double description computation is done from scratch with incremental
 halfspace insertion; everything downstream (faces, subdivision, resolution,
 half-open simplicial decomposition, fundamental-parallelepiped enumeration)
-is built on it.  Faces and the pulling triangulation are read off the
-ray/facet incidence as bitmasks (:func:`_face_lattice`); only :func:`faces`
-turns masks back into cones.  Intended scale is small ambient rank and a
-few dozen rays.
+is built on it.  :func:`cone_from_rays` runs it once, for the facets, and
+reads the canonical rays of a pointed cone off the incidence of its input
+rays with those facets: an input ray is extreme exactly when no other one
+is tight on every facet it is tight on.  That rests on two facts: a face is
+generated by the generators it contains, so a cone with lines has an input
+ray that lies on every facet; and the facets tight at a point cut out the
+smallest face containing it.  Only a cone with lines takes a second run,
+since its line basis is not fixed by the input.  Faces and the pulling
+triangulation are read off the ray/facet incidence as bitmasks
+(:func:`_face_lattice`); only :func:`faces` turns masks back into cones.
+Intended scale is small ambient rank and a few dozen rays.
 """
 
 from __future__ import annotations
@@ -184,12 +191,33 @@ class Cone:
 
 
 def cone_from_rays(ambient_rank: int, rays: Sequence[Vec]) -> Cone:
-    """Canonical cone generated by ``rays`` (possibly redundant, any sign)."""
+    """Canonical cone generated by ``rays`` (possibly redundant, any sign).
+
+    One double description gives the facets; the canonical rays are then
+    read off the ray/facet incidence of the input.  Two facts make that
+    exact.  A face of a cone is generated by the generators it contains, so
+    a nonzero lineality space (the minimal face) contains a generator, and
+    that generator is tight on every facet.  When none is, the cone is
+    pointed, and a generator ``r`` spans an extreme ray exactly when no other
+    primitive generator is tight on all the facets ``r`` is tight on: those
+    facets cut out the smallest face containing ``r``, and a face of
+    dimension two or more holds a second generator (Ziegler, *Lectures on
+    Polytopes*, §1-2; Fukuda & Prodon, "Double description method
+    revisited", 1996).  A cone with lines takes a second double description,
+    because its line basis is not fixed by the input.
+    """
     for r in rays:
         if len(r) != ambient_rank:
             raise ValueError("dimension mismatch")
-    facets = _dd_generators(ambient_rank, [primitive(r) for r in rays if not is_zero_vec(r)])
-    return Cone(ambient_rank, _dd_generators(ambient_rank, facets), facets)
+    prims = [primitive(r) for r in rays if not is_zero_vec(r)]
+    facets = _dd_generators(ambient_rank, prims)
+    tight = {r: sum(1 << j for j, u in enumerate(facets) if dot(u, r) == 0) for r in prims}
+    if (1 << len(facets)) - 1 in tight.values():
+        return Cone(ambient_rank, _dd_generators(ambient_rank, facets), facets)
+    extreme = [
+        r for r, m in tight.items() if not any(o != r and mo & m == m for o, mo in tight.items())
+    ]
+    return Cone(ambient_rank, tuple(sorted(extreme)), facets)
 
 
 def cone_from_facets(ambient_rank: int, facets: Sequence[Vec]) -> Cone:

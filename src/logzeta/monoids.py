@@ -146,14 +146,22 @@ def _rays_in_basis(rays: Sequence[Vec], bmat: Mat) -> list[Vec]:
     return [primitive(mat_vec(inv, ray)) for ray in rays]
 
 
-def _reduce_to_span(cone: Cone, r: int) -> tuple[Cone, Mat]:
+def _reduce_to_span(cone: Cone) -> tuple[Cone, list[Vec], Mat]:
     """Express a pointed cone in coordinates of its saturated span lattice.
 
-    Returns the full-dimensional cone and the projection (d x r rows, integer
-    on the span lattice and surjective onto Z^d).
+    Returns the full-dimensional cone, the lattice basis and the projection
+    (d rows of the ambient rank's length, integer on the span lattice and
+    surjective onto Z^d).  The
+    projection is a lattice isomorphism of the span, so the reduced cone
+    needs no double description: its rays are the coordinates of the cone's
+    rays, and its facets the primitive restrictions to the basis of the
+    cone's facets that do not vanish on the span.
     """
-    _, proj, _ = span_lattice(cone.rays, r)
-    return cone_from_rays(len(proj), [mat_vec(proj, ray) for ray in cone.rays]), proj
+    span, proj, _ = span_lattice(cone.rays, cone.ambient_rank)
+    rays = tuple(sorted(mat_vec(proj, r) for r in cone.rays))
+    restricted = (tuple(dot(u, b) for b in span) for u in cone.facets)
+    facets = tuple(sorted(primitive(u) for u in restricted if not is_zero_vec(u)))
+    return Cone(len(span), rays, facets), span, proj
 
 
 def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
@@ -183,7 +191,7 @@ def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
         new_rays = [v for v in (mat_vec(proj, ray) for ray in cone_l.rays) if not is_zero_vec(v)]
         pointed = cone_from_rays(r - u, new_rays)
     if pointed.dim < r - u:
-        pointed, rows = _reduce_to_span(pointed, r - u)
+        pointed, _, rows = _reduce_to_span(pointed)
         proj = mat_mul(rows, proj)
     return SharpFsMonoid(pointed.ambient_rank, pointed), u, proj
 

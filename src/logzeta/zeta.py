@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from .cones import Cone, ConeComplex, _carriers, complex_from_cones, cone_from_rays
-from .intlin import Vec, dot, mat_vec, span_lattice
+from .intlin import Vec, dot
+from .monoids import _reduce_to_span
 from .mring import MClass
 from .series import ZSeries, relint_cone_sum
 
@@ -200,7 +201,8 @@ def validate_model(f: FanModel) -> list[str]:
 
 
 def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
-    """A cell with its e and a in coordinates of its saturated span lattice.
+    """A pointed cell with its e and a in coordinates of its saturated span
+    lattice.
 
     The lattice points of the reduced cell are exactly those of the cell.
     Triangulating there rather than in ambient coordinates fixes the ray
@@ -208,11 +210,10 @@ def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
     series canonical on lower-dimensional cells.
     """
     owner = f.owning_maximal(cell)
-    span, proj, _ = span_lattice(cell.rays, f.complex.ambient_rank)
-    coords = [mat_vec(proj, r) for r in cell.rays]
+    reduced, span, _ = _reduce_to_span(cell)
     e_red = tuple(dot(f.e_vecs[owner], b) for b in span)
     a_red = tuple(dot(f.a_vecs[owner], b) for b in span)
-    return cone_from_rays(len(span), coords), e_red, a_red
+    return reduced, e_red, a_red
 
 
 def fan_poincare(f: FanModel, m: int) -> ZSeries:

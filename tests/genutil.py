@@ -13,9 +13,11 @@ import random
 from logzeta.cones import (
     Cone,
     ConeComplex,
+    _dd_generators,
     affine_lattice_points,
     complex_from_cones,
     cone_from_rays,
+    primitive,
     star_subdivision,
 )
 from logzeta.intlin import Vec, dot, is_zero_vec, rank, vec_add, vec_scale
@@ -161,6 +163,30 @@ def brute_intersection(c1: Cone, c2: Cone) -> Cone:
     """``c1 ∩ c2`` as the dual of the sum of the two dual cones."""
     dual_sum = cone_from_rays(c1.ambient_rank, list(c1.facets) + list(c2.facets))
     return Cone(c1.ambient_rank, dual_sum.facets, dual_sum.rays)
+
+
+def two_dd_cone(n: int, rays) -> Cone:
+    """The cone generated by ``rays`` as two double descriptions build it:
+    the facets from the primitive rays, then the canonical rays from the
+    facets.  ``cone_from_rays`` must agree with it field by field."""
+    facets = _dd_generators(n, [primitive(r) for r in rays if not is_zero_vec(r)])
+    return Cone(n, _dd_generators(n, facets), facets)
+
+
+def count_dd_runs(monkeypatch) -> list[int]:
+    """Wrap ``cones._dd_generators``, the double description, with a counter:
+    the returned list gains the ambient rank of each run from then on."""
+    import logzeta.cones
+
+    runs: list[int] = []
+    real = logzeta.cones._dd_generators
+
+    def counting(n, ineqs):
+        runs.append(n)
+        return real(n, ineqs)
+
+    monkeypatch.setattr(logzeta.cones, "_dd_generators", counting)
+    return runs
 
 
 def brute_complex_problems(k: ConeComplex) -> list[str]:

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logzeta.cli import main, parse_coeff, parse_fan
 from logzeta.mring import LaurentPoly, MCoeff
 from logzeta.series import equal
-from logzeta.zeta import InvalidModel, fan_poincare
+from logzeta.zeta import InvalidModel, fan_poincare, validate_model
+
+from genutil import count_dd_runs
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "scripts", "data")
 
@@ -320,33 +325,32 @@ def test_subdivide_bad_ray(capsys):
     assert code == 1
 
 
-def test_byte_identical_across_processes():
-    # output must not depend on hash randomization
+def _run_in_child(*argv, flags=(), **env):
+    """The command line in a child interpreter that imports the same logzeta
+    as this one."""
     import subprocess
     import sys
 
     import logzeta
 
-    # the child processes import the same logzeta as this one
     src = os.path.dirname(os.path.dirname(logzeta.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "logzeta.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+    )
+
+
+def test_byte_identical_across_processes():
+    # output must not depend on hash randomization
     outs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
-        proc = subprocess.run(
-            [sys.executable, "-m", "logzeta.cli", "newton-zeta", path("cusp_newton.json")],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _run_in_child("newton-zeta", path("cusp_newton.json"), PYTHONHASHSEED=seed)
         assert proc.returncode == 0
         outs.append(proc.stdout)
-        proc2 = subprocess.run(
-            [sys.executable, "-m", "logzeta.cli", "subdivide", path("orthant_model.json"), "--ray", "1,1"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc2 = _run_in_child("subdivide", path("orthant_model.json"), "--ray", "1,1", PYTHONHASHSEED=seed)
         outs.append(proc2.stdout)
     assert outs[0] == outs[2] and outs[1] == outs[3]
 
@@ -509,3 +513,104 @@ def test_cli_outputs_pinned(capsys, verb):
             code, out = run(capsys, verb, path(name), *PIN_ARGS.get(verb, ()), *fmt)
             seen[" ".join([verb, name, *fmt])] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert seen == {key: pin for key, pin in PINNED.items() if key.split()[0] == verb}
+
+
+# ---------------------------------------------------------------------------
+# Duplicate cells, the double-description budget, `python -O`, and mutated
+# sample inputs.
+
+
+def test_cell_listed_twice_rejected(tmp_path, capsys):
+    # the same canonical cone, from a redundant ray list the second time
+    model = {
+        "rank": 2,
+        "cells": [
+            {"rays": [[1, 0], [0, 1]], "weight": {"U": "L-1"}},
+            {"rays": [[0, 1], [1, 0], [1, 1]], "weight": {"V": "L-1"}},
+        ],
+        "e": [[1, 2], [5, 5]],
+        "a": [[0, 1], [0, 0]],
+    }
+    code = main(["fan-series", write(tmp_path, "twice.json", model)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: cell Cone(rank 2, rays [(0, 1), (1, 0)]) listed twice\n"
+
+
+def test_fan_poincare_of_a_validated_model_runs_no_dd(monkeypatch):
+    model = parse_fan(json.load(open(path("orthant_model.json"))))
+    assert validate_model(model) == []
+    runs = count_dd_runs(monkeypatch)
+    fan_poincare(model, 1)
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "argv", [("newton-zeta", "cusp_newton.json"), ("resolve", "orthant_model.json")]
+)
+def test_same_output_under_python_O(capsys, argv):
+    # library invariants are raised errors, never `assert`, so -O changes nothing
+    verb, name = argv
+    proc = _run_in_child(verb, path(name), flags=("-O",))
+    assert (proc.returncode, proc.stdout) == run(capsys, verb, path(name))
+
+
+def _nodes(doc, at=()):
+    """The path of every node of a JSON document, the root first."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _nodes(child, at + (key,))
+
+
+def _mutated(doc, at, how, value):
+    """A copy of ``doc`` with the node at ``at`` replaced by ``value``,
+    deleted, or (in a list) listed twice; the root can only be replaced."""
+    doc = json.loads(json.dumps(doc))
+    if not at:
+        return value
+    *up, key = at
+    parent = doc
+    for k in up:
+        parent = parent[k]
+    if how == "replace":
+        parent[key] = value
+    elif how == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    return doc
+
+
+SAMPLES = {name: json.load(open(path(name))) for name in sorted(os.listdir(DATA))}
+# small integers only: a large coordinate makes a cell of large index, whose
+# box enumeration is unbounded work (ROADMAP item 6), not a contract failure
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.sampled_from([2.5, "", "x", "L-1", "(1,0)"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["rays", "J", "id"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(SAMPLES)),
+    st.sampled_from(PIN_VERBS),
+    st.integers(0, 10**6),
+    st.sampled_from(["replace", "delete", "repeat"]),
+    JSON_VALUES,
+    st.booleans(),
+)
+def test_mutated_samples_keep_the_exit_contract(tmp_path_factory, name, verb, node, how, value, as_json):
+    doc = SAMPLES[name]
+    paths = list(_nodes(doc))
+    mutated = _mutated(doc, paths[node % len(paths)], how, value)
+    p = tmp_path_factory.mktemp("mutated") / name
+    p.write_text(json.dumps(mutated))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([verb, str(p), *PIN_ARGS.get(verb, ()), *(("--json",) if as_json else ())])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

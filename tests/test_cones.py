@@ -40,7 +40,9 @@ from genutil import (
     brute_faces,
     brute_incidence,
     brute_intersection,
+    count_dd_runs,
     random_cone,
+    two_dd_cone,
     witness_flags,
 )
 
@@ -134,9 +136,9 @@ def test_dim_and_convexity():
 
 
 @st.composite
-def cones_any_shape(draw, ranks=st.integers(1, 5)):
-    """Cones of a rank drawn from ``ranks`` generated inside a random
-    subspace, some with lines."""
+def ray_sets(draw, ranks=st.integers(1, 5)):
+    """A rank drawn from ``ranks`` and rays inside a random subspace, some
+    through a line, with duplicate, non-primitive and zero rays mixed in."""
     rank = draw(ranks)
     vector = st.tuples(*[st.integers(-3, 3)] * rank)
     span = draw(st.lists(vector, min_size=1, max_size=rank))
@@ -147,7 +149,16 @@ def cones_any_shape(draw, ranks=st.integers(1, 5)):
     ]
     if rays and draw(st.booleans()):
         rays.append(tuple(-x for x in rays[0]))  # a line through the first ray
-    return cone_from_rays(rank, rays)
+    if rays:
+        multiples = st.tuples(st.integers(0, len(rays) - 1), st.integers(0, 3))
+        rays += [tuple(k * x for x in rays[i]) for i, k in draw(st.lists(multiples, max_size=3))]
+    return rank, rays
+
+
+def cones_any_shape(ranks=st.integers(1, 5)):
+    """Cones of a rank drawn from ``ranks`` generated inside a random
+    subspace, some with lines."""
+    return ray_sets(ranks).map(lambda rank_rays: cone_from_rays(*rank_rays))
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,6 +170,36 @@ def cones_any_shape(draw, ranks=st.integers(1, 5)):
 def test_dim_is_rank_of_rays(c):
     for d in (c, dual_cone(c), *faces(c)):
         assert d.dim == (mat_rank(d.rays) if d.rays else 0), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray_sets())
+@example((2, [(1, 0), (-1, 0), (0, 1)]))  # a half-plane: a line and a ray
+@example((3, [(1, 2, 0), (2, 4, 0), (2, 1, 0), (1, 1, 0), (0, 0, 0)]))  # flat, redundant
+@example((3, [(0, 0, 0)]))
+@example((4, []))
+def test_cone_from_rays_matches_two_dd(rank_rays):
+    rank, rays = rank_rays
+    c, old = cone_from_rays(rank, rays), two_dd_cone(rank, rays)
+    assert (c.ambient_rank, c.rays, c.facets) == (old.ambient_rank, old.rays, old.facets)
+
+
+def test_cone_from_rays_runs_one_dd_when_pointed(monkeypatch):
+    runs = count_dd_runs(monkeypatch)
+    # redundant (1, 1, 1), duplicate (1, 0, 0), non-primitive (0, 2, 0)
+    c = cone_from_rays(3, [(1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)])
+    assert c == ORTHANT3
+    assert len(runs) == 1
+    flat = cone_from_rays(3, [(1, 0, 0), (1, 1, 0), (2, 1, 0)])  # lower dimensional
+    assert flat.rays == ((1, 0, 0), (1, 1, 0)) and flat.dim == 2
+    assert len(runs) == 2
+
+
+def test_cone_from_rays_runs_two_dds_with_a_line(monkeypatch):
+    runs = count_dd_runs(monkeypatch)
+    half_plane = cone_from_rays(2, [(1, 0), (-1, 0), (1, 1)])
+    assert half_plane.lineality() == [(1, 0)]
+    assert len(runs) == 2
 
 
 def test_smoothness():
@@ -448,6 +489,17 @@ def test_half_open_boundary_excluded():
             inside = c.relint_contains(p)
             count = sum(1 for piece in pieces if piece.contains_lattice_point(p))
             assert count == (1 if inside else 0), (c, p)
+
+
+def test_half_open_cone_checks_its_generators():
+    with pytest.raises(ValueError, match="linearly independent"):
+        HalfOpenCone(2, ((1, 0), (2, 0)), (False, False))
+    with pytest.raises(ValueError, match="linearly independent"):
+        HalfOpenCone(3, ((1, 0, 1), (0, 1, 1), (1, 1, 2)), (True, False, False))
+    with pytest.raises(ValueError, match="one openness flag per generator"):
+        HalfOpenCone(2, ((1, 0), (0, 1)), (True,))
+    with pytest.raises(ValueError, match="one openness flag per generator"):
+        HalfOpenCone(2, (), (False,))
 
 
 def test_box_points_examples():

@@ -22,7 +22,7 @@ from logzeta.newton import (
 from logzeta.series import equal
 from logzeta.zeta import fan_poincare, fan_poles, validate_model
 
-from genutil import brute_newton_faces, newton_expand_oracle, random_support
+from genutil import brute_newton_faces, count_dd_runs, newton_expand_oracle, random_support
 
 CUSP = NewtonInput(2, ((2, 0), (0, 3)))
 
@@ -158,6 +158,16 @@ def test_face_table_built_once_per_support(monkeypatch):
     assert nondegeneracy_probe(b, 7)[0] == "pass"
     assert newton_polyhedron(a) == newton_polyhedron(b)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_face_table_runs_one_dd_per_face(monkeypatch, seed):
+    # the lifted cone, then one per normal cone: they lie in the orthant,
+    # so they are pointed
+    inp = random_support(random.Random(seed), 2 + seed % 3)
+    runs = count_dd_runs(monkeypatch)
+    records = logzeta.newton._newton_faces(inp.n, inp.support)
+    assert len(runs) == 1 + len(records)
 
 
 def test_newton_outputs_pinned():

@@ -380,3 +380,29 @@ def test_fan_poincare_brute_force_non_unimodular_faces(stars):
     assert validate_model(model) == []
     for m in (0, 1):
         assert fan_poincare(model, m).expand(7) == brute_fan_sum(model, m, 7)
+
+
+def _models_with_odd_cells():
+    rng = random.Random(91)
+    models = [random_fan_model(rng, rank) for rank in (2, 3, 4) for _ in range(3)]
+    # non-smooth lower-dimensional cells, and a non-simplicial flat square
+    k = complex_from_cones(3, [ORTHANT3])
+    for rho in [(1, 1, 0), (1, 1, 2)]:
+        k = star_subdivision(k, rho)
+    square = cone_from_rays(4, [(1, 0, 1, 1), (0, 1, 1, 2), (-1, 0, 1, 0), (0, -1, 1, -1)])
+    for k in (k, complex_from_cones(4, [square])):
+        maximal = k.maximal_cells()
+        ones, zeros = (1,) * k.ambient_rank, (0,) * k.ambient_rank
+        models.append(FanModel(k, dict.fromkeys(maximal, ones), dict.fromkeys(maximal, zeros)))
+    return models
+
+
+def test_cell_in_span_matches_cone_from_rays():
+    from logzeta.intlin import mat_vec, span_lattice
+    from logzeta.zeta import _cell_in_span
+
+    for model in _models_with_odd_cells():
+        for cell in model.complex.cells:
+            reduced, _, _ = _cell_in_span(model, cell)
+            span, proj, _ = span_lattice(cell.rays, model.complex.ambient_rank)
+            assert reduced == cone_from_rays(len(span), [mat_vec(proj, r) for r in cell.rays]), cell
