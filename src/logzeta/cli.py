@@ -47,13 +47,19 @@ class InputError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Coefficient text form: Laurent polynomial with optional /(L-1)^k.
+#
+# A term is a signed integer, a signed power of L, or the two joined by "*";
+# every term after the first starts with its sign.  Spaces may separate
+# tokens but not the digits of one number.
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+)\s*\*?\s*)?(?:L(?:\^(?P<exp>-?\d+))?)?"
+    r"(?P<sign>[+-]?)(?:(?P<coef>\d+)(?P<star>\*)?)?(?P<l>L(?:\^(?P<exp>-?\d+))?)?"
 )
 
 
 def parse_coeff(text: str) -> MCoeff:
+    if re.search(r"\d\s+\d", text):
+        raise InputError(f"cannot parse coefficient {text!r}: digits split by a space")
     s = text.strip().replace(" ", "")
     den_pow = 0
     m = re.fullmatch(r"\((?P<num>.*)\)/\(L-1\)(?:\^(?P<k>\d+))?", s)
@@ -70,15 +76,15 @@ def parse_coeff(text: str) -> MCoeff:
         raise InputError("empty coefficient")
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        if m is None or m.end() == pos:
+        coef, has_l = m.group("coef"), m.group("l") is not None
+        if (
+            (coef is None and not has_l)  # no term here
+            or (pos and not m.group("sign"))  # juxtaposed to the term before
+            or (m.group("star") is not None) != (coef is not None and has_l)  # "2*", "2L"
+        ):
             raise InputError(f"cannot parse coefficient {text!r} at {s[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        has_l = "L" in s[m.start() : m.end()]
-        coef = m.group("coef")
-        if coef is None and not has_l:
-            raise InputError(f"cannot parse coefficient {text!r} at {s[pos:]!r}")
-        c = sign * int(coef or 1)
-        e = int(m.group("exp") or (1 if has_l else 0)) if has_l else 0
+        c = (-1 if m.group("sign") == "-" else 1) * int(coef or 1)
+        e = int(m.group("exp") or 1) if has_l else 0
         coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
     return MCoeff.make(LaurentPoly.from_dict(coeffs), den_pow)

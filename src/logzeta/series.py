@@ -13,11 +13,13 @@ The heart of the module is :func:`relint_cone_sum`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
 sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice points ``u`` in the
 relative interior of a rational cone, computed by half-open simplicial
-decomposition.  Rays paired to zero by ``e`` ("horizontal" directions)
-contribute pure-L geometric factors; they are folded into the coefficient as
-``L/(L-1)`` and are only legal when ``a`` pairs them to one, so the fold is
-exact.  :func:`cone_series` applies it to the interior dual points of a
-marked monoid.
+decomposition.  The decomposition depends on the cone alone and is read
+from a bounded per-cone table in :mod:`~logzeta.cones`; a call pairs ``e``
+and ``a`` with its box points and buckets them.  Rays paired to zero by
+``e`` ("horizontal" directions) contribute pure-L geometric factors; they
+are folded into the coefficient as ``L/(L-1)`` and are only legal when
+``a`` pairs them to one, so the fold is exact.  :func:`cone_series`
+applies it to the interior dual points of a marked monoid.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cones import Cone, box_points, triangulate_half_open
+from .cones import Cone, _relint_pieces, box_points
 from .intlin import Vec, dot
 from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff, merge
 from .monoids import MarkedMonoid
@@ -255,8 +257,12 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
 
     Uses the half-open simplicial decomposition of the cone and
     fundamental-parallelepiped enumeration.  Rays with ``<v,e> = 0`` must
-    satisfy ``<v,a> = 1`` (checked), and fold into the coefficient as a
-    factor ``L/(L-1)`` each.
+    satisfy ``<v,a> = 1`` (checked on every call), and fold into the
+    coefficient as a factor ``L/(L-1)`` each.  The decomposition and each
+    piece's Smith frame depend on the cone alone, so they are read from
+    ``cones._relint_pieces``; only the pairing of each box point with ``e``
+    and ``a`` and the bucketing by T-exponent are done per call.  The pieces
+    are the ones a fresh decomposition gives, so the result is too.
     """
     for v in cone.rays:
         if dot(v, e) == 0 and dot(v, a) != 1:
@@ -264,7 +270,7 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
                 f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
     pairs: list[tuple[Key, MClass]] = []
-    for piece in triangulate_half_open(cone, "relint"):
+    for piece in _relint_pieces(cone):
         denoms = []
         horiz = 0
         for g in piece.gens:

@@ -13,6 +13,7 @@ import random
 from logzeta.cones import (
     Cone,
     ConeComplex,
+    HalfOpenCone,
     _dd_generators,
     affine_lattice_points,
     complex_from_cones,
@@ -24,6 +25,7 @@ from logzeta.intlin import Vec, dot, is_zero_vec, rank, vec_add, vec_scale
 from logzeta.mring import MClass
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid, local_dual_points
 from logzeta.newton import NewtonInput, newton_polyhedron
+from logzeta.series import ZSeries
 from logzeta.zeta import FanModel, SncdComponent, SncdData
 
 
@@ -189,6 +191,26 @@ def count_dd_runs(monkeypatch) -> list[int]:
     return runs
 
 
+def count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Wrap the library function ``name`` with a counter in every ``logzeta``
+    module that holds it (a ``from .intlin import ...`` binds its own name):
+    the returned list gains the arguments of each call from then on."""
+    import sys
+
+    calls: list[tuple] = []
+    mods = [m for k, m in sys.modules.items() if k.startswith("logzeta.")]
+    real = next(vars(m)[name] for m in mods if name in vars(m))
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for m in mods:
+        if vars(m).get(name) is real:
+            monkeypatch.setattr(m, name, counting)
+    return calls
+
+
 def brute_complex_problems(k: ConeComplex) -> list[str]:
     """The diagnostics of ``k.validate()``, from the definition: every face of
     every cell is a cell, and every pair of cells meets in a common face."""
@@ -246,6 +268,65 @@ def witness_flags(c: Cone, region: str) -> list[tuple[bool, ...]]:
             flags.append(side < 0)
         out.append(tuple(flags))
     return out
+
+
+def fresh_box_points(h: HalfOpenCone) -> list[Vec]:
+    """The box points of ``h`` from a Smith normal form taken on this call,
+    by the divisor-box enumeration of ``cones.box_points``, with nothing
+    kept between calls."""
+    from logzeta.intlin import from_columns, smith_normal_form
+
+    k = len(h.gens)
+    if k == 0:
+        return [(0,) * h.ambient_rank]
+    s, _, v = smith_normal_form(from_columns(h.gens))
+    divisors = [s[i][i] for i in range(k)]
+    big = divisors[-1]
+    steps = [tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v]
+    points = []
+    for combo in itertools.product(*[range(d) for d in divisors]):
+        lam = []
+        for row, strict in zip(steps, h.strict):
+            x = dot(row, combo) % big
+            lam.append(big if strict and x == 0 else x)
+        points.append(tuple(dot(col, lam) // big for col in zip(*h.gens)))
+    return points
+
+
+def per_call_relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
+    """``series.relint_cone_sum`` with nothing kept between calls: a fresh
+    half-open decomposition of ``cone`` and a fresh Smith normal form per
+    piece on every call."""
+    from logzeta.cones import triangulate_half_open
+    from logzeta.mring import UNIT_SYMBOL, LaurentPoly, MCoeff
+    from logzeta.series import _canon_denoms
+
+    for v in cone.rays:
+        if dot(v, e) == 0 and dot(v, a) != 1:
+            raise ValueError(
+                f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
+            )
+    pairs = []
+    for piece in triangulate_half_open(cone, "relint"):
+        denoms = []
+        horiz = 0
+        for g in piece.gens:
+            b = dot(g, e)
+            if b == 0:
+                horiz += 1
+            else:
+                denoms.append((-dot(g, a), b))
+        key_denoms = _canon_denoms(denoms)
+        coeff = weight * MClass.l_power(horiz).mul_l1_pow(-horiz) if horiz else weight
+        numerators: dict[int, dict[int, int]] = {}
+        for u0 in fresh_box_points(piece):
+            bucket = numerators.setdefault(dot(u0, e), {})
+            lexp = -dot(u0, a)
+            bucket[lexp] = bucket.get(lexp, 0) + 1
+        for beta, bucket in numerators.items():
+            poly = MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.from_dict(bucket))})
+            pairs.append(((beta, key_denoms), coeff * poly))
+    return ZSeries._sum_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,37 @@ def test_parse_coeff_values():
     assert parse_coeff("1/(L-1)") == MCoeff.make(LaurentPoly.one(), 1)
     with pytest.raises(ValueError):
         parse_coeff("T")
+    assert parse_coeff(" 2 * L ^ 3 - 1 ") == parse_coeff("2*L^3-1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(-4, 4), st.integers(-30, 30), max_size=4),
+    st.integers(0, 3),
+)
+def test_parse_coeff_roundtrip_random(coeffs, den_pow):
+    c = MCoeff.make(LaurentPoly.from_dict(coeffs), den_pow)
+    assert parse_coeff(str(c)) == c
+
+
+@pytest.mark.parametrize(
+    "text",
+    # juxtaposed terms, a dangling "*", digits split by a space, a number
+    # written against L without "*"
+    ["LL", "2L3", "L 1", "L-1L", "2*", "L+2*", "1 2", "L^-1 2", "2L", "*L", "L^", "L+", "--1"],
+)
+def test_parse_coeff_rejects_malformed(text):
+    with pytest.raises(ValueError, match="cannot parse coefficient"):
+        parse_coeff(text)
+
+
+def test_malformed_weight_exits_1(tmp_path, capsys):
+    # "L-1L" used to read as L - L = 0, which dropped the cell and exited 0
+    doc = json.load(open(path("orthant_model.json")))
+    doc["cells"][0]["weight"] = {"Uab": "L-1L"}
+    code = main(["fan-series", write(tmp_path, "model.json", doc)])
+    assert code == 1
+    assert "cannot parse coefficient" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,35 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from logzeta.cones import cone_from_rays
+from logzeta.cones import (
+    LinealityError,
+    _relint_pieces,
+    box_points,
+    cone_from_rays,
+    star_subdivision,
+)
+from logzeta.intlin import dot, solve_integer
 from logzeta.mring import MClass
-from logzeta.monoids import MarkedMonoid, SharpFsMonoid
-from logzeta.series import ZSeries, cone_series, equal, format_poles
+from logzeta.monoids import MarkedMonoid, SharpFsMonoid, _reduce_to_span
+from logzeta.series import ZSeries, cone_series, equal, format_poles, relint_cone_sum
+from logzeta.zeta import (
+    SncdComponent,
+    SncdData,
+    fan_poincare,
+    sncd_to_fanmodel,
+    transport_subdivide,
+)
 
-from genutil import brute_cone_sum, product_monoid_with_horizontals, random_marked_monoid
+from genutil import (
+    brute_cone_sum,
+    count_calls,
+    fresh_box_points,
+    per_call_relint_cone_sum,
+    product_monoid_with_horizontals,
+    random_marked_monoid,
+)
 
 ONE = MClass.one()
 N1 = SharpFsMonoid(1, cone_from_rays(1, [(1,)]))
@@ -235,3 +256,117 @@ def test_canonical_text_form():
     assert str(s) == "[E]*L^-1*T/(1-L^-1*T)"
     s2 = ZSeries.term(ONE, 2, [(0, 1), (-2, 3)])
     assert str(s2) == "1*T^2/((1-T)*(1-L^-2*T^3))"
+
+
+# ---------------------------------------------------------------------------
+# The cone-sum kernel against a decomposition made afresh on every call.
+
+WEIGHTS = [
+    ONE,
+    MClass.symbol("W"),
+    MClass.from_int(-3).scale_l(2),
+    MClass.symbol("A").mul_l1_pow(2) + MClass.l_power(-3),
+]
+
+
+SQUARE = cone_from_rays(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+
+
+@st.composite
+def cone_sum_inputs(draw):
+    """A pointed cone of rank 1-5, spanned by nonnegative combinations of
+    ``rank - 2`` to ``rank`` independent vectors (so often lower dimensional,
+    sometimes not simplicial); ``e`` in its dual cone, zero on some rays (the
+    horizontal ones); ``a`` random or solved to pair to 1 with every
+    horizontal ray; and a weight."""
+    rank = draw(st.integers(1, 5))
+    dim = draw(st.integers(max(1, rank - 2), rank))
+    perm = draw(st.permutations(range(rank)))
+    # rows of a unit lower triangular matrix, coordinates permuted: independent
+    basis = []
+    for i in range(dim):
+        row = [draw(st.integers(-2, 2)) if j < i else int(j == i) for j in range(rank)]
+        basis.append(tuple(row[perm[j]] for j in range(rank)))
+    coeffs = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    rays = [
+        tuple(sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank))
+        for ks in draw(st.lists(coeffs, min_size=dim, max_size=dim + 4))
+    ]
+    c = cone_from_rays(rank, rays)
+    facetset = set(c.facets)
+    e = (0,) * rank
+    for u in c.facets:
+        k = draw(st.integers(-1, 1) if tuple(-x for x in u) in facetset else st.integers(0, 2))
+        e = tuple(x + k * y for x, y in zip(e, u))
+    a = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    horizontal = [r for r in c.rays if dot(r, e) == 0]
+    if horizontal and draw(st.booleans()):
+        a = solve_integer(tuple(horizontal), (1,) * len(horizontal)) or a
+    return c, e, a, draw(st.sampled_from(WEIGHTS))
+
+
+def outcome(kernel, *args):
+    try:
+        return str(kernel(*args))
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_sum_inputs())
+@example((cone_from_rays(2, [(1, 0), (0, 1)]), (1, 0), (3, 1), MClass.symbol("U")))  # horizontal
+@example((cone_from_rays(2, [(1, 0), (0, 1)]), (1, 0), (3, 2), ONE))  # bad horizontal
+@example((SQUARE, (0, 0, 1), (1, 1, 1), ONE))  # not simplicial
+@example((cone_from_rays(3, [(1, 2, 0), (2, 1, 0)]), (1, 1, 5), (0, 1, -1), WEIGHTS[3]))  # flat
+def test_relint_cone_sum_matches_per_call_kernel(args):
+    expected = outcome(per_call_relint_cone_sum, *args)
+    assert outcome(relint_cone_sum, *args) == expected
+    assert outcome(relint_cone_sum, *args) == expected  # read from the table
+    cone = args[0]
+    if cone.is_strictly_convex():
+        for piece in _relint_pieces(cone):
+            assert box_points(piece) == fresh_box_points(piece)
+
+
+def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
+    runs = count_calls(monkeypatch, "triangulate_half_open")
+    orthant = cone_from_rays(2, [(1, 0), (0, 1)])
+    halfplane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="horizontal ray"):
+            relint_cone_sum(orthant, (1, 0), (0, 2), ONE)
+        with pytest.raises(LinealityError):
+            relint_cone_sum(halfplane, (1, 1), (0, 0), ONE)
+    assert len(runs) == 2  # the line is found afresh each time; nothing is kept
+
+
+def test_cone_sums_reuse_each_cone(monkeypatch):
+    _relint_pieces.cache_clear()
+    _reduce_to_span.cache_clear()
+    snf = count_calls(monkeypatch, "smith_normal_form")
+    runs = count_calls(monkeypatch, "triangulate_half_open")
+
+    def reduced(model):
+        return {
+            _reduce_to_span(cell)[0]
+            for cell in model.complex.cells
+            if not model.weight(cell).is_zero() and not model.e_identically_zero(cell)
+        }
+
+    # an orthant model: e is positive on every ray, so no cell is generic
+    # and validation takes no Smith normal form
+    comps = (SncdComponent("a", 1, 0), SncdComponent("b", 2, -1), SncdComponent("c", 3, 2))
+    strata = [(frozenset(j), "E" + "".join(sorted(j))) for j in ("a", "b", "c", "ab", "bc", "abc")]
+    model = sncd_to_fanmodel(SncdData(0, comps, tuple(strata)))
+    first = fan_poincare(model, 1)
+    assert len(runs) == len(reduced(model)) and snf
+    del runs[:], snf[:]
+    assert str(fan_poincare(model, 1)) == str(first)
+    assert (runs, snf) == ([], [])
+
+    star = transport_subdivide(model, star_subdivision(model.complex, (1, 2, 1)))
+    new = reduced(star) - reduced(model)
+    assert new and new != reduced(star)
+    del runs[:]
+    fan_poincare(star, 1)
+    assert sorted(runs, key=str) == sorted(((c, "relint") for c in new), key=str)

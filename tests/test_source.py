@@ -35,3 +35,73 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+# Unbounded caches that stay, with the reason each may grow without a bound.
+UNBOUNDED_CACHES = {
+    # a 512-entry cap thrashes: resolving a 1340-cell complex had not
+    # finished after 45 s, since every subdivision asks for the faces of
+    # every cell again
+    ("cones.py", "faces"),
+    # call-local: the smoothness verdicts of one resolve_complex run, freed
+    # when it returns
+    ("cones.py", "resolve_complex"),
+}
+
+
+def _unbounded_caches(path):
+    """(file, function) for each ``lru_cache`` or ``functools.cache`` in
+    ``path`` without a finite maxsize, named by the function it decorates or
+    the innermost function whose body makes it (``<module>`` outside any)."""
+    tree = ast.parse(path.read_text())
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def name_of(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def unbounded(node):
+        """Whether ``node``, a decorator or a callee's call, makes an
+        unbounded cache; a bare ``lru_cache`` keeps 128 entries."""
+        if "cache" in (name_of(node), name_of(getattr(node, "func", None))):
+            return True
+        if not isinstance(node, ast.Call) or name_of(node.func) != "lru_cache":
+            return False
+        sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+        if not sizes:
+            return False
+        size = sizes[0]
+        if isinstance(size, ast.Name):
+            value = constants.get(size.id)
+        else:
+            value = getattr(size, "value", None)
+        return not isinstance(value, int) or isinstance(value, bool)
+
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(unbounded(d) for d in node.decorator_list):
+                found.add((path.name, node.name))
+            for child in node.body:
+                visit(child, node.name)
+            return
+        if isinstance(node, ast.Call) and unbounded(node):
+            found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_caches_are_bounded():
+    # a cache that grows with the work done makes memory grow with it;
+    # every bound is a module constant or a literal
+    found = set().union(*(_unbounded_caches(p) for p in sorted(SRC.glob("*.py"))))
+    assert found == UNBOUNDED_CACHES

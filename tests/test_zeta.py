@@ -406,3 +406,19 @@ def test_cell_in_span_matches_cone_from_rays():
             reduced, _, _ = _cell_in_span(model, cell)
             span, proj, _ = span_lattice(cell.rays, model.complex.ambient_rank)
             assert reduced == cone_from_rays(len(span), [mat_vec(proj, r) for r in cell.rays]), cell
+
+
+def test_reduce_to_span_hit_is_equal_and_immutable():
+    from logzeta.monoids import _reduce_to_span
+
+    _reduce_to_span.cache_clear()
+    for model in _models_with_odd_cells():
+        for cell in model.complex.cells:
+            first = _reduce_to_span(cell)
+            hits = _reduce_to_span.cache_info().hits
+            again = _reduce_to_span(cone_from_rays(cell.ambient_rank, cell.rays))  # an equal key
+            assert _reduce_to_span.cache_info().hits == hits + 1
+            assert again == first == _reduce_to_span.__wrapped__(cell)
+            # tuples and frozen cones throughout, so a caller cannot change a kept value
+            assert isinstance(again, tuple) and all(isinstance(part, tuple) for part in again[1:])
+            hash(again)
