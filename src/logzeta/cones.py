@@ -25,6 +25,17 @@ alone, so a bounded table keeps them per cone (:func:`_relint_pieces`), and
 each piece keeps the Smith frame its box points are enumerated from, never
 the points themselves.  Intended scale is small ambient rank and a few
 dozen rays.
+
+A star subdivision of a valid complex is a valid complex refining it with
+the same support, so :func:`star_subdivision`, and through it
+:func:`resolve_complex`, certifies what it builds from a valid complex: the
+result's verdict is set clean, and it holds its root complex (the first
+uncertified one of the chain) and the carrier of each of its cells there.
+:func:`_carriers`, behind :func:`check_subdivision` and
+``transport_subdivide``, reads those carriers only when asked about that
+very root object; a complex built any other way, or an equal copy, is
+checked in full.  The carriers read are the cells the full scan returns,
+so no printed output depends on which path ran.
 """
 
 from __future__ import annotations
@@ -301,6 +312,11 @@ class ConeComplex:
     ambient_rank: int
     cells: tuple[Cone, ...]
 
+    # Set by star_subdivision on the refinements it builds of a valid
+    # complex: (root, carriers), the carrier of each cell in the root
+    # complex, in cell order.  Not a field, so not part of == or hash.
+    _certificate = None
+
     def maximal_cells(self) -> tuple[Cone, ...]:
         """Cells contained in no other cell, in cell order."""
         return self._maximal_cells
@@ -393,21 +409,41 @@ def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
     Raises :class:`LinealityError` when ``rho`` lies in the lineality space of
     a cell: every face of that cell contains ``rho``, so nothing would
     replace it.
+
+    When ``k`` is a valid complex, so is the result, refining ``k`` with the
+    same support (Cox, Little & Schenck, *Toric Varieties*, §11.1): its
+    verdict is set clean and it is certified with the carrier of each cell
+    in the root complex, ``k`` or the root of ``k``'s own certificate.  A
+    cell that misses ``rho`` is its own carrier.  A new cell ``g + rho`` is
+    carried by the first cell of ``k`` it is built in: in a valid complex
+    every cell containing it holds ``rho`` and has ``g`` as a face, so it
+    builds ``g + rho`` too.  The cells are closed under faces already: a
+    face of ``g + rho`` is a face ``g'`` of ``g``, or ``g' + rho``, since
+    ``rho`` lies outside the span of the face ``g`` of a cell holding it.
     """
     rho = primitive(rho)
     if k.support_cell(rho) is None:
         raise ValueError("subdivision point outside the support")
-    new_cells: set[Cone] = set()
+    built_in: dict[Cone, Cone] = {}  # each new cell -> the first old cell it is built in
     for c in k.cells:
         if not c.contains(rho):
-            new_cells.add(c)
+            built_in[c] = c
             continue
         if c.contains(vec_scale(-1, rho)):
             raise LinealityError("subdivision point in the lineality space of a cell")
         for g in faces(c):
             if not g.contains(rho):
-                new_cells.add(cone_from_rays(k.ambient_rank, list(g.rays) + [rho]))
-    return complex_from_cones(k.ambient_rank, list(new_cells), validate=False)
+                built_in.setdefault(cone_from_rays(k.ambient_rank, list(g.rays) + [rho]), c)
+    if k._problems:
+        return complex_from_cones(k.ambient_rank, list(built_in), validate=False)
+    kp = ConeComplex(k.ambient_rank, tuple(sorted(built_in, key=Cone._key)))
+    root, carriers = k, tuple(built_in[c] for c in kp.cells)
+    if k._certificate is not None:
+        root, through = k._certificate
+        up = dict(zip(k.cells, through))
+        carriers = tuple(up[c] for c in carriers)
+    vars(kp).update(_problems=(), _certificate=(root, carriers))
+    return kp
 
 
 def _interior_dual(c: Cone) -> Vec:
@@ -443,9 +479,17 @@ def check_subdivision(kp: ConeComplex, k: ConeComplex) -> bool:
 def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
     """The carrier of each cell of ``kp`` in cell order, the smallest cell of
     ``k`` containing it, when ``kp`` refines ``k`` with identical support;
-    None otherwise."""
+    None otherwise.
+
+    A refinement :func:`star_subdivision` built from ``k`` itself (by
+    identity) reads its certificate, and a valid ``k`` carries itself; any
+    other pair, an equal copy too, takes the scan and the volume test."""
     if kp.ambient_rank != k.ambient_rank:
         raise ValueError("dimension mismatch")
+    if kp._certificate is not None and kp._certificate[0] is k:
+        return list(kp._certificate[1])
+    if kp is k and not k._problems:
+        return list(k.cells)
     carriers = [k.smallest_containing(c) for c in kp.cells]
     if None in carriers:
         return None

@@ -148,13 +148,13 @@ class MCoeff:
 
     @staticmethod
     def make(num: LaurentPoly, den_pow: int = 0) -> "MCoeff":
+        """Normalize ``num / (L-1)^den_pow``.  ``(L-1)`` divides ``num``
+        exactly when ``num(1)``, the sum of its coefficients, is zero, so
+        that is tested before each division."""
         if den_pow < 0:
             raise ValueError("denominator power must be nonnegative")
-        while den_pow > 0 and not num.is_zero():
-            q, r = num.divmod_l_minus_1()
-            if not r.is_zero():
-                break
-            num = q
+        while den_pow > 0 and num.coeffs and sum(c for _, c in num.coeffs) == 0:
+            num, _ = num.divmod_l_minus_1()
             den_pow -= 1
         if num.is_zero():
             den_pow = 0
@@ -181,6 +181,11 @@ class MCoeff:
         return MCoeff(-self.num, self.den_pow)
 
     def __mul__(self, other: "MCoeff") -> "MCoeff":
+        # L-1 is prime, so it divides no product of two numerators it does
+        # not divide, and a denominator-free product needs no normalizing.
+        # A numerator without a denominator may be divisible, though.
+        if (self.den_pow > 0) == (other.den_pow > 0):
+            return MCoeff(self.num * other.num, self.den_pow + other.den_pow)
         return MCoeff.make(self.num * other.num, self.den_pow + other.den_pow)
 
     def mul_l1_pow(self, e: int) -> "MCoeff":

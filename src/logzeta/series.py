@@ -122,6 +122,8 @@ class ZSeries:
 
     def expand(self, degree: int) -> list[MClass]:
         """Coefficients of T^1 ... T^degree of the power-series expansion."""
+        if degree < 0:
+            raise ValueError(f"expansion degree must be nonnegative, not {degree}")
 
         def parts():  # lazily, so that merge holds one term's expansion at a time
             for (beta, ds), c in self.terms.items():

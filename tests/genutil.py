@@ -227,6 +227,12 @@ def brute_complex_problems(k: ConeComplex) -> list[str]:
     return problems
 
 
+def uncertified(k: ConeComplex) -> ConeComplex:
+    """An equal copy of ``k`` with no verdict or carriers handed down by
+    ``star_subdivision``: checks on it run the general path."""
+    return ConeComplex(k.ambient_rank, k.cells)
+
+
 def brute_incidence(k: ConeComplex) -> tuple[list[Cone], dict[Cone, list[Cone]]]:
     """The maximal cells of ``k`` and, for each cell, the maximal cells
     containing it, both in cell order, from the facet inequalities: ``c``

@@ -61,6 +61,7 @@ from genutil import (
     random_marked_monoid,
     random_sncd,
     random_support,
+    uncertified,
 )
 
 
@@ -253,7 +254,7 @@ def test_criterion_8_polyhedral_kernel():
         k = complex_from_cones(rank, [random_cone(rng, rank, 4)])
         r = resolve_complex(k)
         assert all(cell.is_smooth() for cell in r.cells)
-        assert check_subdivision(r, k)
+        assert check_subdivision(uncertified(r), k)
         resolved += 1
     # half-open coverage with multiplicity one on bounded slices
     for _ in range(10):

@@ -176,6 +176,15 @@ def test_expand(capsys):
     assert out.splitlines() == ["T^1: [E]*L^-1", "T^2: [E]*L^-2", "T^3: [E]*L^-3"]
 
 
+def test_negative_expansion_degree_exits_1(capsys):
+    for json_flag in ((), ("--json",)):
+        code = main(["expand", path("single_component.json"), "--degree", "-1", *json_flag])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: expansion degree must be nonnegative, not -1\n"
+    assert run(capsys, "expand", path("single_component.json"), "--degree", "0") == (0, "")
+
+
 def test_probe(capsys):
     code, out = run(capsys, "probe-nondegenerate", path("cusp_newton.json"), "--prime", "7")
     assert code == 0

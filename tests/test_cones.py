@@ -1,11 +1,15 @@
 import collections
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import logzeta.cones
 from logzeta.cones import (
+    _carriers,
     _triangulate,
     Cone,
     ConeComplex,
@@ -33,6 +37,7 @@ from logzeta.intlin import (
     solve_integer,
     solve_rational,
     vec_add,
+    vec_scale,
 )
 
 from genutil import (
@@ -43,6 +48,7 @@ from genutil import (
     count_dd_runs,
     random_cone,
     two_dd_cone,
+    uncertified,
     witness_flags,
 )
 
@@ -297,7 +303,7 @@ def test_star_subdivision_orthant():
     assert k2.maximal_cells() is k2.maximal_cells()
     assert isinstance(k2.maximal_cells(), tuple)
     assert all(c.is_smooth() for c in k2.cells)
-    assert check_subdivision(k2, k)
+    assert check_subdivision(uncertified(k2), k)
 
 
 def test_star_subdivision_at_existing_ray_is_identity():
@@ -329,6 +335,11 @@ def test_check_subdivision_reflexive_and_negative():
     # refinement with a missing piece is not a subdivision
     half = complex_from_cones(2, [cone_from_rays(2, [(1, 0), (1, 1)])])
     assert not check_subdivision(half, k)
+    # a complex that is not valid does not carry itself: the orthant comes
+    # first and also holds the inner cone, which the volume test counts twice
+    inner = cone_from_rays(2, [(1, 1), (1, 2)])
+    bad = complex_from_cones(2, [ORTHANT2, inner], validate=False)
+    assert not check_subdivision(bad, bad)
 
 
 def test_resolve_smooth_complex_untouched():
@@ -340,7 +351,7 @@ def test_resolve_wedge():
     k = complex_from_cones(2, [WEDGE])
     r = resolve_complex(k)
     assert all(c.is_smooth() for c in r.cells)
-    assert check_subdivision(r, k)
+    assert check_subdivision(uncertified(r), k)
     assert cone_from_rays(2, [(1, 1)]) in r.cells
 
 
@@ -348,7 +359,7 @@ def test_resolve_square_cone():
     k = complex_from_cones(3, [SQUARE])
     r = resolve_complex(k)
     assert all(c.is_smooth() for c in r.cells)
-    assert check_subdivision(r, k)
+    assert check_subdivision(uncertified(r), k)
 
 
 def test_resolve_random_complexes():
@@ -359,8 +370,8 @@ def test_resolve_random_complexes():
         k = complex_from_cones(rank, [c])
         r = resolve_complex(k)
         assert all(cell.is_smooth() for cell in r.cells)
-        assert check_subdivision(r, k)
-        assert r.validate() == []
+        assert check_subdivision(uncertified(r), k)
+        assert uncertified(r).validate() == []
 
 
 def test_resolve_tests_each_cell_once(monkeypatch):
@@ -582,6 +593,16 @@ def test_complex_validation_catches_cell_inside_maximal_cell():
     assert brute_complex_problems(k) == expected
 
 
+def random_subdivided_cone(rng: random.Random, rank: int) -> ConeComplex:
+    """A random cone star-subdivided up to twice, without a certificate."""
+    k = complex_from_cones(rank, [random_cone(rng, rank, max_entry=3)])
+    for _ in range(rng.randint(0, 2)):
+        v = tuple(rng.randint(0, 3) for _ in range(rank))
+        if not is_zero_vec(v) and k.support_cell(v) is not None:
+            k = star_subdivision(k, v)
+    return uncertified(k)
+
+
 def random_complex(rng: random.Random) -> ConeComplex:
     """A rank-2 or rank-3 complex of one of four kinds, by draw: a subdivided
     cone (valid), random overlapping cones, a subdivided cone with one
@@ -591,11 +612,7 @@ def random_complex(rng: random.Random) -> ConeComplex:
     if kind == 1:
         cones = [random_cone(rng, rank, max_entry=3) for _ in range(rng.randint(2, 3))]
         return complex_from_cones(rank, cones, validate=False)
-    k = complex_from_cones(rank, [random_cone(rng, rank, max_entry=3)])
-    for _ in range(rng.randint(0, 2)):
-        v = tuple(rng.randint(0, 3) for _ in range(rank))
-        if not is_zero_vec(v) and k.support_cell(v) is not None:
-            k = star_subdivision(k, v)
+    k = random_subdivided_cone(rng, rank)
     if kind == 2:
         maximal = k.maximal_cells()
         dropped = rng.choice([c for c in k.cells if c not in maximal])
@@ -614,6 +631,59 @@ def random_complex(rng: random.Random) -> ConeComplex:
 def test_complex_validation_matches_definition(seed):
     k = random_complex(random.Random(seed))
     assert k.validate() == brute_complex_problems(k)
+
+
+def point_in_support(rng: random.Random, k: ConeComplex):
+    """A nonzero lattice point of a random maximal cell of ``k``."""
+    rays = rng.choice(k.maximal_cells()).rays
+    while True:
+        v = tuple(sum(xs) for xs in zip(*(vec_scale(rng.randint(0, 2), r) for r in rays)))
+        if not is_zero_vec(v):
+            return v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+@example(0)
+def test_subdivision_certificate_matches_general_path(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        k = random_complex(rng)  # of any kind, valid or not
+    else:
+        k = random_subdivided_cone(rng, rng.randint(2, 3))
+    valid = brute_complex_problems(k) == []
+    kp = k
+    for _ in range(rng.randint(1, 3)):
+        kp = star_subdivision(kp, point_in_support(rng, kp))
+        if not valid:
+            # no verdict is handed down from a complex that is not one
+            assert kp._certificate is None
+            assert kp.validate() == brute_complex_problems(kp)
+            return
+        root, carriers = kp._certificate
+        assert root is k
+        assert list(carriers) == _carriers(uncertified(kp), k)
+        assert kp.validate() == brute_complex_problems(kp) == []
+    # a resolution keeps the root and lets its intermediate complexes go
+    made = []
+    real = star_subdivision
+
+    def recording(k, rho):
+        out = real(k, rho)
+        made.append(weakref.ref(out))
+        return out
+
+    logzeta.cones.star_subdivision = recording
+    try:
+        r = resolve_complex(kp)
+    finally:
+        logzeta.cones.star_subdivision = real
+    gc.collect()
+    assert [w for w in made if w() is not None and w() is not r] == []
+    root, carriers = r._certificate
+    assert root is k
+    assert list(carriers) == _carriers(uncertified(r), k)
+    assert uncertified(r).validate() == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -85,6 +85,35 @@ def over_l1_powers(p: LaurentPoly, j: int, d: int) -> MCoeff:
 unnormalized = st.builds(over_l1_powers, polys, st.integers(0, 3), st.integers(0, 3))
 
 
+def trial_division(num: LaurentPoly, den_pow: int) -> MCoeff:
+    """The normal form of ``num / (L-1)^den_pow`` by dividing as long as the
+    remainder is zero, with neither shortcut of ``MCoeff``."""
+    while den_pow > 0 and not num.is_zero():
+        q, r = num.divmod_l_minus_1()
+        if not r.is_zero():
+            break
+        num, den_pow = q, den_pow - 1
+    return MCoeff(num, den_pow if not num.is_zero() else 0)
+
+
+@settings(max_examples=200)
+@given(polys, st.integers(0, 3), st.integers(0, 4))
+def test_make_tests_p1_like_trial_division(p, j, d):
+    for _ in range(j):
+        p = p * L_MINUS_1
+    assert MCoeff.make(p, d) == trial_division(p, d)
+
+
+@settings(max_examples=200)
+@given(unnormalized, unnormalized)
+@example(  # L/(L-1) times L-1: only one factor has a denominator
+    over_l1_powers(LaurentPoly.monomial(1), 0, 1), over_l1_powers(LaurentPoly.one(), 1, 0)
+)
+@example(over_l1_powers(LaurentPoly.one(), 0, 2), over_l1_powers(LaurentPoly.monomial(-1, 3), 0, 1))
+def test_product_skips_make_like_trial_division(x, y):
+    assert x * y == trial_division(x.num * y.num, x.den_pow + y.den_pow)
+
+
 @settings(max_examples=150)
 @given(st.dictionaries(symbols, unnormalized, max_size=3).map(MClass), st.integers(-4, 4))
 @example(

@@ -70,6 +70,9 @@ def test_expand():
     assert s.expand(5) == [ONE] * 5
     s2 = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])
     assert s2.expand(4) == [MClass.l_power(-d) for d in range(1, 5)]
+    assert s.expand(0) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.expand(-1)
 
 
 def test_expand_commutes_with_subst():

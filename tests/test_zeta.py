@@ -22,7 +22,7 @@ from logzeta.zeta import (
     validate_model,
 )
 
-from genutil import brute_fan_sum, random_fan_model, random_sncd
+from genutil import brute_fan_sum, count_calls, random_fan_model, random_sncd, uncertified
 
 ORTHANT3 = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 SINGLE = SncdData(1, (SncdComponent("E", 1, mu=0, nu=1),), ((frozenset({"E"}), "E"),))
@@ -250,7 +250,7 @@ def test_transported_model_is_still_model_checked():
     model = FanModel(k, {ORTHANT3: (1, 0, 0)}, {ORTHANT3: (1, 1, 1)}, {ORTHANT3: weight})
     assert validate_model(model) == []
     moved = transport_subdivide(model, star_subdivision(k, (0, 1, 2)))
-    assert moved.complex.validate() == []
+    assert uncertified(moved.complex).validate() == []
     generic, horizontal = validate_model(moved)
     assert "(0, 1, 0), (0, 1, 2)" in generic and "generic part" in generic
     assert "horizontal-divisor" in horizontal and "a-value 3" in horizontal
@@ -263,6 +263,32 @@ def test_transport_requires_subdivision():
     other = complex_from_cones(2, [cone_from_rays(2, [(1, 0), (1, 1)])])
     with pytest.raises(ValueError):
         transport_subdivide(model, other)
+
+
+def test_transport_reads_the_certificate_only_by_identity(monkeypatch):
+    rng = random.Random(14)
+    volume_sums = count_calls(monkeypatch, "_volume_sum")
+    for _ in range(8):
+        model = random_fan_model(rng, rng.randint(2, 3))
+        model = dataclasses.replace(model, complex=uncertified(model.complex))
+        n = model.complex.ambient_rank
+        v = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)
+        for kp in (star_subdivision(model.complex, v), resolve_complex(model.complex)):
+            before = len(volume_sums)
+            moved = transport_subdivide(model, kp)
+            assert len(volume_sums) == before
+            # an equal copy, or a refinement of one, takes the general path
+            for other in (uncertified(kp), star_subdivision(uncertified(model.complex), v)):
+                before = len(volume_sums)
+                transport_subdivide(model, other)
+                assert len(volume_sums) > before
+            assert transport_subdivide(model, uncertified(kp)) == moved
+        # a certified refinement of a smaller cone is not a subdivision
+        units = [tuple(int(i == j) for j in range(n)) for i in range(1, n)]
+        corner = cone_from_rays(n, [(1,) * n] + units)
+        smaller = star_subdivision(complex_from_cones(n, [corner]), (1,) * n)
+        with pytest.raises(ValueError):
+            transport_subdivide(model, smaller)
 
 
 def test_random_model_invariance():
@@ -315,7 +341,9 @@ def test_transport_copies_weight_of_relint_cell(seed, resolve):
 def test_complex_verdict_computed_once(monkeypatch):
     import logzeta.cones
 
-    k = star_subdivision(star_subdivision(complex_from_cones(3, [ORTHANT3]), (1, 1, 0)), (1, 1, 1))
+    k = uncertified(
+        star_subdivision(star_subdivision(complex_from_cones(3, [ORTHANT3]), (1, 1, 0)), (1, 1, 1))
+    )
     maximal = k.maximal_cells()
     e_vec, a_vec = (1, 2, 3), (0, 1, -1)
     model = FanModel(
