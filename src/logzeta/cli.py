@@ -201,7 +201,7 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
             w = parse_mclass(_object(cell_data.get("weight", {}), "cell weight"))
             if not w.is_zero():
                 weights[cell] = w
-        complex_ = complex_from_cones(rank, list(listed), validate=False)
+        complex_ = complex_from_cones(rank, list(listed))
         maximal = complex_.maximal_cells()
         maximal_set = set(maximal)
         ordered = [c for c in listed if c in maximal_set] + [

@@ -17,14 +17,17 @@ is tight on every facet it is tight on.  That rests on two facts: a face is
 generated by the generators it contains, so a cone with lines has an input
 ray that lies on every facet; and the facets tight at a point cut out the
 smallest face containing it.  Only a cone with lines takes a second run,
-since its line basis is not fixed by the input.  Faces and the pulling
-triangulation are read off the ray/facet incidence as bitmasks
-(:func:`_face_lattice`); only :func:`faces` turns masks back into cones.
+since its line basis is not fixed by the input.  :func:`cone_from_facets`
+is the dual of :func:`cone_from_rays` on the normals.  Faces and the
+pulling triangulation are read off the ray/facet incidence as bitmasks
+(:func:`_face_lattice`); only :func:`faces` turns masks back into cones.  A
+:class:`ConeComplex` sorts its cells when built, so its first-hit scans
+find smallest cells however the cells were given.
 The half-open pieces of a cone's relative interior depend on the cone
 alone, so a bounded table keeps them per cone (:func:`_relint_pieces`), and
-each piece keeps the Smith frame its box points are enumerated from, never
-the points themselves.  Intended scale is small ambient rank and a few
-dozen rays.
+each piece takes the Smith form its box points are enumerated from once,
+when built, never keeping the points themselves.  Intended scale is small
+ambient rank and a few dozen rays.
 
 A star subdivision of a valid complex is a valid complex refining it with
 the same support, so :func:`star_subdivision`, and through it
@@ -57,7 +60,6 @@ from .intlin import (
     from_columns,
     is_zero_vec,
     mat_vec,
-    rank as mat_rank,
     smith_normal_form,
     solve_rational,
     span_lattice,
@@ -237,9 +239,9 @@ def cone_from_rays(ambient_rank: int, rays: Sequence[Vec]) -> Cone:
 
 def cone_from_facets(ambient_rank: int, facets: Sequence[Vec]) -> Cone:
     """Canonical cone cut out by the inward normals ``facets`` (possibly
-    redundant): its rays, then the irredundant facets of those rays."""
-    rays = _dd_generators(ambient_rank, list(facets))
-    return Cone(ambient_rank, rays, _dd_generators(ambient_rank, rays))
+    redundant): the dual of the cone they generate (Fukuda & Prodon, "Double
+    description method revisited", 1996)."""
+    return dual_cone(cone_from_rays(ambient_rank, facets))
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -304,13 +306,19 @@ def is_face_of(f: Cone, c: Cone) -> bool:
 class ConeComplex:
     """Finite collection of cones closed under taking faces.
 
-    ``cells`` is sorted by :meth:`Cone._key`, dimension first, as
-    :func:`complex_from_cones` builds it, so the first cell in order that
-    contains a vector or a cone is a smallest one.
+    The constructor sorts ``cells`` by :meth:`Cone._key`, dimension first,
+    so the first cell in order that contains a vector or a cone is a
+    smallest one, however the cells were given.  It rejects a cell of
+    another ambient rank; the complex axioms are :meth:`validate`'s verdict.
     """
 
     ambient_rank: int
     cells: tuple[Cone, ...]
+
+    def __post_init__(self):
+        if any(c.ambient_rank != self.ambient_rank for c in self.cells):
+            raise ValueError("dimension mismatch")
+        object.__setattr__(self, "cells", tuple(sorted(self.cells, key=Cone._key)))
 
     # Set by star_subdivision on the refinements it builds of a valid
     # complex: (root, carriers), the carrier of each cell in the root
@@ -387,20 +395,10 @@ def _meet_in_common_face(c1: Cone, c2: Cone) -> bool:
     return is_face_of(inter, c1) and is_face_of(inter, c2)
 
 
-def complex_from_cones(
-    ambient_rank: int, cones: Sequence[Cone], validate: bool = True
-) -> ConeComplex:
-    cells: set[Cone] = set()
-    for c in cones:
-        if c.ambient_rank != ambient_rank:
-            raise ValueError("dimension mismatch")
-        cells.update(faces(c))
-    complex_ = ConeComplex(ambient_rank, tuple(sorted(cells, key=Cone._key)))
-    if validate:
-        problems = complex_.validate()
-        if problems:
-            raise ValueError("not a cone complex: " + "; ".join(problems[:3]))
-    return complex_
+def complex_from_cones(ambient_rank: int, cones: Sequence[Cone]) -> ConeComplex:
+    """The cones and all their faces, as cells; whether they make up a
+    complex is :meth:`ConeComplex.validate`'s verdict."""
+    return ConeComplex(ambient_rank, tuple({f for c in cones for f in faces(c)}))
 
 
 def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
@@ -435,8 +433,8 @@ def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
             if not g.contains(rho):
                 built_in.setdefault(cone_from_rays(k.ambient_rank, list(g.rays) + [rho]), c)
     if k._problems:
-        return complex_from_cones(k.ambient_rank, list(built_in), validate=False)
-    kp = ConeComplex(k.ambient_rank, tuple(sorted(built_in, key=Cone._key)))
+        return complex_from_cones(k.ambient_rank, list(built_in))
+    kp = ConeComplex(k.ambient_rank, tuple(built_in))
     root, carriers = k, tuple(built_in[c] for c in kp.cells)
     if k._certificate is not None:
         root, through = k._certificate
@@ -599,6 +597,11 @@ class HalfOpenCone:
     The lattice point set is ``{u0 + sum_j k_j g_j : k_j >= 0}`` where ``u0``
     runs over the fundamental parallelepiped with coordinate ``j`` ranging in
     ``(0, 1]`` when ``strict[j]`` and in ``[0, 1)`` otherwise.
+
+    The constructor's one Smith normal form of the generators decides their
+    independence (as many nonzero divisors as generators) and is kept as the
+    frame :func:`box_points` enumerates: the divisors ``d_j`` and the step
+    rows ``V @ diag(D/d_j)``, ``D`` the last divisor.
     """
 
     ambient_rank: int
@@ -608,8 +611,15 @@ class HalfOpenCone:
     def __post_init__(self):
         if len(self.gens) != len(self.strict):
             raise ValueError("one openness flag per generator required")
-        if self.gens and mat_rank(tuple(self.gens)) != len(self.gens):
+        if not self.gens:
+            return
+        s, _, v = smith_normal_form(from_columns(self.gens))
+        divisors = tuple(row[i] for i, row in enumerate(s[: len(self.gens)]))
+        if len(divisors) < len(self.gens) or 0 in divisors:
             raise ValueError("generators must be linearly independent")
+        big = divisors[-1]
+        steps = tuple(tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v)
+        object.__setattr__(self, "_frame", (divisors, steps))
 
     def contains_lattice_point(self, v: Vec) -> bool:
         if not self.gens:
@@ -621,18 +631,6 @@ class HalfOpenCone:
             lam > 0 if strict else lam >= 0
             for lam, strict in zip(coords, self.strict)
         )
-
-    @cached_property
-    def _frame(self) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
-        """The Smith frame :func:`box_points` enumerates: the elementary
-        divisors ``d_j`` of the generators and the step rows ``V @
-        diag(D/d_j)``, ``D`` the last divisor.  It is worked out once per
-        piece and holds ``k + k*k`` integers, however many box points the
-        piece has."""
-        s, _, v = smith_normal_form(from_columns(self.gens))
-        divisors = tuple(s[i][i] for i in range(len(self.gens)))
-        big = divisors[-1]
-        return divisors, tuple(tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v)
 
 
 def triangulate_half_open(
@@ -682,8 +680,8 @@ _PIECE_TABLE_SIZE = 256
 @lru_cache(maxsize=_PIECE_TABLE_SIZE)
 def _relint_pieces(c: Cone) -> tuple[HalfOpenCone, ...]:
     """``triangulate_half_open(c, "relint")``, kept per cone, so each piece's
-    elimination, rank check and Smith frame are worked out once however
-    often ``c`` is summed over.  An exception is raised again on every call,
+    elimination and Smith frame are worked out once however often ``c`` is
+    summed over.  An exception is raised again on every call,
     since ``lru_cache`` keeps only returned values."""
     return tuple(triangulate_half_open(c, "relint"))
 
@@ -770,8 +768,8 @@ def box_points(h: HalfOpenCone) -> list[Vec]:
     so the divisor-box vector ``c`` gives the point with parallelepiped
     coordinates ``((V @ diag(D/d_j) @ c) mod D) / D``, where a strict
     generator takes residue ``D`` in place of 0.  The divisors and the step
-    rows ``V @ diag(D/d_j)`` are the piece's frame, worked out on the first
-    call for ``h`` and read on every later one.
+    rows ``V @ diag(D/d_j)`` are the piece's frame, worked out when ``h``
+    is built.
     """
     if not h.gens:
         return [zero_vec(h.ambient_rank)]

@@ -256,11 +256,17 @@ def base_change(mm: MarkedMonoid, d: int) -> MarkedMonoid:
     generator integral), reducing to a Hermite basis and renormalizing; the
     cone is unchanged up to the recorded change of basis.
     """
+    return _base_change_with_basis(mm, d)[0]
+
+
+def _base_change_with_basis(mm: MarkedMonoid, d: int) -> tuple[MarkedMonoid, Mat]:
+    """:func:`base_change` of ``mm`` and the basis of its lattice, as
+    columns in the rescaled coordinates."""
     if d <= 0:
         raise ValueError("degree must be positive")
-    if d == 1:
-        return mm
     r = mm.base.rank
+    if d == 1:
+        return mm, identity(r)
     cols = [vec_scale(d, col) for col in transpose(identity(r))] + [mm.e_pi]
     h, _ = hermite_normal_form(from_columns(cols))
     basis = [col for col in transpose(h) if not is_zero_vec(col)]
@@ -273,7 +279,7 @@ def base_change(mm: MarkedMonoid, d: int) -> MarkedMonoid:
     if new_e is None or new_a is None:
         raise RuntimeError("marking outside the base-changed lattice")
     embed = mat_mul(mm.base.lattice, bmat)
-    return MarkedMonoid(SharpFsMonoid(r, newcone, embed), new_e, new_a)
+    return MarkedMonoid(SharpFsMonoid(r, newcone, embed), new_e, new_a), bmat
 
 
 def _monoid_points(m: SharpFsMonoid, height: int) -> list[Vec]:
@@ -293,12 +299,7 @@ def max_ideal_generated_by_base(mm: MarkedMonoid, d: int, height: int = 8) -> bo
     functional) and asks for a decomposition (image of old nonzero point) +
     (new monoid point).  Exact on the scanned region.
     """
-    changed = base_change(mm, d)
-    r = mm.base.rank
-    cols = [vec_scale(d, col) for col in transpose(identity(r))] + [mm.e_pi]
-    h, _ = hermite_normal_form(from_columns(cols))
-    basis = [col for col in transpose(h) if not is_zero_vec(col)]
-    bmat = from_columns(basis)
+    changed, bmat = _base_change_with_basis(mm, d)
     old_in_new = []
     for p in _monoid_points(mm.base, height * max(1, d)):
         if is_zero_vec(p):

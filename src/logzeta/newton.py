@@ -232,7 +232,7 @@ def newton_to_fanmodel(inp: NewtonInput) -> FanModel:
         cells[flat] = MClass.symbol(f"X_tau(1)@{rec.face_id}")
         cells[prism] = MClass.symbol(f"X_tau(0)@{rec.face_id}")
         vertical[prism] = rec
-    complex_ = complex_from_cones(n + 1, list(cells.keys()), validate=False)
+    complex_ = complex_from_cones(n + 1, list(cells.keys()))
     e_vecs: dict[Cone, Vec] = {}
     a_vecs: dict[Cone, Vec] = {}
     ones = (1,) * n

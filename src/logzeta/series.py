@@ -265,13 +265,14 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
     ``cones._relint_pieces``; only the pairing of each box point with ``e``
     and ``a`` and the bucketing by T-exponent are done per call.  The pieces
     are the ones a fresh decomposition gives, so the result is too.
+    ``weight`` multiplies the merged unit-weight series once per term.
     """
     for v in cone.rays:
         if dot(v, e) == 0 and dot(v, a) != 1:
             raise ValueError(
                 f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
-    pairs: list[tuple[Key, MClass]] = []
+    unit: list[tuple[Key, MClass]] = []
     for piece in _relint_pieces(cone):
         denoms = []
         horiz = 0
@@ -282,7 +283,6 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
             else:
                 denoms.append((-dot(g, a), b))
         key_denoms = _canon_denoms(denoms)
-        coeff = weight * MClass.l_power(horiz).mul_l1_pow(-horiz) if horiz else weight
         # group the parallelepiped points by T-exponent, summing L-monomials
         numerators: dict[int, dict[int, int]] = {}
         for u0 in box_points(piece):
@@ -291,9 +291,9 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
             bucket = numerators.setdefault(beta, {})
             bucket[lexp] = bucket.get(lexp, 0) + 1
         for beta, bucket in numerators.items():
-            poly = MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.from_dict(bucket))})
-            pairs.append(((beta, key_denoms), coeff * poly))
-    return ZSeries._sum_pairs(pairs)
+            coeff = MCoeff.make(LaurentPoly.from_dict(bucket).shift(horiz), horiz)
+            unit.append(((beta, key_denoms), MClass({UNIT_SYMBOL: coeff})))
+    return ZSeries._sum_pairs((k, weight * c) for k, c in merge(unit).items())
 
 
 def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:

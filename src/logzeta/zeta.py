@@ -263,7 +263,7 @@ def sncd_to_fanmodel(d: SncdData) -> FanModel:
         cell = cone_from_rays(n, rays)
         cells.append(cell)
         weights[cell] = MClass.symbol(symbol).mul_l1_pow(len(subset) - 1)
-    complex_ = complex_from_cones(n, cells, validate=False)
+    complex_ = complex_from_cones(n, cells)
     e_vec = tuple(c.N for c in d.components)
     a_vec = tuple(c.mu for c in d.components)
     e_vecs = {mc: e_vec for mc in complex_.maximal_cells()}

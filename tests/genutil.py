@@ -175,6 +175,14 @@ def two_dd_cone(n: int, rays) -> Cone:
     return Cone(n, _dd_generators(n, facets), facets)
 
 
+def two_dd_facets_cone(n: int, normals) -> Cone:
+    """The cone cut out by ``normals`` as two double descriptions build it:
+    the rays from the normals, then the irredundant facets from the rays.
+    ``cone_from_facets`` must agree with it field by field."""
+    rays = _dd_generators(n, list(normals))
+    return Cone(n, rays, _dd_generators(n, rays))
+
+
 def count_dd_runs(monkeypatch) -> list[int]:
     """Wrap ``cones._dd_generators``, the double description, with a counter:
     the returned list gains the ambient rank of each run from then on."""
@@ -231,6 +239,16 @@ def uncertified(k: ConeComplex) -> ConeComplex:
     """An equal copy of ``k`` with no verdict or carriers handed down by
     ``star_subdivision``: checks on it run the general path."""
     return ConeComplex(k.ambient_rank, k.cells)
+
+
+def random_subdivided_cone(rng: random.Random, rank: int) -> ConeComplex:
+    """A random cone star-subdivided up to twice, without a certificate."""
+    k = complex_from_cones(rank, [random_cone(rng, rank, max_entry=3)])
+    for _ in range(rng.randint(0, 2)):
+        v = tuple(rng.randint(0, 3) for _ in range(rank))
+        if not is_zero_vec(v) and k.support_cell(v) is not None:
+            k = star_subdivision(k, v)
+    return uncertified(k)
 
 
 def brute_incidence(k: ConeComplex) -> tuple[list[Cone], dict[Cone, list[Cone]]]:

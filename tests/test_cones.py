@@ -19,6 +19,7 @@ from logzeta.cones import (
     box_points,
     check_subdivision,
     complex_from_cones,
+    cone_from_facets,
     cone_from_rays,
     cone_intersection,
     dual_cone,
@@ -46,8 +47,11 @@ from genutil import (
     brute_incidence,
     brute_intersection,
     count_dd_runs,
+    fresh_box_points,
     random_cone,
+    random_subdivided_cone,
     two_dd_cone,
+    two_dd_facets_cone,
     uncertified,
     witness_flags,
 )
@@ -190,6 +194,18 @@ def test_cone_from_rays_matches_two_dd(rank_rays):
     assert (c.ambient_rank, c.rays, c.facets) == (old.ambient_rank, old.rays, old.facets)
 
 
+@settings(max_examples=300, deadline=None)
+@given(ray_sets())
+@example((2, [(1, 0), (-1, 0), (0, 1)]))  # a u, -u pair cuts out a ray
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (1, 1, 1)]))  # full, zero, redundant
+@example((3, [(0, 0, 0)]))
+@example((4, []))
+def test_cone_from_facets_matches_two_dd(rank_normals):
+    rank, normals = rank_normals
+    c, old = cone_from_facets(rank, normals), two_dd_facets_cone(rank, normals)
+    assert (c.ambient_rank, c.rays, c.facets) == (old.ambient_rank, old.rays, old.facets)
+
+
 def test_cone_from_rays_runs_one_dd_when_pointed(monkeypatch):
     runs = count_dd_runs(monkeypatch)
     # redundant (1, 1, 1), duplicate (1, 0, 0), non-primitive (0, 2, 0)
@@ -287,6 +303,7 @@ def test_cone_intersection_matches_brute_force(pair):
     c1, c2 = pair
     inter = cone_intersection(c1, c2)
     assert inter == brute_intersection(c1, c2)
+    assert inter == two_dd_facets_cone(inter.ambient_rank, c1.facets + c2.facets)
     assert inter == cone_from_rays(inter.ambient_rank, inter.rays)
 
 
@@ -338,7 +355,7 @@ def test_check_subdivision_reflexive_and_negative():
     # a complex that is not valid does not carry itself: the orthant comes
     # first and also holds the inner cone, which the volume test counts twice
     inner = cone_from_rays(2, [(1, 1), (1, 2)])
-    bad = complex_from_cones(2, [ORTHANT2, inner], validate=False)
+    bad = complex_from_cones(2, [ORTHANT2, inner])
     assert not check_subdivision(bad, bad)
 
 
@@ -507,6 +524,10 @@ def test_half_open_cone_checks_its_generators():
         HalfOpenCone(2, ((1, 0), (2, 0)), (False, False))
     with pytest.raises(ValueError, match="linearly independent"):
         HalfOpenCone(3, ((1, 0, 1), (0, 1, 1), (1, 1, 2)), (True, False, False))
+    with pytest.raises(ValueError, match="linearly independent"):
+        HalfOpenCone(2, ((1, 0), (0, 1), (1, 1)), (False, True, False))  # more than the rank
+    with pytest.raises(ValueError, match="linearly independent"):
+        HalfOpenCone(2, ((0, 0),), (True,))
     with pytest.raises(ValueError, match="one openness flag per generator"):
         HalfOpenCone(2, ((1, 0), (0, 1)), (True,))
     with pytest.raises(ValueError, match="one openness flag per generator"):
@@ -537,7 +558,9 @@ def test_box_point_count_is_index(seed):
             if not any(is_zero_vec(g) for g in gens) and mat_rank(tuple(gens)) == k:
                 break
     flags = tuple(rng.random() < 0.5 for _ in range(k))
-    pts = box_points(HalfOpenCone(rank, tuple(gens), flags))
+    h = HalfOpenCone(rank, tuple(gens), flags)
+    pts = box_points(h)
+    assert pts == fresh_box_points(h)
     # index = product of elementary divisors of the gens inside their span
     from logzeta.intlin import saturation_basis, smith_normal_form
 
@@ -580,27 +603,25 @@ def test_desk_scale_rank_six():
 def test_complex_validation_catches_bad_pair():
     a = cone_from_rays(2, [(1, 0), (1, 2)])
     b = cone_from_rays(2, [(1, 1), (0, 1)])  # overlaps a's interior
-    with pytest.raises(ValueError):
-        complex_from_cones(2, [a, b])
+    k = complex_from_cones(2, [a, b])
+    assert k.validate() != []
+    assert k.validate() == brute_complex_problems(k)
+
+
+def test_complex_rejects_a_cell_of_another_rank():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ConeComplex(3, (ORTHANT2,))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        complex_from_cones(3, [ORTHANT3, ORTHANT2])
 
 
 def test_complex_validation_catches_cell_inside_maximal_cell():
     # the orthant is the only maximal cell, so no pair of maximal cells
     # fails; the ray (1,1) is a cell that is not a face of it
-    k = complex_from_cones(2, [ORTHANT2, cone_from_rays(2, [(1, 1)])], validate=False)
+    k = complex_from_cones(2, [ORTHANT2, cone_from_rays(2, [(1, 1)])])
     expected = [f"{cone_from_rays(2, [(1, 1)])} and {ORTHANT2} do not meet in a common face"]
     assert k.validate() == expected
     assert brute_complex_problems(k) == expected
-
-
-def random_subdivided_cone(rng: random.Random, rank: int) -> ConeComplex:
-    """A random cone star-subdivided up to twice, without a certificate."""
-    k = complex_from_cones(rank, [random_cone(rng, rank, max_entry=3)])
-    for _ in range(rng.randint(0, 2)):
-        v = tuple(rng.randint(0, 3) for _ in range(rank))
-        if not is_zero_vec(v) and k.support_cell(v) is not None:
-            k = star_subdivision(k, v)
-    return uncertified(k)
 
 
 def random_complex(rng: random.Random) -> ConeComplex:
@@ -611,7 +632,7 @@ def random_complex(rng: random.Random) -> ConeComplex:
     kind = rng.randrange(4)
     if kind == 1:
         cones = [random_cone(rng, rank, max_entry=3) for _ in range(rng.randint(2, 3))]
-        return complex_from_cones(rank, cones, validate=False)
+        return complex_from_cones(rank, cones)
     k = random_subdivided_cone(rng, rank)
     if kind == 2:
         maximal = k.maximal_cells()
@@ -622,7 +643,7 @@ def random_complex(rng: random.Random) -> ConeComplex:
         interior = tuple(sum(xs) for xs in zip(*big.rays))
         rays = [interior, vec_add(interior, big.rays[0])][: rng.randint(1, 2)]
         extra = cone_from_rays(rank, rays)
-        return complex_from_cones(rank, list(k.cells) + [extra], validate=False)
+        return complex_from_cones(rank, list(k.cells) + [extra])
     return k
 
 

@@ -107,7 +107,7 @@ def test_normal_complex_is_complete():
     for _ in range(6):
         inp = random_support(rng, 2)
         records = newton_polyhedron(inp)
-        k = complex_from_cones(inp.n, [r.normal_cone_closure for r in records], validate=False)
+        k = complex_from_cones(inp.n, [r.normal_cone_closure for r in records])
         assert k.validate() == []
         # partition: relint point counts of cells sum to the orthant count
         import itertools

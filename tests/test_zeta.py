@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logzeta.cones import cone_from_rays, complex_from_cones, resolve_complex, star_subdivision
+from logzeta.cones import (
+    ConeComplex,
+    complex_from_cones,
+    cone_from_rays,
+    resolve_complex,
+    star_subdivision,
+)
 from logzeta.mring import MClass
 from logzeta.series import ZSeries, equal
 from logzeta.zeta import (
@@ -22,7 +28,14 @@ from logzeta.zeta import (
     validate_model,
 )
 
-from genutil import brute_fan_sum, count_calls, random_fan_model, random_sncd, uncertified
+from genutil import (
+    brute_fan_sum,
+    count_calls,
+    random_fan_model,
+    random_sncd,
+    random_subdivided_cone,
+    uncertified,
+)
 
 ORTHANT3 = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 SINGLE = SncdData(1, (SncdComponent("E", 1, mu=0, nu=1),), ((frozenset({"E"}), "E"),))
@@ -265,6 +278,46 @@ def test_transport_requires_subdivision():
         transport_subdivide(model, other)
 
 
+def test_transport_from_cells_given_out_of_order():
+    orthant, ray = cone_from_rays(2, [(1, 0), (0, 1)]), cone_from_rays(2, [(1, 0)])
+    k = ConeComplex(2, tuple(reversed(complex_from_cones(2, [orthant]).cells)))
+    weights = {orthant: MClass.symbol("O"), ray: MClass.symbol("R")}
+    model = FanModel(k, {orthant: (1, 1)}, {orthant: (0, 0)}, weights)
+    assert str(transport_subdivide(model, complex_from_cones(2, [orthant])).weight(ray)) == "[R]"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_complex_answers_do_not_depend_on_cell_order(seed):
+    rng = random.Random(seed)
+    k = random_subdivided_cone(rng, rng.randint(2, 3))
+    n = k.ambient_rank
+    cells = list(k.cells)
+    rng.shuffle(cells)
+    shuffled = ConeComplex(n, tuple(cells))
+    assert shuffled.cells == k.cells
+    assert shuffled.maximal_cells() == k.maximal_cells()
+    assert [shuffled.owners(c) for c in k.cells] == [k.owners(c) for c in k.cells]
+    for _ in range(5):
+        rays = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        cone = cone_from_rays(n, rays)
+        assert shuffled.smallest_containing(cone) == k.smallest_containing(cone)
+    # the random cone lies in the positive orthant, so e is positive off the origin
+    e = dict.fromkeys(k.maximal_cells(), tuple(rng.randint(1, 3) for _ in range(n)))
+    a = dict.fromkeys(k.maximal_cells(), tuple(rng.randint(-2, 2) for _ in range(n)))
+    weights = {
+        c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim
+    }
+    model, shuffled_model = FanModel(k, e, a, weights), FanModel(shuffled, e, a, weights)
+    assert str(fan_poincare(shuffled_model, 1)) == str(fan_poincare(model, 1))
+    rho = tuple(map(sum, zip(*rng.choice(k.maximal_cells()).rays)))
+    for kp in (uncertified(k), star_subdivision(k, rho)):
+        moved = transport_subdivide(model, kp)
+        shuffled_moved = transport_subdivide(shuffled_model, kp)
+        assert shuffled_moved.weights == moved.weights
+        assert str(fan_poincare(shuffled_moved, 1)) == str(fan_poincare(moved, 1))
+
+
 def test_transport_reads_the_certificate_only_by_identity(monkeypatch):
     rng = random.Random(14)
     volume_sums = count_calls(monkeypatch, "_volume_sum")
@@ -399,7 +452,9 @@ def test_fan_poincare_brute_force_non_unimodular_faces(stars):
     for rho in stars:
         k = star_subdivision(k, rho)
     assert any(0 < c.dim < n and not c.is_smooth() for c in k.cells)
-    weights = {c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim}
+    weights = {
+        c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim
+    }
     e_vec = tuple(range(1, n + 1))
     a_vec = tuple((-1) ** i * i for i in range(n))
     model = FanModel(
