@@ -202,11 +202,9 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
             if not w.is_zero():
                 weights[cell] = w
         complex_ = complex_from_cones(rank, list(listed))
-        maximal = complex_.maximal_cells()
-        maximal_set = set(maximal)
-        ordered = [c for c in listed if c in maximal_set] + [
-            c for c in maximal if c not in listed
-        ]
+        # every maximal cell is a listed one: the closure adds only faces
+        maximal_set = set(complex_.maximal_cells())
+        ordered = [c for c in listed if c in maximal_set]
         e_list = [tuple(_int(x, "e entry") for x in v) for v in data["e"]]
         a_list = [tuple(_int(x, "a entry") for x in v) for v in data["a"]]
         if len(e_list) != len(ordered) or len(a_list) != len(ordered):

@@ -48,7 +48,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, floor, gcd
 from typing import Literal, Optional, Sequence
 
 from .intlin import (
@@ -61,7 +60,6 @@ from .intlin import (
     is_zero_vec,
     mat_vec,
     smith_normal_form,
-    solve_rational,
     span_lattice,
     vec_add,
     vec_scale,
@@ -621,17 +619,6 @@ class HalfOpenCone:
         steps = tuple(tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v)
         object.__setattr__(self, "_frame", (divisors, steps))
 
-    def contains_lattice_point(self, v: Vec) -> bool:
-        if not self.gens:
-            return is_zero_vec(v)
-        coords = solve_rational(from_columns(self.gens), v)
-        if coords is None:
-            return False
-        return all(
-            lam > 0 if strict else lam >= 0
-            for lam, strict in zip(coords, self.strict)
-        )
-
 
 def triangulate_half_open(
     c: Cone, region: Literal["relint", "closed"] = "relint"
@@ -684,78 +671,6 @@ def _relint_pieces(c: Cone) -> tuple[HalfOpenCone, ...]:
     summed over.  An exception is raised again on every call,
     since ``lru_cache`` keeps only returned values."""
     return tuple(triangulate_half_open(c, "relint"))
-
-
-AffineIneq = tuple[int, Vec]  # (c0, c): the halfspace c0 + <c, x> >= 0
-
-
-def affine_lattice_points(n: int, ineqs: Sequence[AffineIneq]) -> list[Vec]:
-    """All integer points of a bounded polyhedron {x : c0 + <c,x> >= 0}.
-
-    Exact Fourier-Motzkin elimination provides tight per-coordinate bounds,
-    so enumeration cost is proportional to the number of points (plus small
-    polynomial overhead).  Raises if some direction is unbounded.
-    """
-    systems: list[list[AffineIneq]] = [list(ineqs)]
-    for level in range(n, 1, -1):
-        cur = systems[0]
-        nxt: list[AffineIneq] = []
-        k = level - 1  # eliminate coordinate k
-        pos = [iq for iq in cur if iq[1][k] > 0]
-        neg = [iq for iq in cur if iq[1][k] < 0]
-        zero = [iq for iq in cur if iq[1][k] == 0]
-        nxt.extend((c0, c[:k]) for c0, c in zero)
-        for (p0, p), (m0, m) in itertools.product(pos, neg):
-            a, b = p[k], -m[k]
-            c0 = b * p0 + a * m0
-            c = tuple(b * p[i] + a * m[i] for i in range(k))
-            nxt.append((c0, c))
-        seen = set()
-        dedup = []
-        for c0, c in nxt:
-            g = 0
-            for x in (c0, *c):
-                g = gcd(g, abs(x))
-            if g > 1:
-                c0, c = c0 // g, tuple(x // g for x in c)
-            if (c0, c) not in seen:
-                seen.add((c0, c))
-                dedup.append((c0, c))
-        systems.insert(0, dedup)
-
-    out: list[Vec] = []
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        k = len(prefix)
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for c0, c in systems[k]:
-            coef = c[k]
-            rest = c0 + sum(c[i] * prefix[i] for i in range(k))
-            if coef > 0:
-                val = Fraction(-rest, coef)
-                lo = val if lo is None else max(lo, val)
-            elif coef < 0:
-                val = Fraction(-rest, coef)
-                hi = val if hi is None else min(hi, val)
-            elif rest < 0:
-                return
-        if lo is None or hi is None:
-            raise ValueError("polyhedron is unbounded")
-        start, stop = ceil(lo), floor(hi)
-        for v in range(start, stop + 1):
-            new = prefix + (v,)
-            if k + 1 == n:
-                out.append(new)
-            else:
-                rec(new)
-
-    if n == 0:
-        if all(c0 >= 0 for c0, _ in ineqs):
-            out.append(())
-        return out
-    rec(())
-    return out
 
 
 def box_points(h: HalfOpenCone) -> list[Vec]:

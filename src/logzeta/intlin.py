@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -49,17 +50,17 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def vec_scale(k: int, v: Vec) -> Vec:
-    return tuple(k * a for a in v)
+    return tuple([k * a for a in v])
 
 
 def dot(u: Vec, v: Vec) -> int:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(v: Vec) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def content_primitive(v: Vec) -> tuple[int, Vec]:
@@ -262,16 +263,6 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
     return mat(s), mat(u), mat(v)
 
 
-def torsion_order(a: Mat) -> int:
-    """Order of the torsion subgroup of Z^rows / column-span(A)."""
-    s, _, _ = smith_normal_form(a)
-    out = 1
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i] != 0:
-            out *= s[i][i]
-    return out
-
-
 def solve_integer(a: Mat, b: Vec) -> Optional[Vec]:
     """A particular integer solution of ``A x = b``, or None."""
     if len(b) != len(a):
@@ -295,11 +286,6 @@ def solve_integer(a: Mat, b: Vec) -> Optional[Vec]:
     if mat_vec(a, x) != tuple(b):
         return None
     return x
-
-
-def in_lattice(lattice: Mat, v: Vec) -> bool:
-    """Membership of ``v`` in the integer column span of ``lattice``."""
-    return solve_integer(lattice, v) is not None
 
 
 def _gauss_jordan(

@@ -21,7 +21,6 @@ from typing import Sequence
 from .cones import (
     Cone,
     LinealityError,
-    affine_lattice_points,
     cone_from_rays,
     dual_cone,
     faces,
@@ -44,11 +43,8 @@ from .intlin import (
     smith_normal_form,
     solve_integer,
     span_lattice,
-    torsion_order,
     transpose,
-    vec_add,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -238,17 +234,6 @@ def root_index(mm: MarkedMonoid) -> int:
     return g
 
 
-def root_index_via_torsion(mm: MarkedMonoid) -> int:
-    """Root index as the torsion order of Z^rank modulo the marking's line.
-
-    Torsion of Z^r / Z e_pi equals the content of e_pi; this is the slow
-    cross-check route through Smith normal form.
-    """
-    if not mm.is_local():
-        raise ValueError("root index needs a local marking (e_pi != 0)")
-    return torsion_order(from_columns([mm.e_pi]))
-
-
 def base_change(mm: MarkedMonoid, d: int) -> MarkedMonoid:
     """Ramified base change of degree ``d``: adjoin ``e_pi / d`` and saturate.
 
@@ -256,17 +241,11 @@ def base_change(mm: MarkedMonoid, d: int) -> MarkedMonoid:
     generator integral), reducing to a Hermite basis and renormalizing; the
     cone is unchanged up to the recorded change of basis.
     """
-    return _base_change_with_basis(mm, d)[0]
-
-
-def _base_change_with_basis(mm: MarkedMonoid, d: int) -> tuple[MarkedMonoid, Mat]:
-    """:func:`base_change` of ``mm`` and the basis of its lattice, as
-    columns in the rescaled coordinates."""
     if d <= 0:
         raise ValueError("degree must be positive")
-    r = mm.base.rank
     if d == 1:
-        return mm, identity(r)
+        return mm
+    r = mm.base.rank
     cols = [vec_scale(d, col) for col in transpose(identity(r))] + [mm.e_pi]
     h, _ = hermite_normal_form(from_columns(cols))
     basis = [col for col in transpose(h) if not is_zero_vec(col)]
@@ -279,41 +258,7 @@ def _base_change_with_basis(mm: MarkedMonoid, d: int) -> tuple[MarkedMonoid, Mat
     if new_e is None or new_a is None:
         raise RuntimeError("marking outside the base-changed lattice")
     embed = mat_mul(mm.base.lattice, bmat)
-    return MarkedMonoid(SharpFsMonoid(r, newcone, embed), new_e, new_a), bmat
-
-
-def _monoid_points(m: SharpFsMonoid, height: int) -> list[Vec]:
-    """Monoid elements with interior-functional value at most ``height``."""
-    ell = (0,) * m.rank
-    for u in m.cone.facets:
-        ell = vec_add(ell, u)
-    ineqs = [(0, f) for f in m.cone.facets] + [(height, vec_scale(-1, ell))]
-    return affine_lattice_points(m.rank, ineqs)
-
-
-def max_ideal_generated_by_base(mm: MarkedMonoid, d: int, height: int = 8) -> bool:
-    """Bounded check that after base change the maximal ideal is generated by
-    the image of the original one.
-
-    Scans nonzero points of the new monoid up to ``height`` (interior
-    functional) and asks for a decomposition (image of old nonzero point) +
-    (new monoid point).  Exact on the scanned region.
-    """
-    changed, bmat = _base_change_with_basis(mm, d)
-    old_in_new = []
-    for p in _monoid_points(mm.base, height * max(1, d)):
-        if is_zero_vec(p):
-            continue
-        x = solve_integer(bmat, vec_scale(d, p))
-        if x is None:
-            raise RuntimeError(f"monoid point {p} outside the base-changed lattice")
-        old_in_new.append(x)
-    for q in _monoid_points(changed.base, height):
-        if is_zero_vec(q):
-            continue
-        if not any(changed.base.contains(vec_sub(q, o)) for o in old_in_new):
-            return False
-    return True
+    return MarkedMonoid(SharpFsMonoid(r, newcone, embed), new_e, new_a)
 
 
 def divisor_from_element(m: SharpFsMonoid, a: Vec) -> MonoidDivisor:
@@ -328,23 +273,3 @@ def divisor_add(d1: MonoidDivisor, d2: MonoidDivisor) -> MonoidDivisor:
     if set(a) != set(b):
         raise ValueError("divisors live on different monoids")
     return MonoidDivisor.make({k: a[k] + b[k] for k in a})
-
-
-def local_dual_points(mm: MarkedMonoid, bound: int) -> list[Vec]:
-    """Dual-lattice points in the interior of the dual cone with
-    ``<u, e_pi> <= bound``.
-
-    This is the brute-force oracle for the cone generating function.  Raises
-    when the set is infinite: zero marking, or a dual ray orthogonal to the
-    marking.
-    """
-    if not mm.is_local():
-        raise ValueError("infinite fibres: e_pi = 0")
-    dual = mm.base.dual()
-    for v in dual.rays:
-        if dot(v, mm.e_pi) == 0:
-            raise ValueError("infinite fibres: dual ray orthogonal to e_pi")
-    # Interior of the dual cone: <u, x> >= 1 for every primal ray x (integer
-    # points in the open cone satisfy >= 1 exactly when > 0).
-    ineqs = [(-1, x) for x in dual.facets] + [(bound, vec_scale(-1, mm.e_pi))]
-    return sorted(affine_lattice_points(mm.base.rank, ineqs))

@@ -113,10 +113,6 @@ class LaurentPoly:
         # only when it vanishes, otherwise report non-divisibility via rem.
         return quot, LaurentPoly.from_dict({low: rem})
 
-    def truncate_below(self, low: int) -> "LaurentPoly":
-        """Drop monomials with exponent < low."""
-        return LaurentPoly(tuple((e, c) for e, c in self.coeffs if e >= low))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -201,22 +197,6 @@ class MCoeff:
         if value == 1 and self.den_pow > 0:
             raise ZeroDivisionError("pole at L = 1")
         return self.num.evaluate(value) / (value - 1) ** self.den_pow
-
-    def laurent_series(self, low: int) -> LaurentPoly:
-        """L-adic expansion 1/(L-1) = L^{-1} + L^{-2} + ..., truncated at ``low``.
-
-        Exact on monomials of exponent >= low; anything below is dropped.
-        """
-        out = self.num
-        if self.den_pow > 0:
-            if out.is_zero():
-                return out
-            # Deep enough that dropped geometric tail cannot reach >= low.
-            depth = out.coeffs[-1][0] - low + self.den_pow + 1
-            geom = LaurentPoly.from_dict({-j: 1 for j in range(1, max(depth, 1) + 1)})
-            for _ in range(self.den_pow):
-                out = out * geom
-        return out.truncate_below(low)
 
     def __str__(self) -> str:
         num = str(self.num)
@@ -354,12 +334,6 @@ class MClass:
                     factor *= Fraction(table[atom])
             total += c.evaluate(Fraction(l_value)) * factor
         return total
-
-    def truncate_l_below(self, low: int) -> "MClass":
-        """L-adic truncation of every coefficient (used by test oracles)."""
-        return MClass._sum_pairs(
-            (sym, MCoeff(c.laurent_series(low), 0)) for sym, c in self.terms.items()
-        )
 
     # -- presentation -------------------------------------------------------
 

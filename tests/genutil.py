@@ -1,32 +1,217 @@
 """Seeded random generators and independent oracles shared by the tests.
 
-Oracles here deliberately avoid the code paths they check: lattice points
-are enumerated with the affine enumerator (or plain boxes), sums are
-accumulated term by term, and truncation arguments replace closed forms.
+The library ships no test oracles: every second route to what it computes
+lives here, beside the tests that use it.  Oracles avoid the code paths
+they check: lattice points are enumerated by Fourier-Motzkin elimination
+(or plain boxes), membership of a half-open cone is a rational solve, the
+root index is a torsion order, sums are accumulated term by term, and
+L-adic truncation replaces closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from math import ceil, floor, gcd
+from typing import Optional, Sequence
 
 from logzeta.cones import (
     Cone,
     ConeComplex,
     HalfOpenCone,
     _dd_generators,
-    affine_lattice_points,
+    _triangulate,
     complex_from_cones,
     cone_from_rays,
     primitive,
     star_subdivision,
 )
-from logzeta.intlin import Vec, dot, is_zero_vec, rank, vec_add, vec_scale
-from logzeta.mring import MClass
-from logzeta.monoids import MarkedMonoid, SharpFsMonoid, local_dual_points
+from logzeta.intlin import (
+    Mat,
+    Vec,
+    det,
+    dot,
+    from_columns,
+    is_zero_vec,
+    mat_vec,
+    rank,
+    saturation_basis,
+    smith_normal_form,
+    solve_integer,
+    solve_rational,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
+from logzeta.mring import LaurentPoly, MClass, MCoeff
+from logzeta.monoids import MarkedMonoid, SharpFsMonoid, base_change
 from logzeta.newton import NewtonInput, newton_polyhedron
 from logzeta.series import ZSeries
 from logzeta.zeta import FanModel, SncdComponent, SncdData
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: a second way to what the library computes.
+
+AffineIneq = tuple[int, Vec]  # (c0, c): the halfspace c0 + <c, x> >= 0
+
+
+def affine_lattice_points(n: int, ineqs: Sequence[AffineIneq]) -> list[Vec]:
+    """All integer points of a bounded polyhedron {x : c0 + <c,x> >= 0}.
+
+    Exact Fourier-Motzkin elimination provides tight per-coordinate bounds,
+    so enumeration cost is proportional to the number of points (plus small
+    polynomial overhead).  Raises if some direction is unbounded.
+    """
+    systems: list[list[AffineIneq]] = [list(ineqs)]
+    for level in range(n, 1, -1):
+        cur = systems[0]
+        nxt: list[AffineIneq] = []
+        k = level - 1  # eliminate coordinate k
+        pos = [iq for iq in cur if iq[1][k] > 0]
+        neg = [iq for iq in cur if iq[1][k] < 0]
+        zero = [iq for iq in cur if iq[1][k] == 0]
+        nxt.extend((c0, c[:k]) for c0, c in zero)
+        for (p0, p), (m0, m) in itertools.product(pos, neg):
+            a, b = p[k], -m[k]
+            c0 = b * p0 + a * m0
+            c = tuple(b * p[i] + a * m[i] for i in range(k))
+            nxt.append((c0, c))
+        dedup: dict[AffineIneq, None] = {}
+        for c0, c in nxt:
+            g = gcd(c0, *c)
+            if g > 1:
+                c0, c = c0 // g, tuple(x // g for x in c)
+            dedup[c0, c] = None
+        systems.insert(0, list(dedup))
+
+    out: list[Vec] = []
+
+    def rec(prefix: tuple[int, ...]) -> None:
+        k = len(prefix)
+        lo: Optional[Fraction] = None
+        hi: Optional[Fraction] = None
+        for c0, c in systems[k]:
+            coef = c[k]
+            rest = c0 + sum(c[i] * prefix[i] for i in range(k))
+            if coef > 0:
+                val = Fraction(-rest, coef)
+                lo = val if lo is None else max(lo, val)
+            elif coef < 0:
+                val = Fraction(-rest, coef)
+                hi = val if hi is None else min(hi, val)
+            elif rest < 0:
+                return
+        if lo is None or hi is None:
+            raise ValueError("polyhedron is unbounded")
+        start, stop = ceil(lo), floor(hi)
+        for v in range(start, stop + 1):
+            new = prefix + (v,)
+            if k + 1 == n:
+                out.append(new)
+            else:
+                rec(new)
+
+    if n == 0:
+        if all(c0 >= 0 for c0, _ in ineqs):
+            out.append(())
+        return out
+    rec(())
+    return out
+
+
+def half_open_contains(h: HalfOpenCone, v: Vec) -> bool:
+    """Whether the lattice point ``v`` lies in ``h``: its rational coordinates
+    on the generators are positive on strict ones and nonnegative on the rest."""
+    if not h.gens:
+        return is_zero_vec(v)
+    coords = solve_rational(from_columns(h.gens), v)
+    return coords is not None and all(
+        lam > 0 if strict else lam >= 0 for lam, strict in zip(coords, h.strict)
+    )
+
+
+def torsion_order(a: Mat) -> int:
+    """Order of the torsion subgroup of Z^rows / column-span(A)."""
+    s, _, _ = smith_normal_form(a)
+    out = 1
+    for i in range(min(len(s), len(s[0]) if s else 0)):
+        if s[i][i] != 0:
+            out *= s[i][i]
+    return out
+
+
+def root_index_via_torsion(mm: MarkedMonoid) -> int:
+    """Root index as the torsion order of Z^rank modulo the marking's line,
+    which equals the content of e_pi."""
+    if not mm.is_local():
+        raise ValueError("root index needs a local marking (e_pi != 0)")
+    return torsion_order(from_columns([mm.e_pi]))
+
+
+def local_dual_points(mm: MarkedMonoid, bound: int) -> list[Vec]:
+    """Dual-lattice points in the interior of the dual cone with
+    ``<u, e_pi> <= bound``, the brute-force oracle for the cone generating
+    function.  Raises when the set is infinite: zero marking, or a dual ray
+    orthogonal to the marking.
+    """
+    if not mm.is_local():
+        raise ValueError("infinite fibres: e_pi = 0")
+    dual = mm.base.dual()
+    for v in dual.rays:
+        if dot(v, mm.e_pi) == 0:
+            raise ValueError("infinite fibres: dual ray orthogonal to e_pi")
+    # Interior of the dual cone: <u, x> >= 1 for every primal ray x (integer
+    # points in the open cone satisfy >= 1 exactly when > 0).
+    ineqs = [(-1, x) for x in dual.facets] + [(bound, vec_scale(-1, mm.e_pi))]
+    return sorted(affine_lattice_points(mm.base.rank, ineqs))
+
+
+def max_ideal_generated_by_base(mm: MarkedMonoid, d: int, height: int = 8) -> bool:
+    """Bounded check that after base change the maximal ideal is generated by
+    the image of the original one.
+
+    Scans nonzero points of the new monoid up to ``height`` (interior
+    functional) and asks for a decomposition (image of old nonzero point) +
+    (new monoid point).  Exact on the scanned region.
+    """
+
+    def points(m: SharpFsMonoid, bound: int) -> list[Vec]:
+        ell = tuple(map(sum, zip(*m.cone.facets)))
+        ineqs = [(0, f) for f in m.cone.facets] + [(bound, vec_scale(-1, ell))]
+        return [p for p in affine_lattice_points(m.rank, ineqs) if not is_zero_vec(p)]
+
+    changed = base_change(mm, d)
+    old_in_new = []
+    for p in points(mm.base, height * max(1, d)):
+        # the new lattice embeds its basis in the old coordinates scaled by d
+        x = solve_integer(changed.base.lattice, mat_vec(mm.base.lattice, vec_scale(d, p)))
+        if x is None:
+            raise RuntimeError(f"monoid point {p} outside the base-changed lattice")
+        old_in_new.append(x)
+    return all(
+        any(changed.base.contains(vec_sub(q, o)) for o in old_in_new)
+        for q in points(changed.base, height)
+    )
+
+
+def laurent_series(c: MCoeff, low: int) -> LaurentPoly:
+    """L-adic expansion of ``c``, 1/(L-1) = L^{-1} + L^{-2} + ..., exact on
+    the monomials of exponent >= low; the ones below are dropped."""
+    out = c.num
+    if c.den_pow > 0 and not out.is_zero():
+        # deep enough that the dropped geometric tail cannot reach >= low
+        depth = out.coeffs[-1][0] - low + c.den_pow + 1
+        geom = LaurentPoly.from_dict({-j: 1 for j in range(1, max(depth, 1) + 1)})
+        for _ in range(c.den_pow):
+            out = out * geom
+    return LaurentPoly(tuple((e, x) for e, x in out.coeffs if e >= low))
+
+
+def truncate_l_below(x: MClass, low: int) -> MClass:
+    """L-adic truncation of every coefficient of ``x`` at ``low``."""
+    return MClass({sym: MCoeff(laurent_series(c, low), 0) for sym, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +236,6 @@ def random_cone(rng: random.Random, rank: int, max_entry: int = 6, tries: int = 
 
 def dual_box_count(c: Cone) -> int:
     """Total fundamental-parallelepiped size of the dual's triangulation."""
-    from logzeta.cones import _triangulate
-    from logzeta.intlin import det, from_columns, solve_integer
-    from logzeta.intlin import saturation_basis
 
     dual = Cone(c.ambient_rank, c.facets, c.rays)
     total = 0
@@ -535,4 +717,4 @@ def newton_expand_oracle(inp: NewtonInput, degree: int, lcut: int) -> list[MClas
                 f"X_tau(0)@{rec.face_id}"
             ).scale_l(-sigma - k)
             k += 1
-    return [c.truncate_l_below(-lcut) for c in out]
+    return [truncate_l_below(c, -lcut) for c in out]

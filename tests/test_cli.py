@@ -281,6 +281,18 @@ def test_wrong_json_types_rejected(tmp_path, capsys, argv, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "fan-series", "fan-poles"])
+@pytest.mark.parametrize("key, vector", [("e", [1]), ("e", [1, 2, 3]), ("a", [0, 1, 0])])
+def test_wrong_length_e_or_a_exits_1(tmp_path, capsys, verb, key, vector):
+    # a pairing that stopped at the shorter vector would read [1, 2, 3] as
+    # [1, 2] on this rank-2 model and exit 0
+    doc = json.load(open(path("orthant_model.json")))
+    doc[key] = [vector]
+    code = main([verb, write(tmp_path, "model.json", doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: dimension mismatch\n")
+
+
 def test_runtime_error_is_an_error_line(capsys, monkeypatch):
     def give_up(k):
         raise RuntimeError("resolution did not terminate")

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from logzeta.mring import LaurentPoly, LPoleError, MClass, MCoeff
 
+from genutil import laurent_series
+
 symbols = st.sampled_from(["1", "A", "B", "C"])
 polys = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=4).map(
     LaurentPoly.from_dict
@@ -161,11 +163,12 @@ def test_specialize_is_ring_hom(x, y):
 @given(coeffs, st.integers(-8, 0))
 def test_laurent_series_truncation(c, low):
     # the truncated series times (L-1)^k agrees with the numerator above the cut
-    s = c.laurent_series(low)
+    s = laurent_series(c, low)
     back = s
     for _ in range(c.den_pow):
         back = back * LaurentPoly.from_dict({1: 1, 0: -1})
-    assert back.truncate_below(low + c.den_pow) == c.num.truncate_below(low + c.den_pow)
+    cut = low + c.den_pow
+    assert [t for t in back.coeffs if t[0] >= cut] == [t for t in c.num.coeffs if t[0] >= cut]
 
 
 def test_canonical_text():

@@ -105,3 +105,60 @@ def test_caches_are_bounded():
     # every bound is a module constant or a literal
     found = set().union(*(_unbounded_caches(p) for p in sorted(SRC.glob("*.py"))))
     assert found == UNBOUNDED_CACHES
+
+
+# Library functions and methods that no library module reads and that
+# __all__ does not export, with the reason each may stay.
+UNREAD_DEFINITIONS = {
+    # acceptance criterion 7 states these monoid objects as the paper's laws
+    ("monoids.py", "base_change"),
+    ("monoids.py", "divisor_add"),
+    ("monoids.py", "divisor_from_element"),
+    ("monoids.py", "face_lattice"),
+    ("monoids.py", "height1_primes"),
+    ("monoids.py", "monoid_from_generators"),
+    ("monoids.py", "root_index"),
+    ("monoids.py", "sharpify"),
+    ("monoids.py", "valuation"),
+    # perfbench/spans.py looks these up by name to trace them
+    ("cones.py", "check_subdivision"),
+    ("intlin.py", "inverse_rational"),
+    ("intlin.py", "kernel_basis"),
+    ("intlin.py", "solve_rational"),
+    # public checks: the relative-interior twin of Cone.contains, the L -> q
+    # specialization, the T -> L substitution of criterion 5 and the pole
+    # set the benchmark's gate reads
+    ("cones.py", "Cone.relint_contains"),
+    ("mring.py", "MClass.specialize"),
+    ("series.py", "ZSeries.candidate_poles"),
+    ("series.py", "ZSeries.subst_T_L"),
+}
+
+
+def _unread_definitions():
+    """(file, name) for each module-level function, and each method of a
+    module-level class other than a dunder, whose name no library module
+    reads, as a name or an attribute, and that ``__all__`` does not export."""
+    defined, read = [], set(logzeta.__all__)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((path.name, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    (path.name, f"{node.name}.{f.name}", f.name)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__") and f.name.endswith("__"))
+                ]
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return {(file, name) for file, name, short in defined if short not in read}
+
+
+def test_library_holds_no_test_only_code():
+    # a route that only the tests call is a test oracle, and an oracle kept
+    # beside the code it checks is independent only by convention: it
+    # belongs in tests/genutil.py
+    assert _unread_definitions() == UNREAD_DEFINITIONS
