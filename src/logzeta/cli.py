@@ -347,12 +347,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    model = parse_fan(load_input(args.input))
-    problems = validate_model(model)
-    if problems:
-        for p in problems:
-            print(p)
-        return 2
+    _load_fan_checked(args)  # main prints the diagnostics and exits 2
     print("ok")
     return 0
 

@@ -292,10 +292,6 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(out, key=Cone._key))
 
 
-def is_face_of(f: Cone, c: Cone) -> bool:
-    return f in faces(c)
-
-
 # ---------------------------------------------------------------------------
 # Cone complexes.
 
@@ -389,8 +385,14 @@ class ConeComplex:
 
 
 def _meet_in_common_face(c1: Cone, c2: Cone) -> bool:
-    inter = cone_intersection(c1, c2)
-    return is_face_of(inter, c1) and is_face_of(inter, c2)
+    """Whether ``c1 ∩ c2`` is a face of both, by one double description: every
+    shared face lies in the meet, and a meet that is a common face contains
+    them all, so it is one exactly when its generators lie in the largest."""
+    shared = set(faces(c1)) & set(faces(c2))
+    if not shared:
+        return False
+    top = max(shared, key=Cone._key)
+    return all(top.contains(g) for g in _dd_generators(c1.ambient_rank, c1.facets + c2.facets))
 
 
 def complex_from_cones(ambient_rank: int, cones: Sequence[Cone]) -> ConeComplex:
@@ -557,9 +559,8 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
         bad = next((c for c in k.cells if len(c.pointed_rays()) > c.dim), None)
         if bad is None:
             break
-        pivot = next((r for r in bad.rays if not _is_pyramid_apex(bad, r)), None)
-        if pivot is None:
-            pivot = primitive(vec_add(bad.rays[0], bad.rays[1]))
+        # a strictly convex cone whose every ray is a pyramid apex is simplicial
+        pivot = next(r for r in bad.rays if not _is_pyramid_apex(bad, r))
         k = star_subdivision(k, pivot)
         guard += 1
         if guard > 10_000:

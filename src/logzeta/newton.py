@@ -132,20 +132,19 @@ class _FaceTable:
 
     @cached_property
     def terms(self) -> tuple[ZSeries, ...]:
-        """Per face, ``[X_tau(0)]·S·L^{-1}T/(1-L^{-1}T) + [X_tau(1)]·S`` with
-        ``S`` the sum of L^{-sigma(u)} T^{m(u)} over the relative interior of
-        the normal cone (sigma = 1 on the coordinate vectors, where m = 0).
+        """Per face, one product ``S·([X_tau(0)]·L^{-1}T/(1-L^{-1}T) + [X_tau(1)])``
+        with ``S`` the sum of L^{-sigma(u)} T^{m(u)} over the relative interior
+        of the normal cone (sigma = 1 on the coordinate vectors, where m = 0).
         The unit-section term ``[X_tau(1)]·S`` exists only when m does not
         vanish on the whole normal cone; it then has positive T-degree."""
         sigma = (1,) * self.n
         jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])  # L^{-1}T/(1-L^{-1}T)
         out = []
         for rec in self.records:
-            s_tau = relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one())
-            parts = [s_tau.scale(MClass.symbol(f"X_tau(0)@{rec.face_id}")) * jet_factor]
+            section = jet_factor.scale(MClass.symbol(f"X_tau(0)@{rec.face_id}"))
             if any(rec.m_of(r) != 0 for r in rec.normal_cone_closure.rays):
-                parts.append(s_tau.scale(MClass.symbol(f"X_tau(1)@{rec.face_id}")))
-            out.append(ZSeries.sum(parts))
+                section = section + ZSeries.term(MClass.symbol(f"X_tau(1)@{rec.face_id}"), 0)
+            out.append(relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma) * section)
         return tuple(out)
 
 

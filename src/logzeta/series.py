@@ -18,8 +18,9 @@ from a bounded per-cone table in :mod:`~logzeta.cones`; a call pairs ``e``
 and ``a`` with its box points and buckets them.  Rays paired to zero by
 ``e`` ("horizontal" directions) contribute pure-L geometric factors; they
 are folded into the coefficient as ``L/(L-1)`` and are only legal when
-``a`` pairs them to one, so the fold is exact.  :func:`cone_series`
-applies it to the interior dual points of a marked monoid.
+``a`` pairs them to one, so the fold is exact.  The kernel returns pure
+geometry, the unit-weight sum; callers attach their classes with one product
+per term, :func:`cone_series` for the interior dual points of a monoid.
 """
 
 from __future__ import annotations
@@ -253,9 +254,9 @@ def format_poles(poles: frozenset[Fraction]) -> str:
 # Cone sums in closed form.
 
 
-def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
-    """Closed form of ``weight * sum L^{-<u,a>} T^{<u,e>}`` over the lattice
-    points ``u`` in the relative interior of ``cone``.
+def relint_cone_sum(cone: Cone, e: Vec, a: Vec) -> ZSeries:
+    """Closed form, on the unit symbol, of ``sum L^{-<u,a>} T^{<u,e>}`` over
+    the lattice points ``u`` in the relative interior of ``cone``.
 
     Uses the half-open simplicial decomposition of the cone and
     fundamental-parallelepiped enumeration.  Rays with ``<v,e> = 0`` must
@@ -264,15 +265,15 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
     piece's Smith frame depend on the cone alone, so they are read from
     ``cones._relint_pieces``; only the pairing of each box point with ``e``
     and ``a`` and the bucketing by T-exponent are done per call.  The pieces
-    are the ones a fresh decomposition gives, so the result is too.
-    ``weight`` multiplies the merged unit-weight series once per term.
+    are the ones a fresh decomposition gives, so the result is too.  Bare
+    coefficients are merged per term, then each is wrapped once.
     """
     for v in cone.rays:
         if dot(v, e) == 0 and dot(v, a) != 1:
             raise ValueError(
                 f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
-    unit: list[tuple[Key, MClass]] = []
+    unit: list[tuple[Key, MCoeff]] = []
     for piece in _relint_pieces(cone):
         denoms = []
         horiz = 0
@@ -292,8 +293,9 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
             bucket[lexp] = bucket.get(lexp, 0) + 1
         for beta, bucket in numerators.items():
             coeff = MCoeff.make(LaurentPoly.from_dict(bucket).shift(horiz), horiz)
-            unit.append(((beta, key_denoms), MClass({UNIT_SYMBOL: coeff})))
-    return ZSeries._sum_pairs((k, weight * c) for k, c in merge(unit).items())
+            unit.append(((beta, key_denoms), coeff))
+    wrapped = ((k, MClass._sum_pairs(((UNIT_SYMBOL, c),))) for k, c in merge(unit).items())
+    return ZSeries._sum_pairs(wrapped)
 
 
 def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
@@ -301,4 +303,4 @@ def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
     points ``u`` of the marked monoid; see :func:`relint_cone_sum`."""
     if not mm.is_local():
         raise ValueError("cone series needs a local marking (e_pi != 0)")
-    return relint_cone_sum(mm.base.dual(), mm.e_pi, mm.a_div, weight)
+    return relint_cone_sum(mm.base.dual(), mm.e_pi, mm.a_div).scale(weight)

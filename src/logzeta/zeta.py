@@ -223,10 +223,10 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
         raise InvalidModel(problems)
     weighted = ((cell, f.weight(cell)) for cell in f.complex.cells)
     return ZSeries.sum(
-        relint_cone_sum(*_cell_in_span(f, cell), w)
+        relint_cone_sum(*_cell_in_span(f, cell)).scale(w.scale_l(-m))
         for cell, w in weighted
         if not w.is_zero() and not f.e_identically_zero(cell)
-    ).scale(MClass.l_power(-m))
+    )
 
 
 def fan_poles(f: FanModel) -> frozenset[Fraction]:

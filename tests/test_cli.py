@@ -293,6 +293,65 @@ def test_wrong_length_e_or_a_exits_1(tmp_path, capsys, verb, key, vector):
     assert (code, captured.out, captured.err) == (1, "", "error: dimension mismatch\n")
 
 
+def _components(*comps, strata=(["E"],)):
+    return {"m": 1, "components": list(comps), "strata": [{"J": j, "symbol": "E"} for j in strata]}
+
+
+E_NU = {"id": "E", "N": 1, "nu": 1}
+E_MU = {"id": "E", "N": 1, "mu": 0}
+
+
+@pytest.mark.parametrize(
+    "verb, doc, message",
+    [
+        ("dl-zeta", _components(E_NU, E_NU), "bad sncd input: duplicate component ids"),
+        ("dl-zeta", _components(E_NU, strata=([],)), "bad sncd input: empty stratum"),
+        ("dl-zeta", _components(E_NU, strata=(["E"], ["E"])), "bad sncd input: duplicate stratum ['E']"),
+        (
+            "dl-zeta",
+            _components({"id": "E", "N": 0, "nu": 1}),
+            "bad sncd input: component E: multiplicity must be positive",
+        ),
+        ("dl-zeta", _components(E_MU), "component E carries no nu"),
+        ("nearby", _components(E_MU), "component E carries no nu"),
+        ("sncd-zeta", _components(E_NU), "component E carries no mu"),
+        ("newton-zeta", {"n": 1, "support": [[1]], "coeffs": {"(2)": "1"}}, "coefficient for non-support point (2,)"),
+        ("probe-nondegenerate", {"n": 1, "support": [[1]]}, "probe needs coefficients"),
+        (
+            "probe-nondegenerate",
+            {"n": 2, "support": [[2, 0], [0, 3]], "coeffs": {"(2,0)": "1"}},
+            "probe needs a coefficient for every support point",
+        ),
+    ],
+)
+def test_trust_boundary_rejections_exit_1(tmp_path, capsys, verb, doc, message):
+    extra = ("--prime", "7") if verb == "probe-nondegenerate" else ()
+    code = main([verb, write(tmp_path, "input.json", doc), *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+def test_validate_rejects_a_file_that_is_not_json(tmp_path, capsys):
+    p = tmp_path / "model.json"
+    p.write_text("{not json")
+    code = main(["validate", str(p)])
+    captured = capsys.readouterr()
+    expected = f"error: {p} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    assert (code, captured.out, captured.err) == (1, "", expected)
+
+
+def test_validate_reports_a_disagreeing_a_at_a_shared_ray(tmp_path, capsys):
+    doc = {
+        "rank": 2,
+        "cells": [{"rays": [[1, 0], [1, 1]]}, {"rays": [[1, 1], [0, 1]]}],
+        "e": [[1, 1], [1, 1]],
+        "a": [[0, 0], [1, 0]],
+    }
+    code = main(["validate", write(tmp_path, "model.json", doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "inconsistent a across shared face at ray (1, 1)\n", "")
+
+
 def test_runtime_error_is_an_error_line(capsys, monkeypatch):
     def give_up(k):
         raise RuntimeError("resolution did not terminate")

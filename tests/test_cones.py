@@ -5,11 +5,13 @@ import random
 import weakref
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import logzeta.cones
 from logzeta.cones import (
     _carriers,
+    _is_pyramid_apex,
+    _meet_in_common_face,
     _triangulate,
     Cone,
     ConeComplex,
@@ -23,7 +25,6 @@ from logzeta.cones import (
     cone_intersection,
     dual_cone,
     faces,
-    is_face_of,
     resolve_complex,
     star_subdivision,
     triangulate_half_open,
@@ -46,6 +47,7 @@ from genutil import (
     brute_faces,
     brute_incidence,
     brute_intersection,
+    brute_is_face,
     count_dd_runs,
     fresh_box_points,
     half_open_contains,
@@ -277,9 +279,9 @@ def test_faces_match_brute_force(c):
 
 
 def test_face_of():
-    for f in faces(SQUARE):
-        assert is_face_of(f, SQUARE)
-    assert not is_face_of(cone_from_rays(3, [(1, 1, 1)]), SQUARE)
+    assert cone_from_rays(3, [(1, 0, 1), (0, 1, 1)]) in faces(SQUARE)
+    assert cone_from_rays(3, [(1, 0, 1), (-1, 0, 1)]) not in faces(SQUARE)  # a diagonal
+    assert cone_from_rays(3, [(1, 1, 1)]) not in faces(SQUARE)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +308,27 @@ def test_cone_intersection_matches_brute_force(pair):
     assert inter == brute_intersection(c1, c2)
     assert inter == two_dd_facets_cone(inter.ambient_rank, c1.facets + c2.facets)
     assert inter == cone_from_rays(inter.ambient_rank, inter.rays)
+
+
+def faces_of_one_cone():
+    """Two faces of one cone of rank 1-4, so each may be the other, a face
+    of it, or neither."""
+    return cones_any_shape(st.integers(1, 4)).flatmap(
+        lambda c: st.tuples(st.sampled_from(faces(c)), st.sampled_from(faces(c)))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(cone_pairs(), faces_of_one_cone()))
+@example((ORTHANT2, cone_from_rays(2, [(1, 0)])))  # a face of the other
+@example((ORTHANT2, cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])))  # no shared face
+@example((cone_from_rays(2, [(1, 0), (1, 2)]), cone_from_rays(2, [(1, 1), (0, 1)])))  # overlap
+@example((cone_from_rays(3, [(1, 2, 0), (2, 1, 0)]), cone_from_rays(3, [(1, 1, 0), (0, 1, 0)])))  # flat
+@example((cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]), cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 0, 1)])))
+def test_meet_in_common_face_matches_brute_force(pair):
+    c1, c2 = pair
+    meet = brute_intersection(c1, c2)
+    assert _meet_in_common_face(c1, c2) == (brute_is_face(meet, c1) and brute_is_face(meet, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +441,33 @@ def test_resolve_preserves_smooth_neighbors():
     k = complex_from_cones(2, [smooth, singular])
     r = resolve_complex(k)
     assert smooth in set(r.cells)
+
+
+@st.composite
+def pointed_cones(draw):
+    """Cones of rank 3-4 spanned by nonnegative combinations of a random
+    basis of a subspace of dimension at least 3, some flat; a pointed cone
+    of rank 2 is simplicial."""
+    rank = draw(st.integers(3, 4))
+    dim = draw(st.integers(3, rank))
+    basis = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=dim, max_size=dim))
+    coeffs = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    rays = [
+        tuple(sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank))
+        for ks in draw(st.lists(coeffs, min_size=dim + 1, max_size=dim + 4))
+    ]
+    return cone_from_rays(rank, rays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pointed_cones())
+@example(SQUARE)
+def test_non_simplicial_cone_has_a_ray_that_is_no_pyramid_apex(c):
+    # resolve_complex pivots at such a ray: were every ray an apex, each
+    # other ray would be an apex of the facet opposite it, and by induction
+    # the cone would be simplicial
+    assume(c.is_strictly_convex() and len(c.rays) > c.dim)
+    assert not all(_is_pyramid_apex(c, r) for r in c.rays)
 
 
 def test_lineality_rejected():

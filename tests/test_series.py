@@ -12,7 +12,7 @@ from logzeta.cones import (
     star_subdivision,
 )
 from logzeta.intlin import dot, solve_integer
-from logzeta.mring import MClass
+from logzeta.mring import UNIT_SYMBOL, MClass
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid, _reduce_to_span
 from logzeta.series import ZSeries, cone_series, equal, format_poles, relint_cone_sum
 from logzeta.zeta import (
@@ -322,13 +322,27 @@ def outcome(kernel, *args):
 @example((SQUARE, (0, 0, 1), (1, 1, 1), ONE))  # not simplicial
 @example((cone_from_rays(3, [(1, 2, 0), (2, 1, 0)]), (1, 1, 5), (0, 1, -1), WEIGHTS[3]))  # flat
 def test_relint_cone_sum_matches_per_call_kernel(args):
+    def weighted(cone, e, a, w):
+        return relint_cone_sum(cone, e, a).scale(w)
+
     expected = outcome(per_call_relint_cone_sum, *args)
-    assert outcome(relint_cone_sum, *args) == expected
-    assert outcome(relint_cone_sum, *args) == expected  # read from the table
+    assert outcome(weighted, *args) == expected
+    assert outcome(weighted, *args) == expected  # read from the table
     cone = args[0]
     if cone.is_strictly_convex():
         for piece in _relint_pieces(cone):
             assert box_points(piece) == fresh_box_points(piece)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_sum_inputs())
+def test_relint_cone_sum_is_pure_geometry(args):
+    # the kernel touches no class symbol: every coefficient is on the unit
+    try:
+        s = relint_cone_sum(*args[:3])
+    except ValueError:
+        return
+    assert all(set(c.terms) == {UNIT_SYMBOL} for c in s.terms.values())
 
 
 def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
@@ -337,9 +351,9 @@ def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
     halfplane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
     for _ in range(2):
         with pytest.raises(ValueError, match="horizontal ray"):
-            relint_cone_sum(orthant, (1, 0), (0, 2), ONE)
+            relint_cone_sum(orthant, (1, 0), (0, 2))
         with pytest.raises(LinealityError):
-            relint_cone_sum(halfplane, (1, 1), (0, 0), ONE)
+            relint_cone_sum(halfplane, (1, 1), (0, 0))
     assert len(runs) == 2  # the line is found afresh each time; nothing is kept
 
 

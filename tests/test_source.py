@@ -122,6 +122,7 @@ UNREAD_DEFINITIONS = {
     ("monoids.py", "valuation"),
     # perfbench/spans.py looks these up by name to trace them
     ("cones.py", "check_subdivision"),
+    ("cones.py", "cone_intersection"),
     ("intlin.py", "inverse_rational"),
     ("intlin.py", "kernel_basis"),
     ("intlin.py", "solve_rational"),

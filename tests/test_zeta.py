@@ -211,6 +211,15 @@ def test_validate_catches_inconsistent_vectors():
     assert any("inconsistent e" in p for p in validate_model(model))
 
 
+def test_validate_requires_e_and_a_on_the_maximal_cells():
+    orthant = cone_from_rays(2, [(1, 0), (0, 1)])
+    ray = cone_from_rays(2, [(1, 0)])
+    k = complex_from_cones(2, [orthant])
+    for e_vecs, a_vecs in (({ray: (1, 1)}, {orthant: (0, 0)}), ({orthant: (1, 1)}, {})):
+        model = FanModel(k, e_vecs, a_vecs, {})
+        assert validate_model(model) == ["e/a vectors must be indexed by the maximal cells"]
+
+
 def test_piecewise_linear_functionals():
     # continuous but not globally linear e across two cells
     a = cone_from_rays(2, [(1, 0), (1, 1)])
@@ -252,6 +261,16 @@ def test_transport_star_subdivision_invariance():
     new_ray = cone_from_rays(2, [(1, 1)])
     orthant = cone_from_rays(2, [(1, 0), (0, 1)])
     assert m2.weight(new_ray) == model.weight(orthant)
+
+
+def test_series_equality_operator():
+    model = sncd_to_fanmodel(PAIR)
+    base = fan_poincare(model, PAIR.m)
+    star = fan_poincare(transport_subdivide(model, star_subdivision(model.complex, (1, 1))), PAIR.m)
+    assert str(star) != str(base)
+    assert star == base and not star != base
+    assert base != fan_poincare(model, PAIR.m + 1)
+    assert not base == 1 and base != 1
 
 
 def test_transported_model_is_still_model_checked():
