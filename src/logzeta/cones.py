@@ -38,7 +38,9 @@ uncertified one of the chain) and the carrier of each of its cells there.
 ``transport_subdivide``, reads those carriers only when asked about that
 very root object; a complex built any other way, or an equal copy, is
 checked in full.  The carriers read are the cells the full scan returns,
-so no printed output depends on which path ran.
+so no printed output depends on which path ran.  A certified complex also
+reads its maximal cells and owners off the certificate, when first asked,
+and scans only the maximal cells that fill an owner of a cell's carrier.
 """
 
 from __future__ import annotations
@@ -325,6 +327,12 @@ class ConeComplex:
 
     @cached_property
     def _maximal_cells(self) -> tuple[Cone, ...]:
+        if self._certificate is not None:
+            # A refinement with the same support: a cell is maximal exactly
+            # when it fills its carrier, a maximal cell of the root.
+            root, carriers = self._certificate
+            top = set(root.maximal_cells())
+            return tuple(c for c, r in zip(self.cells, carriers) if r in top and c.dim == r.dim)
         # Only a cell of equal or higher dimension can contain a cell: those
         # are the cells from the first one of its dimension on.
         dims = [c.dim for c in self.cells]
@@ -342,7 +350,25 @@ class ConeComplex:
     @cached_property
     def _owners(self) -> dict[Cone, tuple[Cone, ...]]:
         maximal = self.maximal_cells()
-        return {c: tuple(m for m in maximal if cone_le(c, m)) for c in self.cells}
+        if self._certificate is None:
+            return {c: tuple(m for m in maximal if cone_le(c, m)) for c in self.cells}
+        # A maximal cell containing c fills a maximal cell of the root, which
+        # contains c and so its carrier: only the cells filling the owners of
+        # the carrier are tested.
+        root, carriers = self._certificate
+        top = set(maximal)
+        filling: dict[Cone, list[tuple[int, Cone]]] = {}
+        for i, (m, r) in enumerate(zip(self.cells, carriers)):
+            if m in top:
+                filling.setdefault(r, []).append((i, m))
+
+        def candidates(r: Cone) -> list[tuple[int, Cone]]:
+            return sorted(im for o in root.owners(r) for im in filling[o])
+
+        return {
+            c: tuple(m for _, m in candidates(r) if cone_le(c, m))
+            for c, r in zip(self.cells, carriers)
+        }
 
     def support_cell(self, v: Vec) -> Optional[Cone]:
         """A smallest cell containing ``v``, or None if outside the support."""

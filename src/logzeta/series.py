@@ -7,7 +7,12 @@ A :class:`ZSeries` is a finite sum of terms
 with ``c`` an :class:`~logzeta.mring.MClass`.  Terms with identical
 ``(beta, denominators)`` are merged and zero coefficients dropped, giving a
 canonical form used for printing and golden tests.  Mathematical equality is
-decided exactly by clearing the denominators of the difference.
+decided exactly by clearing the denominators of the difference, in plain
+integers: the coefficients are lifted to one power of ``(L-1)`` and the
+numerator over the common denominator is a table of integers keyed by
+T-degree, class symbol and L-exponent.  The symbols are free generators and
+the lift is by a nonzero factor, so the difference is zero exactly when the
+table is; see :func:`equal`.
 
 The heart of the module is :func:`relint_cone_sum`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
@@ -26,6 +31,7 @@ per term, :func:`cone_series` for the interior dual points of a monoid.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping
 
 from .cones import Cone, _relint_pieces, box_points
@@ -168,23 +174,6 @@ class ZSeries:
 
     # -- exact equality ------------------------------------------------------
 
-    def _numerator_against(self, common: Denoms) -> dict[int, MClass]:
-        """Polynomial (in T) equal to self * prod(1 - L^a T^b) over ``common``."""
-
-        def parts():  # lazily, so that merge holds one term's numerator at a time
-            for (beta, ds), c in self.terms.items():
-                missing = list(common)
-                for d in ds:
-                    missing.remove(d)
-                part = {beta: c}
-                for a, b in missing:
-                    part = merge(
-                        kv for m, cm in part.items() for kv in ((m, cm), (m + b, -cm.scale_l(a)))
-                    )
-                yield from part.items()
-
-        return merge(parts())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ZSeries):
             return NotImplemented
@@ -234,16 +223,45 @@ def _denom_str(a: int, b: int) -> str:
 
 def equal(s1: ZSeries, s2: ZSeries) -> bool:
     """Exact equality in the ring: the difference has a zero numerator over
-    the common denominator of its own terms."""
-    diff = s1 - s2
+    the common denominator of its own terms.
+
+    No class of the difference is built.  Coefficients are canonical, so
+    the keys whose coefficients are structurally equal cancel, and the keys
+    left are those of ``s1 - s2``.  Every live coefficient is lifted to the
+    one denominator ``(L-1)^D``, ``D`` the largest power among them, which
+    leaves integers on ``(symbol, L-exponent)``; each term is multiplied by
+    its missing factors ``1 - L^a T^b`` into one integer table keyed
+    ``(T-degree, symbol, L-exponent)``.  The symbols are free generators and
+    multiplying by the nonzero ``(L-1)^D`` is injective, so the difference
+    vanishes exactly when every entry of the table does.
+    """
+    live = [(k, 1, c) for k, c in s1.terms.items() if s2.terms.get(k) != c]
+    live += [(k, -1, c) for k, c in s2.terms.items() if s1.terms.get(k) != c]
     counts: dict[tuple[int, int], int] = {}
-    for (_, ds) in diff.terms.keys():
+    for (_, ds), _, _ in live:
         for d in set(ds):
             counts[d] = max(counts.get(d, 0), ds.count(d))
-    common: list[tuple[int, int]] = []
-    for d, k in sorted(counts.items()):
-        common.extend([d] * k)
-    return not diff._numerator_against(tuple(common))
+    top = max((cf.den_pow for _, _, c in live for cf in c.terms.values()), default=0)
+    lifts = [_l_minus_1_power(k) for k in range(top + 1)]
+    total: dict[tuple[int, str, int], int] = {}
+    for (beta, ds), sign, c in live:
+        part: dict[tuple[int, str, int], int] = {}
+        for sym, cf in c.terms.items():
+            for e, n in cf.num.coeffs:
+                for i, m in lifts[top - cf.den_pow]:
+                    part[beta, sym, e + i] = part.get((beta, sym, e + i), 0) + sign * n * m
+        for (a, b), k in counts.items():
+            for _ in range(k - ds.count((a, b))):
+                for (t, sym, e), n in list(part.items()):
+                    part[t + b, sym, e + a] = part.get((t + b, sym, e + a), 0) - n
+        for key, n in part.items():
+            total[key] = total.get(key, 0) + n
+    return not any(total.values())
+
+
+def _l_minus_1_power(k: int) -> list[tuple[int, int]]:
+    """``(L-1)^k`` as ``(L-exponent, coefficient)`` pairs."""
+    return [(i, comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
 
 
 def format_poles(poles: frozenset[Fraction]) -> str:

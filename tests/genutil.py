@@ -44,7 +44,7 @@ from logzeta.intlin import (
     vec_scale,
     vec_sub,
 )
-from logzeta.mring import LaurentPoly, MClass, MCoeff
+from logzeta.mring import LaurentPoly, MClass, MCoeff, merge
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid, base_change
 from logzeta.newton import NewtonInput, newton_polyhedron
 from logzeta.series import ZSeries
@@ -212,6 +212,34 @@ def laurent_series(c: MCoeff, low: int) -> LaurentPoly:
 def truncate_l_below(x: MClass, low: int) -> MClass:
     """L-adic truncation of every coefficient of ``x`` at ``low``."""
     return MClass({sym: MCoeff(laurent_series(c, low), 0) for sym, c in x.terms.items()})
+
+
+def numerator_equal(s1: ZSeries, s2: ZSeries) -> bool:
+    """``series.equal`` in classes: ``s1 - s2`` is built as a series, and its
+    numerator over the common denominator of its own terms is summed as a
+    polynomial in T with :class:`MClass` coefficients."""
+    diff = s1 - s2
+    counts: dict[tuple[int, int], int] = {}
+    for (_, ds) in diff.terms.keys():
+        for d in set(ds):
+            counts[d] = max(counts.get(d, 0), ds.count(d))
+    common: list[tuple[int, int]] = []
+    for d, k in sorted(counts.items()):
+        common.extend([d] * k)
+
+    def parts():  # lazily, so that merge holds one term's numerator at a time
+        for (beta, ds), c in diff.terms.items():
+            missing = list(common)
+            for d in ds:
+                missing.remove(d)
+            part = {beta: c}
+            for a, b in missing:
+                part = merge(
+                    kv for m, cm in part.items() for kv in ((m, cm), (m + b, -cm.scale_l(a)))
+                )
+            yield from part.items()
+
+    return not merge(parts())
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +561,95 @@ def per_call_relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSer
             poly = MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.from_dict(bucket))})
             pairs.append(((beta, key_denoms), coeff * poly))
     return ZSeries._sum_pairs(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Random series and pairs of them whose equality is known by construction.
+
+DENOM_FACTORS = [(0, 1), (-1, 1), (1, 1), (-2, 2), (1, 2)]
+
+
+def random_class(rng: random.Random, symbols: Sequence[str]) -> MClass:
+    """A nonzero class on some of ``symbols`` and the unit, each coefficient
+    a random Laurent polynomial over ``(L-1)^k``, k in 0..2."""
+    while True:
+        parts = {}
+        for sym in rng.sample(["1", *symbols], rng.randint(1, len(symbols) + 1)):
+            num: dict[int, int] = {}
+            for _ in range(rng.randint(1, 3)):
+                e = rng.randint(-2, 2)
+                num[e] = num.get(e, 0) + rng.choice([-2, -1, 1, 2])
+            parts[sym] = MCoeff.make(LaurentPoly.from_dict(num), rng.randint(0, 2))
+        c = MClass(parts)
+        if not c.is_zero():
+            return c
+
+
+def random_series(rng: random.Random, symbols: Sequence[str], max_terms: int = 3) -> ZSeries:
+    """One to ``max_terms`` terms, each over up to three factors of
+    ``DENOM_FACTORS``, repeats allowed."""
+    return ZSeries.sum(
+        ZSeries.term(
+            random_class(rng, symbols),
+            rng.randint(0, 3),
+            rng.choices(DENOM_FACTORS, k=rng.randint(0, 3)),
+        )
+        for _ in range(rng.randint(1, max_terms))
+    )
+
+
+def regroup(s: ZSeries, rng: random.Random) -> ZSeries:
+    """``s`` with one or more terms written over one more denominator factor:
+    ``c T^beta / D = (c T^beta - c L^a T^(beta+b)) / (D (1 - L^a T^b))``."""
+    parts = []
+    first = rng.randrange(len(s.terms))
+    for i, ((beta, ds), c) in enumerate(s.terms.items()):
+        if i != first and rng.random() < 0.5:
+            parts.append(ZSeries.term(c, beta, ds))
+            continue
+        a, b = rng.choice(DENOM_FACTORS)
+        wider = ds + ((a, b),)
+        parts.append(ZSeries.term(c, beta, wider) - ZSeries.term(c.scale_l(a), beta + b, wider))
+    return ZSeries.sum(parts)
+
+
+def mutate(s: ZSeries, rng: random.Random) -> ZSeries:
+    """``s`` with one coefficient of one term changed, so no longer equal to
+    ``s``: one L-exponent moved up by one, the term's sign flipped, or one
+    denominator power moved by one."""
+    (beta, ds), c = rng.choice(sorted(s.terms.items(), key=lambda kv: kv[0]))
+    sym, cf = rng.choice(c.sorted_terms())
+    kind = rng.choice(["exponent", "sign", "den_pow"])
+    if kind == "sign":
+        return s - ZSeries.term(c + c, beta, ds)
+    if kind == "exponent":
+        num = dict(cf.num.coeffs)
+        e = rng.choice(sorted(num))
+        n = num.pop(e)
+        num[e + 1] = num.get(e + 1, 0) + n
+        changed = MCoeff.make(LaurentPoly.from_dict(num), cf.den_pow)
+    else:
+        step = 1 if cf.den_pow == 0 or rng.random() < 0.5 else -1
+        changed = MCoeff.make(cf.num, cf.den_pow + step)
+    delta = MClass({sym: changed}) - MClass({sym: cf})
+    return s + ZSeries.term(delta, beta, ds)
+
+
+def series_pair(rng: random.Random) -> tuple[ZSeries, ZSeries, bool]:
+    """Two series on one to three symbols and whether they are equal.
+
+    Equal pairs re-group one side, or add and take away a series; unequal
+    ones re-group a mutated copy.  Both sides often share terms."""
+    atoms = rng.sample(["A", "B", "C"], rng.randint(1, 3))
+    symbols = atoms + (["*".join(atoms[:2])] if len(atoms) > 1 and rng.random() < 0.5 else [])
+    s = random_series(rng, symbols)
+    shared = random_series(rng, symbols) if rng.random() < 0.7 else ZSeries.zero()
+    if rng.random() < 0.5:
+        if rng.random() < 0.25:
+            t = random_series(rng, symbols)
+            return s + t - t, s, True
+        return regroup(s, rng) + shared, s + shared, True
+    return regroup(mutate(s, rng), rng) + shared, s + shared, False
 
 
 # ---------------------------------------------------------------------------

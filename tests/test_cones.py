@@ -758,6 +758,26 @@ def test_subdivision_certificate_matches_general_path(seed):
     assert uncertified(r).validate() == []
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_certified_incidence_matches_scan(seed):
+    # the maximal cells and owners a certified complex reads off its
+    # certificate are the ones the scan finds on an uncertified copy
+    rng = random.Random(seed)
+    k = random_subdivided_cone(rng, rng.randint(2, 3))
+    chain = [k]
+    for _ in range(rng.randint(1, 3)):
+        chain.append(star_subdivision(chain[-1], point_in_support(rng, chain[-1])))
+        assert {"_maximal_cells", "_owners"}.isdisjoint(vars(chain[-1]))  # built when asked
+    chain.append(resolve_complex(chain[-1]))
+    for kp in chain[1:]:
+        assert kp._certificate[0] is k
+        maximal, owners = brute_incidence(uncertified(kp))
+        assert list(kp.maximal_cells()) == maximal
+        for c in kp.cells:
+            assert list(kp.owners(c)) == owners[c]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_first_containing_cell_is_smallest(seed):

@@ -27,9 +27,11 @@ from genutil import (
     brute_cone_sum,
     count_calls,
     fresh_box_points,
+    numerator_equal,
     per_call_relint_cone_sum,
     product_monoid_with_horizontals,
     random_marked_monoid,
+    series_pair,
 )
 
 ONE = MClass.one()
@@ -181,6 +183,15 @@ def test_equal_properties():
     assert not equal(s, s + ZSeries.one())
     # invariant under re-canonicalization: adding and subtracting
     assert equal(s + t - t, s)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 10**6))
+def test_equal_matches_numerator_oracle(seed):
+    # pairs whose equality is known by construction, half of them equal
+    lhs, rhs, expected = series_pair(random.Random(seed))
+    assert equal(lhs, rhs) == numerator_equal(lhs, rhs) == expected
+    assert equal(rhs, lhs) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ compared directly (the diagonal is unique); for Hermite forms we compare the
 column span and the canonical shape, since conventions differ.  Rank,
 determinant, inverse and rational solve, which share one fraction-free
 elimination in ``intlin``, are checked against sympy's exact rational
-arithmetic on matrices with forced dependent rows.
+arithmetic on matrices with forced dependent rows.  Series equality is
+checked against sympy's normal form of rational functions in ``L``, ``T``
+and one symbol per class atom.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +32,9 @@ from logzeta.intlin import (
     solve_integer,
     solve_rational,
 )
+from logzeta.series import ZSeries, equal
+
+from genutil import series_pair
 
 
 def random_matrix(rng, m, n, bound=9):
@@ -129,3 +135,33 @@ def test_solve_rational_matches_sympy():
         _, pivots = a.rref()
         assert all(x[j] == 0 for j in range(n) if j not in pivots), (rows, b, x)
     assert inconsistent
+
+
+def as_rational_function(s: ZSeries):
+    """``s`` as a sympy expression, read off its terms: each class atom is
+    its own sympy symbol and each coefficient is ``p(L) / (L-1)^k``."""
+    L, T = sympy.symbols("L T")
+    total = sympy.Integer(0)
+    for (beta, ds), c in s.terms.items():
+        coeff = sympy.Integer(0)
+        for symbol, cf in c.terms.items():
+            atoms = [] if symbol == "1" else [sympy.Symbol(a) for a in symbol.split("*")]
+            num = sum(n * L**e for e, n in cf.num.coeffs)
+            coeff += math.prod(atoms, start=sympy.Integer(1)) * num / (L - 1) ** cf.den_pow
+        denominator = math.prod((1 - L**a * T**b for a, b in ds), start=sympy.Integer(1))
+        total += coeff * T**beta / denominator
+    return total
+
+
+def test_equal_matches_sympy():
+    rng = random.Random(104)
+    outcomes = []
+    for _ in range(40):
+        lhs, rhs, _ = series_pair(rng)
+        # one fraction over a product of the denominators, then its expanded
+        # numerator: exact, and much faster here than cancel's gcds
+        diff = sympy.together(as_rational_function(lhs) - as_rational_function(rhs))
+        verdict = sympy.expand(sympy.numer(diff)) == 0
+        assert equal(lhs, rhs) == verdict, (lhs, rhs)
+        outcomes.append(verdict)
+    assert 10 <= sum(outcomes) <= 30  # both verdicts are drawn
