@@ -150,6 +150,24 @@ def _int(x: Any, what: str) -> int:
     return x
 
 
+# Exponent notation in a Newton coefficient: ``Fraction`` expands "1e999999999"
+# digit by digit, so it is refused before it is read.
+_EXPONENT_RE = re.compile(r"[\d.][eE]")
+
+
+def _newton_coefficient(val: Any) -> Fraction:
+    """A rational coefficient in any form ``Fraction`` reads from ``str(val)``,
+    but for exponent notation in a string and a zero denominator."""
+    if isinstance(val, str) and _EXPONENT_RE.search(val):
+        raise InputError(f"bad newton input: coefficient {val!r} is in exponent notation")
+    try:
+        return Fraction(str(val))
+    except ZeroDivisionError:
+        raise InputError(f"bad newton input: coefficient {val!r} has a zero denominator")
+    except ValueError as e:
+        raise InputError(f"bad newton input: {e}")
+
+
 def parse_newton(data: dict[str, Any]) -> NewtonInput:
     try:
         n = _int(data["n"], "n")
@@ -161,7 +179,7 @@ def parse_newton(data: dict[str, Any]) -> NewtonInput:
         coeffs = {}
         for key, val in _object(data["coeffs"], "coeffs").items():
             pt = tuple(int(x) for x in key.strip("()").split(","))
-            coeffs[pt] = Fraction(str(val))
+            coeffs[pt] = _newton_coefficient(val)
     try:
         return NewtonInput(n, support, coeffs)
     except ValueError as e:

@@ -21,8 +21,11 @@ since its line basis is not fixed by the input.  :func:`cone_from_facets`
 is the dual of :func:`cone_from_rays` on the normals.  Faces and the
 pulling triangulation are read off the ray/facet incidence as bitmasks
 (:func:`_face_lattice`); only :func:`faces` turns masks back into cones.  A
-:class:`ConeComplex` sorts its cells when built, so its first-hit scans
-find smallest cells however the cells were given.
+:class:`ConeComplex` answers every containment question from one table of
+masks over its cells, one per vector asked about: a cone lies in a cell
+exactly when each of its rays does, so the cells containing a cone are the
+meet of its rays' masks.  Its cells are sorted when it is built, so the
+lowest cell of a mask is a smallest one, however the cells were given.
 The half-open pieces of a cone's relative interior depend on the cone
 alone, so a bounded table keeps them per cone (:func:`_relint_pieces`), and
 each piece takes the Smith form its box points are enumerated from once,
@@ -37,16 +40,13 @@ uncertified one of the chain) and the carrier of each of its cells there.
 :func:`_carriers`, behind :func:`check_subdivision` and
 ``transport_subdivide``, reads those carriers only when asked about that
 very root object; a complex built any other way, or an equal copy, is
-checked in full.  The carriers read are the cells the full scan returns,
-so no printed output depends on which path ran.  A certified complex also
-reads its maximal cells and owners off the certificate, when first asked,
-and scans only the maximal cells that fill an owner of a cell's carrier.
+checked in full.  The carriers read are the cells the general path returns,
+so no printed output depends on which path ran.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -149,6 +149,14 @@ class Cone:
     ambient_rank: int
     rays: tuple[Vec, ...]
     facets: tuple[Vec, ...]
+
+    def __post_init__(self):
+        # the generated hash, taken once: cones key the face cache and every
+        # incidence table, and a frozen cone's fields never change
+        object.__setattr__(self, "_hash", hash((self.ambient_rank, self.rays, self.facets)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -254,11 +262,6 @@ def cone_intersection(c1: Cone, c2: Cone) -> Cone:
     return cone_from_facets(c1.ambient_rank, list(c1.facets) + list(c2.facets))
 
 
-def cone_le(small: Cone, big: Cone) -> bool:
-    """Containment of cones."""
-    return all(big.contains(r) for r in small.rays)
-
-
 def _bits(mask: int) -> list[int]:
     """The indices of the set bits of ``mask``, increasing."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -321,26 +324,39 @@ class ConeComplex:
     # complex, in cell order.  Not a field, so not part of == or hash.
     _certificate = None
 
+    @cached_property
+    def _masks(self) -> dict[Vec, int]:
+        """Each vector asked about so far -> the cells containing it, bit
+        ``i`` standing for ``cells[i]``; filled by :meth:`_mask`."""
+        return {}
+
+    def _mask(self, v: Vec) -> int:
+        """The cells containing the vector ``v``, as a bitmask."""
+        masks = self._masks
+        if v not in masks:
+            masks[v] = sum(1 << i for i, c in enumerate(self.cells) if c.contains(v))
+        return masks[v]
+
+    def _containing(self, cone: Cone) -> int:
+        """The cells containing ``cone``, as a bitmask: a cone lies in a cell
+        exactly when each of its rays does, and the zero cone lies in all."""
+        mask = (1 << len(self.cells)) - 1
+        for r in cone.rays:
+            mask &= self._mask(r)
+        return mask
+
     def maximal_cells(self) -> tuple[Cone, ...]:
         """Cells contained in no other cell, in cell order."""
         return self._maximal_cells
 
     @cached_property
     def _maximal_cells(self) -> tuple[Cone, ...]:
-        if self._certificate is not None:
-            # A refinement with the same support: a cell is maximal exactly
-            # when it fills its carrier, a maximal cell of the root.
-            root, carriers = self._certificate
-            top = set(root.maximal_cells())
-            return tuple(c for c, r in zip(self.cells, carriers) if r in top and c.dim == r.dim)
-        # Only a cell of equal or higher dimension can contain a cell: those
-        # are the cells from the first one of its dimension on.
-        dims = [c.dim for c in self.cells]
-        return tuple(
-            c
-            for c, d in zip(self.cells, dims)
-            if not any(o != c and cone_le(c, o) for o in self.cells[bisect_left(dims, d) :])
-        )
+        # A cell is maximal when every cell containing it equals it, so a
+        # cell given twice keeps both copies.
+        copies: dict[Cone, int] = {}
+        for i, c in enumerate(self.cells):
+            copies[c] = copies.get(c, 0) | 1 << i
+        return tuple(c for c in self.cells if not self._containing(c) & ~copies[c])
 
     def owners(self, cell: Cone) -> tuple[Cone, ...]:
         """The maximal cells containing ``cell``, a cell of the complex, in
@@ -349,34 +365,21 @@ class ConeComplex:
 
     @cached_property
     def _owners(self) -> dict[Cone, tuple[Cone, ...]]:
-        maximal = self.maximal_cells()
-        if self._certificate is None:
-            return {c: tuple(m for m in maximal if cone_le(c, m)) for c in self.cells}
-        # A maximal cell containing c fills a maximal cell of the root, which
-        # contains c and so its carrier: only the cells filling the owners of
-        # the carrier are tested.
-        root, carriers = self._certificate
-        top = set(maximal)
-        filling: dict[Cone, list[tuple[int, Cone]]] = {}
-        for i, (m, r) in enumerate(zip(self.cells, carriers)):
-            if m in top:
-                filling.setdefault(r, []).append((i, m))
-
-        def candidates(r: Cone) -> list[tuple[int, Cone]]:
-            return sorted(im for o in root.owners(r) for im in filling[o])
-
-        return {
-            c: tuple(m for _, m in candidates(r) if cone_le(c, m))
-            for c, r in zip(self.cells, carriers)
-        }
+        maximal = set(self.maximal_cells())
+        top = sum(1 << i for i, c in enumerate(self.cells) if c in maximal)
+        return {c: tuple(self.cells[i] for i in _bits(self._containing(c) & top)) for c in self.cells}
 
     def support_cell(self, v: Vec) -> Optional[Cone]:
         """A smallest cell containing ``v``, or None if outside the support."""
-        return next((c for c in self.cells if c.contains(v)), None)
+        return self._first(self._mask(v))
 
     def smallest_containing(self, other: Cone) -> Optional[Cone]:
         """A smallest cell containing ``other`` (the first in cell order), or None."""
-        return next((c for c in self.cells if cone_le(other, c)), None)
+        return self._first(self._containing(other))
+
+    def _first(self, mask: int) -> Optional[Cone]:
+        """The first cell in ``mask``, or None when it is empty."""
+        return self.cells[(mask & -mask).bit_length() - 1] if mask else None
 
     def validate(self) -> list[str]:
         """Diagnostics for the complex axioms (empty list when valid).
@@ -448,9 +451,10 @@ def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
     rho = primitive(rho)
     if k.support_cell(rho) is None:
         raise ValueError("subdivision point outside the support")
+    holding = k._mask(rho)
     built_in: dict[Cone, Cone] = {}  # each new cell -> the first old cell it is built in
-    for c in k.cells:
-        if not c.contains(rho):
+    for i, c in enumerate(k.cells):
+        if not holding >> i & 1:
             built_in[c] = c
             continue
         if c.contains(vec_scale(-1, rho)):
@@ -507,7 +511,7 @@ def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
 
     A refinement :func:`star_subdivision` built from ``k`` itself (by
     identity) reads its certificate, and a valid ``k`` carries itself; any
-    other pair, an equal copy too, takes the scan and the volume test."""
+    other pair, an equal copy too, takes the mask meets and the volume test."""
     if kp.ambient_rank != k.ambient_rank:
         raise ValueError("dimension mismatch")
     if kp._certificate is not None and kp._certificate[0] is k:

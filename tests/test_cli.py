@@ -3,11 +3,12 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logzeta.cli import main, parse_coeff, parse_fan
+from logzeta.cli import main, parse_coeff, parse_fan, parse_newton
 from logzeta.mring import LaurentPoly, MCoeff
 from logzeta.series import equal
 from logzeta.zeta import InvalidModel, fan_poincare, validate_model
@@ -212,6 +213,26 @@ def test_probe_large_prime_refused_fast():
     assert proc.stderr.startswith("error: probe would visit") and "Traceback" not in proc.stderr
 
 
+def test_newton_exponent_notation_refused_fast(tmp_path):
+    # Fraction would expand 10**999999999 digit by digit; the child runs
+    # under a timeout so that a regression fails instead of hanging
+    doc = {"n": 2, "support": [[2, 0], [0, 3]], "coeffs": {"(2,0)": "1e999999999", "(0,3)": "1"}}
+    proc = _run_in_child("newton-zeta", write(tmp_path, "input.json", doc), timeout=30)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: bad newton input: coefficient '1e999999999' is in exponent notation\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1", "-3", "+2", " 7 ", "3/4", "-6/8", "1.5", ".5", "2.", "1_000", "0/5", 2, -1.25, 1e-07, 1e20],
+)
+def test_newton_coefficient_forms_keep_their_value(text):
+    # every form other than exponent notation in a string reads as Fraction reads its text
+    assert parse_newton({"n": 1, "support": [[1]], "coeffs": {"(1)": text}}).coeffs == {
+        (1,): Fraction(str(text))
+    }
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "newton-zeta", path("cusp_newton.json"))
     _, out2 = run(capsys, "newton-zeta", path("cusp_newton.json"))
@@ -321,6 +342,11 @@ E_MU = {"id": "E", "N": 1, "mu": 0}
             "probe-nondegenerate",
             {"n": 2, "support": [[2, 0], [0, 3]], "coeffs": {"(2,0)": "1"}},
             "probe needs a coefficient for every support point",
+        ),
+        (
+            "newton-zeta",
+            {"n": 2, "support": [[2, 0], [0, 3]], "coeffs": {"(2,0)": "1/0", "(0,3)": "1"}},
+            "bad newton input: coefficient '1/0' has a zero denominator",
         ),
     ],
 )
@@ -436,7 +462,7 @@ def test_subdivide_bad_ray(capsys):
     assert code == 1
 
 
-def _run_in_child(*argv, flags=(), **env):
+def _run_in_child(*argv, flags=(), timeout=None, **env):
     """The command line in a child interpreter that imports the same logzeta
     as this one."""
     import subprocess
@@ -451,6 +477,7 @@ def _run_in_child(*argv, flags=(), **env):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+        timeout=timeout,
     )
 
 

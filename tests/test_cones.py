@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import itertools
 import random
@@ -812,3 +813,54 @@ def test_owners_match_definition(seed):
     assert list(k.maximal_cells()) == maximal
     for c in k.cells:
         assert list(k.owners(c)) == owners[c]
+
+
+ZERO2 = cone_from_rays(2, [])
+RAY_X = cone_from_rays(2, [(1, 0)])
+RAY_Y = cone_from_rays(2, [(0, 1)])
+RAY_XY = cone_from_rays(2, [(1, 1)])
+LINE_X = cone_from_rays(2, [(1, 0), (-1, 0)])
+HALF_PLANE = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
+LOW = cone_from_rays(2, [(1, 0), (1, 1)])
+HIGH = cone_from_rays(2, [(1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # one cell given twice, with and without its faces
+        (ORTHANT2, ORTHANT2),
+        (ORTHANT2, ORTHANT2, RAY_X, RAY_Y, ZERO2),
+        # the zero cone alone, and beside other cells
+        (ZERO2,),
+        (ZERO2, RAY_X),
+        (ZERO2, ZERO2, WEDGE),
+        # cells with lines: a half-plane over its line, and the line alone
+        (HALF_PLANE, LINE_X),
+        (LINE_X, RAY_X),
+        # two maximal cells sharing the ray (1, 1), whose ray cell is missing
+        (LOW, HIGH, RAY_X, RAY_Y, ZERO2),
+        (LOW, HIGH),
+    ],
+)
+def test_incidence_matches_definition_on_edge_cases(cells):
+    # complexes random_complex never draws; every answer is the definition's
+    k = ConeComplex(2, cells)
+    maximal, owners = brute_incidence(k)
+    assert list(k.maximal_cells()) == maximal
+    for c in k.cells:
+        assert list(k.owners(c)) == owners[c]
+    for v in itertools.product(range(-2, 3), repeat=2):
+        assert k.support_cell(v) == next((c for c in k.cells if c.contains(v)), None)
+    for other in (*k.cells, ZERO2, RAY_XY, LINE_X, HALF_PLANE, ORTHANT2, WEDGE):
+        first = next((c for c in k.cells if all(c.contains(r) for r in other.rays)), None)
+        assert k.smallest_containing(other) == first
+
+
+def test_replaced_cone_hashes_its_new_fields():
+    # a cone's hash is taken once, when it is built, and dataclasses.replace
+    # builds a new one
+    moved = dataclasses.replace(WEDGE, rays=ORTHANT2.rays, facets=ORTHANT2.facets)
+    assert moved == ORTHANT2
+    assert hash(moved) == hash(ORTHANT2) == hash((2, ORTHANT2.rays, ORTHANT2.facets))
+    assert {moved: 1}[ORTHANT2] == 1
