@@ -168,6 +168,14 @@ def _newton_coefficient(val: Any) -> Fraction:
         raise InputError(f"bad newton input: {e}")
 
 
+def _newton_point(key: str) -> tuple[int, ...]:
+    """The support point of a coefficient key such as ``"(2,0)"``."""
+    try:
+        return tuple(int(x) for x in key.strip("()").split(","))
+    except ValueError:
+        raise InputError(f"bad newton input: coefficient key {key!r} is not a point of integers")
+
+
 def parse_newton(data: dict[str, Any]) -> NewtonInput:
     try:
         n = _int(data["n"], "n")
@@ -178,8 +186,7 @@ def parse_newton(data: dict[str, Any]) -> NewtonInput:
     if data.get("coeffs") is not None:
         coeffs = {}
         for key, val in _object(data["coeffs"], "coeffs").items():
-            pt = tuple(int(x) for x in key.strip("()").split(","))
-            coeffs[pt] = _newton_coefficient(val)
+            coeffs[_newton_point(key)] = _newton_coefficient(val)
     try:
         return NewtonInput(n, support, coeffs)
     except ValueError as e:

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .cones import Cone, _face_lattice, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
-from .mring import MClass
+from .mring import UNIT_SYMBOL, MClass, MCoeff
 from .series import ZSeries, relint_cone_sum
 from .zeta import FanModel
 
@@ -123,6 +123,9 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
     )
 
 
+_JET_DENOM = ((-1, 1),)  # the factor 1 - L^{-1}T of the jet sum
+
+
 @dataclass(frozen=True)
 class _FaceTable:
     """The faces of one Newton support and, once asked for, their terms."""
@@ -132,19 +135,30 @@ class _FaceTable:
 
     @cached_property
     def terms(self) -> tuple[ZSeries, ...]:
-        """Per face, one product ``S·([X_tau(0)]·L^{-1}T/(1-L^{-1}T) + [X_tau(1)])``
-        with ``S`` the sum of L^{-sigma(u)} T^{m(u)} over the relative interior
-        of the normal cone (sigma = 1 on the coordinate vectors, where m = 0).
-        The unit-section term ``[X_tau(1)]·S`` exists only when m does not
-        vanish on the whole normal cone; it then has positive T-degree."""
+        """Per face, ``S·([X_tau(0)]·L^{-1}T/(1-L^{-1}T) + [X_tau(1)])`` with
+        ``S`` the sum of L^{-sigma(u)} T^{m(u)} over the relative interior of
+        the normal cone (sigma = 1 on the coordinate vectors, where m = 0).
+
+        The product is written out term by term: a term ``c·T^beta/D`` of
+        ``S`` gives ``[X_tau(0)]·L^{-1}c·T^{beta+1}/(D·(1-L^{-1}T))`` and,
+        when m does not vanish on the whole normal cone, ``[X_tau(1)]·c·T^beta/D``
+        (of positive T-degree then).  ``c`` is canonical and a power of L is
+        a unit, so both coefficients are canonical as written."""
         sigma = (1,) * self.n
-        jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])  # L^{-1}T/(1-L^{-1}T)
         out = []
         for rec in self.records:
-            section = jet_factor.scale(MClass.symbol(f"X_tau(0)@{rec.face_id}"))
-            if any(rec.m_of(r) != 0 for r in rec.normal_cone_closure.rays):
-                section = section + ZSeries.term(MClass.symbol(f"X_tau(1)@{rec.face_id}"), 0)
-            out.append(relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma) * section)
+            cone = rec.normal_cone_closure
+            # one-atom symbols are canonical as they stand
+            jet = f"X_tau(0)@{rec.face_id}"
+            unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in cone.rays) else None
+            pairs = []
+            for (beta, ds), geometry in relint_cone_sum(cone, rec.m_witness, sigma).terms.items():
+                c = geometry.terms[UNIT_SYMBOL]
+                jet_coeff = MCoeff(c.num.shift(-1), c.den_pow)
+                pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM))), MClass._sum_pairs(((jet, jet_coeff),))))
+                if unit is not None:
+                    pairs.append(((beta, ds), MClass._sum_pairs(((unit, c),))))
+            out.append(ZSeries._sum_pairs(pairs))
         return tuple(out)
 
 

@@ -12,7 +12,11 @@ integers: the coefficients are lifted to one power of ``(L-1)`` and the
 numerator over the common denominator is a table of integers keyed by
 T-degree, class symbol and L-exponent.  The symbols are free generators and
 the lift is by a nonzero factor, so the difference is zero exactly when the
-table is; see :func:`equal`.
+table is; see :func:`equal`.  The power-series expansion works the same way:
+each distinct denominator is expanded once into a table of integers, the
+terms' numerators are summed against it per T-degree, symbol and
+``(L-1)``-power, and each coefficient is lifted and normalised once; see
+:meth:`ZSeries.expand`.
 
 The heart of the module is :func:`relint_cone_sum`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
@@ -24,8 +28,8 @@ and ``a`` with its box points and buckets them.  Rays paired to zero by
 ``e`` ("horizontal" directions) contribute pure-L geometric factors; they
 are folded into the coefficient as ``L/(L-1)`` and are only legal when
 ``a`` pairs them to one, so the fold is exact.  The kernel returns pure
-geometry, the unit-weight sum; callers attach their classes with one product
-per term, :func:`cone_series` for the interior dual points of a monoid.
+geometry, the unit-weight sum; callers attach their classes per term,
+:func:`cone_series` for the interior dual points of a monoid.
 """
 
 from __future__ import annotations
@@ -128,23 +132,43 @@ class ZSeries:
     # -- expansion, limits, poles -------------------------------------------
 
     def expand(self, degree: int) -> list[MClass]:
-        """Coefficients of T^1 ... T^degree of the power-series expansion."""
+        """Coefficients of T^1 ... T^degree of the power-series expansion.
+
+        Worked in plain integers, as :func:`equal` is.  ``1/prod(1 - L^a T^b)``
+        depends on the denominators alone, so it is expanded once per distinct
+        tuple into a table ``m -> {L-exponent: count}``.  The symbols are free
+        generators, so each is expanded on its own: per T-degree, the terms
+        add their numerators times one row of their tables into integer
+        tables keyed by ``den_pow``, which are lifted to one power of ``(L-1)``
+        and normalised once.  Canonical coefficients are unique, so the
+        result equals the sum of the terms' expansions in classes.
+        """
         if degree < 0:
             raise ValueError(f"expansion degree must be nonnegative, not {degree}")
-
-        def parts():  # lazily, so that merge holds one term's expansion at a time
-            for (beta, ds), c in self.terms.items():
-                poly = {beta: c}
-                for a, b in ds:
-                    poly = merge(
-                        (m + k * b, cm.scale_l(k * a))
-                        for m, cm in poly.items()
-                        for k in range((degree - m) // b + 1)
-                    )
-                yield from ((m, cm) for m, cm in poly.items() if m <= degree)
-
-        total = merge(parts())
-        return [total.get(d, MClass.zero()) for d in range(1, degree + 1)]
+        live = {k: c for k, c in self.terms.items() if k[0] <= degree}
+        reach: dict[Denoms, int] = {}  # the highest T-power each tuple needs
+        for beta, ds in live:
+            reach[ds] = max(reach.get(ds, 0), degree - beta)
+        tables = {ds: _geometric_table(ds, m) for ds, m in reach.items()}
+        by_symbol: dict[str, list[tuple[int, list[dict[int, int]], MCoeff]]] = {}
+        for (beta, ds), c in live.items():
+            for sym, cf in c.terms.items():
+                by_symbol.setdefault(sym, []).append((beta, tables[ds], cf))
+        out: list[list[tuple[str, MCoeff]]] = [[] for _ in range(degree)]
+        for sym, parts in by_symbol.items():
+            for t in range(1, degree + 1):
+                by_pow: dict[int, dict[int, int]] = {}  # den_pow -> {L-exponent: count}
+                for beta, table, cf in parts:
+                    row = table[t - beta] if beta <= t else None
+                    if not row:
+                        continue
+                    cell = by_pow.setdefault(cf.den_pow, {})
+                    for e, n in cf.num.coeffs:
+                        for i, k in row.items():
+                            cell[e + i] = cell.get(e + i, 0) + n * k
+                if by_pow:
+                    out[t - 1].append((sym, _lifted_sum(by_pow)))
+        return [MClass._sum_pairs(pairs) for pairs in out]
 
     def limit_T_inf(self) -> MClass:
         """Value of the series as T grows without bound.
@@ -166,11 +190,9 @@ class ZSeries:
         return out
 
     def candidate_poles(self) -> frozenset[Fraction]:
-        out = set()
-        for (_, ds) in self.terms.keys():
-            for a, b in ds:
-                out.add(Fraction(a, b))
-        return frozenset(out)
+        """``a/b`` for each distinct denominator factor ``1 - L^a T^b``."""
+        factors = {d for (_, ds) in self.terms for d in ds}
+        return frozenset(Fraction(a, b) for a, b in factors)
 
     # -- exact equality ------------------------------------------------------
 
@@ -257,6 +279,31 @@ def equal(s1: ZSeries, s2: ZSeries) -> bool:
         for key, n in part.items():
             total[key] = total.get(key, 0) + n
     return not any(total.values())
+
+
+def _geometric_table(ds: Denoms, degree: int) -> list[dict[int, int]]:
+    """``1/prod(1 - L^a T^b)`` up to ``T^degree``: entry ``m`` maps each
+    L-exponent to its count at ``T^m``."""
+    table: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(degree)]
+    for a, b in ds:
+        # times 1/(1 - L^a T^b): row m gains L^a times the updated row m - b
+        for m in range(b, degree + 1):
+            row = table[m]
+            for e, k in table[m - b].items():
+                row[e + a] = row.get(e + a, 0) + k
+    return table
+
+
+def _lifted_sum(by_pow: Mapping[int, Mapping[int, int]]) -> MCoeff:
+    """The normalised sum of ``num / (L-1)^den_pow`` over ``den_pow -> num``,
+    each ``num`` a map from L-exponent to coefficient."""
+    top = max(by_pow)
+    num: dict[int, int] = {}
+    for den_pow, cell in by_pow.items():
+        for i, k in _l_minus_1_power(top - den_pow):
+            for e, n in cell.items():
+                num[e + i] = num.get(e + i, 0) + n * k
+    return MCoeff.make(LaurentPoly.from_dict(num), top)
 
 
 def _l_minus_1_power(k: int) -> list[tuple[int, int]]:

@@ -47,7 +47,7 @@ from logzeta.intlin import (
 from logzeta.mring import LaurentPoly, MClass, MCoeff, merge
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid, base_change
 from logzeta.newton import NewtonInput, newton_polyhedron
-from logzeta.series import ZSeries
+from logzeta.series import ZSeries, relint_cone_sum
 from logzeta.zeta import FanModel, SncdComponent, SncdData
 
 
@@ -240,6 +240,37 @@ def numerator_equal(s1: ZSeries, s2: ZSeries) -> bool:
             yield from part.items()
 
     return not merge(parts())
+
+
+def merge_expand(s: ZSeries, degree: int) -> list[MClass]:
+    """``ZSeries.expand`` in classes: each denominator of each term is
+    expanded as a geometric series through nested merges of :class:`MClass`
+    values, and the terms' expansions are merged."""
+    if degree < 0:
+        raise ValueError(f"expansion degree must be nonnegative, not {degree}")
+
+    def parts():  # lazily, so that merge holds one term's expansion at a time
+        for (beta, ds), c in s.terms.items():
+            poly = {beta: c}
+            for a, b in ds:
+                poly = merge(
+                    (m + k * b, cm.scale_l(k * a))
+                    for m, cm in poly.items()
+                    for k in range((degree - m) // b + 1)
+                )
+            yield from ((m, cm) for m, cm in poly.items() if m <= degree)
+
+    total = merge(parts())
+    return [total.get(d, MClass.zero()) for d in range(1, degree + 1)]
+
+
+def per_factor_candidate_poles(s: ZSeries) -> frozenset[Fraction]:
+    """``ZSeries.candidate_poles`` read factor by factor off every term."""
+    out = set()
+    for (_, ds) in s.terms.keys():
+        for a, b in ds:
+            out.add(Fraction(a, b))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +600,9 @@ def per_call_relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSer
 DENOM_FACTORS = [(0, 1), (-1, 1), (1, 1), (-2, 2), (1, 2)]
 
 
-def random_class(rng: random.Random, symbols: Sequence[str]) -> MClass:
+def random_class(rng: random.Random, symbols: Sequence[str], max_den_pow: int = 2) -> MClass:
     """A nonzero class on some of ``symbols`` and the unit, each coefficient
-    a random Laurent polynomial over ``(L-1)^k``, k in 0..2."""
+    a random Laurent polynomial over ``(L-1)^k``, k in 0..max_den_pow."""
     while True:
         parts = {}
         for sym in rng.sample(["1", *symbols], rng.randint(1, len(symbols) + 1)):
@@ -579,7 +610,7 @@ def random_class(rng: random.Random, symbols: Sequence[str]) -> MClass:
             for _ in range(rng.randint(1, 3)):
                 e = rng.randint(-2, 2)
                 num[e] = num.get(e, 0) + rng.choice([-2, -1, 1, 2])
-            parts[sym] = MCoeff.make(LaurentPoly.from_dict(num), rng.randint(0, 2))
+            parts[sym] = MCoeff.make(LaurentPoly.from_dict(num), rng.randint(0, max_den_pow))
         c = MClass(parts)
         if not c.is_zero():
             return c
@@ -598,9 +629,38 @@ def random_series(rng: random.Random, symbols: Sequence[str], max_terms: int = 3
     )
 
 
+def expansion_case(rng: random.Random) -> tuple[ZSeries, int]:
+    """A series and an expansion degree in 0..6.
+
+    Terms sit on up to three symbols with ``(L-1)``-powers up to 3, over
+    factors ``1 - L^a T^b`` with ``a`` in -3..3 (repeats allowed), and some
+    have a T-exponent above the degree.  Two kinds of term cancel in the
+    expansion though not in the series: ``c/(1-T) - c/(1-LT)`` (times
+    ``T^beta``) vanishes at ``T^beta`` and sums to ``c(1-L^k)`` at
+    ``T^(beta+k)``, one power of ``(L-1)`` lower; and ``t`` against ``t``
+    re-grouped over a wider denominator, which vanishes at every degree."""
+    symbols = rng.sample(["A", "B", "C", "A*B"], rng.randint(1, 3))
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        ds = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        parts.append(ZSeries.term(random_class(rng, symbols, 3), rng.choice([0, 1, 2, 3, 7]), ds))
+    for _ in range(rng.randint(0, 2)):
+        c, beta = random_class(rng, symbols, 3), rng.randint(0, 3)
+        ds = rng.choices(DENOM_FACTORS, k=rng.randint(0, 1))
+        parts.append(ZSeries.term(c, beta, ds + [(0, 1)]) - ZSeries.term(c, beta, ds + [(1, 1)]))
+    if rng.random() < 0.5:
+        ds = rng.choices(DENOM_FACTORS, k=rng.randint(0, 2))
+        t = ZSeries.term(random_class(rng, symbols, 3), rng.randint(0, 3), ds)
+        parts.append(t - regroup(t, rng))
+    return ZSeries.sum(parts), rng.randint(0, 6)
+
+
 def regroup(s: ZSeries, rng: random.Random) -> ZSeries:
     """``s`` with one or more terms written over one more denominator factor:
-    ``c T^beta / D = (c T^beta - c L^a T^(beta+b)) / (D (1 - L^a T^b))``."""
+    ``c T^beta / D = (c T^beta - c L^a T^(beta+b)) / (D (1 - L^a T^b))``.
+    The zero series has no term to re-group and is returned as it is."""
+    if s.is_zero():
+        return s
     parts = []
     first = rng.randrange(len(s.terms))
     for i, ((beta, ds), c) in enumerate(s.terms.items()):
@@ -803,6 +863,21 @@ def brute_newton_faces(inp: NewtonInput, records, box: int) -> list[str]:
         if len(ids) != 1:
             problems.append(f"{u} is in the relative interior of {len(ids)} normal cones {ids}")
     return problems
+
+
+def section_product_terms(inp: NewtonInput) -> list[ZSeries]:
+    """The per-face terms of the Newton zeta function, each built as the
+    product of the kernel's series with the face's section
+    ``[X_tau(0)]·L^{-1}T/(1-L^{-1}T) + [X_tau(1)]`` in the series ring."""
+    sigma = (1,) * inp.n
+    jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])
+    out = []
+    for rec in newton_polyhedron(inp):
+        section = jet_factor.scale(MClass.symbol(f"X_tau(0)@{rec.face_id}"))
+        if any(rec.m_of(r) != 0 for r in rec.normal_cone_closure.rays):
+            section = section + ZSeries.term(MClass.symbol(f"X_tau(1)@{rec.face_id}"), 0)
+        out.append(relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma) * section)
+    return out
 
 
 def newton_expand_oracle(inp: NewtonInput, degree: int, lcut: int) -> list[MClass]:

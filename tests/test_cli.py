@@ -348,6 +348,11 @@ E_MU = {"id": "E", "N": 1, "mu": 0}
             {"n": 2, "support": [[2, 0], [0, 3]], "coeffs": {"(2,0)": "1/0", "(0,3)": "1"}},
             "bad newton input: coefficient '1/0' has a zero denominator",
         ),
+        (
+            "newton-zeta",
+            {"n": 2, "support": [[2, 0], [0, 3]], "coeffs": {"(a,0)": "1"}},
+            "bad newton input: coefficient key '(a,0)' is not a point of integers",
+        ),
     ],
 )
 def test_trust_boundary_rejections_exit_1(tmp_path, capsys, verb, doc, message):

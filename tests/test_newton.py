@@ -22,7 +22,13 @@ from logzeta.newton import (
 from logzeta.series import equal
 from logzeta.zeta import fan_poincare, fan_poles, validate_model
 
-from genutil import brute_newton_faces, count_dd_runs, newton_expand_oracle, random_support
+from genutil import (
+    brute_newton_faces,
+    count_dd_runs,
+    newton_expand_oracle,
+    random_support,
+    section_product_terms,
+)
 from genutil import truncate_l_below
 
 CUSP = NewtonInput(2, ((2, 0), (0, 3)))
@@ -125,6 +131,22 @@ def test_normal_complex_is_complete():
 def test_faces_match_brute_force(seed, n):
     inp = random_support(random.Random(seed), n)
     assert brute_newton_faces(inp, newton_polyhedron(inp), box={2: 6, 3: 3, 4: 2}[n]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_face_terms_match_section_product(seed, n):
+    inp = random_support(random.Random(seed), n)
+    terms = logzeta.newton._table(inp).terms
+    expected = section_product_terms(inp)
+    assert len(terms) == len(expected)
+    for term, product in zip(terms, expected):
+        assert term.terms == product.terms
+        assert str(term) == str(product)
+        # face symbols are built unchecked; each is its own canonical form
+        for c in term.terms.values():
+            for sym in c.terms:
+                assert list(MClass.symbol(sym).terms) == [sym]
 
 
 def test_face_table_built_once_per_support(monkeypatch):

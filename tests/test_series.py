@@ -12,7 +12,7 @@ from logzeta.cones import (
     star_subdivision,
 )
 from logzeta.intlin import dot, solve_integer
-from logzeta.mring import UNIT_SYMBOL, MClass
+from logzeta.mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid, _reduce_to_span
 from logzeta.series import ZSeries, cone_series, equal, format_poles, relint_cone_sum
 from logzeta.zeta import (
@@ -26,9 +26,12 @@ from logzeta.zeta import (
 from genutil import (
     brute_cone_sum,
     count_calls,
+    expansion_case,
     fresh_box_points,
+    merge_expand,
     numerator_equal,
     per_call_relint_cone_sum,
+    per_factor_candidate_poles,
     product_monoid_with_horizontals,
     random_marked_monoid,
     series_pair,
@@ -75,6 +78,30 @@ def test_expand():
     assert s.expand(0) == []
     with pytest.raises(ValueError, match="nonnegative"):
         s.expand(-1)
+
+
+def test_expand_cancels_to_lower_power_and_to_zero():
+    # A/(L-1)^3 (T/(1-T) - T/(1-LT)): 0 at T, A(1-L^(d-1))/(L-1)^3 at T^d
+    a = MClass({"A": MCoeff.make(LaurentPoly.one(), 3)})
+    s = ZSeries.term(a, 1, [(0, 1)]) - ZSeries.term(a, 1, [(1, 1)]) + ZSeries.term(ONE, 2)
+    got = s.expand(3)
+    assert got[0] == MClass.zero() and got[0].terms == {}
+    assert got[1] == ONE + MClass({"A": MCoeff.make(LaurentPoly.from_dict({0: -1}), 2)})
+    assert got[2] == MClass({"A": MCoeff.make(LaurentPoly.from_dict({0: -1, 1: -1}), 2)})
+    assert got == merge_expand(s, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6))
+def test_expand_matches_merge_oracle(seed):
+    s, degree = expansion_case(random.Random(seed))
+    got = s.expand(degree)
+    assert got == merge_expand(s, degree)
+    assert [str(c) for c in got] == [str(c) for c in merge_expand(s, degree)]
+    # a zero sum drops its symbol; every kept coefficient is canonical
+    for c in got:
+        for cf in c.terms.values():
+            assert not cf.is_zero() and MCoeff.make(cf.num, cf.den_pow) == cf
 
 
 def test_expand_commutes_with_subst():
@@ -165,6 +192,13 @@ def test_candidate_poles():
     both = ZSeries.term(ONE, 0, [(-3, 2), (-1, 1)])
     assert both.candidate_poles() == {Fraction(-3, 2), Fraction(-1)}
     assert format_poles(both.candidate_poles()) == "-3/2, -1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_candidate_poles_match_per_factor_route(seed):
+    s, _ = expansion_case(random.Random(seed))
+    assert s.candidate_poles() == per_factor_candidate_poles(s)
 
 
 def test_poles_of_product_subset_union():
