@@ -56,6 +56,11 @@ _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)(?:(?P<coef>\d+)(?P<star>\*)?)?(?P<l>L(?:\^(?P<exp>-?\d+))?)?"
 )
 
+# Largest |exponent| of L, and largest power of (L-1), in a coefficient: its
+# cost grows linearly with them, and "(L^1000000-1)/(L-1)" took 179 MB to
+# validate.
+COEFF_MAX_EXPONENT = 1000
+
 
 def parse_coeff(text: str) -> MCoeff:
     if re.search(r"\d\s+\d", text):
@@ -85,6 +90,8 @@ def parse_coeff(text: str) -> MCoeff:
             raise InputError(f"cannot parse coefficient {text!r} at {s[pos:]!r}")
         c = (-1 if m.group("sign") == "-" else 1) * int(coef or 1)
         e = int(m.group("exp") or 1) if has_l else 0
+        if max(abs(e), den_pow) > COEFF_MAX_EXPONENT:
+            raise InputError(f"coefficient {text!r} has an exponent over {COEFF_MAX_EXPONENT}")
         coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
     return MCoeff.make(LaurentPoly.from_dict(coeffs), den_pow)
@@ -102,7 +109,7 @@ def series_to_json(s: ZSeries) -> dict[str, Any]:
     return {
         "terms": [
             {
-                "coeff": mclass_to_json(c),
+                "coeff": {sym: str(coeff) for sym, coeff in c.terms.items()},
                 "T_exp": beta,
                 "denominators": [[a, b] for a, b in denoms],
             }

@@ -247,8 +247,13 @@ class MClass:
     @classmethod
     def _sum_pairs(cls, pairs: Iterable[tuple[str, MCoeff]]) -> "MClass":
         """Class of the merged ``(symbol, coefficient)`` pairs, unchecked."""
+        return cls._of(merge(pairs))
+
+    @classmethod
+    def _of(cls, terms: dict[str, MCoeff]) -> "MClass":
+        """Class of ``terms``, taken as they are: checked, merged, nonzero."""
         out = object.__new__(cls)
-        out.terms = merge(pairs)
+        out.terms = terms
         return out
 
     # -- constructors -------------------------------------------------------
@@ -260,10 +265,6 @@ class MClass:
     @staticmethod
     def one() -> "MClass":
         return MClass._sum_pairs(((UNIT_SYMBOL, MCoeff.one()),))
-
-    @staticmethod
-    def from_int(n: int) -> "MClass":
-        return MClass._sum_pairs(((UNIT_SYMBOL, MCoeff.make(LaurentPoly.from_dict({0: n}))),))
 
     @staticmethod
     def symbol(name: str) -> "MClass":

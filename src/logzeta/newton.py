@@ -26,7 +26,7 @@ from typing import Optional
 
 from .cones import Cone, _face_lattice, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
-from .mring import UNIT_SYMBOL, MClass, MCoeff
+from .mring import MClass, MCoeff
 from .series import ZSeries, relint_cone_sum
 from .zeta import FanModel
 
@@ -152,12 +152,10 @@ class _FaceTable:
             jet = f"X_tau(0)@{rec.face_id}"
             unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in cone.rays) else None
             pairs = []
-            for (beta, ds), geometry in relint_cone_sum(cone, rec.m_witness, sigma).terms.items():
-                c = geometry.terms[UNIT_SYMBOL]
-                jet_coeff = MCoeff(c.num.shift(-1), c.den_pow)
-                pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM))), MClass._sum_pairs(((jet, jet_coeff),))))
+            for (beta, ds, _), c in relint_cone_sum(cone, rec.m_witness, sigma).terms.items():
+                pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), MCoeff(c.num.shift(-1), c.den_pow)))
                 if unit is not None:
-                    pairs.append(((beta, ds), MClass._sum_pairs(((unit, c),))))
+                    pairs.append(((beta, ds, unit), c))
             out.append(ZSeries._sum_pairs(pairs))
         return tuple(out)
 

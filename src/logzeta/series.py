@@ -2,21 +2,21 @@
 
 A :class:`ZSeries` is a finite sum of terms
 
-    c * T^beta / prod_j (1 - L^{a_j} T^{b_j}),        b_j >= 1,
+    c * [s] * T^beta / prod_j (1 - L^{a_j} T^{b_j}),        b_j >= 1,
 
-with ``c`` an :class:`~logzeta.mring.MClass`.  Terms with identical
-``(beta, denominators)`` are merged and zero coefficients dropped, giving a
-canonical form used for printing and golden tests.  Mathematical equality is
-decided exactly by clearing the denominators of the difference, in plain
-integers: the coefficients are lifted to one power of ``(L-1)`` and the
-numerator over the common denominator is a table of integers keyed by
-T-degree, class symbol and L-exponent.  The symbols are free generators and
-the lift is by a nonzero factor, so the difference is zero exactly when the
-table is; see :func:`equal`.  The power-series expansion works the same way:
-each distinct denominator is expanded once into a table of integers, the
-terms' numerators are summed against it per T-degree, symbol and
-``(L-1)``-power, and each coefficient is lifted and normalised once; see
-:meth:`ZSeries.expand`.
+with ``c`` an :class:`~logzeta.mring.MCoeff` and ``[s]`` a class symbol,
+kept as one map ``(beta, denominators, s) -> c``.  Terms of one entry are
+merged and zero coefficients dropped, giving a canonical form, grouped into
+classes per ``(beta, denominators)`` to print.  Mathematical equality is decided
+exactly by clearing the denominators of the difference, in plain integers:
+the coefficients are lifted to one power of ``(L-1)`` and the numerator over
+the common denominator is a table of integers keyed by T-degree, class
+symbol and L-exponent.  The symbols are free generators and the lift is by a
+nonzero factor, so the difference is zero exactly when the table is; see
+:func:`equal`.  The power-series expansion works the same way: each distinct
+denominator is expanded once into a table of integers, the terms' numerators
+are summed against it per T-degree, symbol and ``(L-1)``-power, and each
+coefficient is lifted and normalised once; see :meth:`ZSeries.expand`.
 
 The heart of the module is :func:`relint_cone_sum`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
@@ -35,12 +35,13 @@ geometry, the unit-weight sum; callers attach their classes per term,
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .cones import Cone, _relint_pieces, box_points
 from .intlin import Vec, dot
-from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff, merge
+from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff, _symbol_product, merge
 from .monoids import MarkedMonoid
 
 Denoms = tuple[tuple[int, int], ...]  # sorted multiset of (a, b), b >= 1
@@ -54,27 +55,21 @@ def _canon_denoms(denoms: Iterable[tuple[int, int]]) -> Denoms:
     return ds
 
 
-def _canon_key(beta: int, denoms: Iterable[tuple[int, int]]) -> Key:
-    if beta < 0:
-        raise ValueError("T-exponent must be nonnegative")
-    return beta, _canon_denoms(denoms)
-
-
 class ZSeries:
-    """Finite sum of rational terms in T with MClass coefficients.
-
-    Only the public constructors check and sort keys; ring operations go
-    through :meth:`_sum_pairs` with keys that are already canonical.
+    """Finite sum of terms in T: ``terms`` maps ``(beta, denoms, symbol)``
+    to a nonzero coefficient.  Only the public constructors check and sort
+    keys, one class per key; ring operations go through :meth:`_sum_pairs`
+    with entries already canonical.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Key, MClass] | None = None):
-        self.terms = merge((_canon_key(*k), c) for k, c in (terms or {}).items())
+        self.terms = ZSeries.sum(ZSeries.term(c, *k) for k, c in (terms or {}).items()).terms
 
     @classmethod
-    def _sum_pairs(cls, pairs: Iterable[tuple[Key, MClass]]) -> "ZSeries":
-        """Series of the merged ``(key, coefficient)`` pairs, unchecked."""
+    def _sum_pairs(cls, pairs: Iterable[tuple[tuple[int, Denoms, str], MCoeff]]) -> "ZSeries":
+        """Series of the merged ``(entry, coefficient)`` pairs, unchecked."""
         out = object.__new__(cls)
         out.terms = merge(pairs)
         return out
@@ -87,7 +82,10 @@ class ZSeries:
 
     @staticmethod
     def term(c: MClass, beta: int, denoms: Iterable[tuple[int, int]] = ()) -> "ZSeries":
-        return ZSeries._sum_pairs(((_canon_key(beta, denoms), c),))
+        if beta < 0:
+            raise ValueError("T-exponent must be nonnegative")
+        ds = _canon_denoms(denoms)
+        return ZSeries._sum_pairs(((beta, ds, sym), cf) for sym, cf in c.terms.items())
 
     @staticmethod
     def one() -> "ZSeries":
@@ -114,19 +112,23 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         return ZSeries._sum_pairs(
-            ((b1 + b2, tuple(sorted(ds1 + ds2))), c1 * c2)
-            for (b1, ds1), c1 in self.terms.items()
-            for (b2, ds2), c2 in other.terms.items()
+            ((b1 + b2, tuple(sorted(ds1 + ds2)), _symbol_product(s1, s2)), c1 * c2)
+            for (b1, ds1, s1), c1 in self.terms.items()
+            for (b2, ds2, s2), c2 in other.terms.items()
         )
 
     def scale(self, c: MClass) -> "ZSeries":
-        return ZSeries._sum_pairs((k, v * c) for k, v in self.terms.items())
+        return ZSeries._sum_pairs(
+            ((beta, ds, _symbol_product(s, t)), v * cf)
+            for (beta, ds, s), v in self.terms.items()
+            for t, cf in c.terms.items()
+        )
 
     def subst_T_L(self, k: int) -> "ZSeries":
-        """Substitute T -> L^k T."""
+        """Substitute T -> L^k T; a power of L is a unit, so shifts stay canonical."""
         return ZSeries._sum_pairs(
-            ((beta, tuple(sorted((a + k * b, b) for a, b in ds))), c.scale_l(k * beta))
-            for (beta, ds), c in self.terms.items()
+            ((beta, tuple(sorted((a + k * b, b) for a, b in ds)), s), MCoeff(c.num.shift(k * beta), c.den_pow))
+            for (beta, ds, s), c in self.terms.items()
         )
 
     # -- expansion, limits, poles -------------------------------------------
@@ -145,15 +147,16 @@ class ZSeries:
         """
         if degree < 0:
             raise ValueError(f"expansion degree must be nonnegative, not {degree}")
+        if degree > EXPAND_MAX_ENTRIES:
+            raise ValueError(f"expansion degree {degree} is over {EXPAND_MAX_ENTRIES}")
         live = {k: c for k, c in self.terms.items() if k[0] <= degree}
         reach: dict[Denoms, int] = {}  # the highest T-power each tuple needs
-        for beta, ds in live:
+        for beta, ds, _ in live:
             reach[ds] = max(reach.get(ds, 0), degree - beta)
         tables = {ds: _geometric_table(ds, m) for ds, m in reach.items()}
         by_symbol: dict[str, list[tuple[int, list[dict[int, int]], MCoeff]]] = {}
-        for (beta, ds), c in live.items():
-            for sym, cf in c.terms.items():
-                by_symbol.setdefault(sym, []).append((beta, tables[ds], cf))
+        for (beta, ds, sym), cf in live.items():
+            by_symbol.setdefault(sym, []).append((beta, tables[ds], cf))
         out: list[list[tuple[str, MCoeff]]] = [[] for _ in range(degree)]
         for sym, parts in by_symbol.items():
             for t in range(1, degree + 1):
@@ -177,21 +180,21 @@ class ZSeries:
         when beta < sum(b_j), and c * (-1)^{#denoms} L^{-sum(a_j)} when equal;
         beta > sum(b_j) has no limit and raises.
         """
-        out = MClass.zero()
-        for (beta, ds), c in self.terms.items():
+        pairs = []
+        for (beta, ds, sym), c in self.terms.items():
             bsum = sum(b for _, b in ds)
             if beta > bsum:
                 raise ValueError(
                     f"term with T-exponent {beta} exceeding denominator degree {bsum} has no limit"
                 )
             if beta == bsum:
-                sign = -1 if len(ds) % 2 else 1
-                out = out + c.scale_l(-sum(a for a, _ in ds)) * MClass.from_int(sign)
-        return out
+                cf = MCoeff(c.num.shift(-sum(a for a, _ in ds)), c.den_pow)
+                pairs.append((sym, -cf if len(ds) % 2 else cf))
+        return MClass._sum_pairs(pairs)
 
     def candidate_poles(self) -> frozenset[Fraction]:
         """``a/b`` for each distinct denominator factor ``1 - L^a T^b``."""
-        factors = {d for (_, ds) in self.terms for d in ds}
+        factors = {d for (_, ds, _) in self.terms for d in ds}
         return frozenset(Fraction(a, b) for a, b in factors)
 
     # -- exact equality ------------------------------------------------------
@@ -206,13 +209,17 @@ class ZSeries:
 
     # -- presentation --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, Denoms], MClass]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+    def sorted_terms(self) -> Iterator[tuple[Key, MClass]]:
+        """The terms in key order, the symbols of each key as one class.  The
+        entries are distinct, so the sort never compares two coefficients."""
+        for key, group in groupby(sorted(self.terms.items()), key=lambda kv: kv[0][:2]):
+            yield key, MClass._of({sym: c for (_, _, sym), c in group})
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
+        below: dict[Denoms, str] = {(): ""}  # the text of each denominator
         for (beta, ds), c in self.sorted_terms():
             cs = str(c)
             if len(c.terms) > 1:
@@ -222,13 +229,10 @@ class ZSeries:
                 body += "*T"
             elif beta > 1:
                 body += f"*T^{beta}"
-            if ds:
+            if ds not in below:
                 factors = [_denom_str(a, b) for a, b in sorted(ds, key=lambda ab: (ab[1], ab[0]))]
-                if len(factors) == 1:
-                    body += f"/{factors[0]}"
-                else:
-                    body += "/(" + "*".join(factors) + ")"
-            parts.append(body)
+                below[ds] = f"/{factors[0]}" if len(factors) == 1 else "/(" + "*".join(factors) + ")"
+            parts.append(body + below[ds])
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -248,11 +252,11 @@ def equal(s1: ZSeries, s2: ZSeries) -> bool:
     the common denominator of its own terms.
 
     No class of the difference is built.  Coefficients are canonical, so
-    the keys whose coefficients are structurally equal cancel, and the keys
-    left are those of ``s1 - s2``.  Every live coefficient is lifted to the
-    one denominator ``(L-1)^D``, ``D`` the largest power among them, which
-    leaves integers on ``(symbol, L-exponent)``; each term is multiplied by
-    its missing factors ``1 - L^a T^b`` into one integer table keyed
+    the entries whose coefficients are structurally equal cancel, and the
+    entries left are those of ``s1 - s2``.  Every live coefficient is lifted
+    to the one denominator ``(L-1)^D``, ``D`` the largest power among them,
+    which leaves integers on L-exponents; each term is multiplied by its
+    missing factors ``1 - L^a T^b`` into one integer table keyed
     ``(T-degree, symbol, L-exponent)``.  The symbols are free generators and
     multiplying by the nonzero ``(L-1)^D`` is injective, so the difference
     vanishes exactly when every entry of the table does.
@@ -260,37 +264,52 @@ def equal(s1: ZSeries, s2: ZSeries) -> bool:
     live = [(k, 1, c) for k, c in s1.terms.items() if s2.terms.get(k) != c]
     live += [(k, -1, c) for k, c in s2.terms.items() if s1.terms.get(k) != c]
     counts: dict[tuple[int, int], int] = {}
-    for (_, ds), _, _ in live:
+    for (_, ds, _), _, _ in live:
         for d in set(ds):
             counts[d] = max(counts.get(d, 0), ds.count(d))
-    top = max((cf.den_pow for _, _, c in live for cf in c.terms.values()), default=0)
+    top = max((c.den_pow for _, _, c in live), default=0)
     lifts = [_l_minus_1_power(k) for k in range(top + 1)]
     total: dict[tuple[int, str, int], int] = {}
-    for (beta, ds), sign, c in live:
-        part: dict[tuple[int, str, int], int] = {}
-        for sym, cf in c.terms.items():
-            for e, n in cf.num.coeffs:
-                for i, m in lifts[top - cf.den_pow]:
-                    part[beta, sym, e + i] = part.get((beta, sym, e + i), 0) + sign * n * m
+    for (beta, ds, sym), sign, c in live:
+        part: dict[tuple[int, int], int] = {}
+        for e, n in c.num.coeffs:
+            for i, m in lifts[top - c.den_pow]:
+                part[beta, e + i] = part.get((beta, e + i), 0) + sign * n * m
         for (a, b), k in counts.items():
             for _ in range(k - ds.count((a, b))):
-                for (t, sym, e), n in list(part.items()):
-                    part[t + b, sym, e + a] = part.get((t + b, sym, e + a), 0) - n
-        for key, n in part.items():
-            total[key] = total.get(key, 0) + n
+                for (t, e), n in list(part.items()):
+                    part[t + b, e + a] = part.get((t + b, e + a), 0) - n
+        for (t, e), n in part.items():
+            total[t, sym, e] = total.get((t, sym, e), 0) + n
     return not any(total.values())
+
+
+# Most entries an expansion holds: coefficients, or (T-power, L-exponent)
+# entries of one denominator's table.  The cusp's tables to T^2000 hold
+# 336,000 entries and its expansion takes 1.5 s and 144 MB (2-vCPU Xeon,
+# Python 3.11); the tables grow with the square of the degree, and T^10000
+# took 3.1 GB.
+EXPAND_MAX_ENTRIES = 500_000
 
 
 def _geometric_table(ds: Denoms, degree: int) -> list[dict[int, int]]:
     """``1/prod(1 - L^a T^b)`` up to ``T^degree``: entry ``m`` maps each
-    L-exponent to its count at ``T^m``."""
+    L-exponent to its count at ``T^m``.  Raises ``ValueError`` once the
+    table holds more than :data:`EXPAND_MAX_ENTRIES` entries."""
     table: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(degree)]
+    held = 1
     for a, b in ds:
         # times 1/(1 - L^a T^b): row m gains L^a times the updated row m - b
         for m in range(b, degree + 1):
             row = table[m]
+            held -= len(row)
             for e, k in table[m - b].items():
                 row[e + a] = row.get(e + a, 0) + k
+            held += len(row)
+            if held > EXPAND_MAX_ENTRIES:
+                raise ValueError(
+                    f"expansion needs a table of more than {EXPAND_MAX_ENTRIES} entries; use a smaller degree"
+                )
     return table
 
 
@@ -330,15 +349,14 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec) -> ZSeries:
     piece's Smith frame depend on the cone alone, so they are read from
     ``cones._relint_pieces``; only the pairing of each box point with ``e``
     and ``a`` and the bucketing by T-exponent are done per call.  The pieces
-    are the ones a fresh decomposition gives, so the result is too.  Bare
-    coefficients are merged per term, then each is wrapped once.
+    are the ones a fresh decomposition gives, so the result is too.
     """
     for v in cone.rays:
         if dot(v, e) == 0 and dot(v, a) != 1:
             raise ValueError(
                 f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
-    unit: list[tuple[Key, MCoeff]] = []
+    pairs = []
     for piece in _relint_pieces(cone):
         denoms = []
         horiz = 0
@@ -358,9 +376,8 @@ def relint_cone_sum(cone: Cone, e: Vec, a: Vec) -> ZSeries:
             bucket[lexp] = bucket.get(lexp, 0) + 1
         for beta, bucket in numerators.items():
             coeff = MCoeff.make(LaurentPoly.from_dict(bucket).shift(horiz), horiz)
-            unit.append(((beta, key_denoms), coeff))
-    wrapped = ((k, MClass._sum_pairs(((UNIT_SYMBOL, c),))) for k, c in merge(unit).items())
-    return ZSeries._sum_pairs(wrapped)
+            pairs.append(((beta, key_denoms, UNIT_SYMBOL), coeff))
+    return ZSeries._sum_pairs(pairs)
 
 
 def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:

@@ -220,7 +220,7 @@ def numerator_equal(s1: ZSeries, s2: ZSeries) -> bool:
     polynomial in T with :class:`MClass` coefficients."""
     diff = s1 - s2
     counts: dict[tuple[int, int], int] = {}
-    for (_, ds) in diff.terms.keys():
+    for (_, ds), _ in diff.sorted_terms():
         for d in set(ds):
             counts[d] = max(counts.get(d, 0), ds.count(d))
     common: list[tuple[int, int]] = []
@@ -228,7 +228,7 @@ def numerator_equal(s1: ZSeries, s2: ZSeries) -> bool:
         common.extend([d] * k)
 
     def parts():  # lazily, so that merge holds one term's numerator at a time
-        for (beta, ds), c in diff.terms.items():
+        for (beta, ds), c in diff.sorted_terms():
             missing = list(common)
             for d in ds:
                 missing.remove(d)
@@ -250,7 +250,7 @@ def merge_expand(s: ZSeries, degree: int) -> list[MClass]:
         raise ValueError(f"expansion degree must be nonnegative, not {degree}")
 
     def parts():  # lazily, so that merge holds one term's expansion at a time
-        for (beta, ds), c in s.terms.items():
+        for (beta, ds), c in s.sorted_terms():
             poly = {beta: c}
             for a, b in ds:
                 poly = merge(
@@ -267,7 +267,7 @@ def merge_expand(s: ZSeries, degree: int) -> list[MClass]:
 def per_factor_candidate_poles(s: ZSeries) -> frozenset[Fraction]:
     """``ZSeries.candidate_poles`` read factor by factor off every term."""
     out = set()
-    for (_, ds) in s.terms.keys():
+    for (_, ds), _ in s.sorted_terms():
         for a, b in ds:
             out.add(Fraction(a, b))
     return frozenset(out)
@@ -590,8 +590,8 @@ def per_call_relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSer
             bucket[lexp] = bucket.get(lexp, 0) + 1
         for beta, bucket in numerators.items():
             poly = MClass({UNIT_SYMBOL: MCoeff.make(LaurentPoly.from_dict(bucket))})
-            pairs.append(((beta, key_denoms), coeff * poly))
-    return ZSeries._sum_pairs(pairs)
+            pairs.append(ZSeries.term(coeff * poly, beta, key_denoms))
+    return ZSeries.sum(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +616,55 @@ def random_class(rng: random.Random, symbols: Sequence[str], max_den_pow: int = 
             return c
 
 
+def random_terms(rng: random.Random, symbols: Sequence[str], max_terms: int = 3) -> list:
+    """One to ``max_terms`` ``((beta, denominators), class)`` terms, each over
+    up to three factors of ``DENOM_FACTORS``, repeats allowed."""
+    out = []
+    for _ in range(rng.randint(1, max_terms)):
+        c = random_class(rng, symbols)
+        out.append(((rng.randint(0, 3), rng.choices(DENOM_FACTORS, k=rng.randint(0, 3))), c))
+    return out
+
+
 def random_series(rng: random.Random, symbols: Sequence[str], max_terms: int = 3) -> ZSeries:
-    """One to ``max_terms`` terms, each over up to three factors of
-    ``DENOM_FACTORS``, repeats allowed."""
-    return ZSeries.sum(
-        ZSeries.term(
-            random_class(rng, symbols),
-            rng.randint(0, 3),
-            rng.choices(DENOM_FACTORS, k=rng.randint(0, 3)),
-        )
-        for _ in range(rng.randint(1, max_terms))
-    )
+    """The sum of :func:`random_terms`."""
+    return ZSeries.sum(ZSeries.term(c, *key) for key, c in random_terms(rng, symbols, max_terms))
+
+
+def nested_view(terms) -> list[tuple[tuple, MClass]]:
+    """The sum of ``((beta, denominators), class)`` terms, kept with one class
+    per key: the classes of a key merged as classes, zero ones dropped, in
+    key order."""
+    merged = merge(((beta, tuple(sorted(ds))), c) for (beta, ds), c in terms)
+    return sorted(merged.items(), key=lambda kv: kv[0])
+
+
+def nested_text(view) -> str:
+    """The text of a series from its :func:`nested_view`, printed class by
+    class."""
+    from logzeta.series import _denom_str
+
+    parts = []
+    for (beta, ds), c in view:
+        body = f"({c})" if len(c.terms) > 1 else str(c)
+        body += "" if beta == 0 else "*T" if beta == 1 else f"*T^{beta}"
+        factors = [_denom_str(a, b) for a, b in sorted(ds, key=lambda ab: (ab[1], ab[0]))]
+        if factors:
+            body += f"/{factors[0]}" if len(factors) == 1 else "/(" + "*".join(factors) + ")"
+        parts.append(body)
+    return " + ".join(parts) or "0"
+
+
+def nested_json(view) -> dict:
+    """``cli.series_to_json`` of a series from its :func:`nested_view`."""
+    from logzeta.cli import mclass_to_json
+
+    return {
+        "terms": [
+            {"coeff": mclass_to_json(c), "T_exp": beta, "denominators": [[a, b] for a, b in ds]}
+            for (beta, ds), c in view
+        ]
+    }
 
 
 def expansion_case(rng: random.Random) -> tuple[ZSeries, int]:
@@ -662,8 +700,9 @@ def regroup(s: ZSeries, rng: random.Random) -> ZSeries:
     if s.is_zero():
         return s
     parts = []
-    first = rng.randrange(len(s.terms))
-    for i, ((beta, ds), c) in enumerate(s.terms.items()):
+    terms = list(s.sorted_terms())
+    first = rng.randrange(len(terms))
+    for i, ((beta, ds), c) in enumerate(terms):
         if i != first and rng.random() < 0.5:
             parts.append(ZSeries.term(c, beta, ds))
             continue
@@ -677,7 +716,7 @@ def mutate(s: ZSeries, rng: random.Random) -> ZSeries:
     """``s`` with one coefficient of one term changed, so no longer equal to
     ``s``: one L-exponent moved up by one, the term's sign flipped, or one
     denominator power moved by one."""
-    (beta, ds), c = rng.choice(sorted(s.terms.items(), key=lambda kv: kv[0]))
+    (beta, ds), c = rng.choice(list(s.sorted_terms()))
     sym, cf = rng.choice(c.sorted_terms())
     kind = rng.choice(["exponent", "sign", "den_pow"])
     if kind == "sign":

@@ -298,13 +298,14 @@ def test_criterion_9_local_global_filter():
         loc = newton_zeta_local(inp)
         compact = {r.face_id for r in newton_polyhedron(inp) if r.is_compact}
         # every local term appears in the global series with identical coefficient
-        for key, c in loc.terms.items():
-            assert key in glob.terms
+        glob_terms = dict(glob.sorted_terms())
+        for key, c in loc.sorted_terms():
+            assert key in glob_terms
             for sym, coeff in c.terms.items():
-                assert glob.terms[key].terms.get(sym) == coeff
+                assert glob_terms[key].terms.get(sym) == coeff
                 assert sym.split("@")[1] in compact
         # and the global-minus-local remainder carries no compact-face symbols
-        for c in (glob - loc).terms.values():
+        for _, c in (glob - loc).sorted_terms():
             for sym in c.terms:
                 assert sym.split("@")[1] not in compact
     report("criterion 9: local/global newton filter", "12 supports, term-level filter")

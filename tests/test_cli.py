@@ -353,6 +353,14 @@ E_MU = {"id": "E", "N": 1, "mu": 0}
             {"n": 2, "support": [[2, 0], [0, 3]], "coeffs": {"(a,0)": "1"}},
             "bad newton input: coefficient key '(a,0)' is not a point of integers",
         ),
+        # a coefficient's cost grows with its exponents: L^1000000 took 179 MB
+        (
+            "validate",
+            _weighted({"A": "(L^1000000-1)/(L-1)"}),
+            "coefficient '(L^1000000-1)/(L-1)' has an exponent over 1000",
+        ),
+        ("validate", _weighted({"A": "1/(L-1)^1001"}), "coefficient '1/(L-1)^1001' has an exponent over 1000"),
+        ("fan-series", _weighted({"A": "L^-1001"}), "coefficient 'L^-1001' has an exponent over 1000"),
     ],
 )
 def test_trust_boundary_rejections_exit_1(tmp_path, capsys, verb, doc, message):
@@ -467,13 +475,18 @@ def test_subdivide_bad_ray(capsys):
     assert code == 1
 
 
-def _run_in_child(*argv, flags=(), timeout=None, **env):
+def _run_in_child(*argv, flags=(), timeout=None, max_memory_mb=None, **env):
     """The command line in a child interpreter that imports the same logzeta
-    as this one."""
+    as this one, its address space capped at ``max_memory_mb`` when given."""
+    import resource
     import subprocess
     import sys
 
     import logzeta
+
+    def cap():
+        limit = max_memory_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = os.path.dirname(os.path.dirname(logzeta.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -483,7 +496,23 @@ def _run_in_child(*argv, flags=(), timeout=None, **env):
         text=True,
         env=dict(os.environ, PYTHONPATH=pythonpath, **env),
         timeout=timeout,
+        preexec_fn=None if max_memory_mb is None else cap,
     )
+
+
+@pytest.mark.parametrize(
+    "degree, message",
+    [
+        ("10000", "expansion needs a table of more than 500000 entries; use a smaller degree"),
+        ("2000000", "expansion degree 2000000 is over 500000"),
+    ],
+)
+def test_expand_past_its_bound_refused_fast(degree, message):
+    # the cusp's table grows with the square of the degree, and T^10000 took
+    # 3.1 GB; the child runs under a timeout and a memory cap so that a
+    # regression fails instead of hanging or exhausting memory
+    proc = _run_in_child("expand", path("cusp_newton.json"), "--degree", degree, timeout=60, max_memory_mb=1024)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_byte_identical_across_processes():

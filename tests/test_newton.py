@@ -144,7 +144,7 @@ def test_face_terms_match_section_product(seed, n):
         assert term.terms == product.terms
         assert str(term) == str(product)
         # face symbols are built unchecked; each is its own canonical form
-        for c in term.terms.values():
+        for _, c in term.sorted_terms():
             for sym in c.terms:
                 assert list(MClass.symbol(sym).terms) == [sym]
 
@@ -274,14 +274,15 @@ def test_local_terms_subset_of_global():
         compact_ids = {
             r.face_id for r in newton_polyhedron(inp) if r.is_compact
         }
-        for (beta, denoms), c in loc.terms.items():
-            assert glob.terms.get((beta, denoms)) is not None
+        glob_terms = dict(glob.sorted_terms())
+        for (beta, denoms), c in loc.sorted_terms():
+            assert glob_terms.get((beta, denoms)) is not None
             for sym in c.terms:
                 face = sym.split("@")[1]
                 assert face in compact_ids
         # global = local + non-compact part, term by term
         noncompact = glob - loc
-        for c in noncompact.terms.values():
+        for _, c in noncompact.sorted_terms():
             for sym in c.terms:
                 assert sym.split("@")[1] not in compact_ids
 
@@ -289,7 +290,7 @@ def test_local_terms_subset_of_global():
 def test_vertex_only_local():
     inp = NewtonInput(2, ((1, 1),))
     loc = newton_zeta_local(inp)
-    ids = {sym.split("@")[1] for c in loc.terms.values() for sym in c.terms}
+    ids = {sym.split("@")[1] for _, c in loc.sorted_terms() for sym in c.terms}
     records = newton_polyhedron(inp)
     vertex_id = next(r.face_id for r in records if r.dim_face == 0)
     assert ids == {vertex_id}

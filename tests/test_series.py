@@ -1,9 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from logzeta.cli import series_to_json
 from logzeta.cones import (
     LinealityError,
     _relint_pieces,
@@ -29,11 +31,16 @@ from genutil import (
     expansion_case,
     fresh_box_points,
     merge_expand,
+    nested_json,
+    nested_text,
+    nested_view,
     numerator_equal,
     per_call_relint_cone_sum,
     per_factor_candidate_poles,
     product_monoid_with_horizontals,
     random_marked_monoid,
+    random_series,
+    random_terms,
     series_pair,
 )
 
@@ -51,23 +58,22 @@ def test_arithmetic_identities():
     s = ZSeries.one() + ZSeries.term(ONE, 1, [(0, 1)])
     assert equal(s, ZSeries.term(ONE, 0, [(0, 1)]))
     sq = ZSeries.term(ONE, 1, [(0, 1)]) * ZSeries.term(ONE, 1, [(0, 1)])
-    assert list(sq.terms) == [(2, ((0, 1), (0, 1)))]
+    assert [k for k, _ in sq.sorted_terms()] == [(2, ((0, 1), (0, 1)))]
     assert ZSeries.term(ONE, 1, [(0, 1)]).scale(MClass.zero()).is_zero()
 
 
 def test_scale():
     s = ZSeries.term(ONE, 1, [(0, 1)])
-    assert s.scale(MClass.l_power(2)).terms[(1, ((0, 1),))] == MClass.l_power(2)
+    assert list(s.scale(MClass.l_power(2)).sorted_terms()) == [((1, ((0, 1),)), MClass.l_power(2))]
 
 
 def test_subst_T_L():
     s = ZSeries.term(ONE, 1, [(0, 1)])  # T/(1-T)
     t = s.subst_T_L(1)
-    assert list(t.terms.items())[0][0] == (1, ((1, 1),))
-    assert t.terms[(1, ((1, 1),))] == MClass.l_power(1)
+    assert list(t.sorted_terms()) == [((1, ((1, 1),)), MClass.l_power(1))]
     assert s.subst_T_L(0).terms == s.terms
     d = ZSeries.term(ONE, 0, [(-1, 2)])
-    assert list(d.subst_T_L(1).terms) == [(0, ((1, 2),))]
+    assert [k for k, _ in d.subst_T_L(1).sorted_terms()] == [(0, ((1, 2),))]
 
 
 def test_expand():
@@ -126,7 +132,7 @@ def test_public_constructors_check_keys():
     with pytest.raises(ValueError, match="denominator T-exponent must be positive"):
         ZSeries.term(ONE, 1, [(2, 0)])
     # keys are sorted on the way in
-    assert list(ZSeries({(1, ((2, 3), (0, 1))): ONE}).terms) == [(1, ((0, 1), (2, 3)))]
+    assert [k for k, _ in ZSeries({(1, ((2, 3), (0, 1))): ONE}).sorted_terms()] == [(1, ((0, 1), (2, 3)))]
 
 
 _classes = st.sampled_from(
@@ -152,6 +158,35 @@ def test_sum_is_left_fold(parts):
     assert str(total) == str(folded)
 
 
+def test_sum_merges_once(monkeypatch):
+    # one merge of coefficients for the whole sum, and no class is merged
+    parts = [random_series(random.Random(i), ["A", "B", "A*B"]) for i in range(5)]
+    calls = count_calls(monkeypatch, "merge")
+    total = ZSeries.sum(parts)
+    assert len(calls) == 1
+    assert total.terms == functools.reduce(ZSeries.__add__, parts).terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_grouped_view_and_text_match_nested_oracle(seed):
+    rng = random.Random(seed)
+    terms = random_terms(rng, ["A", "B", "A*B"], max_terms=5)
+    # one symbol cancels at a key where other symbols stay
+    shared = [(k, c) for k, c in nested_view(terms) if len(c.terms) > 1]
+    if shared:
+        (beta, ds), c = rng.choice(shared)
+        sym = rng.choice(sorted(c.terms))
+        terms.append(((beta, ds), -MClass({sym: c.terms[sym]})))
+    s = ZSeries.sum(ZSeries.term(c, *key) for key, c in terms)
+    view = nested_view(terms)
+    if shared:
+        assert (beta, ds, sym) not in s.terms and any(k[:2] == (beta, ds) for k in s.terms)
+    assert list(s.sorted_terms()) == view
+    assert str(s) == nested_text(view)
+    assert series_to_json(s) == nested_json(view)
+
+
 def test_empty_sum_is_zero():
     assert ZSeries.sum([]).is_zero()
     assert str(ZSeries.sum(iter(()))) == "0"
@@ -175,7 +210,7 @@ def test_limit_product_rule():
         prod = ZSeries.term(MClass.symbol("C"), 0)
         for f in factors:
             prod = prod * f
-        expect = MClass.symbol("C") * MClass.from_int((-1) ** n)
+        expect = -MClass.symbol("C") if n % 2 else MClass.symbol("C")
         assert prod.limit_T_inf() == expect
 
 
@@ -312,7 +347,7 @@ def test_canonical_text_form():
 WEIGHTS = [
     ONE,
     MClass.symbol("W"),
-    MClass.from_int(-3).scale_l(2),
+    MClass({UNIT_SYMBOL: MCoeff(LaurentPoly.monomial(2, -3), 0)}),
     MClass.symbol("A").mul_l1_pow(2) + MClass.l_power(-3),
 ]
 
@@ -387,7 +422,7 @@ def test_relint_cone_sum_is_pure_geometry(args):
         s = relint_cone_sum(*args[:3])
     except ValueError:
         return
-    assert all(set(c.terms) == {UNIT_SYMBOL} for c in s.terms.values())
+    assert all(set(c.terms) == {UNIT_SYMBOL} for _, c in s.sorted_terms())
 
 
 def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):

@@ -142,7 +142,7 @@ def as_rational_function(s: ZSeries):
     its own sympy symbol and each coefficient is ``p(L) / (L-1)^k``."""
     L, T = sympy.symbols("L T")
     total = sympy.Integer(0)
-    for (beta, ds), c in s.terms.items():
+    for (beta, ds), c in s.sorted_terms():
         coeff = sympy.Integer(0)
         for symbol, cf in c.terms.items():
             atoms = [] if symbol == "1" else [sympy.Symbol(a) for a in symbol.split("*")]
