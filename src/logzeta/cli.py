@@ -420,6 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degree", type=int, required=True, help="expansion degree")
         if ray:
             p.add_argument("--ray", required=True, help="subdivision ray, comma separated")
+            # a ray may start with a negative coordinate: read "-1,0" as a
+            # value, as argparse reads "-1"
+            p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
         if prime:
             p.add_argument("--prime", type=int, required=True, help="probe prime")
         if m:
@@ -445,7 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, after printing the usage line to
+        # stderr, and 0 after --help; exit 2 is kept for printed diagnostics
+        return 1 if e.code else 0
     try:
         return args.fn(args)
     except InvalidModel as d:

@@ -15,12 +15,12 @@ the generating-function machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .cones import (
     Cone,
     LinealityError,
+    _reduce_to_span,
     cone_from_rays,
     dual_cone,
     faces,
@@ -42,7 +42,6 @@ from .intlin import (
     scaled_inverse,
     smith_normal_form,
     solve_integer,
-    span_lattice,
     transpose,
     vec_scale,
 )
@@ -141,34 +140,6 @@ def monoid_from_generators(ambient_rank: int, gens: Sequence[Vec]) -> SharpFsMon
 def _rays_in_basis(rays: Sequence[Vec], bmat: Mat) -> list[Vec]:
     inv, _ = scaled_inverse(bmat)
     return [primitive(mat_vec(inv, ray)) for ray in rays]
-
-
-# Distinct cells kept by _reduce_to_span, set by measurement: a model, its
-# star subdivision and its resolution share most cells, and over the 400
-# seed-0 fan-invariance inputs (689 distinct cells) 256 entries miss 986 of
-# 8,968 lookups, 128 entries 1,580, at a peak RSS of 31.0 MB against 30.7
-# MB keeping none.
-_SPAN_TABLE_SIZE = 256
-
-
-@lru_cache(maxsize=_SPAN_TABLE_SIZE)
-def _reduce_to_span(cone: Cone) -> tuple[Cone, tuple[Vec, ...], Mat]:
-    """Express a pointed cone in coordinates of its saturated span lattice.
-
-    Returns the full-dimensional cone, the lattice basis and the projection
-    (d rows of the ambient rank's length, integer on the span lattice and
-    surjective onto Z^d).  The
-    projection is a lattice isomorphism of the span, so the reduced cone
-    needs no double description: its rays are the coordinates of the cone's
-    rays, and its facets the primitive restrictions to the basis of the
-    cone's facets that do not vanish on the span.  The result is kept per
-    cone and is made of tuples, so a caller cannot change a kept value.
-    """
-    span, proj, _ = span_lattice(cone.rays, cone.ambient_rank)
-    rays = tuple(sorted(mat_vec(proj, r) for r in cone.rays))
-    restricted = (tuple(dot(u, b) for b in span) for u in cone.facets)
-    facets = tuple(sorted(primitive(u) for u in restricted if not is_zero_vec(u)))
-    return Cone(len(span), rays, facets), tuple(span), proj
 
 
 def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:

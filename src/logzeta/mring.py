@@ -6,6 +6,14 @@ each coefficient ``c_s`` is a Laurent polynomial in ``L`` divided by a power
 of ``(L - 1)``.  Coefficients are kept normalized: either the denominator
 power is zero or ``(L - 1)`` does not divide the numerator.
 
+Every operation with a power of ``(L - 1)`` lives here.  One routine adds
+a numerator times ``(L - 1)^k`` into a table of integers by binomial
+coefficients; a sum over several denominator powers, of coefficients or of
+the integer tables of :mod:`~logzeta.series`, is taken over the largest
+power through it.  Normalizing divides by one exact quotient.  Multiplying
+by the unit ``L^k`` (:meth:`MCoeff.scale_l`) keeps the normal form, so it
+skips normalizing.
+
 Products of symbols are formal: multiplying ``[A]`` and ``[B]`` yields the
 symbol ``A*B`` (atom multisets merged and sorted), with no geometric meaning
 attached.
@@ -54,10 +62,6 @@ class LaurentPoly:
         return LaurentPoly(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(())
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly(((0, 1),))
 
@@ -92,27 +96,6 @@ class LaurentPoly:
     def evaluate(self, value: Fraction) -> Fraction:
         return sum((Fraction(c) * value**e for e, c in self.coeffs), Fraction(0))
 
-    def divmod_l_minus_1(self) -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Divide by (L - 1); the remainder is the constant p(1)."""
-        if self.is_zero():
-            return LaurentPoly.zero(), LaurentPoly.zero()
-        low = self.coeffs[0][0]
-        # Work with an ordinary polynomial p(L) = self * L^{-low}.
-        high = self.coeffs[-1][0] - low
-        dense = [0] * (high + 1)
-        for e, c in self.coeffs:
-            dense[e - low] = c
-        q = [0] * (high + 1)
-        acc = 0
-        for i in range(high, -1, -1):
-            acc += dense[i]
-            q[i] = acc
-        rem = q[0]
-        quot = LaurentPoly.from_dict({i - 1 + low: q[i] for i in range(1, high + 1)})
-        # self = (L-1)*quot + rem * L^{low}; fold the L^{low} into the remainder
-        # only when it vanishes, otherwise report non-divisibility via rem.
-        return quot, LaurentPoly.from_dict({low: rem})
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -130,11 +113,33 @@ class LaurentPoly:
         return "".join(parts)
 
 
-L_MINUS_1 = LaurentPoly.from_dict({1: 1, 0: -1})
-
-
 # ---------------------------------------------------------------------------
 # Coefficients p(L) / (L-1)^k.
+
+
+def _add_lifted(out: dict[int, int], coeffs: Iterable[tuple[int, int]], k: int) -> None:
+    """Add ``p * (L-1)^k`` into ``out``, a table from L-exponent to integer
+    coefficient, for ``p`` given by its ``(exponent, coefficient)`` pairs;
+    ``(L-1)^k`` is expanded by the binomial theorem.  ``coeffs`` is read
+    ``k + 1`` times."""
+    m = (-1) ** k  # the coefficient of L^i in (L-1)^k
+    for i in range(k + 1):
+        for e, n in coeffs:
+            out[e + i] = out.get(e + i, 0) + n * m
+        m = -m * (k - i) // (i + 1)
+
+
+def _exact_quotient(num: LaurentPoly) -> LaurentPoly:
+    """``num / (L-1)`` for a numerator with ``num(1) = 0``.  The quotient's
+    coefficient at ``L^j`` is minus the sum of those of ``num`` at ``L^i``,
+    ``i <= j``, and vanishes from the top exponent of ``num`` on."""
+    out = []
+    acc = 0
+    for (e, c), (nxt, _) in zip(num.coeffs, num.coeffs[1:]):
+        acc -= c
+        if acc:
+            out += [(j, acc) for j in range(e, nxt)]
+    return LaurentPoly(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class MCoeff:
         if den_pow < 0:
             raise ValueError("denominator power must be nonnegative")
         while den_pow > 0 and num.coeffs and sum(c for _, c in num.coeffs) == 0:
-            num, _ = num.divmod_l_minus_1()
+            num = _exact_quotient(num)
             den_pow -= 1
         if num.is_zero():
             den_pow = 0
@@ -165,13 +170,10 @@ class MCoeff:
 
     def __add__(self, other: "MCoeff") -> "MCoeff":
         k = max(self.den_pow, other.den_pow)
-        a = self.num
-        for _ in range(k - self.den_pow):
-            a = a * L_MINUS_1
-        b = other.num
-        for _ in range(k - other.den_pow):
-            b = b * L_MINUS_1
-        return MCoeff.make(a + b, k)
+        num: dict[int, int] = {}
+        _add_lifted(num, self.num.coeffs, k - self.den_pow)
+        _add_lifted(num, other.num.coeffs, k - other.den_pow)
+        return MCoeff.make(LaurentPoly.from_dict(num), k)
 
     def __neg__(self) -> "MCoeff":
         return MCoeff(-self.num, self.den_pow)
@@ -187,11 +189,14 @@ class MCoeff:
     def mul_l1_pow(self, e: int) -> "MCoeff":
         """Multiply by (L-1)^e, e of any sign."""
         if e >= 0:
-            num = self.num
-            for _ in range(e):
-                num = num * L_MINUS_1
-            return MCoeff.make(num, self.den_pow)
+            num: dict[int, int] = {}
+            _add_lifted(num, self.num.coeffs, e)
+            return MCoeff.make(LaurentPoly.from_dict(num), self.den_pow)
         return MCoeff.make(self.num, self.den_pow - e)
+
+    def scale_l(self, k: int) -> "MCoeff":
+        """Multiply by the unit L^k, which keeps the normal form."""
+        return MCoeff(self.num.shift(k), self.den_pow)
 
     def evaluate(self, value: Fraction) -> Fraction:
         if value == 1 and self.den_pow > 0:
@@ -206,6 +211,16 @@ class MCoeff:
         if len(self.num.coeffs) > 1 or num.startswith("-"):
             num = f"({num})"
         return f"{num}/{den}"
+
+
+def _lifted_sum(by_pow: Mapping[int, Mapping[int, int]]) -> MCoeff:
+    """The normalised sum of ``num / (L-1)^den_pow`` over ``den_pow -> num``,
+    each ``num`` a map from L-exponent to coefficient."""
+    top = max(by_pow)
+    num: dict[int, int] = {}
+    for den_pow, cell in by_pow.items():
+        _add_lifted(num, cell.items(), top - den_pow)
+    return MCoeff.make(LaurentPoly.from_dict(num), top)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,7 @@ class MClass:
     def scale_l(self, k: int) -> "MClass":
         """Multiply by L^k; a unit keeps every coefficient normalized."""
         return MClass._sum_pairs(
-            (s, MCoeff(c.num.shift(k), c.den_pow)) for s, c in self.terms.items()
+            (s, c.scale_l(k)) for s, c in self.terms.items()
         )
 
     def mul_l1_pow(self, e: int) -> "MClass":

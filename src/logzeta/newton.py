@@ -26,7 +26,7 @@ from typing import Optional
 
 from .cones import Cone, _face_lattice, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
-from .mring import MClass, MCoeff
+from .mring import MClass
 from .series import ZSeries, relint_cone_sum
 from .zeta import FanModel
 
@@ -153,7 +153,7 @@ class _FaceTable:
             unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in cone.rays) else None
             pairs = []
             for (beta, ds, _), c in relint_cone_sum(cone, rec.m_witness, sigma).terms.items():
-                pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), MCoeff(c.num.shift(-1), c.den_pow)))
+                pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), c.scale_l(-1)))
                 if unit is not None:
                     pairs.append(((beta, ds, unit), c))
             out.append(ZSeries._sum_pairs(pairs))

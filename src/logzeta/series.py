@@ -17,6 +17,9 @@ nonzero factor, so the difference is zero exactly when the table is; see
 denominator is expanded once into a table of integers, the terms' numerators
 are summed against it per T-degree, symbol and ``(L-1)``-power, and each
 coefficient is lifted and normalised once; see :meth:`ZSeries.expand`.
+Both lifts, and every other ``(L-1)``-power or unit shift of a coefficient,
+are the ring layer's (:mod:`~logzeta.mring`); this module builds no
+coefficient from its fields.
 
 The heart of the module is :func:`relint_cone_sum`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
@@ -36,12 +39,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from .cones import Cone, _relint_pieces, box_points
 from .intlin import Vec, dot
-from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff, _symbol_product, merge
+from .mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff, _add_lifted, _lifted_sum, _symbol_product, merge
 from .monoids import MarkedMonoid
 
 Denoms = tuple[tuple[int, int], ...]  # sorted multiset of (a, b), b >= 1
@@ -127,7 +129,7 @@ class ZSeries:
     def subst_T_L(self, k: int) -> "ZSeries":
         """Substitute T -> L^k T; a power of L is a unit, so shifts stay canonical."""
         return ZSeries._sum_pairs(
-            ((beta, tuple(sorted((a + k * b, b) for a, b in ds)), s), MCoeff(c.num.shift(k * beta), c.den_pow))
+            ((beta, tuple(sorted((a + k * b, b) for a, b in ds)), s), c.scale_l(k * beta))
             for (beta, ds, s), c in self.terms.items()
         )
 
@@ -188,7 +190,7 @@ class ZSeries:
                     f"term with T-exponent {beta} exceeding denominator degree {bsum} has no limit"
                 )
             if beta == bsum:
-                cf = MCoeff(c.num.shift(-sum(a for a, _ in ds)), c.den_pow)
+                cf = c.scale_l(-sum(a for a, _ in ds))
                 pairs.append((sym, -cf if len(ds) % 2 else cf))
         return MClass._sum_pairs(pairs)
 
@@ -268,13 +270,11 @@ def equal(s1: ZSeries, s2: ZSeries) -> bool:
         for d in set(ds):
             counts[d] = max(counts.get(d, 0), ds.count(d))
     top = max((c.den_pow for _, _, c in live), default=0)
-    lifts = [_l_minus_1_power(k) for k in range(top + 1)]
     total: dict[tuple[int, str, int], int] = {}
     for (beta, ds, sym), sign, c in live:
-        part: dict[tuple[int, int], int] = {}
-        for e, n in c.num.coeffs:
-            for i, m in lifts[top - c.den_pow]:
-                part[beta, e + i] = part.get((beta, e + i), 0) + sign * n * m
+        lifted: dict[int, int] = {}
+        _add_lifted(lifted, c.num.coeffs, top - c.den_pow)
+        part = {(beta, e): sign * n for e, n in lifted.items()}
         for (a, b), k in counts.items():
             for _ in range(k - ds.count((a, b))):
                 for (t, e), n in list(part.items()):
@@ -311,23 +311,6 @@ def _geometric_table(ds: Denoms, degree: int) -> list[dict[int, int]]:
                     f"expansion needs a table of more than {EXPAND_MAX_ENTRIES} entries; use a smaller degree"
                 )
     return table
-
-
-def _lifted_sum(by_pow: Mapping[int, Mapping[int, int]]) -> MCoeff:
-    """The normalised sum of ``num / (L-1)^den_pow`` over ``den_pow -> num``,
-    each ``num`` a map from L-exponent to coefficient."""
-    top = max(by_pow)
-    num: dict[int, int] = {}
-    for den_pow, cell in by_pow.items():
-        for i, k in _l_minus_1_power(top - den_pow):
-            for e, n in cell.items():
-                num[e + i] = num.get(e + i, 0) + n * k
-    return MCoeff.make(LaurentPoly.from_dict(num), top)
-
-
-def _l_minus_1_power(k: int) -> list[tuple[int, int]]:
-    """``(L-1)^k`` as ``(L-exponent, coefficient)`` pairs."""
-    return [(i, comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
 
 
 def format_poles(poles: frozenset[Fraction]) -> str:

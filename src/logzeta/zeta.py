@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .cones import Cone, ConeComplex, _carriers, complex_from_cones, cone_from_rays
+from .cones import Cone, ConeComplex, _carriers, _reduce_to_span, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot
-from .monoids import _reduce_to_span
 from .mring import MClass
 from .series import ZSeries, relint_cone_sum
 

@@ -122,6 +122,37 @@ def test_invalid_model_prints_diagnostics(capsys, argv):
     assert "horizontal-divisor" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("expand", path("single_component.json")), "the following arguments are required: --degree"),
+        (("nosuchverb", "x"), "argument verb: invalid choice: 'nosuchverb'"),
+        (("expand", path("single_component.json"), "--degree", "x"), "argument --degree: invalid int value: 'x'"),
+        ((), "the following arguments are required: verb"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 means that validation diagnostics were printed
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("usage: logzeta")
+    assert f"error: {message}" in captured.err
+
+
+def test_help_exits_0(capsys):
+    code, out = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: logzeta")
+
+
+def test_ray_with_a_negative_first_coordinate(tmp_path, capsys):
+    model = {"rank": 2, "cells": [{"rays": [[-1, 0], [0, 1]], "weight": {"U": "1"}}], "e": [[-1, 1]], "a": [[0, 0]]}
+    name = write(tmp_path, "left.json", model)
+    spaced = run(capsys, "subdivide", name, "--ray", "-1,1")
+    assert spaced == run(capsys, "subdivide", name, "--ray=-1,1")
+    assert spaced[0] == 0 and [-1, 1] in [r for c in json.loads(spaced[1])["cells"] for r in c["rays"]]
+
+
 # Two maximal cells whose interiors overlap.
 OVERLAP_MODEL = {
     "rank": 2,
@@ -512,6 +543,15 @@ def test_expand_past_its_bound_refused_fast(degree, message):
     # 3.1 GB; the child runs under a timeout and a memory cap so that a
     # regression fails instead of hanging or exhausting memory
     proc = _run_in_child("expand", path("cusp_newton.json"), "--degree", degree, timeout=60, max_memory_mb=1024)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_resolve_past_its_bound_refused_fast(tmp_path):
+    # the cell [[1,0],[1,N]] takes N - 1 subdivisions over about N^2/2 box
+    # points; at N = 1000 it took 18.8 s and printed 117 KB before the bound
+    model = {"rank": 2, "cells": [{"rays": [[1, 0], [1, 1000]], "weight": {"U": "1"}}], "e": [[1, 0]], "a": [[0, 0]]}
+    proc = _run_in_child("resolve", write(tmp_path, "two_rays.json", model), timeout=60, max_memory_mb=1024)
+    message = "resolution needs more than 5000 box points (at a cell of index 995); the model is too singular"
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 

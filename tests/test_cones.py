@@ -18,6 +18,7 @@ from logzeta.cones import (
     ConeComplex,
     HalfOpenCone,
     LinealityError,
+    RESOLVE_MAX_BOX_POINTS,
     box_points,
     check_subdivision,
     complex_from_cones,
@@ -442,6 +443,26 @@ def test_resolve_preserves_smooth_neighbors():
     k = complex_from_cones(2, [smooth, singular])
     r = resolve_complex(k)
     assert smooth in set(r.cells)
+
+
+def test_resolve_bound_counts_box_points():
+    # [[1,0],[1,N]] resolves in N - 1 steps over N(N+1)/2 - 1 box points,
+    # which passes RESOLVE_MAX_BOX_POINTS from N = 100 on
+    assert RESOLVE_MAX_BOX_POINTS == 5_000
+    k = complex_from_cones(2, [cone_from_rays(2, [(1, 0), (1, 99)])])
+    assert len(resolve_complex(k).cells) == 200
+    k = complex_from_cones(2, [cone_from_rays(2, [(1, 0), (1, 100)])])
+    with pytest.raises(ValueError, match="more than 5000 box points"):
+        resolve_complex(k)
+
+
+def test_index_166_cone_resolves_within_the_bound():
+    # the costliest resolution the bound was sized on: 86 subdivisions over
+    # 414 box points
+    c = cone_from_rays(4, [(-1, -3, -1, -2), (-1, 2, 2, 3), (1, -3, -2, 3), (1, -2, 3, 0)])
+    r = resolve_complex(complex_from_cones(4, [c]))
+    assert len(r.cells) == 1340
+    assert all(cell.is_smooth() for cell in r.cells)
 
 
 @st.composite

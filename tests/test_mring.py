@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logzeta.mring import LaurentPoly, LPoleError, MClass, MCoeff
+from logzeta.mring import LaurentPoly, LPoleError, MClass, MCoeff, _add_lifted, _lifted_sum
 
 from genutil import laurent_series
 
 symbols = st.sampled_from(["1", "A", "B", "C"])
-polys = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=4).map(
-    LaurentPoly.from_dict
-)
+tables = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=4)
+polys = tables.map(LaurentPoly.from_dict)
 coeffs = st.builds(MCoeff.make, polys, st.integers(0, 2))
 mclasses = st.dictionaries(symbols, coeffs, max_size=3).map(MClass)
 
@@ -76,23 +75,45 @@ def test_composite_symbols_are_canonical():
 L_MINUS_1 = LaurentPoly.from_dict({1: 1, 0: -1})
 
 
+def times_l1_power(p: LaurentPoly, k: int) -> LaurentPoly:
+    """``p * (L-1)^k`` by ``k`` multiplications."""
+    for _ in range(k):
+        p = p * L_MINUS_1
+    return p
+
+
 def over_l1_powers(p: LaurentPoly, j: int, d: int) -> MCoeff:
     """``p * (L-1)^j / (L-1)^d``, normalized: a pole is left when d > j and
     a numerator divisible by L-1 when j > d."""
-    for _ in range(j):
-        p = p * L_MINUS_1
-    return MCoeff.make(p, d)
+    return MCoeff.make(times_l1_power(p, j), d)
 
 
 unnormalized = st.builds(over_l1_powers, polys, st.integers(0, 3), st.integers(0, 3))
+
+
+def divmod_l_minus_1(num: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """Long division of ``num`` by ``L-1`` on a dense table of its
+    coefficients, from the top exponent down: the quotient and the
+    remainder ``num(1)`` at ``L^low``."""
+    if num.is_zero():
+        return num, 0
+    low = num.coeffs[0][0]
+    dense = [0] * (num.coeffs[-1][0] - low + 1)
+    for e, c in num.coeffs:
+        dense[e - low] = c
+    quot = {}
+    for i in range(len(dense) - 1, 0, -1):
+        quot[low + i - 1] = dense[i]
+        dense[i - 1] += dense[i]  # L^i = (L-1)*L^(i-1) + L^(i-1)
+    return LaurentPoly.from_dict(quot), dense[0]
 
 
 def trial_division(num: LaurentPoly, den_pow: int) -> MCoeff:
     """The normal form of ``num / (L-1)^den_pow`` by dividing as long as the
     remainder is zero, with neither shortcut of ``MCoeff``."""
     while den_pow > 0 and not num.is_zero():
-        q, r = num.divmod_l_minus_1()
-        if not r.is_zero():
+        q, r = divmod_l_minus_1(num)
+        if r:
             break
         num, den_pow = q, den_pow - 1
     return MCoeff(num, den_pow if not num.is_zero() else 0)
@@ -101,9 +122,49 @@ def trial_division(num: LaurentPoly, den_pow: int) -> MCoeff:
 @settings(max_examples=200)
 @given(polys, st.integers(0, 3), st.integers(0, 4))
 def test_make_tests_p1_like_trial_division(p, j, d):
-    for _ in range(j):
-        p = p * L_MINUS_1
+    p = times_l1_power(p, j)
     assert MCoeff.make(p, d) == trial_division(p, d)
+
+
+@settings(max_examples=200)
+@given(polys, polys, st.integers(0, 5))
+def test_lift_is_repeated_multiplication_by_l_minus_1(base, p, k):
+    table = dict(base.coeffs)
+    _add_lifted(table, p.coeffs, k)
+    assert LaurentPoly.from_dict(table) == base + times_l1_power(p, k)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.integers(0, 3), tables, min_size=1, max_size=3))
+@example({0: {1: 1}, 2: {0: -1, 1: 1}})  # L + (L-1)/(L-1)^2 over (L-1)^2
+def test_lifted_sum_is_trial_division_of_the_summed_numerators(by_pow):
+    top = max(by_pow)
+    total = LaurentPoly.from_dict({})
+    for den_pow, cell in by_pow.items():
+        total = total + times_l1_power(LaurentPoly.from_dict(cell), top - den_pow)
+    assert _lifted_sum(by_pow) == trial_division(total, top)
+
+
+@settings(max_examples=200)
+@given(unnormalized, unnormalized)
+@example(MCoeff.make(LaurentPoly.one(), 2), MCoeff.make(LaurentPoly.one()))
+def test_sum_like_trial_division(x, y):
+    top = max(x.den_pow, y.den_pow)
+    num = times_l1_power(x.num, top - x.den_pow) + times_l1_power(y.num, top - y.den_pow)
+    assert x + y == trial_division(num, top)
+
+
+@settings(max_examples=150)
+@given(unnormalized, st.integers(-3, 3))
+def test_times_l1_power_like_trial_division(x, e):
+    want = trial_division(times_l1_power(x.num, max(e, 0)), x.den_pow - min(e, 0))
+    assert x.mul_l1_pow(e) == want
+
+
+@settings(max_examples=150)
+@given(unnormalized, st.integers(-4, 4))
+def test_coefficient_unit_shift_keeps_normal_form(x, k):
+    assert x.scale_l(k) == MCoeff.make(x.num.shift(k), x.den_pow)
 
 
 @settings(max_examples=200)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from logzeta.cli import series_to_json
 from logzeta.cones import (
     LinealityError,
+    _reduce_to_span,
     _relint_pieces,
     box_points,
     cone_from_rays,
@@ -15,7 +16,7 @@ from logzeta.cones import (
 )
 from logzeta.intlin import dot, solve_integer
 from logzeta.mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff
-from logzeta.monoids import MarkedMonoid, SharpFsMonoid, _reduce_to_span
+from logzeta.monoids import MarkedMonoid, SharpFsMonoid
 from logzeta.series import ZSeries, cone_series, equal, format_poles, relint_cone_sum
 from logzeta.zeta import (
     SncdComponent,

@@ -511,7 +511,7 @@ def test_cell_in_span_matches_cone_from_rays():
 
 
 def test_reduce_to_span_hit_is_equal_and_immutable():
-    from logzeta.monoids import _reduce_to_span
+    from logzeta.cones import _reduce_to_span
 
     _reduce_to_span.cache_clear()
     for model in _models_with_odd_cells():
