@@ -17,7 +17,7 @@ from logzeta.newton import (
     newton_zeta,
     newton_zeta_local,
 )
-from logzeta.series import equal, format_poles
+from logzeta.series import ZSeries, equal, format_poles
 from logzeta.zeta import fan_poincare, validate_model
 
 
@@ -36,7 +36,7 @@ def main() -> None:
 
     model = newton_to_fanmodel(inp)
     assert validate_model(model) == []
-    lhs = fan_poincare(model, inp.n - 1).subst_T_L(-1).scale(MClass.l_power(inp.n - 1))
+    lhs = fan_poincare(model, inp.n - 1).subst_T_L(-1) * ZSeries.term(MClass.l_power(inp.n - 1), 0)
     print("\nfan model has", len(model.complex.cells), "cells; series identity:", equal(lhs, z))
 
     print("\nexpansion up to T^6:")

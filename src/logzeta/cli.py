@@ -222,6 +222,8 @@ def parse_sncd(data: dict[str, Any]) -> SncdData:
 def parse_fan(data: dict[str, Any]) -> FanModel:
     try:
         rank = _int(data["rank"], "rank")
+        if rank < 0:
+            raise ValueError(f"rank must be nonnegative, got {rank}")
         listed = {}  # the cells, in input order
         weights = {}
         for cell_data in data["cells"]:
@@ -243,6 +245,10 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
             raise InputError(
                 f"need one e and one a vector per maximal cell ({len(ordered)} cells)"
             )
+        for name, vecs in (("e", e_list), ("a", a_list)):
+            for v in vecs:
+                if len(v) != rank:
+                    raise ValueError(f"{name} vector {list(v)} has length {len(v)}, not the rank {rank}")
         e_vecs = dict(zip(ordered, e_list))
         a_vecs = dict(zip(ordered, a_list))
         return FanModel(complex_, e_vecs, a_vecs, weights)

@@ -621,7 +621,7 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
         if bad is None:
             return k
         piece = HalfOpenCone(bad.ambient_rank, tuple(bad.rays), (False,) * len(bad.rays))
-        index = math.prod(piece._frame[0])
+        index = piece.box_count()
         work += index
         if work > RESOLVE_MAX_BOX_POINTS:
             raise ValueError(
@@ -667,6 +667,11 @@ class HalfOpenCone:
         big = divisors[-1]
         steps = tuple(tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v)
         object.__setattr__(self, "_frame", (divisors, steps))
+
+    def box_count(self) -> int:
+        """The number of box points: the product of the Smith divisors, and
+        1 for a piece without generators."""
+        return math.prod(self._frame[0]) if self.gens else 1
 
 
 def triangulate_half_open(

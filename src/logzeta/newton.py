@@ -26,8 +26,8 @@ from typing import Optional
 
 from .cones import Cone, _face_lattice, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
-from .mring import MClass
-from .series import ZSeries, relint_cone_sum
+from .mring import LaurentPoly, MClass, MCoeff
+from .series import ZSeries, _relint_buckets
 from .zeta import FanModel
 
 
@@ -139,11 +139,10 @@ class _FaceTable:
         ``S`` the sum of L^{-sigma(u)} T^{m(u)} over the relative interior of
         the normal cone (sigma = 1 on the coordinate vectors, where m = 0).
 
-        The product is written out term by term: a term ``c·T^beta/D`` of
-        ``S`` gives ``[X_tau(0)]·L^{-1}c·T^{beta+1}/(D·(1-L^{-1}T))`` and,
+        Written out per bucket ``(beta, D, h)`` of the kernel, which makes one
+        coefficient ``c``: ``[X_tau(0)]·L^{-1}c·T^{beta+1}/(D·(1-L^{-1}T))`` and,
         when m does not vanish on the whole normal cone, ``[X_tau(1)]·c·T^beta/D``
-        (of positive T-degree then).  ``c`` is canonical and a power of L is
-        a unit, so both coefficients are canonical as written."""
+        (of positive T-degree then); ``c`` is canonical and L a unit, so both are."""
         sigma = (1,) * self.n
         out = []
         for rec in self.records:
@@ -152,7 +151,8 @@ class _FaceTable:
             jet = f"X_tau(0)@{rec.face_id}"
             unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in cone.rays) else None
             pairs = []
-            for (beta, ds, _), c in relint_cone_sum(cone, rec.m_witness, sigma).terms.items():
+            for (beta, ds, h), bucket in _relint_buckets(cone, rec.m_witness, sigma).items():
+                c = MCoeff.make(LaurentPoly.from_dict(bucket).shift(h), h)
                 pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), c.scale_l(-1)))
                 if unit is not None:
                     pairs.append(((beta, ds, unit), c))

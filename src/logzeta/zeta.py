@@ -27,7 +27,7 @@ from typing import Literal, Optional
 from .cones import Cone, ConeComplex, _carriers, _reduce_to_span, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot
 from .mring import MClass
-from .series import ZSeries, relint_cone_sum
+from .series import ZSeries, _relint_buckets, _weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def sncd_poincare(d: SncdData) -> ZSeries:
     """Volume Poincare series of an sncd model: L^{-m} times the sum over
     strata of (L-1)^{|J|-1} [symbol_J] prod_j L^{-mu_j} T^{N_j} / (1 - L^{-mu_j} T^{N_j}).
     """
-    return _strata_sum(d, "mu").scale(MClass.l_power(-d.m))
+    return _strata_sum(d, "mu") * ZSeries.term(MClass.l_power(-d.m), 0)
 
 
 def dl_zeta(d: SncdData) -> ZSeries:
@@ -221,8 +221,8 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
     if problems:
         raise InvalidModel(problems)
     weighted = ((cell, f.weight(cell)) for cell in f.complex.cells)
-    return ZSeries.sum(
-        relint_cone_sum(*_cell_in_span(f, cell)).scale(w.scale_l(-m))
+    return _weighted_sum(
+        (_relint_buckets(*_cell_in_span(f, cell)), w.scale_l(-m))
         for cell, w in weighted
         if not w.is_zero() and not f.e_identically_zero(cell)
     )

@@ -47,7 +47,7 @@ from logzeta.intlin import (
 from logzeta.mring import LaurentPoly, MClass, MCoeff, merge
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid, base_change
 from logzeta.newton import NewtonInput, newton_polyhedron
-from logzeta.series import ZSeries, relint_cone_sum
+from logzeta.series import ZSeries
 from logzeta.zeta import FanModel, SncdComponent, SncdData
 
 
@@ -559,9 +559,12 @@ def fresh_box_points(h: HalfOpenCone) -> list[Vec]:
 
 
 def per_call_relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
-    """``series.relint_cone_sum`` with nothing kept between calls: a fresh
+    """``weight`` times the sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice
+    points ``u`` in the relative interior of ``cone``, as the kernel
+    ``series._relint_buckets`` and ``series._weighted_sum`` compute it, but
+    in the series ring and with nothing kept between calls: a fresh
     half-open decomposition of ``cone`` and a fresh Smith normal form per
-    piece on every call."""
+    piece on every call, and one class product per bucket."""
     from logzeta.cones import triangulate_half_open
     from logzeta.mring import UNIT_SYMBOL, LaurentPoly, MCoeff
     from logzeta.series import _canon_denoms
@@ -912,10 +915,10 @@ def section_product_terms(inp: NewtonInput) -> list[ZSeries]:
     jet_factor = ZSeries.term(MClass.l_power(-1), 1, [(-1, 1)])
     out = []
     for rec in newton_polyhedron(inp):
-        section = jet_factor.scale(MClass.symbol(f"X_tau(0)@{rec.face_id}"))
+        section = jet_factor * ZSeries.term(MClass.symbol(f"X_tau(0)@{rec.face_id}"), 0)
         if any(rec.m_of(r) != 0 for r in rec.normal_cone_closure.rays):
             section = section + ZSeries.term(MClass.symbol(f"X_tau(1)@{rec.face_id}"), 0)
-        out.append(relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma) * section)
+        out.append(per_call_relint_cone_sum(rec.normal_cone_closure, rec.m_witness, sigma, MClass.one()) * section)
     return out
 
 

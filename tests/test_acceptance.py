@@ -37,7 +37,7 @@ from logzeta.newton import (
     newton_zeta,
     newton_zeta_local,
 )
-from logzeta.series import cone_series, equal
+from logzeta.series import ZSeries, cone_series, equal
 from logzeta.zeta import (
     SncdComponent,
     SncdData,
@@ -170,7 +170,7 @@ def test_criterion_5_two_formula_consistency():
             d.strata,
         )
         lhs = dl_zeta(d)
-        rhs = sncd_poincare(d_mu).subst_T_L(-1).scale(MClass.l_power(d.m))
+        rhs = sncd_poincare(d_mu).subst_T_L(-1) * ZSeries.term(MClass.l_power(d.m), 0)
         assert equal(lhs, rhs)
     report("criterion 5: two-formula consistency", "25 random data sets")
 
@@ -202,9 +202,7 @@ def test_criterion_6_newton_end_to_end():
         inp = random_support(rng, rng.randint(1, 2), max_points=4, max_coord=4)
         model = newton_to_fanmodel(inp)
         assert validate_model(model) == []
-        lhs = fan_poincare(model, inp.n - 1).subst_T_L(-1).scale(
-            MClass.l_power(inp.n - 1)
-        )
+        lhs = fan_poincare(model, inp.n - 1).subst_T_L(-1) * ZSeries.term(MClass.l_power(inp.n - 1), 0)
         assert equal(lhs, newton_zeta(inp)), inp.support
     report(
         "criterion 6: newton end-to-end",

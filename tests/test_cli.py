@@ -342,7 +342,8 @@ def test_wrong_length_e_or_a_exits_1(tmp_path, capsys, verb, key, vector):
     doc[key] = [vector]
     code = main([verb, write(tmp_path, "model.json", doc)])
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (1, "", "error: dimension mismatch\n")
+    message = f"bad fan-model input: {key} vector {vector} has length {len(vector)}, not the rank 2"
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 def _components(*comps, strata=(["E"],)):
@@ -392,6 +393,23 @@ E_MU = {"id": "E", "N": 1, "mu": 0}
         ),
         ("validate", _weighted({"A": "1/(L-1)^1001"}), "coefficient '1/(L-1)^1001' has an exponent over 1000"),
         ("fan-series", _weighted({"A": "L^-1001"}), "coefficient 'L^-1001' has an exponent over 1000"),
+        # a negative rank is no lattice
+        (
+            "validate",
+            {"rank": -1, "cells": [{"rays": []}], "e": [[]], "a": [[]]},
+            "bad fan-model input: rank must be nonnegative, got -1",
+        ),
+        # every e and a vector pairs with the rays, so it has the rank's length
+        (
+            "validate",
+            {"rank": 2, "cells": [{"rays": [[1, 0], [0, 1]]}], "e": [[1, 1, 1]], "a": [[0, 0]]},
+            "bad fan-model input: e vector [1, 1, 1] has length 3, not the rank 2",
+        ),
+        (
+            "fan-series",
+            {"rank": 2, "cells": [{"rays": [[1, 0], [0, 1]]}], "e": [[1, 1]], "a": [[0]]},
+            "bad fan-model input: a vector [0] has length 1, not the rank 2",
+        ),
     ],
 )
 def test_trust_boundary_rejections_exit_1(tmp_path, capsys, verb, doc, message):
@@ -552,6 +570,30 @@ def test_resolve_past_its_bound_refused_fast(tmp_path):
     model = {"rank": 2, "cells": [{"rays": [[1, 0], [1, 1000]], "weight": {"U": "1"}}], "e": [[1, 0]], "a": [[0, 0]]}
     proc = _run_in_child("resolve", write(tmp_path, "two_rays.json", model), timeout=60, max_memory_mb=1024)
     message = "resolution needs more than 5000 box points (at a cell of index 995); the model is too singular"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "verb, doc, count",
+    [
+        # the vertex (0, 1) has the normal cone [(1, 0), (1, 10^7)] of index 10^7;
+        # at exponent 100,000 newton-zeta took 2.6 s, 196 MB and printed 14 MB
+        ("newton-zeta", {"n": 2, "support": [[10_000_000, 0], [0, 1]]}, 10_000_000),
+        (
+            "fan-series",
+            {
+                "rank": 2,
+                "cells": [{"rays": [[1, 0], [1, 200_000]], "weight": {"U": "1"}}],
+                "e": [[1, 0]],
+                "a": [[0, 0]],
+            },
+            200_000,
+        ),
+    ],
+)
+def test_cone_sum_past_its_bound_refused_fast(tmp_path, verb, doc, count):
+    proc = _run_in_child(verb, write(tmp_path, "input.json", doc), timeout=60, max_memory_mb=1024)
+    message = f"cone sum needs {count} box points, more than 50000; the cone is too singular"
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 

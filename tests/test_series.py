@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import logzeta.series
 from logzeta.cli import series_to_json
 from logzeta.cones import (
     LinealityError,
@@ -17,7 +18,7 @@ from logzeta.cones import (
 from logzeta.intlin import dot, solve_integer
 from logzeta.mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid
-from logzeta.series import ZSeries, cone_series, equal, format_poles, relint_cone_sum
+from logzeta.series import ZSeries, _relint_buckets, _weighted_sum, cone_series, equal, format_poles
 from logzeta.zeta import (
     SncdComponent,
     SncdData,
@@ -60,12 +61,12 @@ def test_arithmetic_identities():
     assert equal(s, ZSeries.term(ONE, 0, [(0, 1)]))
     sq = ZSeries.term(ONE, 1, [(0, 1)]) * ZSeries.term(ONE, 1, [(0, 1)])
     assert [k for k, _ in sq.sorted_terms()] == [(2, ((0, 1), (0, 1)))]
-    assert ZSeries.term(ONE, 1, [(0, 1)]).scale(MClass.zero()).is_zero()
+    assert (ZSeries.term(ONE, 1, [(0, 1)]) * ZSeries.term(MClass.zero(), 0)).is_zero()
 
 
 def test_scale():
     s = ZSeries.term(ONE, 1, [(0, 1)])
-    assert list(s.scale(MClass.l_power(2)).sorted_terms()) == [((1, ((0, 1),)), MClass.l_power(2))]
+    assert list((s * ZSeries.term(MClass.l_power(2), 0)).sorted_terms()) == [((1, ((0, 1),)), MClass.l_power(2))]
 
 
 def test_subst_T_L():
@@ -350,6 +351,13 @@ WEIGHTS = [
     MClass.symbol("W"),
     MClass({UNIT_SYMBOL: MCoeff(LaurentPoly.monomial(2, -3), 0)}),
     MClass.symbol("A").mul_l1_pow(2) + MClass.l_power(-3),
+    # denominators: the weight's den_pow adds to the horizontal count
+    MClass.symbol("B").mul_l1_pow(-1),
+    MClass.l_power(1).mul_l1_pow(-2) + MClass.symbol("C").mul_l1_pow(-1),
+    # numerators that vanish at L = 1: against a horizontal factor L/(L-1)
+    # the sum must divide by (L-1) to normalise
+    MClass.l_power(1) - ONE,
+    MClass.l_power(2) - ONE + MClass.symbol("D").mul_l1_pow(1),
 ]
 
 
@@ -402,9 +410,12 @@ def outcome(kernel, *args):
 @example((cone_from_rays(2, [(1, 0), (0, 1)]), (1, 0), (3, 2), ONE))  # bad horizontal
 @example((SQUARE, (0, 0, 1), (1, 1, 1), ONE))  # not simplicial
 @example((cone_from_rays(3, [(1, 2, 0), (2, 1, 0)]), (1, 1, 5), (0, 1, -1), WEIGHTS[3]))  # flat
+@example((cone_from_rays(2, [(1, 0), (0, 1)]), (1, 0), (3, 1), WEIGHTS[5]))  # times L/(L-1)
+@example((cone_from_rays(2, [(1, 0), (0, 1)]), (1, 0), (3, 1), WEIGHTS[6]))  # L-1 times L/(L-1)
+@example((cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)]), (0, 0, 1), (1, 1, 0), WEIGHTS[7]))
 def test_relint_cone_sum_matches_per_call_kernel(args):
     def weighted(cone, e, a, w):
-        return relint_cone_sum(cone, e, a).scale(w)
+        return _weighted_sum([(_relint_buckets(cone, e, a), w)])
 
     expected = outcome(per_call_relint_cone_sum, *args)
     assert outcome(weighted, *args) == expected
@@ -418,12 +429,30 @@ def test_relint_cone_sum_matches_per_call_kernel(args):
 @settings(max_examples=60, deadline=None)
 @given(cone_sum_inputs())
 def test_relint_cone_sum_is_pure_geometry(args):
-    # the kernel touches no class symbol: every coefficient is on the unit
+    # the kernel touches no class symbol: it returns integer counts, one per
+    # box point, and on the unit weight every coefficient is on the unit
     try:
-        s = relint_cone_sum(*args[:3])
+        buckets = _relint_buckets(*args[:3])
     except ValueError:
         return
+    assert all(type(n) is int and n > 0 for b in buckets.values() for n in b.values())
+    points = sum(piece.box_count() for piece in _relint_pieces(args[0]))
+    assert sum(n for b in buckets.values() for n in b.values()) == points
+    s = _weighted_sum([(buckets, ONE)])
     assert all(set(c.terms) == {UNIT_SYMBOL} for _, c in s.sorted_terms())
+
+
+def test_cone_sum_bound_counts_box_points(monkeypatch):
+    # the cone [(1, 0), (1, N)] is one piece of N box points
+    monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 6)
+    buckets = _relint_buckets(cone_from_rays(2, [(1, 0), (1, 6)]), (1, 0), (0, 1))
+    assert sum(n for b in buckets.values() for n in b.values()) == 6
+    with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
+        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 7)]), (1, 0), (0, 1))
+    # pieces add up: the square's interior is two triangles of index 2
+    monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 3)
+    with pytest.raises(ValueError, match="cone sum needs 4 box points"):
+        _relint_buckets(SQUARE, (0, 0, 1), (1, 1, 1))
 
 
 def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
@@ -432,9 +461,9 @@ def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
     halfplane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
     for _ in range(2):
         with pytest.raises(ValueError, match="horizontal ray"):
-            relint_cone_sum(orthant, (1, 0), (0, 2))
+            _relint_buckets(orthant, (1, 0), (0, 2))
         with pytest.raises(LinealityError):
-            relint_cone_sum(halfplane, (1, 1), (0, 0))
+            _relint_buckets(halfplane, (1, 1), (0, 0))
     assert len(runs) == 2  # the line is found afresh each time; nothing is kept
 
 

@@ -126,7 +126,7 @@ def test_two_formula_consistency():
             d.strata,
         )
         lhs = dl_zeta(d)
-        rhs = sncd_poincare(d_mu).subst_T_L(-1).scale(MClass.l_power(d.m))
+        rhs = sncd_poincare(d_mu).subst_T_L(-1) * ZSeries.term(MClass.l_power(d.m), 0)
         assert equal(lhs, rhs)
 
 
