@@ -611,13 +611,13 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
             raise RuntimeError("simplicialization did not terminate")
 
     # Phase 2: shrink multiplicities via fundamental-parallelepiped points.
-    # A cell that a subdivision leaves in place keeps its verdict.  A cell's
-    # box holds as many points as the product of its Smith divisors, so the
-    # running total is checked before each enumeration.
-    is_smooth = lru_cache(maxsize=None)(Cone.is_smooth)
+    # Only cells new to a complex are tested; a cell left in place keeps its
+    # verdict.  A box holds as many points as the product of its cell's Smith
+    # divisors, so the running total is checked before each enumeration.
+    singular = {c for c in k.cells if not c.is_smooth()}
     work = 0
     while True:
-        bad = next((c for c in k.cells if not is_smooth(c)), None)
+        bad = next((c for c in k.cells if c in singular), None)
         if bad is None:
             return k
         piece = HalfOpenCone(bad.ambient_rank, tuple(bad.rays), (False,) * len(bad.rays))
@@ -630,7 +630,9 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
             )
         candidates = [primitive(p) for p in box_points(piece) if not is_zero_vec(p)]
         pivot = min(candidates, key=lambda p: (sum(abs(x) for x in p), p))
+        old = set(k.cells)
         k = star_subdivision(k, pivot)
+        singular = {c for c in k.cells if c in singular or c not in old and not c.is_smooth()}
 
 
 # ---------------------------------------------------------------------------

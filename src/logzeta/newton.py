@@ -145,13 +145,15 @@ class _FaceTable:
         (of positive T-degree then); ``c`` is canonical and L a unit, so both are."""
         sigma = (1,) * self.n
         out = []
+        spent = 0  # box points, counted against one bound for the table
         for rec in self.records:
             cone = rec.normal_cone_closure
             # one-atom symbols are canonical as they stand
             jet = f"X_tau(0)@{rec.face_id}"
             unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in cone.rays) else None
             pairs = []
-            for (beta, ds, h), bucket in _relint_buckets(cone, rec.m_witness, sigma).items():
+            buckets, spent = _relint_buckets(cone, rec.m_witness, sigma, spent)
+            for (beta, ds, h), bucket in buckets.items():
                 c = MCoeff.make(LaurentPoly.from_dict(bucket).shift(h), h)
                 pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), c.scale_l(-1)))
                 if unit is not None:

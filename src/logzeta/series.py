@@ -14,9 +14,9 @@ the common denominator is a table of integers keyed by T-degree, class
 symbol and L-exponent.  The symbols are free generators and the lift is by a
 nonzero factor, so the difference is zero exactly when the table is; see
 :func:`equal`.  The power-series expansion works the same way: each distinct
-denominator is expanded once into a table of integers, the terms' numerators
-are summed against it per T-degree, symbol and ``(L-1)``-power, and each
-coefficient is lifted and normalised once; see :meth:`ZSeries.expand`.
+denominator is expanded once into a table of integers, whose rows are
+weighted by the terms' coefficients and summed by :func:`_weighted_sum`, the
+integer product of the cone sums; see :meth:`ZSeries.expand`.
 Both lifts, and every other ``(L-1)``-power or unit shift of a coefficient,
 are the ring layer's (:mod:`~logzeta.mring`); this module builds no
 coefficient from its fields.
@@ -132,12 +132,12 @@ class ZSeries:
 
         Worked in plain integers, as :func:`equal` is.  ``1/prod(1 - L^a T^b)``
         depends on the denominators alone, so it is expanded once per distinct
-        tuple into a table ``m -> {L-exponent: count}``.  The symbols are free
-        generators, so each is expanded on its own: per T-degree, the terms
-        add their numerators times one row of their tables into integer
-        tables keyed by ``den_pow``, which are lifted to one power of ``(L-1)``
-        and normalised once.  Canonical coefficients are unique, so the
-        result equals the sum of the terms' expansions in classes.
+        tuple into a table ``m -> {L-exponent: count}``.  Row ``m`` of a term's
+        table is a bucket at T-degree ``beta + m`` weighted by the term's
+        coefficient, and :func:`_weighted_sum` adds them up in integers,
+        normalising each coefficient once, as for the cone sums.  Canonical
+        coefficients are unique, so the result equals the sum of the terms'
+        expansions in classes.
         """
         if degree < 0:
             raise ValueError(f"expansion degree must be nonnegative, not {degree}")
@@ -148,24 +148,14 @@ class ZSeries:
         for beta, ds, _ in live:
             reach[ds] = max(reach.get(ds, 0), degree - beta)
         tables = {ds: _geometric_table(ds, m) for ds, m in reach.items()}
-        by_symbol: dict[str, list[tuple[int, list[dict[int, int]], MCoeff]]] = {}
+        parts = []
         for (beta, ds, sym), cf in live.items():
-            by_symbol.setdefault(sym, []).append((beta, tables[ds], cf))
-        out: list[list[tuple[str, MCoeff]]] = [[] for _ in range(degree)]
-        for sym, parts in by_symbol.items():
-            for t in range(1, degree + 1):
-                by_pow: dict[int, dict[int, int]] = {}  # den_pow -> {L-exponent: count}
-                for beta, table, cf in parts:
-                    row = table[t - beta] if beta <= t else None
-                    if not row:
-                        continue
-                    cell = by_pow.setdefault(cf.den_pow, {})
-                    for e, n in cf.num.coeffs:
-                        for i, k in row.items():
-                            cell[e + i] = cell.get(e + i, 0) + n * k
-                if by_pow:
-                    out[t - 1].append((sym, _lifted_sum(by_pow)))
-        return [MClass._sum_pairs(pairs) for pairs in out]
+            rows = enumerate(tables[ds][: degree + 1 - beta], beta)  # (T-degree, row)
+            parts.append(({(t, (), 0): row for t, row in rows if t and row}, MClass._of({sym: cf})))
+        out: list[dict[str, MCoeff]] = [{} for _ in range(degree)]
+        for (t, _, sym), cf in _weighted_sum(parts).terms.items():
+            out[t - 1][sym] = cf
+        return [MClass._of(terms) for terms in out]
 
     def limit_T_inf(self) -> MClass:
         """Value of the series as T grows without bound.
@@ -313,18 +303,21 @@ def format_poles(poles: frozenset[Fraction]) -> str:
 # Cone sums in closed form.
 
 
-# Most box points one kernel call may enumerate, summed over the pieces of
-# its cone; a piece holds the product of its Smith divisors.  The seed-0
-# benchmark pools reach 1,492 per call, the Tier-1 suite 2,832, and the
-# kernel's property test, whose cones have coordinates 0-3 in a unimodular
-# basis of rank at most 5, stays below 3^5 * 5! = 29,160.  The Newton
-# support {(N, 0), (0, 1)} has a cone of index N: newton-zeta at N = 50,000
-# takes 1.8 s and 110 MB and prints 6.8 MB (2-vCPU Xeon, Python 3.11), and
-# at N = 100,000 it took 2.6 s and 196 MB before the bound.
+# Most box points one pipeline call may enumerate: the kernel calls of one
+# fan_poincare, one Newton face table or one cone_series, summed over the
+# pieces of their cones; a piece holds the product of its Smith divisors.
+# The seed-0 benchmark pools reach 1,494 per pipeline call, the Tier-1 suite
+# 7,161 (a pinned Newton output), and the kernel's property test, whose cones
+# have coordinates 0-3 in a unimodular basis of rank at most 5, stays below
+# 3^5 * 5! = 29,160 per call.  The Newton support {(N, 0), (0, 1)} has a
+# cone of index N: newton-zeta at N = 50,000 takes 1.8 s and 110 MB and
+# prints 6.8 MB (2-vCPU Xeon, Python 3.11), and at N = 100,000 it took 2.6 s
+# and 196 MB before the bound.  A bound per kernel call would let a model of
+# 30 cells of index 40,000 each run 4.2 s.
 CONE_SUM_MAX_BOX_POINTS = 50_000
 
 
-def _relint_buckets(cone: Cone, e: Vec, a: Vec) -> Buckets:
+def _relint_buckets(cone: Cone, e: Vec, a: Vec, spent: int = 0) -> tuple[Buckets, int]:
     """Closed form of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
     ``u`` in the relative interior of ``cone``, as integer buckets: entry
     ``(beta, denominators, h) -> {L-exponent: count}`` stands for those
@@ -333,8 +326,11 @@ def _relint_buckets(cone: Cone, e: Vec, a: Vec) -> Buckets:
     satisfy ``<g,a> = 1`` (checked on every call).  The pieces and their
     Smith frames are read from ``cones._relint_pieces``; only the pairing
     of box points with ``e`` and ``a`` and the bucketing are done per call.
-    Raises ``ValueError`` before enumerating more than
-    :data:`CONE_SUM_MAX_BOX_POINTS` points.
+
+    ``spent`` counts the box points the calling pipeline has enumerated
+    before; the buckets are returned with the new total, and ``ValueError``
+    is raised before enumerating once it would pass
+    :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
     for v in cone.rays:
         if dot(v, e) == 0 and dot(v, a) != 1:
@@ -342,10 +338,10 @@ def _relint_buckets(cone: Cone, e: Vec, a: Vec) -> Buckets:
                 f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
     pieces = _relint_pieces(cone)
-    count = sum(piece.box_count() for piece in pieces)
-    if count > CONE_SUM_MAX_BOX_POINTS:
+    spent += sum(piece.box_count() for piece in pieces)
+    if spent > CONE_SUM_MAX_BOX_POINTS:
         raise ValueError(
-            f"cone sum needs {count} box points, more than {CONE_SUM_MAX_BOX_POINTS}; the cone is too singular"
+            f"cone sum needs {spent} box points, more than {CONE_SUM_MAX_BOX_POINTS}; the cone is too singular"
         )
     out: Buckets = {}
     for piece in pieces:
@@ -362,7 +358,7 @@ def _relint_buckets(cone: Cone, e: Vec, a: Vec) -> Buckets:
             bucket = out.setdefault((dot(u0, e), key_denoms, horiz), {})
             lexp = -dot(u0, a)
             bucket[lexp] = bucket.get(lexp, 0) + 1
-    return out
+    return out, spent
 
 
 def _weighted_sum(parts: Iterable[tuple[Buckets, MClass]]) -> ZSeries:
@@ -386,4 +382,5 @@ def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
     points ``u`` of the marked monoid, its weight attached in integers."""
     if not mm.is_local():
         raise ValueError("cone series needs a local marking (e_pi != 0)")
-    return _weighted_sum([(_relint_buckets(mm.base.dual(), mm.e_pi, mm.a_div), weight)])
+    buckets, _ = _relint_buckets(mm.base.dual(), mm.e_pi, mm.a_div)
+    return _weighted_sum([(buckets, weight)])

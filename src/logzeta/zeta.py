@@ -15,14 +15,17 @@ weighted sum over the complex's cells of the interior dual-point generating
 functions.  Cells on which ``e`` vanishes identically belong to the generic
 part of the model and contribute nothing (they are only checked for
 smoothness); a ray paired to zero by ``e`` inside a contributing cell must
-pair to one with ``a``.
+pair to one with ``a``.  A model keeps the verdict of :func:`validate_model`,
+which :func:`transport_subdivide` hands on, checking the new cells only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Literal, Mapping, Optional
 
 from .cones import Cone, ConeComplex, _carriers, _reduce_to_span, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot
@@ -123,13 +126,28 @@ class FanModel:
     ``e_vecs`` and ``a_vecs`` give one dual vector per maximal cell;
     ``weights`` has one class per cell (cells missing from the mapping count
     as zero).  Weights are understood to already include their
-    (L-1)^(dim-1) factor.
+    (L-1)^(dim-1) factor.  The mappings are copied into read-only ones.
     """
 
     complex: ConeComplex
-    e_vecs: dict[Cone, Vec]
-    a_vecs: dict[Cone, Vec]
-    weights: dict[Cone, MClass] = field(default_factory=dict)
+    e_vecs: Mapping[Cone, Vec]
+    a_vecs: Mapping[Cone, Vec]
+    weights: Mapping[Cone, MClass] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("e_vecs", "a_vecs", "weights"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle, so a copy is built from dicts
+        return FanModel, (self.complex, dict(self.e_vecs), dict(self.a_vecs), dict(self.weights))
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        maximal = set(self.complex.maximal_cells())
+        if set(self.e_vecs) != maximal or set(self.a_vecs) != maximal:
+            return (*self.complex.validate(), "e/a vectors must be indexed by the maximal cells")
+        return tuple(sorted({*self.complex.validate(), *_cell_problems(self, self.complex.cells)}))
 
     def owning_maximal(self, cell: Cone) -> Cone:
         """The first maximal cell, in cell order, containing a cell of the complex."""
@@ -158,45 +176,33 @@ def validate_model(f: FanModel) -> list[str]:
     Checked: complex validity, nonnegativity of e on the support, face
     consistency of e and a across maximal cells, smoothness of cells with
     identically zero e, and the horizontal-divisor rule (a ray paired to
-    zero by e inside a contributing cell must pair to one with a).
+    zero by e inside a contributing cell must pair to one with a).  The
+    verdict is kept on the model; see :func:`transport_subdivide`.
     """
-    problems = list(f.complex.validate())
-    maximal = f.complex.maximal_cells()
-    if set(f.e_vecs) != set(maximal) or set(f.a_vecs) != set(maximal):
-        problems.append("e/a vectors must be indexed by the maximal cells")
-        return problems
-    for mc in maximal:
-        for r in mc.rays:
-            if dot(f.e_vecs[mc], r) < 0:
-                problems.append(f"e negative on ray {r} of {mc}")
-    # Face consistency: all maximal cells containing a cell agree on it.
-    for cell in f.complex.cells:
+    return list(f._problems)
+
+
+def _cell_problems(f: FanModel, cells: Iterable[Cone]) -> Iterator[str]:
+    """The per-cell diagnostics of :func:`validate_model` at ``cells``."""
+    for cell in cells:
         owners = f.complex.owners(cell)
         for r in cell.rays:
-            evals = {dot(f.e_vecs[mc], r) for mc in owners}
-            avals = {dot(f.a_vecs[mc], r) for mc in owners}
-            if len(evals) > 1:
-                problems.append(f"inconsistent e across shared face at ray {r}")
-            if len(avals) > 1:
-                problems.append(f"inconsistent a across shared face at ray {r}")
-    # Generic-part smoothness and the horizontal-divisor rule.
-    for cell in f.complex.cells:
-        if f.e_identically_zero(cell):
-            if not cell.is_smooth():
-                problems.append(
-                    f"cell {cell} lies in the generic part (e = 0) but is not smooth"
-                )
-    for mc in maximal:
-        if f.e_identically_zero(mc):
-            continue
-        evec, avec = f.e_vecs[mc], f.a_vecs[mc]
-        for r in mc.rays:
-            if dot(evec, r) == 0 and dot(avec, r) != 1:
-                problems.append(
-                    "horizontal-divisor rule: ray "
-                    f"{r} has e-value 0 but a-value {dot(avec, r)} (expected 1)"
-                )
-    return sorted(set(problems))
+            for x, vecs in (("e", f.e_vecs), ("a", f.a_vecs)):
+                if len({dot(vecs[mc], r) for mc in owners}) > 1:
+                    yield f"inconsistent {x} across shared face at ray {r}"
+        generic = f.e_identically_zero(cell)
+        if generic and not cell.is_smooth():
+            yield f"cell {cell} lies in the generic part (e = 0) but is not smooth"
+        if cell in owners:  # a maximal cell
+            evec, avec = f.e_vecs[cell], f.a_vecs[cell]
+            for r in cell.rays:
+                if dot(evec, r) < 0:
+                    yield f"e negative on ray {r} of {cell}"
+                elif not generic and dot(evec, r) == 0 and dot(avec, r) != 1:
+                    yield (
+                        "horizontal-divisor rule: ray "
+                        f"{r} has e-value 0 but a-value {dot(avec, r)} (expected 1)"
+                    )
 
 
 def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
@@ -216,16 +222,21 @@ def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
 
 
 def fan_poincare(f: FanModel, m: int) -> ZSeries:
-    """Weighted sum of interior cone series over the special cells, times L^{-m}."""
+    """Weighted sum of interior cone series over the special cells, times
+    L^{-m}.  The box points of all the cells count against one bound."""
     problems = validate_model(f)
     if problems:
         raise InvalidModel(problems)
-    weighted = ((cell, f.weight(cell)) for cell in f.complex.cells)
-    return _weighted_sum(
-        (_relint_buckets(*_cell_in_span(f, cell)), w.scale_l(-m))
-        for cell, w in weighted
-        if not w.is_zero() and not f.e_identically_zero(cell)
-    )
+
+    def parts():
+        spent = 0
+        for cell in f.complex.cells:
+            w = f.weight(cell)
+            if not w.is_zero() and not f.e_identically_zero(cell):
+                buckets, spent = _relint_buckets(*_cell_in_span(f, cell), spent)
+                yield buckets, w.scale_l(-m)
+
+    return _weighted_sum(parts())
 
 
 def fan_poles(f: FanModel) -> frozenset[Fraction]:
@@ -277,6 +288,12 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
     interior contains the new cell's relative interior (its carrier); the
     functionals of a new maximal cell are those of its carrier's owner,
     restricted.
+
+    A legal model's verdict is handed on, checked at the new cells only,
+    along its complex or a refinement ``star_subdivision`` certified from
+    it.  Then ``kp`` is valid, and the owners of a cell take functionals
+    that are nonnegative on it and agree on its carrier's span, so an old
+    cell keeps whether e vanishes on it and an old maximal cell was maximal.
     """
     carriers = _carriers(kp, f.complex)
     if carriers is None:
@@ -290,4 +307,8 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
     owner = {mc: f.owning_maximal(carrier[mc]) for mc in kp.maximal_cells()}
     new_e = {mc: f.e_vecs[o] for mc, o in owner.items()}
     new_a = {mc: f.a_vecs[o] for mc, o in owner.items()}
-    return FanModel(kp, new_e, new_a, new_weights)
+    moved = FanModel(kp, new_e, new_a, new_weights)
+    if (kp is f.complex or kp._certificate and kp._certificate[0] is f.complex) and not f._problems:
+        new = [cell for cell, old in carrier.items() if cell != old]
+        vars(moved)["_problems"] = tuple(sorted(set(_cell_problems(moved, new))))
+    return moved

@@ -597,6 +597,38 @@ def test_cone_sum_past_its_bound_refused_fast(tmp_path, verb, doc, count):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+STRIPES = 30  # cells of 40,000 box points each, side by side
+
+
+@pytest.mark.parametrize(
+    "verb, doc, count",
+    [
+        # each cell is under the bound, but one fan_poincare call sums them
+        # all; at 30 cells fan-series ran 4.2 s before the bound was per call
+        (
+            "fan-series",
+            {
+                "rank": 2,
+                "cells": [
+                    {"rays": [[1, 40_000 * k], [1, 40_000 * (k + 1)]], "weight": {"U": "1"}}
+                    for k in range(STRIPES)
+                ],
+                "e": [[1, 0]] * STRIPES,
+                "a": [[0, 0]] * STRIPES,
+            },
+            80_000,
+        ),
+        # the vertices (30000, 1) and (0, 2) have normal cones of index
+        # 30,000 each; newton-zeta took 2.7 s, 116 MB and printed 9.1 MB
+        ("newton-zeta", {"n": 2, "support": [[90_000, 0], [30_000, 1], [0, 2]]}, 60_000),
+    ],
+)
+def test_cone_sum_bound_is_per_pipeline_call(tmp_path, verb, doc, count):
+    proc = _run_in_child(verb, write(tmp_path, "input.json", doc), timeout=60, max_memory_mb=1024)
+    message = f"cone sum needs {count} box points, more than 50000; the cone is too singular"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_byte_identical_across_processes():
     # output must not depend on hash randomization
     outs = []

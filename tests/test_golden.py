@@ -69,3 +69,22 @@ def test_traced_names_resolve(bench):
             if not found:
                 missing.append(".".join(target))
     assert missing == []
+
+
+def test_fan_invariance_ops_validate_each_model_once(bench, monkeypatch):
+    # an op validates its model, then sums it, its star subdivision and its
+    # resolution; both moved models take the verdict handed on to them,
+    # checked at their new cells, so one full validation runs per op
+    run, worker, workloads, _ = bench
+    passes = []
+    real = logzeta.zeta._cell_problems
+
+    def counting(f, cells):
+        passes.append("full" if cells is f.complex.cells else "new cells")
+        return real(f, cells)
+
+    monkeypatch.setattr(logzeta.zeta, "_cell_problems", counting)
+    for item in workloads.generate("fan-invariance", run.DEFAULT_SEED)[:12]:
+        passes.clear()
+        worker.OPS["fan-invariance"](logzeta, item, parse_fan(item["input"]))
+        assert passes == ["full", "new cells", "new cells"]

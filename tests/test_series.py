@@ -415,7 +415,7 @@ def outcome(kernel, *args):
 @example((cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)]), (0, 0, 1), (1, 1, 0), WEIGHTS[7]))
 def test_relint_cone_sum_matches_per_call_kernel(args):
     def weighted(cone, e, a, w):
-        return _weighted_sum([(_relint_buckets(cone, e, a), w)])
+        return _weighted_sum([(_relint_buckets(cone, e, a)[0], w)])
 
     expected = outcome(per_call_relint_cone_sum, *args)
     assert outcome(weighted, *args) == expected
@@ -432,12 +432,12 @@ def test_relint_cone_sum_is_pure_geometry(args):
     # the kernel touches no class symbol: it returns integer counts, one per
     # box point, and on the unit weight every coefficient is on the unit
     try:
-        buckets = _relint_buckets(*args[:3])
+        buckets, spent = _relint_buckets(*args[:3])
     except ValueError:
         return
     assert all(type(n) is int and n > 0 for b in buckets.values() for n in b.values())
     points = sum(piece.box_count() for piece in _relint_pieces(args[0]))
-    assert sum(n for b in buckets.values() for n in b.values()) == points
+    assert sum(n for b in buckets.values() for n in b.values()) == points == spent
     s = _weighted_sum([(buckets, ONE)])
     assert all(set(c.terms) == {UNIT_SYMBOL} for _, c in s.sorted_terms())
 
@@ -445,10 +445,14 @@ def test_relint_cone_sum_is_pure_geometry(args):
 def test_cone_sum_bound_counts_box_points(monkeypatch):
     # the cone [(1, 0), (1, N)] is one piece of N box points
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 6)
-    buckets = _relint_buckets(cone_from_rays(2, [(1, 0), (1, 6)]), (1, 0), (0, 1))
-    assert sum(n for b in buckets.values() for n in b.values()) == 6
+    buckets, spent = _relint_buckets(cone_from_rays(2, [(1, 0), (1, 6)]), (1, 0), (0, 1))
+    assert sum(n for b in buckets.values() for n in b.values()) == spent == 6
     with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
         _relint_buckets(cone_from_rays(2, [(1, 0), (1, 7)]), (1, 0), (0, 1))
+    # the points a pipeline spent before count too
+    assert _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]), (1, 0), (0, 1), 1)[1] == 6
+    with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
+        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]), (1, 0), (0, 1), 2)
     # pieces add up: the square's interior is two triangles of index 2
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 3)
     with pytest.raises(ValueError, match="cone sum needs 4 box points"):

@@ -43,9 +43,6 @@ UNBOUNDED_CACHES = {
     # finished after 45 s, since every subdivision asks for the faces of
     # every cell again
     ("cones.py", "faces"),
-    # call-local: the smoothness verdicts of one resolve_complex run, freed
-    # when it returns
-    ("cones.py", "resolve_complex"),
 }
 
 

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logzeta.cones import (
     ConeComplex,
@@ -288,6 +290,112 @@ def test_transported_model_is_still_model_checked():
     assert "horizontal-divisor" in horizontal and "a-value 3" in horizontal
     with pytest.raises(InvalidModel):
         fan_poincare(moved, 0)
+
+
+def test_model_mappings_are_read_only():
+    # a model copies its mappings when built, so its kept verdict cannot go stale
+    k = complex_from_cones(3, [ORTHANT3])
+    e, a, weights = {ORTHANT3: (1, 0, 0)}, {ORTHANT3: (1, 1, 1)}, {ORTHANT3: MClass.symbol("X")}
+    model = FanModel(k, e, a, weights)
+    assert validate_model(model) == []
+    changes = ((model.e_vecs, (1, 0, -1)), (model.a_vecs, (0, 0, 0)), (model.weights, MClass.one()))
+    for mapping, value in changes:
+        with pytest.raises(TypeError):
+            mapping[ORTHANT3] = value
+    e[ORTHANT3] = (1, 0, -1)
+    del weights[ORTHANT3]
+    assert model.e_vecs[ORTHANT3] == (1, 0, 0) and model.weight(ORTHANT3) == MClass.symbol("X")
+    assert validate_model(model) == []
+    # a model still pickles and copies
+    for again in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert again == model and validate_model(again) == []
+
+
+def _full_verdict(model):
+    """validate_model of an equal model on an uncertified copy of its complex,
+    which nothing is handed on to."""
+    return validate_model(FanModel(uncertified(model.complex), model.e_vecs, model.a_vecs, model.weights))
+
+
+def _planted_model(rng):
+    """A legal rank-3 model whose e vanishes on a coordinate face with a = 1
+    there: a star subdivision in that face adds a ray with e = 0 and a > 1,
+    and (0,1,2) also cuts off a cell of index 2 in the generic part."""
+    zeros = rng.randint(1, 2)
+    e_vec = tuple(rng.randint(1, 3) for _ in range(3 - zeros)) + (0,) * zeros
+    a_vec = tuple(rng.randint(-2, 2) for _ in range(3 - zeros)) + (1,) * zeros
+    k = complex_from_cones(3, [ORTHANT3])
+    weights = {c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim}
+    return FanModel(k, {ORTHANT3: e_vec}, {ORTHANT3: a_vec}, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["plain", "horizontal", "planted"]))
+@example(7, "planted")  # a handed-on verdict with a generic-part cell
+def test_kept_verdict_equals_full_validation(seed, kind):
+    rng = random.Random(seed)
+    if kind == "planted":
+        model = _planted_model(rng)
+    else:
+        model = random_fan_model(rng, rng.randint(2, 3), horizontals=kind == "horizontal")
+        # rooted here, so that the subdivisions below are certified from it
+        model = dataclasses.replace(model, complex=uncertified(model.complex))
+    assert validate_model(model) == []
+    n = model.complex.ambient_rank
+    moved, kp = model, model.complex
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            kp = resolve_complex(kp)
+        else:
+            v = tuple(rng.randint(0, 2) for _ in range(n))
+            if kind == "planted" and rng.random() < 0.7:
+                v = tuple(x if e == 0 else 0 for x, e in zip(v, model.e_vecs[ORTHANT3]))
+            if not any(v):
+                continue
+            kp = star_subdivision(kp, v)
+        # from the model itself, along a refinement certified from its complex
+        direct = transport_subdivide(model, kp)
+        assert "_problems" in vars(direct)  # handed on, checked at the new cells
+        assert validate_model(direct) == _full_verdict(direct)
+        # from the previous model, handed on only along an identity
+        moved = transport_subdivide(moved, kp)
+        assert validate_model(moved) == _full_verdict(moved)
+
+
+def test_verdict_handed_on_only_from_the_models_own_complex(monkeypatch):
+    import logzeta.zeta
+
+    passes = []
+    real = logzeta.zeta._cell_problems
+
+    def counting(f, cells):
+        passes.append("full" if cells is f.complex.cells else len(cells))
+        return real(f, cells)
+
+    monkeypatch.setattr(logzeta.zeta, "_cell_problems", counting)
+    rng = random.Random(29)
+    for _ in range(6):
+        model = random_fan_model(rng, 3)
+        model = dataclasses.replace(model, complex=uncertified(model.complex))
+        assert validate_model(model) == [] and passes == ["full"]
+        star = star_subdivision(model.complex, (1, 1, 1))
+        moved = transport_subdivide(model, star)
+        twice = star_subdivision(star, (1, 2, 3))
+        # along refinements certified from the model's own complex, and along
+        # that complex itself, only the new cells are checked
+        resolved = resolve_complex(model.complex)
+        for f, kp in ((model, star), (model, twice), (model, resolved), (model, model.complex), (moved, star)):
+            passes.clear()
+            assert validate_model(transport_subdivide(f, kp)) == []
+            assert passes == [sum(c not in set(f.complex.cells) for c in kp.cells)]
+        # an equal copy, a refinement of one, and a refinement whose root is
+        # not the model's complex: the moved model takes the full validation
+        copied = star_subdivision(uncertified(model.complex), (1, 1, 1))
+        for f, kp in ((model, uncertified(star)), (model, copied), (moved, twice)):
+            passes.clear()
+            assert validate_model(transport_subdivide(f, kp)) == []
+            assert passes == ["full"]
+        passes.clear()
 
 
 def test_transport_requires_subdivision():
