@@ -26,11 +26,14 @@ masks over its cells, one per vector asked about: a cone lies in a cell
 exactly when each of its rays does, so the cells containing a cone are the
 meet of its rays' masks.  Its cells are sorted when it is built, so the
 lowest cell of a mask is a smallest one, however the cells were given.
-The half-open pieces of a cone's relative interior depend on the cone
-alone, so a bounded table keeps them per cone (:func:`_relint_pieces`), and
-each piece takes the Smith form its box points are enumerated from once,
-when built, never keeping the points themselves.  Intended scale is small
-ambient rank and a few dozen rays.
+The half-open pieces of a pointed cone's relative interior depend on its
+extreme rays alone, so a bounded table keeps them per sorted ray tuple
+(:func:`_relint_pieces`); a caller that holds the cone hands it over, so
+it is not built again.  A simplicial cone is one piece with every
+generator strict, so it takes neither a double description nor a
+triangulation.  Each piece takes the Smith form its box points are
+enumerated from once, when built, never keeping the points themselves.
+Intended scale is small ambient rank and a few dozen rays.
 
 A star subdivision of a valid complex is a valid complex refining it with
 the same support, so :func:`star_subdivision`, and through it
@@ -63,6 +66,7 @@ from .intlin import (
     from_columns,
     is_zero_vec,
     mat_vec,
+    rank,
     smith_normal_form,
     span_lattice,
     vec_add,
@@ -739,22 +743,46 @@ def _reduce_to_span(cone: Cone) -> tuple[Cone, tuple[Vec, ...], Mat]:
     return Cone(len(span), rays, facets), tuple(span), proj
 
 
-# Distinct cones kept by _relint_pieces, set by measurement on the seed-0
-# benchmark inputs: 256 entries hold all 127 distinct reduced cells of the
-# 400 fan-invariance inputs, and on the 600 newton-small inputs (2,963
-# distinct normal cones) miss 5,305 of 10,364 lookups with peak RSS at
-# 22.2 MB; keeping every cone misses 2,963 at 27.1 MB.  An entry holds the
-# pieces and their Smith frames, never their box points.
+# Distinct ray tuples kept by _relint_pieces, set by measurement on the
+# seed-0 benchmark inputs, with the ops run in one process (Python 3.11):
+# 256 entries hold all 127 distinct reduced cells of the 400 fan-invariance
+# inputs, and on the 600 newton-small inputs (2,963 distinct normal cones)
+# miss 5,305 of 10,364 lookups with peak RSS at 23.2 MB; keeping every
+# cone misses 2,963 at 26.4 MB.  4,328 of the 5,305 misses are simplicial
+# and take one rank and one Smith form.  An entry holds the pieces and
+# their Smith frames, never their box points.
 _PIECE_TABLE_SIZE = 256
 
 
 @lru_cache(maxsize=_PIECE_TABLE_SIZE)
-def _relint_pieces(c: Cone) -> tuple[HalfOpenCone, ...]:
-    """``triangulate_half_open(c, "relint")``, kept per cone, so each piece's
+def _relint_pieces(
+    ambient_rank: int, rays: tuple[Vec, ...], cone: Optional[Cone] = None
+) -> tuple[HalfOpenCone, ...]:
+    """``triangulate_half_open(c, "relint")`` of the cone ``c`` whose sorted
+    extreme rays are ``rays``, kept per ray tuple, so each piece's
     elimination and Smith frame are worked out once however often ``c`` is
-    summed over.  An exception is raised again on every call,
-    since ``lru_cache`` keeps only returned values."""
-    return tuple(triangulate_half_open(c, "relint"))
+    summed over.  ``cone`` is ``c`` itself when the caller holds it; it is
+    then part of the key, which splits no entry, as a pointed cone is fixed
+    by its rays.
+
+    Independent rays span a simplicial cone, whose relative interior is
+    one piece with every generator strict (Köppe & Verdoolaege, Electron.
+    J. Combin. 15, 2008): the pull stops at once, and each row of the
+    elimination is ``d * e_j``.  Given ``cone``, that is ``len(rays) ==
+    cone.dim``; otherwise it takes one rank.  Other rays are triangulated:
+    ``cone`` as it stands, or else the cone :func:`cone_from_rays` builds.
+    A cone with lines raises :class:`LinealityError` again on every call,
+    since ``lru_cache`` keeps only returned values.
+    """
+    if cone is not None:
+        simplicial = len(rays) == cone.dim
+    else:
+        simplicial = len(rays) <= ambient_rank and rank(rays) == len(rays)
+    if simplicial:
+        return (HalfOpenCone(ambient_rank, rays, (True,) * len(rays)),)
+    if cone is None:
+        cone = cone_from_rays(ambient_rank, rays)
+    return tuple(triangulate_half_open(cone, "relint"))
 
 
 def box_points(h: HalfOpenCone) -> list[Vec]:

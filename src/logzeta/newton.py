@@ -9,10 +9,13 @@ nondegeneracy probe.
 The polyhedron is never built as a vertex/facet hull: we take the cone over
 the lifted support points together with the recession orthant, and read
 faces, normal cones and witnesses from the incidence of its rays and facets.
-That keeps all computations inside the exact cone kernel.  The faces and
-their per-face zeta terms are computed once per support (a small cache keyed
-on ``(n, support)``); the global and local zeta functions are one sum each
-over the same terms, the local one over the compact faces.
+That keeps all computations inside the exact cone kernel and takes one
+double description per support: a face's normal cone is kept as its rays,
+the projected facets through the face, which is all the cone-sum kernel
+reads.  The faces and their per-face zeta terms are computed once per
+support (a small cache keyed on ``(n, support)``); the global and local
+zeta functions are one sum each over the same terms, the local one over the
+compact faces.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import isqrt
 from typing import Optional
 
 from .cones import Cone, _face_lattice, complex_from_cones, cone_from_rays
-from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
+from .intlin import Vec, dot, is_zero_vec, rank, vec_add, zero_vec
 from .mring import LaurentPoly, MClass, MCoeff
 from .series import ZSeries, _relint_buckets
 from .zeta import FanModel
@@ -59,18 +62,25 @@ class NewtonInput:
 class FaceRecord:
     """One face of the Newton polyhedron.
 
-    ``normal_cone_closure`` is the closed cone of linear forms minimized on
-    the face; its relative interior is the locus where the minimizing set is
-    exactly ``argmin_support``.  ``m_witness`` is a support point on the
-    face, so the minimum value function is u -> <u, m_witness> there.
+    ``normal_rays`` are the sorted extreme rays of the closed cone of linear
+    forms minimized on the face, ``normal_cone_closure``; its relative
+    interior is the locus where the minimizing set is exactly
+    ``argmin_support``.  The cone lies in the dual orthant, so it is
+    pointed, and it is built from its rays only when asked for.
+    ``m_witness`` is a support point on the face, so the minimum value
+    function is u -> <u, m_witness> there.
     """
 
     face_id: str
     argmin_support: frozenset
-    normal_cone_closure: Cone
+    normal_rays: tuple[Vec, ...]
     dim_face: int
     is_compact: bool
     m_witness: Vec
+
+    @cached_property
+    def normal_cone_closure(self) -> Cone:
+        return cone_from_rays(len(self.m_witness), self.normal_rays)
 
     def m_of(self, u: Vec) -> int:
         return dot(u, self.m_witness)
@@ -92,8 +102,12 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
 
     A face whose cutting facets pass through some lifted point ``(w, 1)`` is
     the cone over a face of the polyhedron; its normal cone is spanned by the
-    projections ``u`` of the cutting facets ``(u, t)``.  These are extreme
-    and primitive: ``t = -<u, w>``, so ``gcd(u) = gcd(u, t) = 1``.
+    projections ``u`` of the cutting facets ``(u, t)`` (Ziegler, *Lectures on
+    Polytopes*, §7.1).  These are its extreme rays, primitive because
+    ``t = -<u, w>`` gives ``gcd(u) = gcd(u, t) = 1``, and distinct because
+    ``t`` is fixed by ``u``; they come out sorted, as the facets are.  So
+    the record keeps them as they are, with the face's dimension from one
+    rank of them, and no double description runs per face.
     """
     gens = [_lift(w, 1) for w in support] + [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n)]
     c = cone_from_rays(n + 1, gens)
@@ -107,19 +121,19 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
         argmin = frozenset(w for w in support if on_point[w] & cut == cut)
         if not argmin:
             continue  # face at infinity
-        ncone = cone_from_rays(n, [c.facets[j][:n] for j in tight])
-        found.append((n - ncone.dim, argmin, ncone))
-    found.sort(key=lambda t: (t[0], sorted(t[1]), t[2].rays))
+        normal = tuple(c.facets[j][:n] for j in tight)
+        found.append((n - rank(normal), argmin, normal))
+    found.sort(key=lambda t: (t[0], sorted(t[1]), t[2]))
     return tuple(
         FaceRecord(
             face_id=f"tau{k}",
             argmin_support=argmin,
-            normal_cone_closure=ncone,
+            normal_rays=normal,
             dim_face=dim_face,
-            is_compact=_compact(ncone, n),
+            is_compact=_compact(normal, n),
             m_witness=min(argmin),
         )
-        for k, (dim_face, argmin, ncone) in enumerate(found)
+        for k, (dim_face, argmin, normal) in enumerate(found)
     )
 
 
@@ -147,12 +161,11 @@ class _FaceTable:
         out = []
         spent = 0  # box points, counted against one bound for the table
         for rec in self.records:
-            cone = rec.normal_cone_closure
             # one-atom symbols are canonical as they stand
             jet = f"X_tau(0)@{rec.face_id}"
-            unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in cone.rays) else None
+            unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in rec.normal_rays) else None
             pairs = []
-            buckets, spent = _relint_buckets(cone, rec.m_witness, sigma, spent)
+            buckets, spent = _relint_buckets(rec.normal_rays, rec.m_witness, sigma, spent)
             for (beta, ds, h), bucket in buckets.items():
                 c = MCoeff.make(LaurentPoly.from_dict(bucket).shift(h), h)
                 pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), c.scale_l(-1)))
@@ -182,14 +195,14 @@ def newton_polyhedron(inp: NewtonInput) -> list[FaceRecord]:
     return list(_table(inp).records)
 
 
-def _compact(ncone: Cone, n: int) -> bool:
+def _compact(normal_rays: tuple[Vec, ...], n: int) -> bool:
     """Whether the relative interior of the normal cone meets the open orthant.
 
     Rays of normal cones are nonnegative, so this holds exactly when every
     coordinate is positive on the sum of the rays.
     """
     total = zero_vec(n)
-    for r in ncone.rays:
+    for r in normal_rays:
         total = vec_add(total, r)
     return all(x > 0 for x in total)
 
@@ -219,7 +232,7 @@ def newton_poles(inp: NewtonInput) -> frozenset[Fraction]:
     out = {Fraction(-1)}
     for rec in newton_polyhedron(inp):
         if rec.dim_face == inp.n - 1:
-            (v,) = rec.normal_cone_closure.pointed_rays()
+            (v,) = rec.normal_rays
             if rec.m_of(v) > 0:
                 out.add(Fraction(-_sigma(v), rec.m_of(v)))
     return frozenset(out)
@@ -262,7 +275,7 @@ def face_report(inp: NewtonInput) -> list[dict]:
     """JSON-ready summary of the polyhedron's faces and normal data."""
     out = []
     for rec in newton_polyhedron(inp):
-        rays = rec.normal_cone_closure.pointed_rays()
+        rays = rec.normal_rays
         out.append(
             {
                 "id": rec.face_id,

@@ -24,10 +24,12 @@ coefficient from its fields.
 The heart of the module is :func:`_relint_buckets`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
 sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice points ``u`` in the
-relative interior of a rational cone, by half-open simplicial decomposition
-read from a bounded per-cone table in :mod:`~logzeta.cones`.  A call counts
-the box points into integer buckets; rays paired to zero by ``e`` each
-contribute ``L/(L-1)``, legal only when ``a`` pairs them to one.  Callers
+relative interior of a pointed rational cone, given by its sorted extreme
+rays (and by the cone itself where the caller holds one), by half-open
+simplicial decomposition read from a bounded table in :mod:`~logzeta.cones`
+keyed by those rays.  A call counts the box points into integer buckets;
+rays paired to zero by ``e`` each contribute ``L/(L-1)``, legal only when
+``a`` pairs them to one.  Callers
 attach their classes: the Newton face table makes one coefficient per
 bucket, and :func:`_weighted_sum` multiplies by weights in integers, one
 normalisation per output entry.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .cones import Cone, _relint_pieces, box_points
 from .intlin import Vec, dot
@@ -317,27 +319,32 @@ def format_poles(poles: frozenset[Fraction]) -> str:
 CONE_SUM_MAX_BOX_POINTS = 50_000
 
 
-def _relint_buckets(cone: Cone, e: Vec, a: Vec, spent: int = 0) -> tuple[Buckets, int]:
+def _relint_buckets(
+    rays: tuple[Vec, ...], e: Vec, a: Vec, spent: int = 0, cone: Optional[Cone] = None
+) -> tuple[Buckets, int]:
     """Closed form of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
-    ``u`` in the relative interior of ``cone``, as integer buckets: entry
+    ``u`` in the relative interior of the cone whose sorted extreme rays are
+    ``rays`` (a cone of the ambient rank ``len(e)``), as integer buckets: entry
     ``(beta, denominators, h) -> {L-exponent: count}`` stands for those
     L-monomials times ``(L/(L-1))^h T^beta / prod(1 - L^a T^b)``, ``h`` the
     number of the piece's generators ``g`` with ``<g,e> = 0``, which must
     satisfy ``<g,a> = 1`` (checked on every call).  The pieces and their
-    Smith frames are read from ``cones._relint_pieces``; only the pairing
-    of box points with ``e`` and ``a`` and the bucketing are done per call.
+    Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``;
+    a caller that holds the cone passes it as ``cone``, so a miss reads it
+    as it stands rather than building it again.  Only the pairing of box
+    points with ``e`` and ``a`` and the bucketing are done per call.
 
     ``spent`` counts the box points the calling pipeline has enumerated
     before; the buckets are returned with the new total, and ``ValueError``
     is raised before enumerating once it would pass
     :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
-    for v in cone.rays:
+    for v in rays:
         if dot(v, e) == 0 and dot(v, a) != 1:
             raise ValueError(
                 f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
             )
-    pieces = _relint_pieces(cone)
+    pieces = _relint_pieces(len(e), rays, cone)
     spent += sum(piece.box_count() for piece in pieces)
     if spent > CONE_SUM_MAX_BOX_POINTS:
         raise ValueError(
@@ -382,5 +389,6 @@ def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
     points ``u`` of the marked monoid, its weight attached in integers."""
     if not mm.is_local():
         raise ValueError("cone series needs a local marking (e_pi != 0)")
-    buckets, _ = _relint_buckets(mm.base.dual(), mm.e_pi, mm.a_div)
+    dual = mm.base.dual()
+    buckets, _ = _relint_buckets(dual.rays, mm.e_pi, mm.a_div, cone=dual)
     return _weighted_sum([(buckets, weight)])

@@ -233,7 +233,8 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
         for cell in f.complex.cells:
             w = f.weight(cell)
             if not w.is_zero() and not f.e_identically_zero(cell):
-                buckets, spent = _relint_buckets(*_cell_in_span(f, cell), spent)
+                reduced, e, a = _cell_in_span(f, cell)
+                buckets, spent = _relint_buckets(reduced.rays, e, a, spent, reduced)
                 yield buckets, w.scale_l(-m)
 
     return _weighted_sum(parts())

@@ -13,6 +13,7 @@ from logzeta.cones import (
     _carriers,
     _is_pyramid_apex,
     _meet_in_common_face,
+    _relint_pieces,
     _triangulate,
     Cone,
     ConeComplex,
@@ -50,6 +51,7 @@ from genutil import (
     brute_incidence,
     brute_intersection,
     brute_is_face,
+    count_calls,
     count_dd_runs,
     fresh_box_points,
     half_open_contains,
@@ -555,6 +557,50 @@ def test_half_open_flags_match_witness_oracle(c):
     for region in ("relint", "closed"):
         flags = [piece.strict for piece in triangulate_half_open(c, region)]
         assert flags == witness_flags(c, region), region
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones_any_shape())
+@example(cone_from_rays(4, []))  # the zero cone
+@example(cone_from_rays(3, [(1, 2, 0)]))  # a ray
+@example(cone_from_rays(3, [(1, 2, 0), (2, 1, 0)]))  # flat, simplicial
+@example(cone_from_rays(3, [(1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)]))  # redundant input
+@example(SQUARE)
+@example(SQUARE_IN_4)
+@example(cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)]))  # a line
+def test_relint_pieces_match_triangulate_half_open(c):
+    # the piece table reads a pointed cone by its rays, or by the cone when
+    # the caller holds it; a simplicial one is one piece, every generator
+    # strict, with the frame its own Smith form
+    if not c.is_strictly_convex():
+        for _ in range(2):  # nothing is kept of a failed build
+            with pytest.raises(LinealityError):
+                _relint_pieces(c.ambient_rank, c.rays)
+            with pytest.raises(LinealityError):
+                _relint_pieces(c.ambient_rank, c.rays, c)
+        return
+    expected = tuple(triangulate_half_open(c, "relint"))
+    for pieces in (_relint_pieces(c.ambient_rank, c.rays), _relint_pieces(c.ambient_rank, c.rays, c)):
+        assert pieces == expected
+        assert [getattr(p, "_frame", None) for p in pieces] == [getattr(p, "_frame", None) for p in expected]
+
+
+def test_simplicial_cone_takes_no_triangulation(monkeypatch):
+    _relint_pieces.cache_clear()
+    runs = count_dd_runs(monkeypatch)
+    pulls = count_calls(monkeypatch, "triangulate_half_open")
+    (piece,) = _relint_pieces(3, ((1, 2, 0), (2, 1, 0)))
+    assert piece.strict == (True, True) and piece.box_count() == 3
+    assert (runs, pulls) == ([], [])
+    assert len(_relint_pieces(3, SQUARE.rays)) == 2
+    assert (runs, len(pulls)) == ([3], 1)
+    # a caller holding the cone hands it over: no rank, no double description
+    flat = cone_from_rays(3, [(1, 2, 0), (2, 1, 0)])
+    del runs[:]
+    ranks = count_calls(monkeypatch, "rank")
+    assert len(_relint_pieces(3, SQUARE.rays, SQUARE)) == 2
+    assert _relint_pieces(3, flat.rays, flat) == (piece,)
+    assert (ranks, runs, len(pulls)) == ([], [], 2)
 
 
 def non_simplicial_lower_dim(rng, count):

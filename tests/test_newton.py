@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import logzeta.newton
 from logzeta.cli import format_poles
-from logzeta.cones import complex_from_cones
+from logzeta.cones import complex_from_cones, cone_from_rays, faces
+from logzeta.intlin import dot
 from logzeta.mring import MClass
 from logzeta.newton import (
     NewtonInput,
@@ -185,12 +186,35 @@ def test_face_table_built_once_per_support(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_face_table_runs_one_dd_per_face(monkeypatch, seed):
-    # the lifted cone, then one per normal cone: they lie in the orthant,
-    # so they are pointed
+    # the lifted cone only: each normal cone is read off its tight facets,
+    # and built as a cone only when asked for
     inp = random_support(random.Random(seed), 2 + seed % 3)
     runs = count_dd_runs(monkeypatch)
     records = logzeta.newton._newton_faces(inp.n, inp.support)
-    assert len(runs) == 1 + len(records)
+    assert len(runs) == 1
+    records[-1].normal_cone_closure
+    records[-1].normal_cone_closure
+    assert len(runs) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_normal_rays_are_the_normal_cones_rays(seed, n):
+    # per face of the lifted cone that meets a lifted support point: the
+    # cone of the projections of its tight facets, built by the double
+    # description, has the record's rays and dimension and is its closure
+    inp = random_support(random.Random(seed), n)
+    lifted = [w + (1,) for w in inp.support]
+    c = cone_from_rays(n + 1, lifted + [tuple(int(j == i) for j in range(n + 1)) for i in range(n)])
+    expected = []
+    for g in faces(c):
+        argmin = sorted(w for w, v in zip(inp.support, lifted) if g.contains(v))
+        if argmin:
+            cone = cone_from_rays(n, [u[:n] for u in c.facets if all(dot(u, r) == 0 for r in g.rays)])
+            expected.append((argmin, n - cone.dim, cone.rays, cone))
+    records = newton_polyhedron(inp)
+    got = [(sorted(r.argmin_support), r.dim_face, r.normal_rays, r.normal_cone_closure) for r in records]
+    assert sorted(got, key=repr) == sorted(expected, key=repr)
 
 
 def test_newton_outputs_pinned():

@@ -415,14 +415,18 @@ def outcome(kernel, *args):
 @example((cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)]), (0, 0, 1), (1, 1, 0), WEIGHTS[7]))
 def test_relint_cone_sum_matches_per_call_kernel(args):
     def weighted(cone, e, a, w):
-        return _weighted_sum([(_relint_buckets(cone, e, a)[0], w)])
+        return _weighted_sum([(_relint_buckets(cone.rays, e, a)[0], w)])
+
+    def weighted_held(cone, e, a, w):  # the caller hands its cone over
+        return _weighted_sum([(_relint_buckets(cone.rays, e, a, cone=cone)[0], w)])
 
     expected = outcome(per_call_relint_cone_sum, *args)
-    assert outcome(weighted, *args) == expected
-    assert outcome(weighted, *args) == expected  # read from the table
+    for kernel in (weighted, weighted_held):
+        assert outcome(kernel, *args) == expected
+        assert outcome(kernel, *args) == expected  # read from the table
     cone = args[0]
     if cone.is_strictly_convex():
-        for piece in _relint_pieces(cone):
+        for piece in _relint_pieces(cone.ambient_rank, cone.rays):
             assert box_points(piece) == fresh_box_points(piece)
 
 
@@ -432,11 +436,11 @@ def test_relint_cone_sum_is_pure_geometry(args):
     # the kernel touches no class symbol: it returns integer counts, one per
     # box point, and on the unit weight every coefficient is on the unit
     try:
-        buckets, spent = _relint_buckets(*args[:3])
+        buckets, spent = _relint_buckets(args[0].rays, *args[1:3])
     except ValueError:
         return
     assert all(type(n) is int and n > 0 for b in buckets.values() for n in b.values())
-    points = sum(piece.box_count() for piece in _relint_pieces(args[0]))
+    points = sum(piece.box_count() for piece in _relint_pieces(args[0].ambient_rank, args[0].rays))
     assert sum(n for b in buckets.values() for n in b.values()) == points == spent
     s = _weighted_sum([(buckets, ONE)])
     assert all(set(c.terms) == {UNIT_SYMBOL} for _, c in s.sorted_terms())
@@ -445,18 +449,18 @@ def test_relint_cone_sum_is_pure_geometry(args):
 def test_cone_sum_bound_counts_box_points(monkeypatch):
     # the cone [(1, 0), (1, N)] is one piece of N box points
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 6)
-    buckets, spent = _relint_buckets(cone_from_rays(2, [(1, 0), (1, 6)]), (1, 0), (0, 1))
+    buckets, spent = _relint_buckets(cone_from_rays(2, [(1, 0), (1, 6)]).rays, (1, 0), (0, 1))
     assert sum(n for b in buckets.values() for n in b.values()) == spent == 6
     with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
-        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 7)]), (1, 0), (0, 1))
+        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 7)]).rays, (1, 0), (0, 1))
     # the points a pipeline spent before count too
-    assert _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]), (1, 0), (0, 1), 1)[1] == 6
+    assert _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]).rays, (1, 0), (0, 1), 1)[1] == 6
     with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
-        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]), (1, 0), (0, 1), 2)
+        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]).rays, (1, 0), (0, 1), 2)
     # pieces add up: the square's interior is two triangles of index 2
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 3)
     with pytest.raises(ValueError, match="cone sum needs 4 box points"):
-        _relint_buckets(SQUARE, (0, 0, 1), (1, 1, 1))
+        _relint_buckets(SQUARE.rays, (0, 0, 1), (1, 1, 1))
 
 
 def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
@@ -465,9 +469,9 @@ def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
     halfplane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
     for _ in range(2):
         with pytest.raises(ValueError, match="horizontal ray"):
-            _relint_buckets(orthant, (1, 0), (0, 2))
+            _relint_buckets(orthant.rays, (1, 0), (0, 2))
         with pytest.raises(LinealityError):
-            _relint_buckets(halfplane, (1, 1), (0, 0))
+            _relint_buckets(halfplane.rays, (1, 1), (0, 0), cone=halfplane)
     assert len(runs) == 2  # the line is found afresh each time; nothing is kept
 
 
@@ -476,6 +480,11 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
     _reduce_to_span.cache_clear()
     snf = count_calls(monkeypatch, "smith_normal_form")
     runs = count_calls(monkeypatch, "triangulate_half_open")
+
+    def builds():
+        # the piece table is keyed by ray tuple, and pointed cones with the
+        # same rays are equal, so a build per ray set is one per cone
+        return _relint_pieces.cache_info().misses
 
     def reduced(model):
         return {
@@ -490,14 +499,19 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
     strata = [(frozenset(j), "E" + "".join(sorted(j))) for j in ("a", "b", "c", "ab", "bc", "abc")]
     model = sncd_to_fanmodel(SncdData(0, comps, tuple(strata)))
     first = fan_poincare(model, 1)
-    assert len(runs) == len(reduced(model)) and snf
-    del runs[:], snf[:]
+    assert builds() == len(reduced(model)) and snf
+    assert runs == []  # every cell is simplicial: one piece, no triangulation
+    del snf[:]
     assert str(fan_poincare(model, 1)) == str(first)
-    assert (runs, snf) == ([], [])
+    assert (builds(), snf) == (len(reduced(model)), [])
 
     star = transport_subdivide(model, star_subdivision(model.complex, (1, 2, 1)))
     new = reduced(star) - reduced(model)
     assert new and new != reduced(star)
-    del runs[:]
     fan_poincare(star, 1)
-    assert sorted(runs, key=str) == sorted(((c, "relint") for c in new), key=str)
+    assert builds() == len(reduced(model)) + len(new)
+    # only a cell that is not simplicial is triangulated, as it stands
+    assert sorted(runs, key=str) == sorted(((c, "relint") for c in new if len(c.rays) != c.dim), key=str)
+    for c in reduced(star):  # the cells built are the new ones: all are kept now
+        _relint_pieces(c.ambient_rank, c.rays, c)
+    assert builds() == len(reduced(model)) + len(new)
