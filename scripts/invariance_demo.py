@@ -47,7 +47,7 @@ def main(seed: int = 0) -> None:
     print("  cells:", len(subdivided.complex.cells), " series unchanged:", equal(fan_poincare(subdivided, data.m), base))
 
     resolved = transport_subdivide(model, resolve_complex(subdivided.complex))
-    smooth = all(c.is_smooth() for c in resolved.complex.cells)
+    smooth = all(c.is_smooth for c in resolved.complex.cells)
     print("\nafter resolution to smooth cells:")
     print("  cells:", len(resolved.complex.cells), " all smooth:", smooth,
           " series unchanged:", equal(fan_poincare(resolved, data.m), base))

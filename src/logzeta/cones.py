@@ -7,32 +7,38 @@ normals (``facets``).  A cone whose lineality space is nonzero lists a pair
 full dimensional lists complementary ``u, -u`` pairs among its facets, so
 ``dual_cone`` is literally the swap of the two lists.
 
-The double description computation is done from scratch with incremental
-halfspace insertion; everything downstream (faces, subdivision, resolution,
-half-open simplicial decomposition, fundamental-parallelepiped enumeration)
-is built on it.  :func:`cone_from_rays` runs it once, for the facets, and
-reads the canonical rays of a pointed cone off the incidence of its input
-rays with those facets: an input ray is extreme exactly when no other one
-is tight on every facet it is tight on.  That rests on two facts: a face is
-generated by the generators it contains, so a cone with lines has an input
-ray that lies on every facet; and the facets tight at a point cut out the
-smallest face containing it.  Only a cone with lines takes a second run,
-since its line basis is not fixed by the input.  :func:`cone_from_facets`
-is the dual of :func:`cone_from_rays` on the normals.  Faces and the
-pulling triangulation are read off the ray/facet incidence as bitmasks
-(:func:`_face_lattice`); only :func:`faces` turns masks back into cones.  A
-:class:`ConeComplex` answers every containment question from one table of
-masks over its cells, one per vector asked about: a cone lies in a cell
-exactly when each of its rays does, so the cells containing a cone are the
-meet of its rays' masks.  Its cells are sorted when it is built, so the
-lowest cell of a mask is a smallest one, however the cells were given.
-The half-open pieces of a pointed cone's relative interior depend on its
-extreme rays alone, so a bounded table keeps them per sorted ray tuple
-(:func:`_relint_pieces`); a caller that holds the cone hands it over, so
-it is not built again.  A simplicial cone is one piece with every
+A cone over independent rays is simplicial, and :func:`cone_from_rays`
+reads it off one fraction-free elimination of its rays: the pointed facets
+are the columns of the inverse on the pivot columns, and the lines of the
+facet list the reduced echelon kernel basis, which is exactly the
+canonical form the double description gives.  Every other cone takes the
+double description, by incremental halfspace insertion with no outside
+library, once for the facets; the canonical rays of a pointed cone are
+then read off the incidence of its input rays with those facets: an input
+ray is extreme exactly when no other one is tight on every facet it is
+tight on.  That rests on two facts: a face is generated by the generators
+it contains, so a cone with lines has an input ray that lies on every
+facet; and the facets tight at a point cut out the smallest face
+containing it.  Only a cone with lines takes a second run, since its line
+basis is not fixed by the input.  :func:`cone_from_facets` is the dual of
+:func:`cone_from_rays` on the normals.  A cone works out its dimension and
+its smoothness once each; the smoothness of a simplicial cone takes one
+elimination, and a Smith normal form only when the last pivot is not ±1.
+Faces and the pulling triangulation are read off the ray/facet incidence
+as bitmasks (:func:`_face_lattice`); only :func:`faces` turns masks back
+into cones.  A :class:`ConeComplex` answers every containment question
+from one table of masks over its cells, one per vector asked about: a cone
+lies in a cell exactly when each of its rays does, so the cells containing
+a cone are the meet of its rays' masks.  Its cells are sorted when it is
+built, so the lowest cell of a mask is a smallest one, however the cells
+were given.  The half-open pieces of a pointed cone's relative interior
+depend on its extreme rays alone, so a bounded table keeps them per sorted
+ray tuple (:func:`_relint_pieces`); a caller that holds the cone hands it
+over, so it is not built again.  A simplicial cone is one piece with every
 generator strict, so it takes neither a double description nor a
-triangulation.  Each piece takes the Smith form its box points are
-enumerated from once, when built, never keeping the points themselves.
+triangulation.  Each piece takes the Smith frame its box points are
+enumerated from once, when built, never keeping the points themselves; a
+unimodular piece takes no Smith normal form at all.
 Intended scale is small ambient rank and a few dozen rays.
 
 A star subdivision of a valid complex is a valid complex refining it with
@@ -43,15 +49,17 @@ uncertified one of the chain) and the carrier of each of its cells there.
 :func:`_carriers`, behind :func:`check_subdivision` and
 ``transport_subdivide``, reads those carriers only when asked about that
 very root object; a complex built any other way, or an equal copy, is
-checked in full.  The carriers read are the cells the general path returns,
-so no printed output depends on which path ran.
+checked in full.  The carriers read are the cells the general path
+returns, so no printed output depends on which path ran.  Being certified
+proves a complex valid, so ``transport_subdivide`` hands a model's verdict
+on along any certified refinement whose carriers it finds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Literal, Optional, Sequence
@@ -64,9 +72,9 @@ from .intlin import (
     det,
     dot,
     from_columns,
+    identity,
     is_zero_vec,
     mat_vec,
-    rank,
     smith_normal_form,
     span_lattice,
     vec_add,
@@ -164,10 +172,10 @@ class Cone:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """The ambient rank minus the codimension, which is the number of
-        span-cutting ``u, -u`` facet pairs."""
+        span-cutting ``u, -u`` facet pairs; worked out once per cone."""
         facetset = set(self.facets)
         pairs = sum(1 for u in self.facets if vec_scale(-1, u) in facetset) // 2
         return self.ambient_rank - pairs
@@ -202,17 +210,25 @@ class Cone:
                 return False
         return True
 
+    @cached_property
     def is_smooth(self) -> bool:
-        """Rays form part of a basis of the ambient lattice."""
+        """Whether the rays form part of a basis of the ambient lattice,
+        worked out once per cone.
+
+        A pointed cone with as many rays as its dimension is smooth exactly
+        when the ``k × k`` minors of its rays have gcd 1 (Cox, Little &
+        Schenck, *Toric Varieties*, §11.1), that is when their Smith frame
+        (:func:`_smith_frame`) is the unit one.  The last pivot of one
+        fraction-free elimination of the rays is such a minor, so a pivot
+        of ±1 settles it; only another pivot takes a Smith normal form.
+        """
         if not self.is_strictly_convex():
             return False
         rays = self.pointed_rays()
         if len(rays) != self.dim:
             return False
-        if not rays:
-            return True
-        s, _, _ = smith_normal_form(from_columns(rays))
-        return all(s[i][i] == 1 for i in range(min(len(s), len(s[0]))))
+        _, _, d, _ = _gauss_jordan(rays, self.ambient_rank)
+        return math.prod(_smith_frame(rays, d)[0]) == 1
 
     def _key(self) -> tuple:
         return (self.dim, self.rays, self.facets)
@@ -224,23 +240,58 @@ class Cone:
 def cone_from_rays(ambient_rank: int, rays: Sequence[Vec]) -> Cone:
     """Canonical cone generated by ``rays`` (possibly redundant, any sign).
 
-    One double description gives the facets; the canonical rays are then
-    read off the ray/facet incidence of the input.  Two facts make that
-    exact.  A face of a cone is generated by the generators it contains, so
-    a nonzero lineality space (the minimal face) contains a generator, and
-    that generator is tight on every facet.  When none is, the cone is
-    pointed, and a generator ``r`` spans an extreme ray exactly when no other
-    primitive generator is tight on all the facets ``r`` is tight on: those
-    facets cut out the smallest face containing ``r``, and a face of
-    dimension two or more holds a second generator (Ziegler, *Lectures on
-    Polytopes*, §1-2; Fukuda & Prodon, "Double description method
-    revisited", 1996).  A cone with lines takes a second double description,
-    because its line basis is not fixed by the input.
+    Independent rays span a simplicial cone, read off one fraction-free
+    elimination of ``[R | I_k]``, the ``k`` distinct primitive rays as the
+    rows of ``R`` in sorted order, with pivots ``p_j`` in the first ``n``
+    columns (Cox, Little & Schenck, *Toric Varieties*, §1.2).  Row ``j``
+    ends as ``d`` times row ``j`` of the reduced row echelon form, ``d``
+    the last pivot, so its last ``k`` entries are ``d`` times row ``j`` of
+    the inverse of ``R``'s pivot columns.  The pointed facet dual to ray
+    ``i`` therefore carries ``sign(d) * rows[j][n + i]`` at ``p_j`` and 0
+    elsewhere, and each free column ``f`` gives the line ``x_f = d``,
+    ``x_{p_j} = -rows[j][f]`` of the span's orthogonal complement, listed
+    with both signs.  That is the double description's canonical form: its
+    line basis is the reduced echelon kernel basis of ``R``, whatever the
+    input order, and its pointed facets vanish on the free columns.
+
+    Other rays take one double description for the facets, and the
+    canonical rays are then read off the ray/facet incidence of the input.
+    Two facts make that exact.  A face of a cone is generated by the
+    generators it contains, so a nonzero lineality space (the minimal face)
+    contains a generator, and that generator is tight on every facet.  When
+    none is, the cone is pointed, and a generator ``r`` spans an extreme ray
+    exactly when no other primitive generator is tight on all the facets
+    ``r`` is tight on: those facets cut out the smallest face containing
+    ``r``, and a face of dimension two or more holds a second generator
+    (Ziegler, *Lectures on Polytopes*, §1-2; Fukuda & Prodon, "Double
+    description method revisited", 1996).  A cone with lines takes a second
+    double description, because its line basis is not fixed by the input.
     """
     for r in rays:
         if len(r) != ambient_rank:
             raise ValueError("dimension mismatch")
     prims = [primitive(r) for r in rays if not is_zero_vec(r)]
+    distinct = sorted(set(prims))
+    k = len(distinct)
+    if k <= ambient_rank:
+        augmented = [[*r, *(int(i == j) for j in range(k))] for i, r in enumerate(distinct)]
+        rows, pivots, d, _ = _gauss_jordan(augmented, ambient_rank)
+        if len(pivots) == k:
+            s = 1 if d > 0 else -1
+            facets = set()
+            for i in range(k):
+                u = [0] * ambient_rank
+                for row, p in zip(rows, pivots):
+                    u[p] = s * row[ambient_rank + i]
+                facets.add(primitive(tuple(u)))
+            for f in sorted(set(range(ambient_rank)) - set(pivots)):
+                x = [0] * ambient_rank
+                x[f] = d
+                for row, p in zip(rows, pivots):
+                    x[p] = -row[f]
+                line = primitive(tuple(x))
+                facets.update((line, vec_scale(-1, line)))
+            return Cone(ambient_rank, tuple(distinct), tuple(sorted(facets)))
     facets = _dd_generators(ambient_rank, prims)
     tight = {r: sum(1 << j for j, u in enumerate(facets) if dot(u, r) == 0) for r in prims}
     if (1 << len(facets)) - 1 in tight.values():
@@ -450,7 +501,9 @@ def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
     cell that misses ``rho`` is its own carrier.  A new cell ``g + rho`` is
     carried by the first cell of ``k`` it is built in: in a valid complex
     every cell containing it holds ``rho`` and has ``g`` as a face, so it
-    builds ``g + rho`` too.  The cells are closed under faces already: a
+    builds ``g + rho`` too.  ``g`` is the one facet of ``g + rho`` that
+    misses ``rho``, so each ``g`` is joined once, by the first cell holding
+    it.  The cells are closed under faces already: a
     face of ``g + rho`` is a face ``g'`` of ``g``, or ``g' + rho``, since
     ``rho`` lies outside the span of the face ``g`` of a cell holding it.
     """
@@ -459,6 +512,7 @@ def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
         raise ValueError("subdivision point outside the support")
     holding = k._mask(rho)
     built_in: dict[Cone, Cone] = {}  # each new cell -> the first old cell it is built in
+    joined: set[Cone] = set()  # the faces g whose g + rho is built
     for i, c in enumerate(k.cells):
         if not holding >> i & 1:
             built_in[c] = c
@@ -466,8 +520,9 @@ def star_subdivision(k: ConeComplex, rho: Vec) -> ConeComplex:
         if c.contains(vec_scale(-1, rho)):
             raise LinealityError("subdivision point in the lineality space of a cell")
         for g in faces(c):
-            if not g.contains(rho):
-                built_in.setdefault(cone_from_rays(k.ambient_rank, list(g.rays) + [rho]), c)
+            if g not in joined and not g.contains(rho):
+                joined.add(g)
+                built_in[cone_from_rays(k.ambient_rank, list(g.rays) + [rho])] = c
     if k._problems:
         return complex_from_cones(k.ambient_rank, list(built_in))
     kp = ConeComplex(k.ambient_rank, tuple(built_in))
@@ -618,7 +673,7 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
     # Only cells new to a complex are tested; a cell left in place keeps its
     # verdict.  A box holds as many points as the product of its cell's Smith
     # divisors, so the running total is checked before each enumeration.
-    singular = {c for c in k.cells if not c.is_smooth()}
+    singular = {c for c in k.cells if not c.is_smooth}
     work = 0
     while True:
         bad = next((c for c in k.cells if c in singular), None)
@@ -636,7 +691,7 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
         pivot = min(candidates, key=lambda p: (sum(abs(x) for x in p), p))
         old = set(k.cells)
         k = star_subdivision(k, pivot)
-        singular = {c for c in k.cells if c in singular or c not in old and not c.is_smooth()}
+        singular = {c for c in k.cells if c in singular or c not in old and not c.is_smooth}
 
 
 # ---------------------------------------------------------------------------
@@ -651,33 +706,67 @@ class HalfOpenCone:
     runs over the fundamental parallelepiped with coordinate ``j`` ranging in
     ``(0, 1]`` when ``strict[j]`` and in ``[0, 1)`` otherwise.
 
-    The constructor's one Smith normal form of the generators decides their
-    independence (as many nonzero divisors as generators) and is kept as the
-    frame :func:`box_points` enumerates: the divisors ``d_j`` and the step
-    rows ``V @ diag(D/d_j)``, ``D`` the last divisor.
+    The piece keeps the frame :func:`box_points` enumerates,
+    :func:`_smith_frame`: the Smith divisors ``d_j`` and the step rows
+    ``V @ diag(D/d_j)``, ``D`` the last divisor.  The constructor works it
+    out from one fraction-free elimination of the generators, whose pivots
+    decide their independence and whose last pivot, a maximal minor, of ±1
+    makes the piece unimodular with no Smith normal form.  Code in this
+    module that has eliminated the generators already builds the piece with
+    :func:`_framed_piece`, which skips that elimination.
     """
 
     ambient_rank: int
     gens: tuple[Vec, ...]
     strict: tuple[bool, ...]
+    _frame: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.gens) != len(self.strict):
             raise ValueError("one openness flag per generator required")
-        if not self.gens:
-            return
-        s, _, v = smith_normal_form(from_columns(self.gens))
-        divisors = tuple(row[i] for i, row in enumerate(s[: len(self.gens)]))
-        if len(divisors) < len(self.gens) or 0 in divisors:
+        _, pivots, d, _ = _gauss_jordan(self.gens, self.ambient_rank)
+        if len(pivots) < len(self.gens):
             raise ValueError("generators must be linearly independent")
-        big = divisors[-1]
-        steps = tuple(tuple(x * (big // d) for x, d in zip(row, divisors)) for row in v)
-        object.__setattr__(self, "_frame", (divisors, steps))
+        object.__setattr__(self, "_frame", _smith_frame(self.gens, d))
 
     def box_count(self) -> int:
         """The number of box points: the product of the Smith divisors, and
         1 for a piece without generators."""
-        return math.prod(self._frame[0]) if self.gens else 1
+        return math.prod(self._frame[0])
+
+
+def _framed_piece(
+    ambient_rank: int, gens: tuple[Vec, ...], strict: tuple[bool, ...], d: int
+) -> HalfOpenCone:
+    """The piece ``HalfOpenCone(ambient_rank, gens, strict)`` for a caller
+    whose elimination has proved ``gens`` independent with last pivot ``d``:
+    its frame is set from ``d``, and the constructor's elimination skipped."""
+    h = object.__new__(HalfOpenCone)
+    object.__setattr__(h, "ambient_rank", ambient_rank)
+    object.__setattr__(h, "gens", gens)
+    object.__setattr__(h, "strict", strict)
+    object.__setattr__(h, "_frame", _smith_frame(gens, d))
+    return h
+
+
+def _smith_frame(gens: Sequence[Vec], d: int) -> tuple[tuple[int, ...], Mat]:
+    """The divisors and step rows of independent ``gens``, given the last
+    pivot ``d`` of a fraction-free elimination of them.
+
+    ``d`` is a maximal minor, so at ±1 the gens span a saturated lattice:
+    every divisor is 1, the box holds one point and any unimodular ``V``
+    serves, so the frame is ``((1,) * k, I_k)``.  Other gens take a Smith
+    normal form, and one whose divisors all come out 1 takes that frame too,
+    so the frame depends on the gens alone.
+    """
+    k = len(gens)
+    if abs(d) != 1:
+        s, _, v = smith_normal_form(from_columns(gens))
+        divisors = tuple(s[i][i] for i in range(k))
+        big = divisors[-1]
+        if big != 1:
+            return divisors, tuple(tuple(x * (big // dj) for x, dj in zip(row, divisors)) for row in v)
+    return (1,) * k, identity(k)
 
 
 def triangulate_half_open(
@@ -697,6 +786,8 @@ def triangulate_half_open(
     elimination of ``[gens | rays of c]`` holds ``d * x_j(r)`` for each ray
     ``r``, ``d`` the last pivot.  A wall in a facet of ``c`` has every
     ``x_j(r) >= 0``, so it is open for ``relint`` and closed for ``closed``.
+    Its ``k`` pivots prove the generators independent, and ``d``, a maximal
+    minor of them, gives the piece its frame (:func:`_smith_frame`).
     """
     if region not in ("relint", "closed"):
         raise ValueError("region must be 'relint' or 'closed'")
@@ -711,7 +802,7 @@ def triangulate_half_open(
         for row in rows[:k]:
             x = next(v for v in (sum(row[k:]), *row[k:]) if v)
             flags.append(s * x * d < 0)
-        out.append(HalfOpenCone(c.ambient_rank, gens, tuple(flags)))
+        out.append(_framed_piece(c.ambient_rank, gens, tuple(flags), d))
     return out
 
 
@@ -749,8 +840,9 @@ def _reduce_to_span(cone: Cone) -> tuple[Cone, tuple[Vec, ...], Mat]:
 # inputs, and on the 600 newton-small inputs (2,963 distinct normal cones)
 # miss 5,305 of 10,364 lookups with peak RSS at 23.2 MB; keeping every
 # cone misses 2,963 at 26.4 MB.  4,328 of the 5,305 misses are simplicial
-# and take one rank and one Smith form.  An entry holds the pieces and
-# their Smith frames, never their box points.
+# and take one elimination, and a Smith form only when it is not
+# unimodular.  An entry holds the pieces and their Smith frames, never
+# their box points.
 _PIECE_TABLE_SIZE = 256
 
 
@@ -769,17 +861,20 @@ def _relint_pieces(
     one piece with every generator strict (Köppe & Verdoolaege, Electron.
     J. Combin. 15, 2008): the pull stops at once, and each row of the
     elimination is ``d * e_j``.  Given ``cone``, that is ``len(rays) ==
-    cone.dim``; otherwise it takes one rank.  Other rays are triangulated:
+    cone.dim``, and the piece eliminates its generators itself.  Bare rays
+    take one elimination, whose pivots tell their independence and whose
+    last pivot gives the piece its frame.  Other rays are triangulated:
     ``cone`` as it stands, or else the cone :func:`cone_from_rays` builds.
     A cone with lines raises :class:`LinealityError` again on every call,
     since ``lru_cache`` keeps only returned values.
     """
-    if cone is not None:
-        simplicial = len(rays) == cone.dim
-    else:
-        simplicial = len(rays) <= ambient_rank and rank(rays) == len(rays)
-    if simplicial:
-        return (HalfOpenCone(ambient_rank, rays, (True,) * len(rays)),)
+    strict = (True,) * len(rays)
+    if cone is not None and len(rays) == cone.dim:
+        return (HalfOpenCone(ambient_rank, rays, strict),)
+    if cone is None and len(rays) <= ambient_rank:
+        _, pivots, d, _ = _gauss_jordan(rays, ambient_rank)
+        if len(pivots) == len(rays):
+            return (_framed_piece(ambient_rank, rays, strict, d),)
     if cone is None:
         cone = cone_from_rays(ambient_rank, rays)
     return tuple(triangulate_half_open(cone, "relint"))

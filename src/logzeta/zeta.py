@@ -191,7 +191,7 @@ def _cell_problems(f: FanModel, cells: Iterable[Cone]) -> Iterator[str]:
                 if len({dot(vecs[mc], r) for mc in owners}) > 1:
                     yield f"inconsistent {x} across shared face at ray {r}"
         generic = f.e_identically_zero(cell)
-        if generic and not cell.is_smooth():
+        if generic and not cell.is_smooth:
             yield f"cell {cell} lies in the generic part (e = 0) but is not smooth"
         if cell in owners:  # a maximal cell
             evec, avec = f.e_vecs[cell], f.a_vecs[cell]
@@ -291,10 +291,12 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
     restricted.
 
     A legal model's verdict is handed on, checked at the new cells only,
-    along its complex or a refinement ``star_subdivision`` certified from
-    it.  Then ``kp`` is valid, and the owners of a cell take functionals
-    that are nonnegative on it and agree on its carrier's span, so an old
-    cell keeps whether e vanishes on it and an old maximal cell was maximal.
+    along its complex or any refinement ``star_subdivision`` certified.
+    Being certified proves ``kp`` valid, whatever complex its chain started
+    from, and the carriers prove that it refines the model's complex.  Then
+    the owners of a cell take functionals that are nonnegative on it and
+    agree on its carrier's span, so an old cell keeps whether e vanishes on
+    it and an old maximal cell was maximal.
     """
     carriers = _carriers(kp, f.complex)
     if carriers is None:
@@ -309,7 +311,7 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
     new_e = {mc: f.e_vecs[o] for mc, o in owner.items()}
     new_a = {mc: f.a_vecs[o] for mc, o in owner.items()}
     moved = FanModel(kp, new_e, new_a, new_weights)
-    if (kp is f.complex or kp._certificate and kp._certificate[0] is f.complex) and not f._problems:
+    if (kp is f.complex or kp._certificate is not None) and not f._problems:
         new = [cell for cell, old in carrier.items() if cell != old]
         vars(moved)["_problems"] = tuple(sorted(set(_cell_problems(moved, new))))
     return moved

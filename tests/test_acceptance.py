@@ -253,7 +253,7 @@ def test_criterion_8_polyhedral_kernel():
         rank = rng.randint(2, 3)
         k = complex_from_cones(rank, [random_cone(rng, rank, 4)])
         r = resolve_complex(k)
-        assert all(cell.is_smooth() for cell in r.cells)
+        assert all(cell.is_smooth for cell in r.cells)
         assert check_subdivision(uncertified(r), k)
         resolved += 1
     # half-open coverage with multiplicity one on bounded slices

@@ -489,7 +489,7 @@ def test_resolve_roundtrip(tmp_path, capsys):
     assert code == 0
     m1 = parse_fan(model)
     m2 = parse_fan(json.loads(out))
-    assert all(c.is_smooth() for c in m2.complex.cells)
+    assert all(c.is_smooth for c in m2.complex.cells)
     assert equal(fan_poincare(m1, 0), fan_poincare(m2, 0))
 
 
@@ -822,6 +822,15 @@ def test_cell_listed_twice_rejected(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: cell Cone(rank 2, rays [(0, 1), (1, 0)]) listed twice\n"
+
+
+def test_parsing_a_simplicial_model_runs_no_dd(monkeypatch):
+    # every cell and face of the orthant model is simplicial: each is read
+    # off one elimination of its rays
+    doc = json.load(open(path("orthant_model.json")))
+    runs = count_dd_runs(monkeypatch)
+    model = parse_fan(doc)
+    assert runs == [] and validate_model(model) == []
 
 
 def test_fan_poincare_of_a_validated_model_runs_no_dd(monkeypatch):

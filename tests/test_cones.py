@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import gc
 import itertools
 import random
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import logzeta.cones
 from logzeta.cones import (
     _carriers,
+    _dd_generators,
     _is_pyramid_apex,
     _meet_in_common_face,
     _relint_pieces,
@@ -33,11 +35,14 @@ from logzeta.cones import (
     triangulate_half_open,
 )
 from logzeta.intlin import (
+    content_primitive,
     det,
     dot,
     from_columns,
+    identity,
     is_zero_vec,
     rank as mat_rank,
+    smith_normal_form,
     solve_integer,
     solve_rational,
     vec_add,
@@ -219,8 +224,12 @@ def test_cone_from_rays_runs_one_dd_when_pointed(monkeypatch):
     c = cone_from_rays(3, [(1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)])
     assert c == ORTHANT3
     assert len(runs) == 1
-    flat = cone_from_rays(3, [(1, 0, 0), (1, 1, 0), (2, 1, 0)])  # lower dimensional
+    # lower dimensional: three rays of rank 3 in a plane, fewer pivots than rays
+    flat = cone_from_rays(3, [(1, 0, 0), (1, 1, 0), (2, 1, 0)])
     assert flat.rays == ((1, 0, 0), (1, 1, 0)) and flat.dim == 2
+    assert len(runs) == 2
+    # its extreme rays alone are independent: one elimination, no run
+    assert cone_from_rays(3, [(1, 1, 0), (1, 0, 0)]) == flat
     assert len(runs) == 2
 
 
@@ -231,13 +240,119 @@ def test_cone_from_rays_runs_two_dds_with_a_line(monkeypatch):
     assert len(runs) == 2
 
 
+@st.composite
+def independent_ray_sets(draw, ranks=st.integers(0, 6)):
+    """A rank drawn from ``ranks`` and independent rays, as many as the rank
+    or fewer, with coordinates up to 40 in absolute value; repeated,
+    scaled and zero rays are mixed in, and the whole list is shuffled."""
+    rank = draw(ranks)
+    k = draw(st.integers(0, rank))
+    bound = draw(st.sampled_from([1, 3, 40]))
+    rays = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * rank), min_size=k, max_size=k))
+    assume(not rays or mat_rank(tuple(rays)) == k)
+    if rays:
+        extra = st.tuples(st.integers(0, k - 1), st.integers(1, 3))
+        rays += [tuple(m * x for x in rays[i]) for i, m in draw(st.lists(extra, max_size=2))]
+    if draw(st.booleans()):
+        rays.append((0,) * rank)
+    return rank, draw(st.permutations(rays))
+
+
+@settings(max_examples=300, deadline=None)
+@given(independent_ray_sets())
+@example((0, []))
+@example((4, []))  # the zero cone: the facets are the four coordinate lines
+@example((3, [(1, 2, 0), (2, 1, 0)]))  # flat: one line among the facets
+@example((3, [(0, 0, 2), (1, 0, 0), (0, 0, 1), (0, 0, 0)]))  # repeated, scaled and zero rays
+@example((4, [(3, -1, 4, 1), (-5, 9, 2, -6), (5, 3, -5, 8), (9, -7, 9, 3)]))  # full, |det| > 1
+@example((6, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1)]))
+def test_simplicial_cone_is_the_double_descriptions_in_every_order(rank_rays):
+    # the elimination route gives the double description's facets, with its
+    # line basis and its pointed representatives, whatever the input order
+    rank, rays = rank_rays
+    prims = [content_primitive(r)[1] for r in rays if not is_zero_vec(r)]
+    orders = itertools.permutations(rays) if len(rays) <= 4 else (rays, rays[::-1])
+    for order in orders:
+        got = cone_from_rays(rank, list(order))
+        want = _dd_generators(rank, [content_primitive(r)[1] for r in order if not is_zero_vec(r)])
+        assert (got.rays, got.facets) == (tuple(sorted(set(prims))), want)
+        assert got.dim == len(got.rays)
+
+
 def test_smoothness():
-    assert ORTHANT3.is_smooth()
-    assert not WEDGE.is_smooth()
-    assert cone_from_rays(3, [(1, 0, 0), (1, 2, 0)]).is_smooth() is False
-    assert cone_from_rays(3, [(1, 0, 0), (0, 1, 0)]).is_smooth()
-    assert cone_from_rays(2, []).is_smooth()
-    assert not SQUARE.is_smooth()
+    assert ORTHANT3.is_smooth
+    assert not WEDGE.is_smooth
+    assert cone_from_rays(3, [(1, 0, 0), (1, 2, 0)]).is_smooth is False
+    assert cone_from_rays(3, [(1, 0, 0), (0, 1, 0)]).is_smooth
+    assert cone_from_rays(2, []).is_smooth
+    assert not SQUARE.is_smooth
+    # a last pivot of 2 on the first columns, yet the minors have gcd 1
+    assert cone_from_rays(3, [(1, 0, 0), (0, 2, 3)]).is_smooth
+
+
+def unimodularity_by_snf(gens):
+    """Whether independent ``gens`` span a saturated lattice, read off a
+    Smith normal form taken on this call."""
+    s, _, _ = smith_normal_form(from_columns(gens))
+    return all(s[i][i] == 1 for i in range(len(gens)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+@example(0)
+def test_smoothness_and_frame_agree_with_the_smith_form(seed):
+    # random simplices, many unimodular: is_smooth and the piece's frame
+    # read the elimination's last pivot, and must say what the Smith form says
+    rng = random.Random(seed)
+    rank = rng.randint(1, 5)
+    k = rng.randint(1, rank)
+    while True:
+        gens = [tuple(rng.choice((-1, 0, 0, 1, 1, 2, 3)) for _ in range(rank)) for _ in range(k)]
+        if mat_rank(tuple(gens)) == k and len(set(map(lambda g: content_primitive(g)[1], gens))) == k:
+            break
+    c = cone_from_rays(rank, gens)
+    smooth = unimodularity_by_snf(c.rays)
+    assert c.is_smooth is smooth
+    flags = tuple(rng.random() < 0.5 for _ in range(k))
+    h = HalfOpenCone(rank, tuple(gens), flags)
+    s, _, _ = smith_normal_form(from_columns(gens))
+    assert h._frame[0] == tuple(s[i][i] for i in range(k))
+    assert box_points(h) == fresh_box_points(h)
+    if unimodularity_by_snf(gens):
+        assert h._frame == ((1,) * k, identity(k))
+        assert box_points(h) == [tuple(map(sum, zip((0,) * rank, *(g for g, f in zip(gens, flags) if f))))]
+
+
+def test_unimodular_piece_takes_no_smith_form(monkeypatch):
+    snf = count_calls(monkeypatch, "smith_normal_form")
+    gens = ((1, 0, 0), (1, 1, 0), (2, 3, 1))
+    pieces = [HalfOpenCone(3, gens, flags) for flags in itertools.product((False, True), repeat=3)]
+    points = [box_points(h) for h in pieces]
+    assert snf == []
+    for h, pts in zip(pieces, points):
+        strict_sum = tuple(map(sum, zip((0, 0, 0), *(g for g, f in zip(gens, h.strict) if f))))
+        assert pts == [strict_sum] == fresh_box_points(h)
+    del snf[:]
+    assert cone_from_rays(3, gens).is_smooth and snf == []
+    # index 2: the Smith form runs, once for the piece and once for the cone
+    assert HalfOpenCone(2, ((1, 0), (1, 2)), (True, False)).box_count() == 2
+    assert not cone_from_rays(2, [(1, 0), (1, 2)]).is_smooth and len(snf) == 2
+
+
+def test_piece_frame_is_always_its_own():
+    # the public constructor takes no frame, and a replaced piece works out
+    # its own; pieces built inside the module carry the constructor's frame
+    with pytest.raises(TypeError):
+        HalfOpenCone(2, ((1, 0), (1, 2)), (True, False), _frame=((1, 1), identity(2)))
+    unit = HalfOpenCone(2, ((1, 0), (0, 1)), (True, False))
+    assert dataclasses.replace(unit, gens=((1, 0), (1, 2))).box_count() == 2
+    c = cone_from_rays(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])  # pieces of index 2
+    pieces = triangulate_half_open(c, "closed") + list(_relint_pieces(3, c.rays))
+    assert {h.box_count() for h in pieces} == {2}
+    for h in pieces + list(_relint_pieces(3, ((1, 0, 0), (1, 2, 0)))):
+        assert h._frame == HalfOpenCone(h.ambient_rank, h.gens, h.strict)._frame
+
+
 
 
 def test_membership():
@@ -347,8 +462,31 @@ def test_star_subdivision_orthant():
     # computed once per complex, and not open to mutation by callers
     assert k2.maximal_cells() is k2.maximal_cells()
     assert isinstance(k2.maximal_cells(), tuple)
-    assert all(c.is_smooth() for c in k2.cells)
+    assert all(c.is_smooth for c in k2.cells)
     assert check_subdivision(uncertified(k2), k)
+
+
+def test_star_subdivision_joins_each_face_once(monkeypatch):
+    # two orthant-like cells sharing the face spanned by (0, 1, 0), (0, 0, 1),
+    # subdivided in that face: the three cells holding the ray share the
+    # face's own faces, and each g + rho is built once, carried by the first
+    # cell in cell order that has g as a face
+    left = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    right = cone_from_rays(3, [(-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    k = complex_from_cones(3, [left, right])
+    rho = (0, 1, 1)
+    for c in k.cells:
+        faces(c)
+    joined = [g for c in k.cells if c.contains(rho) for g in faces(c) if not g.contains(rho)]
+    assert len(joined) > len(set(joined))
+    builds = count_calls(monkeypatch, "cone_from_rays")
+    kp = star_subdivision(k, rho)
+    assert len(builds) == len(set(joined))
+    carriers = dict(zip(kp.cells, kp._certificate[1]))
+    for g in set(joined):
+        first = next(c for c in k.cells if c.contains(rho) and g in faces(c))
+        assert carriers[cone_from_rays(3, list(g.rays) + [rho])] == first
+    assert uncertified(kp).validate() == [] and check_subdivision(uncertified(kp), k)
 
 
 def test_star_subdivision_at_existing_ray_is_identity():
@@ -395,7 +533,7 @@ def test_resolve_smooth_complex_untouched():
 def test_resolve_wedge():
     k = complex_from_cones(2, [WEDGE])
     r = resolve_complex(k)
-    assert all(c.is_smooth() for c in r.cells)
+    assert all(c.is_smooth for c in r.cells)
     assert check_subdivision(uncertified(r), k)
     assert cone_from_rays(2, [(1, 1)]) in r.cells
 
@@ -403,7 +541,7 @@ def test_resolve_wedge():
 def test_resolve_square_cone():
     k = complex_from_cones(3, [SQUARE])
     r = resolve_complex(k)
-    assert all(c.is_smooth() for c in r.cells)
+    assert all(c.is_smooth for c in r.cells)
     assert check_subdivision(uncertified(r), k)
 
 
@@ -414,20 +552,22 @@ def test_resolve_random_complexes():
         c = random_cone(rng, rank, max_entry=4)
         k = complex_from_cones(rank, [c])
         r = resolve_complex(k)
-        assert all(cell.is_smooth() for cell in r.cells)
+        assert all(cell.is_smooth for cell in r.cells)
         assert check_subdivision(uncertified(r), k)
         assert uncertified(r).validate() == []
 
 
 def test_resolve_tests_each_cell_once(monkeypatch):
     calls = collections.Counter()
-    real = Cone.is_smooth
+    real = Cone.__dict__["is_smooth"].func
 
     def counting(self):
         calls[self] += 1
         return real(self)
 
-    monkeypatch.setattr(Cone, "is_smooth", counting)
+    counted = functools.cached_property(counting)
+    counted.__set_name__(Cone, "is_smooth")
+    monkeypatch.setattr(Cone, "is_smooth", counted)
     k = complex_from_cones(3, [cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 2, 5)])])
     r = resolve_complex(k)
     assert max(calls.values()) == 1
@@ -464,7 +604,7 @@ def test_index_166_cone_resolves_within_the_bound():
     c = cone_from_rays(4, [(-1, -3, -1, -2), (-1, 2, 2, 3), (1, -3, -2, 3), (1, -2, 3, 0)])
     r = resolve_complex(complex_from_cones(4, [c]))
     assert len(r.cells) == 1340
-    assert all(cell.is_smooth() for cell in r.cells)
+    assert all(cell.is_smooth for cell in r.cells)
 
 
 @st.composite
@@ -681,7 +821,7 @@ def test_box_point_count_is_index(seed):
     pts = box_points(h)
     assert pts == fresh_box_points(h)
     # index = product of elementary divisors of the gens inside their span
-    from logzeta.intlin import saturation_basis, smith_normal_form
+    from logzeta.intlin import saturation_basis
 
     span = saturation_basis(gens, rank)
     coords = [solve_integer(from_columns(span), g) for g in gens]

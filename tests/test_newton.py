@@ -186,15 +186,24 @@ def test_face_table_built_once_per_support(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_face_table_runs_one_dd_per_face(monkeypatch, seed):
-    # the lifted cone only: each normal cone is read off its tight facets,
-    # and built as a cone only when asked for
+    # the lifted cone only, unless one support point makes it simplicial:
+    # each normal cone is read off its tight facets, and built as a cone
+    # only when asked for, by no double description when it is simplicial
+    # and by one otherwise; a second read builds none
     inp = random_support(random.Random(seed), 2 + seed % 3)
     runs = count_dd_runs(monkeypatch)
     records = logzeta.newton._newton_faces(inp.n, inp.support)
-    assert len(runs) == 1
-    records[-1].normal_cone_closure
-    records[-1].normal_cone_closure
-    assert len(runs) == 2
+    assert len(runs) == (0 if len(inp.support) == 1 else 1)
+    kinds = set()
+    for r in records:
+        simplicial = len(r.normal_rays) == inp.n - r.dim_face
+        kinds.add(simplicial)
+        del runs[:]
+        assert r.normal_cone_closure.rays == r.normal_rays
+        assert len(runs) == (0 if simplicial else 1)
+        r.normal_cone_closure
+        assert len(runs) == (0 if simplicial else 1)
+    assert True in kinds
 
 
 @settings(max_examples=60, deadline=None)

@@ -362,7 +362,7 @@ def test_kept_verdict_equals_full_validation(seed, kind):
         assert validate_model(moved) == _full_verdict(moved)
 
 
-def test_verdict_handed_on_only_from_the_models_own_complex(monkeypatch):
+def test_verdict_handed_on_along_certified_refinements(monkeypatch):
     import logzeta.zeta
 
     passes = []
@@ -381,17 +381,27 @@ def test_verdict_handed_on_only_from_the_models_own_complex(monkeypatch):
         star = star_subdivision(model.complex, (1, 1, 1))
         moved = transport_subdivide(model, star)
         twice = star_subdivision(star, (1, 2, 3))
-        # along refinements certified from the model's own complex, and along
-        # that complex itself, only the new cells are checked
+        copied = star_subdivision(uncertified(model.complex), (1, 1, 1))
+        # along the model's own complex and along every certified refinement
+        # of it, wherever its chain started (a subdivision of a moved model,
+        # a refinement of an equal copy), only the new cells are checked
         resolved = resolve_complex(model.complex)
-        for f, kp in ((model, star), (model, twice), (model, resolved), (model, model.complex), (moved, star)):
+        for f, kp in (
+            (model, star),
+            (model, twice),
+            (model, resolved),
+            (model, model.complex),
+            (moved, star),
+            (moved, twice),
+            (moved, star_subdivision(moved.complex, (2, 1, 1))),
+            (model, copied),
+        ):
             passes.clear()
             assert validate_model(transport_subdivide(f, kp)) == []
             assert passes == [sum(c not in set(f.complex.cells) for c in kp.cells)]
-        # an equal copy, a refinement of one, and a refinement whose root is
-        # not the model's complex: the moved model takes the full validation
-        copied = star_subdivision(uncertified(model.complex), (1, 1, 1))
-        for f, kp in ((model, uncertified(star)), (model, copied), (moved, twice)):
+        # an uncertified equal copy, of the complex or of a refinement: the
+        # moved model takes the full validation
+        for f, kp in ((model, uncertified(star)), (model, uncertified(model.complex)), (moved, uncertified(twice))):
             passes.clear()
             assert validate_model(transport_subdivide(f, kp)) == []
             assert passes == ["full"]
@@ -578,7 +588,7 @@ def test_fan_poincare_brute_force_non_unimodular_faces(stars):
     k = complex_from_cones(n, [orthant])
     for rho in stars:
         k = star_subdivision(k, rho)
-    assert any(0 < c.dim < n and not c.is_smooth() for c in k.cells)
+    assert any(0 < c.dim < n and not c.is_smooth for c in k.cells)
     weights = {
         c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim
     }
