@@ -11,16 +11,21 @@ A cone over independent rays is simplicial, and :func:`cone_from_rays`
 reads it off one fraction-free elimination of its rays: the pointed facets
 are the columns of the inverse on the pivot columns, and the lines of the
 facet list the reduced echelon kernel basis, which is exactly the
-canonical form the double description gives.  Every other cone takes the
-double description, by incremental halfspace insertion with no outside
-library, once for the facets; the canonical rays of a pointed cone are
-then read off the incidence of its input rays with those facets: an input
-ray is extreme exactly when no other one is tight on every facet it is
-tight on.  That rests on two facts: a face is generated by the generators
-it contains, so a cone with lines has an input ray that lies on every
-facet; and the facets tight at a point cut out the smallest face
-containing it.  Only a cone with lines takes a second run, since its line
-basis is not fixed by the input.  :func:`cone_from_facets` is the dual of
+canonical form the double description gives.  Every other cone takes one
+double description (:func:`_dd`), by incremental halfspace insertion with
+no outside library, for its facets.  It keeps each ray's tight set as a
+bitmask over the sorted distinct inputs and skips by rank the pairs that
+cannot be adjacent, so each facet comes with the inputs lying on it, and
+the canonical rays of a pointed cone are read off those masks: the cone has
+lines exactly when some input lies on every facet, and an input ray is
+extreme exactly when it alone lies on every facet it lies on.  That rests
+on two facts: a face is generated by the generators it contains, so a cone
+with lines has an input ray that lies on every facet; and the facets tight
+at a point cut out the smallest face containing it.  Only a cone with lines
+takes a second run, since its line basis is not fixed by the input.  The
+double description and the face lattice are bounded by
+:data:`DD_MAX_PAIR_TESTS` and :data:`FACE_LATTICE_MAX_FACES`, past which
+they raise ``ValueError``.  :func:`cone_from_facets` is the dual of
 :func:`cone_from_rays` on the normals.  A cone works out its dimension and
 its smoothness once each; the smoothness of a simplicial cone takes one
 elimination, and a Smith normal form only when the last pivot is not ±1.
@@ -61,7 +66,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 from typing import Literal, Optional, Sequence
 
 from .intlin import (
@@ -98,61 +104,75 @@ def primitive(v: Vec) -> Vec:
 # ---------------------------------------------------------------------------
 # Double description.
 
-_Ray = tuple[Vec, frozenset]
+# Most plus/minus ray pairs one double description may weigh, summed over
+# its insertions; each pair costs about 0.26 us when the rank skips it
+# (2-vCPU Xeon, Python 3.11).  In one run the seed-0 benchmark pools weigh
+# at most 47 pairs, scripts/data 2, the Tier-1 suite (its bound tests
+# aside) 8,699, and 40 random points of N^6 with coordinates 0-4 (a lifted
+# cone of 46 generators in rank 7) 5,437.  k points of N^6 near a sphere,
+# round(30 - 30 v/|v|) for v a vector of absolute Gaussians, weigh 152,892
+# at k = 20, 2,093,285 at k = 40 (0.6 s) and 15,526,984 at k = 80 (4.0 s),
+# which is refused after about 1.3 s.
+DD_MAX_PAIR_TESTS = 5_000_000
 
 
-def _dd_insert(lines: list[Vec], rays: list[_Ray], u: Vec, idx: int) -> tuple[list[Vec], list[_Ray]]:
-    """Intersect the cone generated by (lines, rays) with {x : <u,x> >= 0}.
+def _dd(n: int, ineqs: Sequence[Vec]) -> tuple[list[Vec], list[tuple[Vec, int]]]:
+    """The cone ``{x in R^n : <u,x> >= 0 for all u in ineqs}`` as its lines
+    and its rays, by incremental halfspace insertion (Fukuda & Prodon,
+    "Double description method revisited", 1996).
 
-    Each ray carries the set of previously inserted inequality indices it is
-    tight on; lines are tight on all of them by construction.
+    The distinct nonzero inequalities are inserted in sorted order, and each
+    ray carries its tight set as a bitmask: bit ``i`` is set exactly when the
+    ray lies on the ``i``-th of them; the lines lie on all.  A line that
+    pairs nontrivially with the next inequality folds into a ray.  Otherwise
+    the rays on its negative side are dropped, and each adjacent plus/minus
+    pair gives a new ray on its hyperplane.  Two rays are adjacent when no
+    third ray is tight wherever both are.  Adjacent rays span a face of
+    dimension two over the lineality space, whose tight inequalities have
+    rank ``n - #lines - 2``, so a pair with fewer common bits is skipped
+    first.  Raises ``ValueError`` once the pairs weighed would pass
+    :data:`DD_MAX_PAIR_TESTS`.
     """
-    # Case A: some line pairs nontrivially with u; that line folds into a ray.
-    pivot_at = next((i for i, l in enumerate(lines) if dot(u, l) != 0), None)
-    if pivot_at is not None:
-        pivot = lines[pivot_at]
-        d0 = dot(u, pivot)
-        if d0 < 0:
-            pivot = vec_scale(-1, pivot)
-            d0 = -d0
-        new_lines = []
-        for i, l in enumerate(lines):
-            if i == pivot_at:
-                continue
-            dl = dot(u, l)
-            new_lines.append(primitive(vec_sub(vec_scale(d0, l), vec_scale(dl, pivot))))
-        new_rays: list[_Ray] = []
-        for r, tight in rays:
-            dr = dot(u, r)
-            rr = vec_sub(vec_scale(d0, r), vec_scale(dr, pivot))
-            new_rays.append((primitive(rr), tight | {idx}))
-        new_rays.append((primitive(pivot), frozenset(range(idx))))
-        return new_lines, new_rays
-
-    plus = [(r, t) for r, t in rays if dot(u, r) > 0]
-    zero = [(r, t | {idx}) for r, t in rays if dot(u, r) == 0]
-    minus = [(r, t) for r, t in rays if dot(u, r) < 0]
-    if not minus:
-        return lines, plus + zero
-    out = plus + zero
-    for (rp, tp), (rm, tm) in itertools.product(plus, minus):
-        common = tp & tm
-        if any(t >= common for r, t in rays if r != rp and r != rm):
-            continue  # rp, rm not adjacent
-        w = vec_add(vec_scale(dot(u, rp), rm), vec_scale(-dot(u, rm), rp))
-        if not is_zero_vec(w):
-            out.append((primitive(w), common | {idx}))
-    return lines, out
+    lines: list[Vec] = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rays: list[tuple[Vec, int]] = []
+    tests = 0
+    for idx, u in enumerate(sorted({u for u in ineqs if not is_zero_vec(u)})):
+        bit = 1 << idx
+        # some line pairs nontrivially with u: that line folds into a ray
+        at = next((i for i, l in enumerate(lines) if dot(u, l) != 0), None)
+        if at is not None:
+            pivot = lines.pop(at)
+            d0 = dot(u, pivot)
+            if d0 < 0:
+                pivot, d0 = vec_scale(-1, pivot), -d0
+            lines = [primitive(vec_sub(vec_scale(d0, l), vec_scale(dot(u, l), pivot))) for l in lines]
+            rays = [(primitive(vec_sub(vec_scale(d0, r), vec_scale(dot(u, r), pivot))), t | bit) for r, t in rays]
+            rays.append((primitive(pivot), bit - 1))
+            continue
+        signed = [(r, t, dot(u, r)) for r, t in rays]
+        plus = [p for p in signed if p[2] > 0]
+        minus = [p for p in signed if p[2] < 0]
+        out = [(r, t if s > 0 else t | bit) for r, t, s in signed if s >= 0]
+        tests += len(plus) * len(minus)
+        if tests > DD_MAX_PAIR_TESTS:
+            raise ValueError(
+                f"double description weighs more than {DD_MAX_PAIR_TESTS} ray pairs; the input is too large"
+            )
+        need = n - len(lines) - 2
+        masks = [t for _, t in rays]
+        for (rp, tp, sp), (rm, tm, sm) in itertools.product(plus, minus):
+            common = tp & tm
+            if common.bit_count() < need or sum(t & common == common for t in masks) > 2:
+                continue  # rp, rm not adjacent
+            out.append((primitive(vec_sub(vec_scale(sp, rm), vec_scale(sm, rp))), common | bit))
+        rays = out
+    return lines, rays
 
 
 def _dd_generators(n: int, ineqs: Sequence[Vec]) -> tuple[Vec, ...]:
     """Canonical generators of {x in R^n : <u,x> >= 0 for all u}: the pointed
     rays and both directions of each line, sorted."""
-    lines: list[Vec] = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rays: list[_Ray] = []
-    clean = [u for u in ineqs if not is_zero_vec(u)]
-    for idx, u in enumerate(clean):
-        lines, rays = _dd_insert(lines, rays, u, idx)
+    lines, rays = _dd(n, ineqs)
     return tuple(sorted({r for r, _ in rays} | set(lines) | {vec_scale(-1, l) for l in lines}))
 
 
@@ -254,18 +274,21 @@ def cone_from_rays(ambient_rank: int, rays: Sequence[Vec]) -> Cone:
     line basis is the reduced echelon kernel basis of ``R``, whatever the
     input order, and its pointed facets vanish on the free columns.
 
-    Other rays take one double description for the facets, and the
-    canonical rays are then read off the ray/facet incidence of the input.
-    Two facts make that exact.  A face of a cone is generated by the
-    generators it contains, so a nonzero lineality space (the minimal face)
-    contains a generator, and that generator is tight on every facet.  When
-    none is, the cone is pointed, and a generator ``r`` spans an extreme ray
-    exactly when no other primitive generator is tight on all the facets
-    ``r`` is tight on: those facets cut out the smallest face containing
-    ``r``, and a face of dimension two or more holds a second generator
-    (Ziegler, *Lectures on Polytopes*, §1-2; Fukuda & Prodon, "Double
-    description method revisited", 1996).  A cone with lines takes a second
-    double description, because its line basis is not fixed by the input.
+    Other rays take one double description (:func:`_dd`) of the distinct
+    primitive inputs for the facets, which hands each pointed facet back
+    with the mask of the inputs lying on it (the facets' lines hold them
+    all), and the canonical rays are read off those masks, with no further
+    pairing.  Two facts make that exact.  A face of a cone is generated by
+    the generators it contains, so a nonzero lineality space (the minimal
+    face) contains a generator, and that generator lies on every facet: the
+    cone has lines exactly when the AND of all facet masks is nonzero.
+    When it is zero, the cone is pointed, and input ``i`` spans an extreme
+    ray exactly when the AND of the masks of the facets it lies on is
+    ``1 << i``: those facets cut out the smallest face containing it, and a
+    face of dimension two or more holds a second generator (Ziegler,
+    *Lectures on Polytopes*, §1-2; Fukuda & Prodon, "Double description
+    method revisited", 1996).  A cone with lines takes a second double
+    description, because its line basis is not fixed by the input.
     """
     for r in rays:
         if len(r) != ambient_rank:
@@ -292,14 +315,13 @@ def cone_from_rays(ambient_rank: int, rays: Sequence[Vec]) -> Cone:
                 line = primitive(tuple(x))
                 facets.update((line, vec_scale(-1, line)))
             return Cone(ambient_rank, tuple(distinct), tuple(sorted(facets)))
-    facets = _dd_generators(ambient_rank, prims)
-    tight = {r: sum(1 << j for j, u in enumerate(facets) if dot(u, r) == 0) for r in prims}
-    if (1 << len(facets)) - 1 in tight.values():
+    lines, rays = _dd(ambient_rank, distinct)
+    facets = tuple(sorted([r for r, _ in rays] + lines + [vec_scale(-1, l) for l in lines]))
+    masks, full = [m for _, m in rays], (1 << k) - 1  # the facets' lines hold every input
+    if reduce(and_, masks, full):
         return Cone(ambient_rank, _dd_generators(ambient_rank, facets), facets)
-    extreme = [
-        r for r, m in tight.items() if not any(o != r and mo & m == m for o, mo in tight.items())
-    ]
-    return Cone(ambient_rank, tuple(sorted(extreme)), facets)
+    extreme = [r for i, r in enumerate(distinct) if reduce(and_, (m for m in masks if m >> i & 1), full) == 1 << i]
+    return Cone(ambient_rank, tuple(extreme), facets)
 
 
 def cone_from_facets(ambient_rank: int, facets: Sequence[Vec]) -> Cone:
@@ -330,10 +352,22 @@ def _incidence(c: Cone) -> tuple[int, ...]:
     return tuple(sum(1 << i for i, r in enumerate(c.rays) if dot(u, r) == 0) for u in c.facets)
 
 
+# Most faces _face_lattice lists for one cone.  The seed-0 benchmark pools
+# reach 64, scripts/data 10, the Tier-1 suite (its bound tests aside) fewer
+# than 100, and the lifted cone of 40 random points of N^6 with coordinates
+# 0-4 has 1,864.  Of the near-sphere supports of N^6 that the double
+# description's bound describes, k = 20 has 5,288 faces and newton-poles
+# takes 0.9 s of CPU; k = 40 has 15,226 faces over 1,609 facets, took 6.6 s
+# before the bound (2.8 s for the faces alone) and is now refused after
+# 2.1 s.
+FACE_LATTICE_MAX_FACES = 10_000
+
+
 def _face_lattice(c: Cone) -> tuple[tuple[int, ...], set[int]]:
     """The incidence of ``c`` and the ray masks of all its faces: the closure
     of the facet masks under intersection, from all rays (``c`` itself) down
-    (Ziegler, *Lectures on Polytopes*, §2.1)."""
+    (Ziegler, *Lectures on Polytopes*, §2.1).  Raises ``ValueError`` once it
+    would list more than :data:`FACE_LATTICE_MAX_FACES` faces."""
     on_facet = _incidence(c)
     seen: set[int] = set()
     queue = [(1 << len(c.rays)) - 1]
@@ -342,6 +376,8 @@ def _face_lattice(c: Cone) -> tuple[tuple[int, ...], set[int]]:
         if g in seen:
             continue
         seen.add(g)
+        if len(seen) > FACE_LATTICE_MAX_FACES:
+            raise ValueError(f"cone has more than {FACE_LATTICE_MAX_FACES} faces; the input is too large")
         queue.extend(g & m for m in on_facet if g & m not in seen)
     return on_facet, seen
 

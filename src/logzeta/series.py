@@ -29,10 +29,10 @@ rays (and by the cone itself where the caller holds one), by half-open
 simplicial decomposition read from a bounded table in :mod:`~logzeta.cones`
 keyed by those rays.  A call counts the box points into integer buckets;
 rays paired to zero by ``e`` each contribute ``L/(L-1)``, legal only when
-``a`` pairs them to one.  Callers
-attach their classes: the Newton face table makes one coefficient per
-bucket, and :func:`_weighted_sum` multiplies by weights in integers, one
-normalisation per output entry.
+``a`` pairs them to one, which each pipeline makes sure of at its entry.
+Callers attach their classes: the Newton face table makes one coefficient
+per bucket, and :func:`_weighted_sum` multiplies by weights in integers,
+one normalisation per output entry.
 """
 
 from __future__ import annotations
@@ -328,7 +328,10 @@ def _relint_buckets(
     ``(beta, denominators, h) -> {L-exponent: count}`` stands for those
     L-monomials times ``(L/(L-1))^h T^beta / prod(1 - L^a T^b)``, ``h`` the
     number of the piece's generators ``g`` with ``<g,e> = 0``, which must
-    satisfy ``<g,a> = 1`` (checked on every call).  The pieces and their
+    satisfy ``<g,a> = 1``.  The callers' trust boundaries see to that: a fan
+    model's verdict holds the horizontal-divisor rule, a Newton normal ray
+    with ``m = 0`` is a coordinate vector, on which ``sigma`` is 1, and
+    :func:`cone_series` checks its marking on entry.  The pieces and their
     Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``;
     a caller that holds the cone passes it as ``cone``, so a miss reads it
     as it stands rather than building it again.  Only the pairing of box
@@ -339,11 +342,6 @@ def _relint_buckets(
     is raised before enumerating once it would pass
     :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
-    for v in rays:
-        if dot(v, e) == 0 and dot(v, a) != 1:
-            raise ValueError(
-                f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, a)}"
-            )
     pieces = _relint_pieces(len(e), rays, cone)
     spent += sum(piece.box_count() for piece in pieces)
     if spent > CONE_SUM_MAX_BOX_POINTS:
@@ -386,9 +384,14 @@ def _weighted_sum(parts: Iterable[tuple[Buckets, MClass]]) -> ZSeries:
 
 def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
     """Closed form of ``weight * sum L^{-<u,a>} T^{<u,e>}`` over interior dual
-    points ``u`` of the marked monoid, its weight attached in integers."""
+    points ``u`` of the marked monoid, its weight attached in integers.
+    Raises ``ValueError`` when a ray of the dual cone that ``e`` pairs to
+    zero does not pair to 1 with ``a``, the horizontal-divisor rule."""
     if not mm.is_local():
         raise ValueError("cone series needs a local marking (e_pi != 0)")
     dual = mm.base.dual()
+    for v in dual.rays:
+        if dot(v, mm.e_pi) == 0 and dot(v, mm.a_div) != 1:
+            raise ValueError(f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, mm.a_div)}")
     buckets, _ = _relint_buckets(dual.rays, mm.e_pi, mm.a_div, cone=dual)
     return _weighted_sum([(buckets, weight)])

@@ -20,7 +20,7 @@ from logzeta.cones import (
     Cone,
     ConeComplex,
     HalfOpenCone,
-    _dd_generators,
+    _relint_pieces,
     _triangulate,
     complex_from_cones,
     cone_from_rays,
@@ -408,35 +408,84 @@ def brute_intersection(c1: Cone, c2: Cone) -> Cone:
     return Cone(c1.ambient_rank, dual_sum.facets, dual_sum.rays)
 
 
+def _oracle_dd_insert(lines: list[Vec], rays: list, u: Vec, idx: int) -> tuple[list[Vec], list]:
+    """Intersect the cone generated by (lines, rays) with {x : <u,x> >= 0}.
+
+    Each ray carries the frozenset of previously inserted inequality indices
+    it is tight on; lines are tight on all of them by construction.  Two
+    rays are adjacent when no other ray is tight on all their common
+    inequalities; no rank filter is applied."""
+    # some line pairs nontrivially with u: that line folds into a ray
+    pivot_at = next((i for i, l in enumerate(lines) if dot(u, l) != 0), None)
+    if pivot_at is not None:
+        pivot = lines[pivot_at]
+        d0 = dot(u, pivot)
+        if d0 < 0:
+            pivot = vec_scale(-1, pivot)
+            d0 = -d0
+        new_lines = []
+        for i, l in enumerate(lines):
+            if i != pivot_at:
+                new_lines.append(primitive(vec_sub(vec_scale(d0, l), vec_scale(dot(u, l), pivot))))
+        new_rays = [(primitive(vec_sub(vec_scale(d0, r), vec_scale(dot(u, r), pivot))), t | {idx}) for r, t in rays]
+        new_rays.append((primitive(pivot), frozenset(range(idx))))
+        return new_lines, new_rays
+    plus = [(r, t) for r, t in rays if dot(u, r) > 0]
+    zero = [(r, t | {idx}) for r, t in rays if dot(u, r) == 0]
+    minus = [(r, t) for r, t in rays if dot(u, r) < 0]
+    out = plus + zero
+    for (rp, tp), (rm, tm) in itertools.product(plus, minus):
+        common = tp & tm
+        if any(t >= common for r, t in rays if r != rp and r != rm):
+            continue  # rp, rm not adjacent
+        w = vec_add(vec_scale(dot(u, rp), rm), vec_scale(-dot(u, rm), rp))
+        if not is_zero_vec(w):
+            out.append((primitive(w), common | {idx}))
+    return lines, out
+
+
+def oracle_dd_generators(n: int, ineqs) -> tuple[Vec, ...]:
+    """Canonical generators of {x in R^n : <u,x> >= 0 for all u}, the pointed
+    rays and both directions of each line, sorted: a double description on
+    frozenset tight sets, with the inequalities inserted in the order given,
+    repeats included, and no rank filter, so it shares no shortcut with
+    ``cones._dd``."""
+    lines: list[Vec] = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rays: list = []
+    for idx, u in enumerate(u for u in ineqs if not is_zero_vec(u)):
+        lines, rays = _oracle_dd_insert(lines, rays, u, idx)
+    return tuple(sorted({r for r, _ in rays} | set(lines) | {vec_scale(-1, l) for l in lines}))
+
+
 def two_dd_cone(n: int, rays) -> Cone:
-    """The cone generated by ``rays`` as two double descriptions build it:
-    the facets from the primitive rays, then the canonical rays from the
+    """The cone generated by ``rays`` as two oracle double descriptions build
+    it: the facets from the primitive rays, then the canonical rays from the
     facets.  ``cone_from_rays`` must agree with it field by field."""
-    facets = _dd_generators(n, [primitive(r) for r in rays if not is_zero_vec(r)])
-    return Cone(n, _dd_generators(n, facets), facets)
+    facets = oracle_dd_generators(n, [primitive(r) for r in rays if not is_zero_vec(r)])
+    return Cone(n, oracle_dd_generators(n, facets), facets)
 
 
 def two_dd_facets_cone(n: int, normals) -> Cone:
-    """The cone cut out by ``normals`` as two double descriptions build it:
-    the rays from the normals, then the irredundant facets from the rays.
+    """The cone cut out by ``normals`` as two oracle double descriptions build
+    it: the rays from the normals, then the irredundant facets from the rays.
     ``cone_from_facets`` must agree with it field by field."""
-    rays = _dd_generators(n, list(normals))
-    return Cone(n, rays, _dd_generators(n, rays))
+    rays = oracle_dd_generators(n, list(normals))
+    return Cone(n, rays, oracle_dd_generators(n, rays))
 
 
 def count_dd_runs(monkeypatch) -> list[int]:
-    """Wrap ``cones._dd_generators``, the double description, with a counter:
-    the returned list gains the ambient rank of each run from then on."""
+    """Wrap ``cones._dd``, the double description, with a counter: the
+    returned list gains the ambient rank of each run from then on."""
     import logzeta.cones
 
     runs: list[int] = []
-    real = logzeta.cones._dd_generators
+    real = logzeta.cones._dd
 
     def counting(n, ineqs):
         runs.append(n)
         return real(n, ineqs)
 
-    monkeypatch.setattr(logzeta.cones, "_dd_generators", counting)
+    monkeypatch.setattr(logzeta.cones, "_dd", counting)
     return runs
 
 
@@ -857,6 +906,13 @@ def random_support(rng: random.Random, n: int, max_points: int = 6, max_coord: i
     if not pts:
         pts.add(tuple(1 for _ in range(n)))
     return NewtonInput(n, tuple(sorted(pts)))
+
+
+def support_box_points(inp: NewtonInput) -> int:
+    """The box points the face table of ``inp`` enumerates, which count
+    against ``series.CONE_SUM_MAX_BOX_POINTS``: those of the pieces of the
+    relative interior of every record's normal cone."""
+    return sum(p.box_count() for rec in newton_polyhedron(inp) for p in _relint_pieces(inp.n, rec.normal_rays))
 
 
 def _minimised_face(support, u: Vec) -> tuple[frozenset, frozenset]:

@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -626,6 +628,55 @@ STRIPES = 30  # cells of 40,000 box points each, side by side
 def test_cone_sum_bound_is_per_pipeline_call(tmp_path, verb, doc, count):
     proc = _run_in_child(verb, write(tmp_path, "input.json", doc), timeout=60, max_memory_mb=1024)
     message = f"cone sum needs {count} box points, more than 50000; the cone is too singular"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def random_points_of_n6(count: int = 40) -> list[list[int]]:
+    """``count`` distinct nonzero points of N^6 with coordinates 0-4."""
+    rng, points = random.Random(7), set()
+    while len(points) < count:
+        w = tuple(rng.randint(0, 4) for _ in range(6))
+        if any(w):
+            points.add(w)
+    return [list(w) for w in sorted(points)]
+
+
+def near_sphere_points(count: int) -> list[list[int]]:
+    """``count`` distinct points ``round(30 - 30 v/|v|)`` of N^6, ``v`` a
+    vector of absolute Gaussians: nearly all of them are vertices of their
+    Newton polyhedron, which has many faces."""
+    rng, points = random.Random(3), set()
+    while len(points) < count:
+        v = [abs(rng.gauss(0, 1)) for _ in range(6)]
+        norm = math.sqrt(sum(x * x for x in v))
+        w = tuple(round(30 - 30 * x / norm) for x in v)
+        if any(w):
+            points.add(w)
+    return [list(w) for w in sorted(points)]
+
+
+def test_forty_points_of_n6_finish_fast(tmp_path):
+    # a lifted cone of 46 generators in rank 7 with 19 rays and 125 facets;
+    # its double description took 34 s before the rank filter and the sorted
+    # insertion order, and newton-poles now takes 0.3 s
+    doc = {"n": 6, "support": random_points_of_n6()}
+    proc = _run_in_child("newton-poles", write(tmp_path, "input.json", doc), timeout=60, max_memory_mb=1024)
+    assert (proc.returncode, proc.stderr, len(proc.stdout)) == (0, "", 510)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == "8f8d804ccf792418"
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        # 15,226 faces over 1,609 facets; newton-poles took 6.6 s before the bound
+        (40, "cone has more than 10000 faces; the input is too large"),
+        # 15,526,984 ray pairs, 4 s of double description, and 37,348 faces
+        (80, "double description weighs more than 5000000 ray pairs; the input is too large"),
+    ],
+)
+def test_many_faces_refused_fast(tmp_path, count, message):
+    doc = {"n": 6, "support": near_sphere_points(count)}
+    proc = _run_in_child("newton-poles", write(tmp_path, "input.json", doc), timeout=60, max_memory_mb=1024)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 

@@ -60,6 +60,7 @@ from genutil import (
     count_dd_runs,
     fresh_box_points,
     half_open_contains,
+    oracle_dd_generators,
     random_cone,
     random_subdivided_cone,
     two_dd_cone,
@@ -216,6 +217,42 @@ def test_cone_from_facets_matches_two_dd(rank_normals):
     rank, normals = rank_normals
     c, old = cone_from_facets(rank, normals), two_dd_facets_cone(rank, normals)
     assert (c.ambient_rank, c.rays, c.facets) == (old.ambient_rank, old.rays, old.facets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray_sets(st.integers(1, 6)), st.randoms(use_true_random=False))
+@example((3, [(1, 0, 0), (-1, 0, 0), (2, 0, 0), (0, 1, 1), (0, 0, 0)]), random.Random(0))  # a half plane
+@example((4, [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)]), random.Random(1))  # flat square
+def test_dd_is_the_oracles_in_any_order(rank_gens, rng):
+    # the double description on ray bitmasks, with its rank filter, gives the
+    # frozenset oracle's canonical generators, in the given order and in a
+    # shuffled one; each ray's mask is its tight set over the sorted distinct
+    # inequalities, and the lines lie on all of them
+    rank, gens = rank_gens
+    shuffled = rng.sample(gens, len(gens))
+    want = oracle_dd_generators(rank, gens)
+    assert oracle_dd_generators(rank, shuffled) == want
+    assert _dd_generators(rank, gens) == _dd_generators(rank, shuffled) == want
+    ineqs = sorted({u for u in gens if not is_zero_vec(u)})
+    lines, rays = logzeta.cones._dd(rank, shuffled)
+    assert all(dot(u, l) == 0 for u in ineqs for l in lines)
+    for r, mask in rays:
+        assert mask == sum(1 << i for i, u in enumerate(ineqs) if dot(u, r) == 0)
+
+
+def test_dd_and_face_lattice_refuse_past_their_bounds(monkeypatch):
+    # the square's cone weighs two ray pairs in its double description and
+    # has ten faces, its apex and itself among them
+    monkeypatch.setattr(logzeta.cones, "DD_MAX_PAIR_TESTS", 2)
+    assert cone_from_rays(3, SQUARE.rays) == SQUARE
+    monkeypatch.setattr(logzeta.cones, "DD_MAX_PAIR_TESTS", 1)
+    with pytest.raises(ValueError, match="double description weighs more than 1 ray pairs"):
+        cone_from_rays(3, SQUARE.rays)
+    monkeypatch.setattr(logzeta.cones, "FACE_LATTICE_MAX_FACES", 10)
+    assert len(logzeta.cones._face_lattice(SQUARE)[1]) == 10
+    monkeypatch.setattr(logzeta.cones, "FACE_LATTICE_MAX_FACES", 9)
+    with pytest.raises(ValueError, match="cone has more than 9 faces"):
+        logzeta.cones._face_lattice(SQUARE)
 
 
 def test_cone_from_rays_runs_one_dd_when_pointed(monkeypatch):

@@ -20,7 +20,7 @@ from logzeta.newton import (
     newton_zeta_local,
     nondegeneracy_probe,
 )
-from logzeta.series import ZSeries, equal
+from logzeta.series import CONE_SUM_MAX_BOX_POINTS, ZSeries, equal
 from logzeta.zeta import fan_poincare, fan_poles, validate_model
 
 from genutil import (
@@ -29,6 +29,7 @@ from genutil import (
     newton_expand_oracle,
     random_support,
     section_product_terms,
+    support_box_points,
 )
 from genutil import truncate_l_below
 
@@ -134,10 +135,16 @@ def test_faces_match_brute_force(seed, n):
     assert brute_newton_faces(inp, newton_polyhedron(inp), box={2: 6, 3: 3, 4: 2}[n]) == []
 
 
+# random supports the face table sums over, less the few it refuses by design
+# for their box points (see the test after the next)
+supports_within_budget = st.builds(
+    random_support, st.integers(0, 10_000).map(random.Random), st.integers(2, 4)
+).filter(lambda inp: support_box_points(inp) <= CONE_SUM_MAX_BOX_POINTS)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 4))
-def test_face_terms_match_section_product(seed, n):
-    inp = random_support(random.Random(seed), n)
+@given(supports_within_budget)
+def test_face_terms_match_section_product(inp):
     terms = logzeta.newton._table(inp).terms
     expected = section_product_terms(inp)
     assert len(terms) == len(expected)
@@ -148,6 +155,29 @@ def test_face_terms_match_section_product(seed, n):
         for _, c in term.sorted_terms():
             for sym in c.terms:
                 assert list(MClass.symbol(sym).terms) == [sym]
+
+
+def test_face_table_refuses_a_support_over_the_box_budget():
+    # 8 of the seeds 0-10,000 at n = 4 draw such a support; the face table
+    # raises at the record that takes its count past the bound, rather than
+    # enumerate all 106,502 box points
+    inp = random_support(random.Random(233), 4)
+    assert support_box_points(inp) == 106_502
+    with pytest.raises(ValueError, match="cone sum needs 51845 box points, more than 50000"):
+        logzeta.newton._table(inp).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_horizontal_normal_rays_are_coordinate_vectors(seed, n):
+    # a normal ray u with m(u) = 0 is the inward normal of a facet at value 0,
+    # hence of a coordinate hyperplane: a unit vector, on which sigma pairs
+    # to 1, so the face table's kernel calls keep the horizontal-divisor rule
+    inp = random_support(random.Random(seed), n)
+    for rec in newton_polyhedron(inp):
+        for r in rec.normal_rays:
+            if rec.m_of(r) == 0:
+                assert sorted(r) == [0] * (n - 1) + [1], (rec, r)
 
 
 def test_face_table_built_once_per_support(monkeypatch):
