@@ -16,10 +16,15 @@ is timed in process CPU time.
 
 Reported: the CPU time of each side, the median of the per-block ratios
 (working tree over revision, so below 1 is faster), the blocks each side
-won, and whether the gate digests (``perfbench/worker.py``'s ``gate``) of
-one untimed op pass agree input by input.  The benchmark's files are only
-read; no bytecode is written.  Run against the revision the working tree
-was made from, with nothing changed, it compares a copy with itself.
+won, with the two-sided exact sign-test p-value of that split (ties left
+out), and whether the gate digests (``perfbench/worker.py``'s ``gate``) of
+one untimed op pass agree input by input, with each other and with
+``perfbench/golden.json``.  A block count alone can mislead: the parent
+against itself on ``newton-large`` has read 25 of 40 blocks won, a p-value
+of 0.15.  The benchmark's files are only read; no bytecode is written.
+Exits 1 when a side's digests differ from the golden ones.  Run against the
+revision the working tree was made from, with nothing changed, it compares
+a copy with itself.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import json
+import math
 import pathlib
 import statistics
 import subprocess
@@ -73,6 +80,14 @@ def _clear_caches() -> None:
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+def sign_test(won: int, lost: int) -> float:
+    """The two-sided exact sign-test p-value of ``won`` against ``lost``:
+    twice the binomial(won + lost, 1/2) tail at the smaller count, at most 1."""
+    n = won + lost
+    tail = sum(math.comb(n, i) for i in range(min(won, lost) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 def _parse(lz, item):
@@ -122,14 +137,17 @@ def main(argv: list[str]) -> int:
         _clear_caches()
         digests = [[worker.gate(lz, op(lz, it, _parse(lz, it)))[0] for it in items] for lz in sides]
         agree = sum(a == b for a, b in zip(*digests))
+        golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())[args.workload]
+        equal = [sum(a == b for a, b in zip(d, golden)) for d in digests]
 
-    won = sum(r < 1 for r in ratios)
+    won, lost = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)
     print(f"workload {args.workload}, seed {seed}, {args.what}: {PASSES} passes of {len(blocks)} blocks")
     print(f"cpu_s working tree {cpu[0]:.3f}, {args.parent} {cpu[1]:.3f}, ratio {cpu[0] / cpu[1]:.3f}")
     print(f"median block ratio {statistics.median(ratios):.3f} (working tree / {args.parent})")
-    print(f"blocks won: working tree {won}, {args.parent} {len(ratios) - won}")
+    print(f"blocks won: working tree {won}, {args.parent} {lost}, sign test p = {sign_test(won, lost):.3g}")
     print(f"gate digests agree: {agree}/{len(items)}")
-    return 0 if agree == len(items) else 1
+    print(f"gate digests equal golden: working tree {equal[0]}/{len(items)}, {args.parent} {equal[1]}/{len(items)}")
+    return 0 if equal == [len(items)] * 2 else 1
 
 
 if __name__ == "__main__":

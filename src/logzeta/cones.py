@@ -30,17 +30,17 @@ they raise ``ValueError``.  :func:`cone_from_facets` is the dual of
 its smoothness once each; the smoothness of a simplicial cone takes one
 elimination, and a Smith normal form only when the last pivot is not ±1.
 Faces and the pulling triangulation are read off the ray/facet incidence
-as bitmasks (:func:`_face_lattice`); only :func:`faces` turns masks back
-into cones.  A :class:`ConeComplex` answers every containment question
-from one table of masks over its cells, one per vector asked about: a cone
-lies in a cell exactly when each of its rays does, so the cells containing
-a cone are the meet of its rays' masks.  Its cells are sorted when it is
+as bitmasks (:func:`_face_lattice`, which hands each face back with the
+facets holding it); only :func:`faces` turns masks back into cones.  A
+:class:`ConeComplex` answers every containment question from one table of
+masks over its cells, one per vector asked about: a cone lies in a cell
+exactly when each of its rays does, so the cells containing a cone are the
+meet of its rays' masks.  Its cells are sorted when it is
 built, so the lowest cell of a mask is a smallest one, however the cells
 were given.  The half-open pieces of a pointed cone's relative interior
 depend on its extreme rays alone, so a bounded table keeps them per sorted
-ray tuple (:func:`_relint_pieces`); a caller that holds the cone hands it
-over, so it is not built again.  A simplicial cone is one piece with every
-generator strict, so it takes neither a double description nor a
+ray tuple (:func:`_relint_pieces`).  A simplicial cone is one piece with
+every generator strict, so it takes neither a double description nor a
 triangulation.  Each piece takes the Smith frame its box points are
 enumerated from once, when built, never keeping the points themselves; a
 unimodular piece takes no Smith normal form at all.
@@ -342,8 +342,14 @@ def cone_intersection(c1: Cone, c2: Cone) -> Cone:
 
 
 def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of ``mask``, increasing."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The indices of the set bits of ``mask``, increasing, found by
+    clearing the lowest set bit, so a sparse wide mask costs its set bits."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _incidence(c: Cone) -> tuple[int, ...]:
@@ -357,35 +363,44 @@ def _incidence(c: Cone) -> tuple[int, ...]:
 # than 100, and the lifted cone of 40 random points of N^6 with coordinates
 # 0-4 has 1,864.  Of the near-sphere supports of N^6 that the double
 # description's bound describes, k = 20 has 5,288 faces and newton-poles
-# takes 0.9 s of CPU; k = 40 has 15,226 faces over 1,609 facets, took 6.6 s
-# before the bound (2.8 s for the faces alone) and is now refused after
-# 2.1 s.
+# takes 0.8-1.0 s of CPU; k = 40 has 15,226 faces over 1,609 facets, whose
+# poles would take 4.9 s of CPU, most of it listing the faces with their
+# facet masks, and is refused after 2.4-2.9 s.
 FACE_LATTICE_MAX_FACES = 10_000
 
 
-def _face_lattice(c: Cone) -> tuple[tuple[int, ...], set[int]]:
-    """The incidence of ``c`` and the ray masks of all its faces: the closure
-    of the facet masks under intersection, from all rays (``c`` itself) down
-    (Ziegler, *Lectures on Polytopes*, §2.1).  Raises ``ValueError`` once it
-    would list more than :data:`FACE_LATTICE_MAX_FACES` faces."""
-    on_facet = _incidence(c)
-    seen: set[int] = set()
-    queue = [(1 << len(c.rays)) - 1]
+def _face_lattice(on_facet: Sequence[int], top: int) -> dict[int, int]:
+    """The faces of a cone whose facets hold the inputs ``on_facet`` (one
+    input mask per facet) out of ``top`` (all of them), each with the mask
+    of the facets holding it: the closure of the facet masks under
+    intersection, from ``top`` down (Ziegler, *Lectures on Polytopes*,
+    §2.1).  The one AND of a face with each facet finds both the faces
+    below it and the facets it lies on (Kaibel & Pfetsch, Comput. Geom. 23,
+    2002).  Raises ``ValueError`` once it would list more than
+    :data:`FACE_LATTICE_MAX_FACES` faces."""
+    lattice: dict[int, int] = {}
+    queue = [top]
     while queue:
         g = queue.pop()
-        if g in seen:
+        if g in lattice:
             continue
-        seen.add(g)
-        if len(seen) > FACE_LATTICE_MAX_FACES:
+        if len(lattice) == FACE_LATTICE_MAX_FACES:
             raise ValueError(f"cone has more than {FACE_LATTICE_MAX_FACES} faces; the input is too large")
-        queue.extend(g & m for m in on_facet if g & m not in seen)
-    return on_facet, seen
+        tight = 0
+        for j, m in enumerate(on_facet):
+            meet = g & m
+            if meet == g:
+                tight |= 1 << j
+            elif meet not in lattice:
+                queue.append(meet)
+        lattice[g] = tight
+    return lattice
 
 
 @lru_cache(maxsize=None)
 def faces(c: Cone) -> tuple[Cone, ...]:
     """All faces of ``c``, including ``c`` itself and the minimal face."""
-    _, lattice = _face_lattice(c)
+    lattice = _face_lattice(_incidence(c), (1 << len(c.rays)) - 1)
     out = [cone_from_rays(c.ambient_rank, [c.rays[i] for i in _bits(g)]) for g in lattice]
     return tuple(sorted(out, key=Cone._key))
 
@@ -845,29 +860,26 @@ def triangulate_half_open(
 # Distinct cells kept by _reduce_to_span, set by measurement: a model, its
 # star subdivision and its resolution share most cells, and over the 400
 # seed-0 fan-invariance inputs (689 distinct cells) 256 entries miss 986 of
-# 8,968 lookups, 128 entries 1,580, at a peak RSS of 31.0 MB against 30.7
-# MB keeping none.
+# 8,968 lookups, 128 entries 1,580.  An entry is three tuples of vectors
+# (rays, basis, projection) and no cone: with the ops run in one process
+# (Python 3.11), peak RSS reads 26.9 MB at 256 entries against 26.6 MB
+# keeping none.
 _SPAN_TABLE_SIZE = 256
 
 
 @lru_cache(maxsize=_SPAN_TABLE_SIZE)
-def _reduce_to_span(cone: Cone) -> tuple[Cone, tuple[Vec, ...], Mat]:
+def _reduce_to_span(cone: Cone) -> tuple[tuple[Vec, ...], tuple[Vec, ...], Mat]:
     """Express a pointed cone in coordinates of its saturated span lattice.
 
-    Returns the full-dimensional cone, the lattice basis and the projection
-    (d rows of the ambient rank's length, integer on the span lattice and
-    surjective onto Z^d).  The
-    projection is a lattice isomorphism of the span, so the reduced cone
-    needs no double description: its rays are the coordinates of the cone's
-    rays, and its facets the primitive restrictions to the basis of the
-    cone's facets that do not vanish on the span.  The result is kept per
-    cone and is made of tuples, so a caller cannot change a kept value.
+    Returns the cone's rays in those coordinates, sorted, the lattice basis
+    and the projection (d rows of the ambient rank's length, integer on the
+    span lattice and surjective onto Z^d).  The projection is a lattice
+    isomorphism of the span, so the projected rays are the extreme rays of
+    the reduced, full-dimensional cone.  The result is kept per cone and is
+    made of tuples, so a caller cannot change a kept value.
     """
     span, proj, _ = span_lattice(cone.rays, cone.ambient_rank)
-    rays = tuple(sorted(mat_vec(proj, r) for r in cone.rays))
-    restricted = (tuple(dot(u, b) for b in span) for u in cone.facets)
-    facets = tuple(sorted(primitive(u) for u in restricted if not is_zero_vec(u)))
-    return Cone(len(span), rays, facets), tuple(span), proj
+    return tuple(sorted(mat_vec(proj, r) for r in cone.rays)), tuple(span), proj
 
 
 # Distinct ray tuples kept by _relint_pieces, set by measurement on the
@@ -883,37 +895,26 @@ _PIECE_TABLE_SIZE = 256
 
 
 @lru_cache(maxsize=_PIECE_TABLE_SIZE)
-def _relint_pieces(
-    ambient_rank: int, rays: tuple[Vec, ...], cone: Optional[Cone] = None
-) -> tuple[HalfOpenCone, ...]:
+def _relint_pieces(ambient_rank: int, rays: tuple[Vec, ...]) -> tuple[HalfOpenCone, ...]:
     """``triangulate_half_open(c, "relint")`` of the cone ``c`` whose sorted
     extreme rays are ``rays``, kept per ray tuple, so each piece's
     elimination and Smith frame are worked out once however often ``c`` is
-    summed over.  ``cone`` is ``c`` itself when the caller holds it; it is
-    then part of the key, which splits no entry, as a pointed cone is fixed
-    by its rays.
+    summed over.
 
     Independent rays span a simplicial cone, whose relative interior is
     one piece with every generator strict (Köppe & Verdoolaege, Electron.
     J. Combin. 15, 2008): the pull stops at once, and each row of the
-    elimination is ``d * e_j``.  Given ``cone``, that is ``len(rays) ==
-    cone.dim``, and the piece eliminates its generators itself.  Bare rays
-    take one elimination, whose pivots tell their independence and whose
-    last pivot gives the piece its frame.  Other rays are triangulated:
-    ``cone`` as it stands, or else the cone :func:`cone_from_rays` builds.
-    A cone with lines raises :class:`LinealityError` again on every call,
-    since ``lru_cache`` keeps only returned values.
+    elimination is ``d * e_j``.  So the rays take one elimination, whose
+    pivots tell their independence and whose last pivot gives the piece its
+    frame.  Other rays are triangulated in the cone :func:`cone_from_rays`
+    builds.  A cone with lines raises :class:`LinealityError` again on every
+    call, since ``lru_cache`` keeps only returned values.
     """
-    strict = (True,) * len(rays)
-    if cone is not None and len(rays) == cone.dim:
-        return (HalfOpenCone(ambient_rank, rays, strict),)
-    if cone is None and len(rays) <= ambient_rank:
+    if len(rays) <= ambient_rank:
         _, pivots, d, _ = _gauss_jordan(rays, ambient_rank)
         if len(pivots) == len(rays):
-            return (_framed_piece(ambient_rank, rays, strict, d),)
-    if cone is None:
-        cone = cone_from_rays(ambient_rank, rays)
-    return tuple(triangulate_half_open(cone, "relint"))
+            return (_framed_piece(ambient_rank, rays, (True,) * len(rays), d),)
+    return tuple(triangulate_half_open(cone_from_rays(ambient_rank, rays), "relint"))
 
 
 def box_points(h: HalfOpenCone) -> list[Vec]:

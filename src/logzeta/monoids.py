@@ -169,7 +169,8 @@ def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
         new_rays = [v for v in (mat_vec(proj, ray) for ray in cone_l.rays) if not is_zero_vec(v)]
         pointed = cone_from_rays(r - u, new_rays)
     if pointed.dim < r - u:
-        pointed, _, rows = _reduce_to_span(pointed)
+        rays, _, rows = _reduce_to_span(pointed)
+        pointed = cone_from_rays(len(rows), rays)
         proj = mat_mul(rows, proj)
     return SharpFsMonoid(pointed.ambient_rank, pointed), u, proj
 

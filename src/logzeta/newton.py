@@ -27,7 +27,8 @@ from itertools import product
 from math import isqrt
 from typing import Optional
 
-from .cones import Cone, _face_lattice, complex_from_cones, cone_from_rays
+from . import cones
+from .cones import Cone, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot, is_zero_vec, rank, vec_add, zero_vec
 from .mring import LaurentPoly, MClass, MCoeff
 from .series import ZSeries, _relint_buckets
@@ -95,33 +96,32 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
 
     ``c`` is the cone over the lifted support points and the recession
     orthant.  Its generators are nonnegative and span R^{n+1}, so ``c`` is
-    pointed and full dimensional: its faces are exactly the intersections of
-    the ray sets of its facets, and each face is cut out by the facets that
-    contain it.  The faces are the ray masks of ``cones._face_lattice``, the
-    incidence closure behind :func:`cones.faces`; no cone is built per face.
+    pointed and full dimensional: one double description (``cones._dd``) of
+    the sorted generators gives its facets, each with the mask of the
+    generators on it, extreme or not.  A face of ``c`` is fixed by the
+    generators it holds, so the faces are the closure of those masks under
+    intersection (``cones._face_lattice``), each handed back with the
+    facets holding it; no cone is built per face.
 
-    A face whose cutting facets pass through some lifted point ``(w, 1)`` is
-    the cone over a face of the polyhedron; its normal cone is spanned by the
-    projections ``u`` of the cutting facets ``(u, t)`` (Ziegler, *Lectures on
-    Polytopes*, §7.1).  These are its extreme rays, primitive because
-    ``t = -<u, w>`` gives ``gcd(u) = gcd(u, t) = 1``, and distinct because
-    ``t`` is fixed by ``u``; they come out sorted, as the facets are.  So
-    the record keeps them as they are, with the face's dimension from one
-    rank of them, and no double description runs per face.
+    A face holding some lifted point ``(w, 1)`` is the cone over a face of
+    the polyhedron, whose support points are the lifted points it holds;
+    the others are at infinity.  Its normal cone is spanned by the
+    projections ``u`` of the facets ``(u, t)`` holding it (Ziegler,
+    *Lectures on Polytopes*, §7.1).  These are its extreme rays, primitive
+    because ``t = -<u, w>`` gives ``gcd(u) = gcd(u, t) = 1``, and distinct
+    because ``t`` is fixed by ``u``; they come out sorted, as the facets
+    are.  So the record keeps them as they are, with the face's dimension
+    from one rank of them.
     """
-    gens = [_lift(w, 1) for w in support] + [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n)]
-    c = cone_from_rays(n + 1, gens)
-    on_facet, lattice = _face_lattice(c)
-    # bit j of on_point[w]: (w, 1) lies on facet j
-    on_point = {w: sum(1 << j for j, y in enumerate(c.facets) if dot(y, _lift(w, 1)) == 0) for w in support}
+    gens = sorted([_lift(w, 1) for w in support] + [tuple(int(j == i) for j in range(n + 1)) for i in range(n)])
+    _, facets = cones._dd(n + 1, gens)
+    facets.sort()
     found = []
-    for rs in lattice:
-        tight = [j for j, mask in enumerate(on_facet) if rs & mask == rs]
-        cut = sum(1 << j for j in tight)
-        argmin = frozenset(w for w in support if on_point[w] & cut == cut)
+    for face, tight in cones._face_lattice([m for _, m in facets], (1 << len(gens)) - 1).items():
+        argmin = frozenset(gens[i][:n] for i in cones._bits(face) if gens[i][n])
         if not argmin:
             continue  # face at infinity
-        normal = tuple(c.facets[j][:n] for j in tight)
+        normal = tuple(facets[j][0][:n] for j in cones._bits(tight))
         found.append((n - rank(normal), argmin, normal))
     found.sort(key=lambda t: (t[0], sorted(t[1]), t[2]))
     return tuple(

@@ -25,11 +25,11 @@ The heart of the module is :func:`_relint_buckets`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
 sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice points ``u`` in the
 relative interior of a pointed rational cone, given by its sorted extreme
-rays (and by the cone itself where the caller holds one), by half-open
-simplicial decomposition read from a bounded table in :mod:`~logzeta.cones`
-keyed by those rays.  A call counts the box points into integer buckets;
-rays paired to zero by ``e`` each contribute ``L/(L-1)``, legal only when
-``a`` pairs them to one, which each pipeline makes sure of at its entry.
+rays alone, by half-open simplicial decomposition read from a bounded table
+in :mod:`~logzeta.cones` keyed by those rays.  A call counts the box points
+into integer buckets; rays paired to zero by ``e`` each contribute
+``L/(L-1)``, legal only when ``a`` pairs them to one, which each pipeline
+makes sure of at its entry.
 Callers attach their classes: the Newton face table makes one coefficient
 per bucket, and :func:`_weighted_sum` multiplies by weights in integers,
 one normalisation per output entry.
@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
-from .cones import Cone, _relint_pieces, box_points
+from .cones import _relint_pieces, box_points
 from .intlin import Vec, dot
 from .mring import MClass, MCoeff, _add_lifted, _lifted_sum, _symbol_product, merge
 from .monoids import MarkedMonoid
@@ -319,9 +319,7 @@ def format_poles(poles: frozenset[Fraction]) -> str:
 CONE_SUM_MAX_BOX_POINTS = 50_000
 
 
-def _relint_buckets(
-    rays: tuple[Vec, ...], e: Vec, a: Vec, spent: int = 0, cone: Optional[Cone] = None
-) -> tuple[Buckets, int]:
+def _relint_buckets(rays: tuple[Vec, ...], e: Vec, a: Vec, spent: int = 0) -> tuple[Buckets, int]:
     """Closed form of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
     ``u`` in the relative interior of the cone whose sorted extreme rays are
     ``rays`` (a cone of the ambient rank ``len(e)``), as integer buckets: entry
@@ -332,17 +330,16 @@ def _relint_buckets(
     model's verdict holds the horizontal-divisor rule, a Newton normal ray
     with ``m = 0`` is a coordinate vector, on which ``sigma`` is 1, and
     :func:`cone_series` checks its marking on entry.  The pieces and their
-    Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``;
-    a caller that holds the cone passes it as ``cone``, so a miss reads it
-    as it stands rather than building it again.  Only the pairing of box
-    points with ``e`` and ``a`` and the bucketing are done per call.
+    Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``.
+    Only the pairing of box points with ``e`` and ``a`` and the bucketing
+    are done per call.
 
     ``spent`` counts the box points the calling pipeline has enumerated
     before; the buckets are returned with the new total, and ``ValueError``
     is raised before enumerating once it would pass
     :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
-    pieces = _relint_pieces(len(e), rays, cone)
+    pieces = _relint_pieces(len(e), rays)
     spent += sum(piece.box_count() for piece in pieces)
     if spent > CONE_SUM_MAX_BOX_POINTS:
         raise ValueError(
@@ -393,5 +390,5 @@ def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
     for v in dual.rays:
         if dot(v, mm.e_pi) == 0 and dot(v, mm.a_div) != 1:
             raise ValueError(f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, mm.a_div)}")
-    buckets, _ = _relint_buckets(dual.rays, mm.e_pi, mm.a_div, cone=dual)
+    buckets, _ = _relint_buckets(dual.rays, mm.e_pi, mm.a_div)
     return _weighted_sum([(buckets, weight)])

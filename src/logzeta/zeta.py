@@ -205,9 +205,9 @@ def _cell_problems(f: FanModel, cells: Iterable[Cone]) -> Iterator[str]:
                     )
 
 
-def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
-    """A pointed cell with its e and a in coordinates of its saturated span
-    lattice.
+def _cell_in_span(f: FanModel, cell: Cone) -> tuple[tuple[Vec, ...], Vec, Vec]:
+    """A pointed cell's sorted rays, with its e and a, in coordinates of its
+    saturated span lattice.
 
     The lattice points of the reduced cell are exactly those of the cell.
     Triangulating there rather than in ambient coordinates fixes the ray
@@ -215,10 +215,10 @@ def _cell_in_span(f: FanModel, cell: Cone) -> tuple[Cone, Vec, Vec]:
     series canonical on lower-dimensional cells.
     """
     owner = f.owning_maximal(cell)
-    reduced, span, _ = _reduce_to_span(cell)
+    rays, span, _ = _reduce_to_span(cell)
     e_red = tuple(dot(f.e_vecs[owner], b) for b in span)
     a_red = tuple(dot(f.a_vecs[owner], b) for b in span)
-    return reduced, e_red, a_red
+    return rays, e_red, a_red
 
 
 def fan_poincare(f: FanModel, m: int) -> ZSeries:
@@ -233,8 +233,7 @@ def fan_poincare(f: FanModel, m: int) -> ZSeries:
         for cell in f.complex.cells:
             w = f.weight(cell)
             if not w.is_zero() and not f.e_identically_zero(cell):
-                reduced, e, a = _cell_in_span(f, cell)
-                buckets, spent = _relint_buckets(reduced.rays, e, a, spent, reduced)
+                buckets, spent = _relint_buckets(*_cell_in_span(f, cell), spent)
                 yield buckets, w.scale_l(-m)
 
     return _weighted_sum(parts())

@@ -394,6 +394,22 @@ def brute_faces(c: Cone) -> list[Cone]:
     return sorted(found, key=lambda f: (f.dim, f.rays, f.facets))
 
 
+def oracle_face_incidence(inputs: Sequence[Vec], facets: Sequence[Vec]) -> dict[int, int]:
+    """The faces of the cone generated by ``inputs`` whose facet normals are
+    ``facets``, each as the mask of the inputs on it mapped to the mask of
+    the facets holding it, by ``dot`` alone: for every set ``S`` of inputs,
+    the facets holding ``S`` cut out the smallest face containing it, whose
+    inputs are those on each of them.  Exponential in ``len(inputs)``."""
+    on = [[dot(u, x) == 0 for u in facets] for x in inputs]
+    out: dict[int, int] = {}
+    for k in range(len(inputs) + 1):
+        for subset in itertools.combinations(range(len(inputs)), k):
+            tight = [j for j in range(len(facets)) if all(on[i][j] for i in subset)]
+            face = [i for i in range(len(inputs)) if all(on[i][j] for j in tight)]
+            out[sum(1 << i for i in face)] = sum(1 << j for j in range(len(facets)) if all(on[i][j] for i in face))
+    return out
+
+
 def brute_is_face(g: Cone, c: Cone) -> bool:
     """``g`` lies in ``c`` and equals the smallest face of ``c`` containing it."""
     if not all(c.contains(r) for r in g.rays):

@@ -61,6 +61,7 @@ from genutil import (
     fresh_box_points,
     half_open_contains,
     oracle_dd_generators,
+    oracle_face_incidence,
     random_cone,
     random_subdivided_cone,
     two_dd_cone,
@@ -248,11 +249,34 @@ def test_dd_and_face_lattice_refuse_past_their_bounds(monkeypatch):
     monkeypatch.setattr(logzeta.cones, "DD_MAX_PAIR_TESTS", 1)
     with pytest.raises(ValueError, match="double description weighs more than 1 ray pairs"):
         cone_from_rays(3, SQUARE.rays)
+    on_facet = logzeta.cones._incidence(SQUARE)
     monkeypatch.setattr(logzeta.cones, "FACE_LATTICE_MAX_FACES", 10)
-    assert len(logzeta.cones._face_lattice(SQUARE)[1]) == 10
+    assert len(logzeta.cones._face_lattice(on_facet, 0b1111)) == 10
     monkeypatch.setattr(logzeta.cones, "FACE_LATTICE_MAX_FACES", 9)
     with pytest.raises(ValueError, match="cone has more than 9 faces"):
-        logzeta.cones._face_lattice(SQUARE)
+        logzeta.cones._face_lattice(on_facet, 0b1111)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ray_sets(st.integers(1, 5)), st.randoms(use_true_random=False))
+@example((3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1), (2, 0, 2)]), random.Random(0))  # non-extreme
+@example((4, list(SQUARE_IN_4.rays) + [(0, 0, 2, 2)]), random.Random(1))  # flat, non-extreme
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]), random.Random(2))  # a line
+def test_face_lattice_tight_masks_are_the_facets_holding_each_face(rank_gens, rng):
+    # the closure of the facet masks lists every face once, with exactly the
+    # facets holding it, whether the masks are the double description's own
+    # over the sorted distinct inputs, extreme or not (the Newton face
+    # table's route), or a cone's incidence over its rays (that of faces)
+    rank, gens = rank_gens
+    shuffled = rng.sample(gens, len(gens))
+    inputs = sorted({u for u in gens if not is_zero_vec(u)})
+    _, rays = logzeta.cones._dd(rank, shuffled)
+    lattice = logzeta.cones._face_lattice([m for _, m in rays], (1 << len(inputs)) - 1)
+    assert lattice == oracle_face_incidence(inputs, [r for r, _ in rays])
+    c = cone_from_rays(rank, shuffled)
+    lattice = logzeta.cones._face_lattice(logzeta.cones._incidence(c), (1 << len(c.rays)) - 1)
+    assert lattice == oracle_face_incidence(c.rays, c.facets)
+    assert len(lattice) == len(faces(c))
 
 
 def test_cone_from_rays_runs_one_dd_when_pointed(monkeypatch):
@@ -746,18 +770,16 @@ def test_half_open_flags_match_witness_oracle(c):
 @example(SQUARE_IN_4)
 @example(cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)]))  # a line
 def test_relint_pieces_match_triangulate_half_open(c):
-    # the piece table reads a pointed cone by its rays, or by the cone when
-    # the caller holds it; a simplicial one is one piece, every generator
-    # strict, with the frame its own Smith form
+    # the piece table reads a pointed cone by its rays; a simplicial one is
+    # one piece, every generator strict, with the frame its own Smith form
     if not c.is_strictly_convex():
         for _ in range(2):  # nothing is kept of a failed build
             with pytest.raises(LinealityError):
                 _relint_pieces(c.ambient_rank, c.rays)
-            with pytest.raises(LinealityError):
-                _relint_pieces(c.ambient_rank, c.rays, c)
         return
     expected = tuple(triangulate_half_open(c, "relint"))
-    for pieces in (_relint_pieces(c.ambient_rank, c.rays), _relint_pieces(c.ambient_rank, c.rays, c)):
+    for _ in range(2):  # built, then read from the table
+        pieces = _relint_pieces(c.ambient_rank, c.rays)
         assert pieces == expected
         assert [getattr(p, "_frame", None) for p in pieces] == [getattr(p, "_frame", None) for p in expected]
 
@@ -771,13 +793,13 @@ def test_simplicial_cone_takes_no_triangulation(monkeypatch):
     assert (runs, pulls) == ([], [])
     assert len(_relint_pieces(3, SQUARE.rays)) == 2
     assert (runs, len(pulls)) == ([3], 1)
-    # a caller holding the cone hands it over: no rank, no double description
-    flat = cone_from_rays(3, [(1, 2, 0), (2, 1, 0)])
+    # a cone summed over again reads the table: no elimination, no double
+    # description, no triangulation
     del runs[:]
-    ranks = count_calls(monkeypatch, "rank")
-    assert len(_relint_pieces(3, SQUARE.rays, SQUARE)) == 2
-    assert _relint_pieces(3, flat.rays, flat) == (piece,)
-    assert (ranks, runs, len(pulls)) == ([], [], 2)
+    eliminations = count_calls(monkeypatch, "_gauss_jordan")
+    assert len(_relint_pieces(3, SQUARE.rays)) == 2
+    assert _relint_pieces(3, ((1, 2, 0), (2, 1, 0))) == (piece,)
+    assert (eliminations, runs, len(pulls)) == ([], [], 1)
 
 
 def non_simplicial_lower_dim(rng, count):

@@ -216,14 +216,15 @@ def test_face_table_built_once_per_support(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_face_table_runs_one_dd_per_face(monkeypatch, seed):
-    # the lifted cone only, unless one support point makes it simplicial:
-    # each normal cone is read off its tight facets, and built as a cone
-    # only when asked for, by no double description when it is simplicial
-    # and by one otherwise; a second read builds none
+    # the lifted cone's, one double description however many support points
+    # (with no pair to weigh for one point): each normal cone is read off
+    # its tight facets, and built as a cone only when asked for, by no
+    # double description when it is simplicial and by one otherwise; a
+    # second read builds none
     inp = random_support(random.Random(seed), 2 + seed % 3)
     runs = count_dd_runs(monkeypatch)
     records = logzeta.newton._newton_faces(inp.n, inp.support)
-    assert len(runs) == (0 if len(inp.support) == 1 else 1)
+    assert runs == [inp.n + 1]
     kinds = set()
     for r in records:
         simplicial = len(r.normal_rays) == inp.n - r.dim_face

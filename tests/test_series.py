@@ -422,13 +422,9 @@ def test_relint_cone_sum_matches_per_call_kernel(args):
     def weighted(cone, e, a, w):
         return _weighted_sum([(_relint_buckets(cone.rays, e, a)[0], w)])
 
-    def weighted_held(cone, e, a, w):  # the caller hands its cone over
-        return _weighted_sum([(_relint_buckets(cone.rays, e, a, cone=cone)[0], w)])
-
     expected = outcome(per_call_relint_cone_sum, *args)
-    for kernel in (weighted, weighted_held):
-        assert outcome(kernel, *args) == expected
-        assert outcome(kernel, *args) == expected  # read from the table
+    assert outcome(weighted, *args) == expected
+    assert outcome(weighted, *args) == expected  # read from the table
     cone = args[0]
     if cone.is_strictly_convex():
         for piece in _relint_pieces(cone.ambient_rank, cone.rays):
@@ -473,7 +469,7 @@ def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
     halfplane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
     for _ in range(2):
         with pytest.raises(LinealityError):
-            _relint_buckets(halfplane.rays, (1, 1), (0, 0), cone=halfplane)
+            _relint_buckets(halfplane.rays, (1, 1), (0, 0))
     assert len(runs) == 2  # the line is found afresh each time; nothing is kept
 
 
@@ -489,11 +485,15 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
         return _relint_pieces.cache_info().misses
 
     def reduced(model):
+        # the contributing cells' rays in span coordinates, as the kernel reads them
         return {
             _reduce_to_span(cell)[0]
             for cell in model.complex.cells
             if not model.weight(cell).is_zero() and not model.e_identically_zero(cell)
         }
+
+    def cone(rays):
+        return cone_from_rays(len(rays[0]), rays)
 
     # an orthant model: e is positive on every ray, so no cell is generic
     # and validation takes no Smith normal form
@@ -512,8 +512,8 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
     assert new and new != reduced(star)
     fan_poincare(star, 1)
     assert builds() == len(reduced(model)) + len(new)
-    # only a cell that is not simplicial is triangulated, as it stands
-    assert sorted(runs, key=str) == sorted(((c, "relint") for c in new if len(c.rays) != c.dim), key=str)
-    for c in reduced(star):  # the cells built are the new ones: all are kept now
-        _relint_pieces(c.ambient_rank, c.rays, c)
+    # only a cell that is not simplicial is triangulated, in the cone its rays build
+    assert sorted(runs, key=str) == sorted(((cone(r), "relint") for r in new if len(r) != cone(r).dim), key=str)
+    for r in reduced(star):  # the cells built are the new ones: all are kept now
+        _relint_pieces(len(r[0]), r)
     assert builds() == len(reduced(model)) + len(new)
