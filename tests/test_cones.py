@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import logzeta.cones
+from logzeta.cli import parse_fan, parse_newton
 from logzeta.cones import (
     _carriers,
     _dd_generators,
@@ -218,6 +219,77 @@ def test_cone_from_facets_matches_two_dd(rank_normals):
     rank, normals = rank_normals
     c, old = cone_from_facets(rank, normals), two_dd_facets_cone(rank, normals)
     assert (c.ambient_rank, c.rays, c.facets) == (old.ambient_rank, old.rays, old.facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.lists(st.just(()), max_size=2).map(lambda rays: (0, rays)), ray_sets(st.integers(1, 6))),
+    st.randoms(use_true_random=False),
+)
+@example((0, []), random.Random(0))
+@example((2, [(1, 0), (-1, 0), (2, 0), (0, 0)]), random.Random(1))  # a line, scaled and zero rays
+@example((3, [(1, 2, 0), (2, 4, 0), (2, 1, 0), (1, 2, 0)]), random.Random(2))  # flat, repeated
+@example((3, list(SQUARE.rays) + [(0, 0, 1)]), random.Random(3))  # not simplicial, redundant
+def test_cone_table_returns_one_cone_per_ray_list(rank_rays, rng):
+    # equal input, as tuples or as lists, returns the very cone the table
+    # keeps, equal field by field to a fresh build, with the same dimension
+    # and smoothness; a reordered list is a key of its own, for an equal cone
+    rank, rays = rank_rays
+    c = cone_from_rays(rank, rays)
+    assert cone_from_rays(rank, [list(r) for r in rays]) is c
+    fresh = logzeta.cones._build_cone(rank, rays)
+    assert fresh is not c
+    for f in dataclasses.fields(Cone):
+        assert getattr(c, f.name) == getattr(fresh, f.name)
+    assert (c.dim, c.is_smooth) == (fresh.dim, fresh.is_smooth)
+    shuffled = rng.sample(rays, len(rays))
+    other = cone_from_rays(rank, shuffled)
+    assert other == c and (other is c) == (shuffled == list(rays))
+
+
+def test_cone_table_keeps_no_refused_input(monkeypatch):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cone_from_rays(3, [(1, 0, 0), (0, 1)])
+    monkeypatch.setattr(logzeta.cones, "DD_MAX_PAIR_TESTS", 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="double description weighs more than 1 ray pairs"):
+            cone_from_rays(3, SQUARE.rays)
+    assert logzeta.cones._cone_table.cache_info().currsize == 0
+
+
+def test_newton_ops_leave_the_cone_table_empty(bench, monkeypatch):
+    # the Newton pipeline sums over normal cones by their rays: the piece
+    # table builds the non-simplicial ones itself, outside the cone table
+    run, worker, workloads, _ = bench
+    _relint_pieces.cache_clear()
+    builds = count_calls(monkeypatch, "_build_cone")
+    items = workloads.generate("newton-small", run.DEFAULT_SEED)[: workloads.TRACE_OPS["newton-small"]]
+    for item in items:
+        worker.OPS["newton-small"](logzeta, item, parse_newton(item["input"]))
+    assert builds
+    info = logzeta.cones._cone_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+# a fan model of two cells: the cone over a square, and a cell of index 3
+# across its facet x + y = z
+TWO_CELL_MODEL = {
+    "rank": 3,
+    "cells": [{"rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]}, {"rays": [[1, 0, 1], [0, 1, 1], [2, 2, 1]]}],
+    "e": [[0, 0, 1], [0, 0, 1]],
+    "a": [[0, 0, 0], [0, 0, 0]],
+}
+
+
+def test_subdivision_and_resolution_share_the_models_cones():
+    # every cell of the star subdivision or the resolution, and every face
+    # of one, that equals a cell of the parsed model is that very object
+    model = parse_fan(TWO_CELL_MODEL)
+    cells = {c: c for c in model.complex.cells}
+    for k in (star_subdivision(model.complex, (1, 1, 2)), resolve_complex(model.complex)):
+        shared = [(f, cells[f]) for c in k.cells for f in (c, *faces(c)) if f in cells]
+        assert shared and all(f is old for f, old in shared)
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,6 @@ the benchmark's tracer wraps must also stay where it looks them up."""
 import importlib
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -15,23 +14,6 @@ import logzeta
 from logzeta.cli import parse_fan, parse_newton
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """The benchmark's ``run``, ``worker`` and ``workloads`` modules, imported
-    without leaving bytecode or a path entry behind."""
-    saved = sys.path[:], sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True
-    try:
-        import run
-        import spans
-        import worker
-        import workloads
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved
-    return run, worker, workloads, spans
 
 
 @pytest.mark.parametrize("workload", ["newton-small", "fan-invariance", "newton-large"])
@@ -69,6 +51,13 @@ def test_traced_names_resolve(bench):
             if not found:
                 missing.append(".".join(target))
     assert missing == []
+
+
+def test_faces_cache_info_stays_readable():
+    # the traced worker takes logzeta.cones.faces.cache_info before
+    # spans.install wraps faces, and reads the hits and misses it returns
+    info = logzeta.cones.faces.cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)
 
 
 def test_fan_invariance_ops_validate_each_model_once(bench, monkeypatch):
