@@ -149,6 +149,21 @@ def _object(x: Any, what: str) -> dict[str, Any]:
     return x
 
 
+# Largest ambient rank, the fan model's ``rank`` and the Newton input's
+# ``n``: the simplicial route of cone_from_rays and the double description
+# build n lines of length n, so the cost grows with the square of the rank.
+# Measured with the CLI under a 2 GB address-space cap (2-vCPU Xeon, Python
+# 3.11), a fan model of one ray [1, 0, ...] takes 0.15 s of wall time in
+# fan-series at rank 64, 4.3 s at 2,000 and 14.0 s at 4,000, and ends in a
+# MemoryError after 36 s at 8,000.  A one-point Newton support in N^n has
+# 2^n faces: newton-poles answers at n = 12 in 0.54 s, and the face bound
+# refuses it from n = 13 on, after 0.38 s at n = 64, 2.7 s at 200, 22 s at
+# 400 and 146 s at 800.  A pointed cell of dimension d has at least 2^d
+# faces, so no rank past 13 holds a full-dimensional pointed cell within
+# that bound.
+MAX_RANK = 64
+
+
 def _int(x: Any, what: str) -> int:
     """A JSON integer; booleans, fractional numbers and strings are refused
     rather than coerced."""
@@ -189,6 +204,8 @@ def parse_newton(data: dict[str, Any]) -> NewtonInput:
         support = tuple(tuple(_int(x, "support coordinate") for x in w) for w in data["support"])
     except (KeyError, TypeError) as e:
         raise InputError(f"bad newton input: {e}")
+    if n > MAX_RANK:
+        raise InputError(f"bad newton input: n {n} is over {MAX_RANK}")
     coeffs = None
     if data.get("coeffs") is not None:
         coeffs = {}
@@ -224,6 +241,8 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
         rank = _int(data["rank"], "rank")
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
+        if rank > MAX_RANK:
+            raise ValueError(f"rank {rank} is over {MAX_RANK}")
         listed = {}  # the cells, in input order
         weights = {}
         for cell_data in data["cells"]:

@@ -26,18 +26,20 @@ takes a second run, since its line basis is not fixed by the input.  The
 double description and the face lattice are bounded by
 :data:`DD_MAX_PAIR_TESTS` and :data:`FACE_LATTICE_MAX_FACES`, past which
 they raise ``ValueError``.  :func:`cone_from_facets` is the dual of
-:func:`cone_from_rays` on the normals.  A cone works out its dimension and
-its smoothness once each; the smoothness of a simplicial cone takes one
-elimination, and a Smith normal form only when the last pivot is not ±1.
-:func:`cone_from_rays` reads a bounded table keyed by the rays as given, so
-equal input returns the same immutable cone: a parsed fan model, its face
-closure, its star subdivision and its resolution share one object per cell,
-whose dimension, smoothness and faces are each worked out once.  Over the
+:func:`cone_from_rays` on the normals.  What is worked out from a cone is
+kept on it as a cached property, so it lives as long as the cone and needs
+no table of its own: its dimension, its smoothness (one elimination for a
+simplicial cone, and a Smith normal form only when the last pivot is not
+±1), its ray/facet incidence and its coordinates in its saturated span
+lattice.  :func:`cone_from_rays` reads a bounded table keyed by the rays as
+given, so equal input returns the same immutable cone: a parsed fan model,
+its face closure, its star subdivision and its resolution share one object
+per cell, whose values and faces are each worked out once.  Over the
 seed-0 fan-invariance pool, 8,342 calls ask for 803 distinct ray lists.
 :func:`_relint_pieces` builds its non-simplicial cones outside that table,
 since its own table keeps what they yield.
-Faces and the pulling triangulation are read off the ray/facet incidence
-as bitmasks (:func:`_face_lattice`, which hands each face back with the
+Faces and the pulling triangulation are read off the cone's incidence as
+bitmasks (:func:`_face_lattice`, which hands each face back with the
 facets holding it); only :func:`faces` turns masks back into cones.  A
 :class:`ConeComplex` answers every containment question from one table of
 masks over its cells, one per vector asked about: a cone lies in a cell
@@ -257,6 +259,28 @@ class Cone:
         _, _, d, _ = _gauss_jordan(rays, self.ambient_rank)
         return math.prod(_smith_frame(rays, d)[0]) == 1
 
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """One ray mask per facet, worked out once per cone: bit ``i`` is set
+        when ``rays[i]`` lies on the facet (lines lie on all; a span-cutting
+        facet holds all)."""
+        return tuple(sum(1 << i for i, r in enumerate(self.rays) if dot(u, r) == 0) for u in self.facets)
+
+    @cached_property
+    def span_coordinates(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...], Mat]:
+        """The cone in coordinates of its saturated span lattice, worked out
+        once per cone: its rays there, sorted, the lattice basis and the
+        projection (``dim`` rows of the ambient rank's length, integer on
+        the span lattice and surjective onto ``Z^dim``).
+
+        The projection is a lattice isomorphism of the span, so for a
+        pointed cone the projected rays are the extreme rays of the reduced,
+        full-dimensional cone.  The value is made of tuples, so a caller
+        cannot change it.
+        """
+        span, proj, _ = span_lattice(self.rays, self.ambient_rank)
+        return tuple(sorted(mat_vec(proj, r) for r in self.rays)), tuple(span), proj
+
     def _key(self) -> tuple:
         return (self.dim, self.rays, self.facets)
 
@@ -383,12 +407,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _incidence(c: Cone) -> tuple[int, ...]:
-    """One ray mask per facet of ``c``: bit ``i`` is set when ``c.rays[i]``
-    lies on the facet (lines lie on all; a span-cutting facet holds all)."""
-    return tuple(sum(1 << i for i, r in enumerate(c.rays) if dot(u, r) == 0) for u in c.facets)
-
-
 # Most faces _face_lattice lists for one cone.  The seed-0 benchmark pools
 # reach 64, scripts/data 10, the Tier-1 suite (its bound tests aside) fewer
 # than 100, and the lifted cone of 40 random points of N^6 with coordinates
@@ -431,7 +449,7 @@ def _face_lattice(on_facet: Sequence[int], top: int) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def faces(c: Cone) -> tuple[Cone, ...]:
     """All faces of ``c``, including ``c`` itself and the minimal face."""
-    lattice = _face_lattice(_incidence(c), (1 << len(c.rays)) - 1)
+    lattice = _face_lattice(c.incidence, (1 << len(c.rays)) - 1)
     out = [cone_from_rays(c.ambient_rank, [c.rays[i] for i in _bits(g)]) for g in lattice]
     return tuple(sorted(out, key=Cone._key))
 
@@ -675,7 +693,7 @@ def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
         if big.dim == 0:
             continue
         ell = _interior_dual(big)
-        _, proj, _ = span_lattice(big.rays, big.ambient_rank)
+        proj = big.span_coordinates[2]
         inside = [c for c, o in zip(kp.cells, carriers) if o == big and c.dim == big.dim]
         if _volume_sum(inside, ell, proj) != _volume_sum([big], ell, proj):
             return None
@@ -696,7 +714,7 @@ def _triangulate(c: Cone) -> tuple[tuple[Vec, ...], ...]:
     """
     if not c.is_strictly_convex():
         raise LinealityError("strictly convex cone required")
-    on_facet = _incidence(c)
+    on_facet = c.incidence
 
     def pull(g: int, dim: int) -> list[tuple[Vec, ...]]:
         idx = _bits(g)
@@ -716,7 +734,7 @@ def _triangulate(c: Cone) -> tuple[tuple[Vec, ...], ...]:
 
 def _is_pyramid_apex(c: Cone, ray: Vec) -> bool:
     """Whether the rays of ``c`` other than ``ray`` make up a facet of ``c``."""
-    return ((1 << len(c.rays)) - 1) ^ (1 << c.rays.index(ray)) in _incidence(c)
+    return ((1 << len(c.rays)) - 1) ^ (1 << c.rays.index(ray)) in c.incidence
 
 
 # Most box points one resolution may enumerate, summed over its phase-2
@@ -889,31 +907,6 @@ def triangulate_half_open(
             flags.append(s * x * d < 0)
         out.append(_framed_piece(c.ambient_rank, gens, tuple(flags), d))
     return out
-
-
-# Distinct cells kept by _reduce_to_span, set by measurement: a model, its
-# star subdivision and its resolution share most cells, and over the 400
-# seed-0 fan-invariance inputs (689 distinct cells) 256 entries miss 986 of
-# 8,968 lookups, 128 entries 1,580.  An entry is three tuples of vectors
-# (rays, basis, projection) and no cone: with the ops run in one process
-# (Python 3.11), peak RSS reads 26.9 MB at 256 entries against 26.6 MB
-# keeping none.
-_SPAN_TABLE_SIZE = 256
-
-
-@lru_cache(maxsize=_SPAN_TABLE_SIZE)
-def _reduce_to_span(cone: Cone) -> tuple[tuple[Vec, ...], tuple[Vec, ...], Mat]:
-    """Express a pointed cone in coordinates of its saturated span lattice.
-
-    Returns the cone's rays in those coordinates, sorted, the lattice basis
-    and the projection (d rows of the ambient rank's length, integer on the
-    span lattice and surjective onto Z^d).  The projection is a lattice
-    isomorphism of the span, so the projected rays are the extreme rays of
-    the reduced, full-dimensional cone.  The result is kept per cone and is
-    made of tuples, so a caller cannot change a kept value.
-    """
-    span, proj, _ = span_lattice(cone.rays, cone.ambient_rank)
-    return tuple(sorted(mat_vec(proj, r) for r in cone.rays)), tuple(span), proj
 
 
 # Distinct ray tuples kept by _relint_pieces, set by measurement on the

@@ -27,7 +27,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Literal, Mapping, Optional
 
-from .cones import Cone, ConeComplex, _carriers, _reduce_to_span, complex_from_cones, cone_from_rays
+from .cones import Cone, ConeComplex, _carriers, complex_from_cones, cone_from_rays
 from .intlin import Vec, dot
 from .mring import MClass
 from .series import ZSeries, _relint_buckets, _weighted_sum
@@ -215,7 +215,7 @@ def _cell_in_span(f: FanModel, cell: Cone) -> tuple[tuple[Vec, ...], Vec, Vec]:
     series canonical on lower-dimensional cells.
     """
     owner = f.owning_maximal(cell)
-    rays, span, _ = _reduce_to_span(cell)
+    rays, span, _ = cell.span_coordinates
     e_red = tuple(dot(f.e_vecs[owner], b) for b in span)
     a_red = tuple(dot(f.a_vecs[owner], b) for b in span)
     return rays, e_red, a_red

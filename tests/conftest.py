@@ -1,11 +1,13 @@
 """Fixtures shared by every test module.
 
 ``cones.cone_from_rays`` reads a table that returns the same cone for equal
-input, so a cone built by one test, with its worked-out ``dim`` and
-``is_smooth``, would reach the next, and so would the cones ``cones.faces``
-keeps for it.  Each test starts with both caches empty, and each
-``monkeypatch.setattr`` empties the table again, so a bound or a method
-patched in a test holds for every cone that test builds from then on.
+input, so a cone built by one test, with the values it keeps (``dim``,
+``is_smooth``, ``incidence``, ``span_coordinates``), would reach the next,
+and so would the cones ``cones.faces`` keeps for it and the pieces
+``cones._relint_pieces`` keeps per ray tuple.  Each test starts with all
+three tables empty, and each ``monkeypatch.setattr`` empties the cone table
+again, so a bound or a method patched in a test holds for every cone that
+test builds from then on.
 """
 
 import pathlib
@@ -22,6 +24,7 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 def empty_cone_caches():
     logzeta.cones._cone_table.cache_clear()
     logzeta.cones.faces.cache_clear()
+    logzeta.cones._relint_pieces.cache_clear()
 
 
 @pytest.fixture

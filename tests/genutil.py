@@ -410,6 +410,20 @@ def oracle_face_incidence(inputs: Sequence[Vec], facets: Sequence[Vec]) -> dict[
     return out
 
 
+def oracle_incidence(c: Cone) -> tuple[int, ...]:
+    """The ray/facet incidence of ``c`` from the definition, by ``dot``: for
+    each facet in order, the mask with bit ``i`` set when ``c.rays[i]`` lies
+    on it."""
+    out = []
+    for u in c.facets:
+        mask = 0
+        for i, r in enumerate(c.rays):
+            if dot(u, r) == 0:
+                mask |= 1 << i
+        out.append(mask)
+    return tuple(out)
+
+
 def brute_is_face(g: Cone, c: Cone) -> bool:
     """``g`` lies in ``c`` and equals the smallest face of ``c`` containing it."""
     if not all(c.contains(r) for r in g.rays):

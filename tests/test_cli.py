@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logzeta.cli import main, parse_coeff, parse_fan, parse_newton
+from logzeta.cli import MAX_RANK, InputError, main, parse_coeff, parse_fan, parse_newton
 from logzeta.mring import LaurentPoly, MCoeff
 from logzeta.series import equal, format_poles
 from logzeta.zeta import InvalidModel, fan_poincare, validate_model
@@ -693,6 +693,39 @@ def test_many_faces_refused_fast(tmp_path, count, message):
     doc = {"n": 6, "support": near_sphere_points(count)}
     proc = _run_in_child("newton-poles", write(tmp_path, "input.json", doc), timeout=60, max_memory_mb=1024)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "verb, doc, message",
+    [
+        # 72 KB; one cell of one ray ended in a MemoryError after 26-36 s under a 2 GB cap
+        (
+            "fan-series",
+            {"rank": 8000, "cells": [{"rays": [[1] + [0] * 7999]}], "e": [[1] + [0] * 7999], "a": [[0] * 8000]},
+            "bad fan-model input: rank 8000 is over 64",
+        ),
+        # 1.2 KB; the face bound refused it after 16-22 s
+        ("newton-poles", {"n": 400, "support": [[2] + [0] * 399]}, "bad newton input: n 400 is over 64"),
+    ],
+)
+def test_oversized_rank_refused_fast(tmp_path, verb, doc, message):
+    proc = _run_in_child(verb, write(tmp_path, "input.json", doc), timeout=10, max_memory_mb=1024)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_rank_bound_admits_its_own_value():
+    def fan(n):
+        one = [1] + [0] * (n - 1)
+        return {"rank": n, "cells": [{"rays": [one]}], "e": [one], "a": [[0] * n]}
+
+    def newton(n):
+        return {"n": n, "support": [[2] + [0] * (n - 1)]}
+
+    assert parse_fan(fan(MAX_RANK)).complex.ambient_rank == MAX_RANK
+    assert parse_newton(newton(MAX_RANK)).n == MAX_RANK
+    for parse, doc in ((parse_fan, fan), (parse_newton, newton)):
+        with pytest.raises(InputError, match=f"{MAX_RANK + 1} is over {MAX_RANK}"):
+            parse(doc(MAX_RANK + 1))
 
 
 def test_byte_identical_across_processes():

@@ -42,10 +42,12 @@ from logzeta.intlin import (
     from_columns,
     identity,
     is_zero_vec,
+    mat_vec,
     rank as mat_rank,
     smith_normal_form,
     solve_integer,
     solve_rational,
+    span_lattice,
     vec_add,
     vec_scale,
 )
@@ -63,6 +65,7 @@ from genutil import (
     half_open_contains,
     oracle_dd_generators,
     oracle_face_incidence,
+    oracle_incidence,
     random_cone,
     random_subdivided_cone,
     two_dd_cone,
@@ -321,7 +324,7 @@ def test_dd_and_face_lattice_refuse_past_their_bounds(monkeypatch):
     monkeypatch.setattr(logzeta.cones, "DD_MAX_PAIR_TESTS", 1)
     with pytest.raises(ValueError, match="double description weighs more than 1 ray pairs"):
         cone_from_rays(3, SQUARE.rays)
-    on_facet = logzeta.cones._incidence(SQUARE)
+    on_facet = SQUARE.incidence
     monkeypatch.setattr(logzeta.cones, "FACE_LATTICE_MAX_FACES", 10)
     assert len(logzeta.cones._face_lattice(on_facet, 0b1111)) == 10
     monkeypatch.setattr(logzeta.cones, "FACE_LATTICE_MAX_FACES", 9)
@@ -346,9 +349,32 @@ def test_face_lattice_tight_masks_are_the_facets_holding_each_face(rank_gens, rn
     lattice = logzeta.cones._face_lattice([m for _, m in rays], (1 << len(inputs)) - 1)
     assert lattice == oracle_face_incidence(inputs, [r for r, _ in rays])
     c = cone_from_rays(rank, shuffled)
-    lattice = logzeta.cones._face_lattice(logzeta.cones._incidence(c), (1 << len(c.rays)) - 1)
+    lattice = logzeta.cones._face_lattice(c.incidence, (1 << len(c.rays)) - 1)
     assert lattice == oracle_face_incidence(c.rays, c.facets)
     assert len(lattice) == len(faces(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ray_sets(st.integers(1, 5)), st.randoms(use_true_random=False))
+@example((3, list(SQUARE.rays)), random.Random(0))  # projected rays out of order
+@example((4, list(SQUARE_IN_4.rays)), random.Random(1))  # flat, non-simplicial
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]), random.Random(2))  # a line
+@example((2, []), random.Random(3))  # the zero cone
+def test_cone_values_match_their_oracles(rank_gens, rng):
+    # a cone's incidence and span coordinates, however the cone was built:
+    # from its rays in any order, as a dual, or directly from both lists
+    rank, gens = rank_gens
+    built = cone_from_rays(rank, gens)
+    shuffled = cone_from_rays(rank, rng.sample(gens, len(gens)))
+    for c in (built, shuffled, dual_cone(built), Cone(rank, built.rays, built.facets)):
+        assert c.incidence == oracle_incidence(c)
+        assert c.incidence is c.incidence  # worked out once per cone
+        span, proj, _ = span_lattice(c.rays, rank)
+        rays, basis, projection = c.span_coordinates
+        assert (basis, projection) == (tuple(span), proj)
+        assert rays == tuple(sorted(mat_vec(proj, r) for r in c.rays))
+        if c.is_strictly_convex():  # the extreme rays of the reduced cone
+            assert rays == cone_from_rays(len(span), [mat_vec(proj, r) for r in c.rays]).rays
 
 
 def test_cone_from_rays_runs_one_dd_when_pointed(monkeypatch):

@@ -1,7 +1,10 @@
-"""Smoke test of the demonstration scripts: each runs end to end in a child
-interpreter, and every identity it prints holds."""
+"""Smoke tests of the scripts: each demonstration runs end to end in a child
+interpreter, and every identity it prints holds; the code-line count runs
+and its total is the sum of its rows."""
 
+import importlib.util
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -26,3 +29,36 @@ def test_demo_identities_hold(script):
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if any(i in line for i in IDENTITIES)]
     assert lines and all(line.rstrip().endswith("True") for line in lines), proc.stdout
+
+
+def test_code_lines_rows_add_up():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "code_lines.py")], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    *rows, (label, total) = [line.split() for line in proc.stdout.splitlines()]
+    assert label == "total" and int(total) == sum(int(count) for _, count in rows)
+    assert [name for name, _ in rows] == sorted(p.name for p in pathlib.Path(logzeta.__file__).parent.glob("*.py"))
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    spec = importlib.util.spec_from_file_location("code_lines", os.path.join(SCRIPTS, "code_lines.py"))
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    text = '''"""Module
+docstring."""
+
+# a comment
+def f(x):
+    """One line."""
+    return (x +  # a trailing comment
+            1)
+
+
+class C:
+    """Two
+    lines."""
+
+    y = "not a docstring"
+'''
+    assert code_lines.code_lines(text) == 5  # def, return over two lines, class, y

@@ -9,7 +9,6 @@ import logzeta.series
 from logzeta.cli import series_to_json
 from logzeta.cones import (
     LinealityError,
-    _reduce_to_span,
     _relint_pieces,
     box_points,
     cone_from_rays,
@@ -474,20 +473,19 @@ def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
 
 
 def test_cone_sums_reuse_each_cone(monkeypatch):
-    _relint_pieces.cache_clear()
-    _reduce_to_span.cache_clear()
     snf = count_calls(monkeypatch, "smith_normal_form")
     runs = count_calls(monkeypatch, "triangulate_half_open")
+    framed = count_calls(monkeypatch, "_framed_piece")
 
     def builds():
-        # the piece table is keyed by ray tuple, and pointed cones with the
-        # same rays are equal, so a build per ray set is one per cone
-        return _relint_pieces.cache_info().misses
+        # each piece is framed once, when the piece table builds it, so a
+        # simplicial ray set is one frame
+        return len(framed)
 
     def reduced(model):
         # the contributing cells' rays in span coordinates, as the kernel reads them
         return {
-            _reduce_to_span(cell)[0]
+            cell.span_coordinates[0]
             for cell in model.complex.cells
             if not model.weight(cell).is_zero() and not model.e_identically_zero(cell)
         }
@@ -511,9 +509,11 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
     new = reduced(star) - reduced(model)
     assert new and new != reduced(star)
     fan_poincare(star, 1)
-    assert builds() == len(reduced(model)) + len(new)
     # only a cell that is not simplicial is triangulated, in the cone its rays build
     assert sorted(runs, key=str) == sorted(((cone(r), "relint") for r in new if len(r) != cone(r).dim), key=str)
-    for r in reduced(star):  # the cells built are the new ones: all are kept now
+    built = builds()
+    # the cells built are the new ones, each framed once: all are kept now
+    assert built == len(reduced(model)) + sum(len(_relint_pieces(len(r[0]), r)) for r in new)
+    for r in reduced(star):
         _relint_pieces(len(r[0]), r)
-    assert builds() == len(reduced(model)) + len(new)
+    assert builds() == built

@@ -41,7 +41,9 @@ def test_no_unused_imports():
 UNBOUNDED_CACHES = {
     # a 512-entry cap thrashes: resolving a 1340-cell complex had not
     # finished after 45 s, since every subdivision asks for the faces of
-    # every cell again
+    # every cell again; and the benchmark harness reads faces.cache_info()
+    # in every worker and wraps the name faces, so it stays a module-level
+    # lru_cache rather than a property of the cone
     ("cones.py", "faces"),
 }
 

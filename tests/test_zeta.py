@@ -630,17 +630,42 @@ def test_cell_in_span_matches_cone_from_rays():
             assert rays == cone_from_rays(len(span), [mat_vec(proj, r) for r in cell.rays]).rays, cell
 
 
-def test_reduce_to_span_hit_is_equal_and_immutable():
-    from logzeta.cones import _reduce_to_span
+def test_span_coordinates_worked_out_once_per_cell(monkeypatch):
+    import logzeta.cones
 
-    _reduce_to_span.cache_clear()
-    for model in _models_with_odd_cells():
-        for cell in model.complex.cells:
-            first = _reduce_to_span(cell)
-            hits = _reduce_to_span.cache_info().hits
-            again = _reduce_to_span(cone_from_rays(cell.ambient_rank, cell.rays))  # an equal key
-            assert _reduce_to_span.cache_info().hits == hits + 1
-            assert again == first == _reduce_to_span.__wrapped__(cell)
-            # tuples throughout, so a caller cannot change a kept value
-            assert isinstance(again, tuple) and all(isinstance(part, tuple) for part in again)
-            hash(again)
+    # a model, its star subdivision and its resolution share their equal
+    # cells, and each cell keeps its span coordinates: over all three sums,
+    # one span_lattice reading per distinct contributing cell
+    reads = []
+    real = logzeta.cones.span_lattice
+
+    def reading(vectors, n):
+        reads.append((tuple(vectors), n))
+        return real(vectors, n)
+
+    monkeypatch.setattr(logzeta.cones, "span_lattice", reading)
+    k = complex_from_cones(3, [cone_from_rays(3, [(1, 0, 0), (1, 3, 0), (0, 0, 1)])])  # index 3
+    weights = {c: MClass.symbol(f"U{i}").mul_l1_pow(c.dim - 1) for i, c in enumerate(k.cells) if c.dim}
+    e, a = dict.fromkeys(k.maximal_cells(), (1, 2, 1)), dict.fromkeys(k.maximal_cells(), (0, 0, 0))
+    model = FanModel(k, e, a, weights)
+    models = [
+        model,
+        transport_subdivide(model, star_subdivision(k, (1, 1, 1))),
+        transport_subdivide(model, resolve_complex(k)),
+    ]
+    contributing = {
+        cell
+        for f in models
+        for cell in f.complex.cells
+        if not f.weight(cell).is_zero() and not f.e_identically_zero(cell)
+    }
+    for f in models:
+        fan_poincare(f, 1)
+    assert len(models[1].complex.cells) < len(models[2].complex.cells)
+    assert sorted(reads) == sorted((c.rays, 3) for c in contributing)
+    for cell in contributing:
+        kept = cell.span_coordinates
+        assert kept is cell.span_coordinates
+        # tuples throughout, so a caller cannot change a kept value
+        assert isinstance(kept, tuple) and all(isinstance(part, tuple) for part in kept)
+        hash(kept)
