@@ -391,6 +391,11 @@ def cmd_subdivide(args) -> int:
         ray = tuple(int(x) for x in args.ray.split(","))
     except ValueError:
         raise InputError(f"bad ray {args.ray!r}")
+    rank = model.complex.ambient_rank
+    if len(ray) != rank:
+        raise InputError(f"bad ray {args.ray!r}: a ray of the rank-{rank} model has {rank} coordinates, not {len(ray)}")
+    if not any(ray):
+        raise InputError(f"bad ray {args.ray!r}: a ray of the rank-{rank} model must be nonzero")
     new_model = transport_subdivide(model, star_subdivision(model.complex, ray))
     print(json.dumps(fan_to_json(new_model), sort_keys=True))
     return 0

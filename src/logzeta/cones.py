@@ -36,8 +36,9 @@ given, so equal input returns the same immutable cone: a parsed fan model,
 its face closure, its star subdivision and its resolution share one object
 per cell, whose values and faces are each worked out once.  Over the
 seed-0 fan-invariance pool, 8,342 calls ask for 803 distinct ray lists.
-:func:`_relint_pieces` builds its non-simplicial cones outside that table,
-since its own table keeps what they yield.
+:func:`_relint_pieces` builds no cone: it triangulates a non-simplicial
+ray tuple from the masks of one double description of it, and its own
+table keeps the pieces.
 Faces and the pulling triangulation are read off the cone's incidence as
 bitmasks (:func:`_face_lattice`, which hands each face back with the
 facets holding it); only :func:`faces` turns masks back into cones.  A
@@ -246,18 +247,14 @@ class Cone:
 
         A pointed cone with as many rays as its dimension is smooth exactly
         when the ``k × k`` minors of its rays have gcd 1 (Cox, Little &
-        Schenck, *Toric Varieties*, §11.1), that is when their Smith frame
-        (:func:`_smith_frame`) is the unit one.  The last pivot of one
-        fraction-free elimination of the rays is such a minor, so a pivot
-        of ±1 settles it; only another pivot takes a Smith normal form.
+        Schenck, *Toric Varieties*, §11.1), that is when the half-open
+        piece over its rays has one box point.  The piece's last pivot is
+        such a minor, so a pivot of ±1 settles it; only another pivot takes
+        a Smith normal form.
         """
-        if not self.is_strictly_convex():
+        if not self.is_strictly_convex() or len(self.rays) != self.dim:
             return False
-        rays = self.pointed_rays()
-        if len(rays) != self.dim:
-            return False
-        _, _, d, _ = _gauss_jordan(rays, self.ambient_rank)
-        return math.prod(_smith_frame(rays, d)[0]) == 1
+        return HalfOpenCone(self.ambient_rank, self.rays, (False,) * self.dim).box_count() == 1
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
@@ -655,7 +652,7 @@ def _volume_sum(cells: Sequence[Cone], ell: Vec, proj: Sequence[Vec]) -> Fractio
     """
     total = Fraction(0)
     for c in cells:
-        for piece in _triangulate(c):
+        for piece in _triangulate(c.rays, c.incidence, c.dim):
             vol = Fraction(abs(det(tuple(mat_vec(proj, r) for r in piece))))
             for r in piece:
                 vol /= dot(ell, r)
@@ -704,32 +701,31 @@ def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
 # Triangulation and resolution.
 
 
-def _triangulate(c: Cone) -> tuple[tuple[Vec, ...], ...]:
-    """Pulling triangulation into simplicial pieces using existing rays only.
+def _triangulate(rays: Sequence[Vec], on_facet: Sequence[int], dim: int) -> tuple[tuple[Vec, ...], ...]:
+    """Pulling triangulation into simplicial pieces using existing rays only,
+    of the pointed cone of dimension ``dim`` whose extreme rays are ``rays``
+    and whose facets hold the rays ``on_facet`` (one ray mask per facet).
 
     On ray masks: a face ``g`` with as many rays as its dimension is a piece;
     otherwise its first ray is pulled over each facet of ``g`` missing it, in
     ray-tuple order (De Loera, Rambau & Santos, *Triangulations*, §4.3).  The
-    facets of ``g`` are the maximal proper ``g & m`` over ``c``'s facets ``m``.
+    facets of ``g`` are the maximal proper ``g & m`` over the facet masks ``m``.
     """
-    if not c.is_strictly_convex():
-        raise LinealityError("strictly convex cone required")
-    on_facet = c.incidence
 
     def pull(g: int, dim: int) -> list[tuple[Vec, ...]]:
         idx = _bits(g)
         if len(idx) == dim:
-            return [tuple(c.rays[i] for i in idx)]
+            return [tuple(rays[i] for i in idx)]
         meets = {g & m for m in on_facet} - {g}
         walls = [f for f in meets if not any(f != o and f | o == o for o in meets)]
-        v = c.rays[idx[0]]
+        v = rays[idx[0]]
         return [
             (v,) + sub
             for f in sorted((f for f in walls if not f >> idx[0] & 1), key=_bits)
             for sub in pull(f, dim - 1)
         ]
 
-    return tuple(pull((1 << len(c.rays)) - 1, c.dim))
+    return tuple(pull((1 << len(rays)) - 1, dim))
 
 
 def _is_pyramid_apex(c: Cone, ray: Vec) -> bool:
@@ -814,9 +810,8 @@ class HalfOpenCone:
     ``V @ diag(D/d_j)``, ``D`` the last divisor.  The constructor works it
     out from one fraction-free elimination of the generators, whose pivots
     decide their independence and whose last pivot, a maximal minor, of ±1
-    makes the piece unimodular with no Smith normal form.  Code in this
-    module that has eliminated the generators already builds the piece with
-    :func:`_framed_piece`, which skips that elimination.
+    makes the piece unimodular with no Smith normal form.  Every piece is
+    built here, so its frame is always its own.
     """
 
     ambient_rank: int
@@ -836,20 +831,6 @@ class HalfOpenCone:
         """The number of box points: the product of the Smith divisors, and
         1 for a piece without generators."""
         return math.prod(self._frame[0])
-
-
-def _framed_piece(
-    ambient_rank: int, gens: tuple[Vec, ...], strict: tuple[bool, ...], d: int
-) -> HalfOpenCone:
-    """The piece ``HalfOpenCone(ambient_rank, gens, strict)`` for a caller
-    whose elimination has proved ``gens`` independent with last pivot ``d``:
-    its frame is set from ``d``, and the constructor's elimination skipped."""
-    h = object.__new__(HalfOpenCone)
-    object.__setattr__(h, "ambient_rank", ambient_rank)
-    object.__setattr__(h, "gens", gens)
-    object.__setattr__(h, "strict", strict)
-    object.__setattr__(h, "_frame", _smith_frame(gens, d))
-    return h
 
 
 def _smith_frame(gens: Sequence[Vec], d: int) -> tuple[tuple[int, ...], Mat]:
@@ -877,35 +858,44 @@ def triangulate_half_open(
 ) -> list[HalfOpenCone]:
     """Partition the lattice points of a region of ``c`` into half-open cones.
 
-    ``region`` selects the relative interior or the closed cone.  Generators
-    of every piece are rays of ``c``; the openness flags implement the
-    disjointness (walls counted once, boundary excluded for ``relint``).
-    The construction is deterministic: pulling triangulation on the
-    canonically ordered rays, and the wall opposite generator ``g_j`` open
-    exactly when the witness ``s*(r1 + ... + rm) + eps*s*r1 + eps^2*s*r2 +
-    ...`` (``s = 1`` for ``closed``, ``-1`` for ``relint``; ``eps > 0``
-    infinitesimal) has a negative ``g_j``-coordinate (Köppe & Verdoolaege,
-    Electron. J. Combin. 15, 2008, Thm. 3).  Row ``j`` of one fraction-free
-    elimination of ``[gens | rays of c]`` holds ``d * x_j(r)`` for each ray
-    ``r``, ``d`` the last pivot.  A wall in a facet of ``c`` has every
-    ``x_j(r) >= 0``, so it is open for ``relint`` and closed for ``closed``.
-    Its ``k`` pivots prove the generators independent, and ``d``, a maximal
-    minor of them, gives the piece its frame (:func:`_smith_frame`).
+    ``region`` selects the relative interior or the closed cone; the pieces
+    are :func:`_half_open`'s, from the cone's own incidence.
     """
     if region not in ("relint", "closed"):
         raise ValueError("region must be 'relint' or 'closed'")
     if not c.is_strictly_convex():
         raise LinealityError("strictly convex cone required")
-    s = 1 if region == "closed" else -1
+    return _half_open(c.ambient_rank, c.rays, c.incidence, c.dim, 1 if region == "closed" else -1)
+
+
+def _half_open(
+    ambient_rank: int, rays: tuple[Vec, ...], on_facet: Sequence[int], dim: int, s: int
+) -> list[HalfOpenCone]:
+    """The half-open pieces of the pointed cone :func:`_triangulate` reads
+    off ``rays``, ``on_facet`` and ``dim``: of the closed cone for ``s = 1``
+    and of its relative interior for ``s = -1``.
+
+    Generators of every piece are rays of the cone; the openness flags
+    implement the disjointness (walls counted once, boundary excluded for
+    the relative interior).  The construction is deterministic: pulling
+    triangulation on the canonically ordered rays, and the wall opposite
+    generator ``g_j`` open exactly when the witness ``s*(r1 + ... + rm) +
+    eps*s*r1 + eps^2*s*r2 + ...`` (``eps > 0`` infinitesimal) has a negative
+    ``g_j``-coordinate (Köppe & Verdoolaege, Electron. J. Combin. 15, 2008,
+    Thm. 3).  Row ``j`` of one fraction-free elimination of ``[gens |
+    rays]`` holds ``d * x_j(r)`` for each ray ``r``, ``d`` the last pivot.
+    A wall in a facet of the cone has every ``x_j(r) >= 0``, so it is open
+    for the relative interior and closed for the closed cone.
+    """
     out = []
-    for gens in _triangulate(c):
+    for gens in _triangulate(rays, on_facet, dim):
         k = len(gens)
-        rows, _, d, _ = _gauss_jordan(list(zip(*gens, *c.rays)), k)
+        rows, _, d, _ = _gauss_jordan(list(zip(*gens, *rays)), k)
         flags = []
         for row in rows[:k]:
             x = next(v for v in (sum(row[k:]), *row[k:]) if v)
             flags.append(s * x * d < 0)
-        out.append(_framed_piece(c.ambient_rank, gens, tuple(flags), d))
+        out.append(HalfOpenCone(ambient_rank, gens, tuple(flags)))
     return out
 
 
@@ -926,24 +916,30 @@ def _relint_pieces(ambient_rank: int, rays: tuple[Vec, ...]) -> tuple[HalfOpenCo
     """``triangulate_half_open(c, "relint")`` of the cone ``c`` whose sorted
     extreme rays are ``rays``, kept per ray tuple, so each piece's
     elimination and Smith frame are worked out once however often ``c`` is
-    summed over.
+    summed over.  No :class:`Cone` is built.
 
     Independent rays span a simplicial cone, whose relative interior is
     one piece with every generator strict (Köppe & Verdoolaege, Electron.
-    J. Combin. 15, 2008): the pull stops at once, and each row of the
-    elimination is ``d * e_j``.  So the rays take one elimination, whose
-    pivots tell their independence and whose last pivot gives the piece its
-    frame.  Other rays are triangulated in the cone :func:`_build_cone`
-    builds, outside the cone table: this table keeps what the cone yields,
-    so the cone itself is not kept.  A cone with lines raises
-    :class:`LinealityError` again on every call, since ``lru_cache`` keeps
-    only returned values.
+    J. Combin. 15, 2008): the pull stops at once.  So the rays go straight
+    to the constructor, whose one elimination tells their independence.
+    Other rays take one double description (:func:`_dd`) of the rays as
+    inequalities.  It numbers its inputs in sorted order, which is the
+    order of ``rays``, so each facet's mask indexes ``rays``; the cone has
+    lines exactly when some ray lies on every facet, and its dimension is
+    the ambient rank less the lines of the facets.  A cone with lines
+    raises :class:`LinealityError` again on every call, since ``lru_cache``
+    keeps only returned values.
     """
     if len(rays) <= ambient_rank:
-        _, pivots, d, _ = _gauss_jordan(rays, ambient_rank)
-        if len(pivots) == len(rays):
-            return (_framed_piece(ambient_rank, rays, (True,) * len(rays), d),)
-    return tuple(triangulate_half_open(_build_cone(ambient_rank, rays), "relint"))
+        try:
+            return (HalfOpenCone(ambient_rank, rays, (True,) * len(rays)),)
+        except ValueError:
+            pass  # dependent rays
+    lines, facets = _dd(ambient_rank, rays)
+    on_facet = [m for _, m in facets]
+    if reduce(and_, on_facet, (1 << len(rays)) - 1):
+        raise LinealityError("strictly convex cone required")
+    return tuple(_half_open(ambient_rank, rays, on_facet, ambient_rank - len(lines), -1))
 
 
 def box_points(h: HalfOpenCone) -> list[Vec]:

@@ -298,7 +298,7 @@ def dual_box_count(c: Cone) -> int:
 
     dual = Cone(c.ambient_rank, c.facets, c.rays)
     total = 0
-    for gens in _triangulate(dual):
+    for gens in _triangulate(dual.rays, dual.incidence, dual.dim):
         span = saturation_basis(gens, c.ambient_rank)
         coords = [solve_integer(from_columns(span), g) for g in gens]
         total += abs(det(from_columns(coords)))
@@ -584,8 +584,8 @@ def brute_incidence(k: ConeComplex) -> tuple[list[Cone], dict[Cone, list[Cone]]]
 
 
 def witness_flags(c: Cone, region: str) -> list[tuple[bool, ...]]:
-    """The openness flags of each piece of ``_triangulate(c)``, from inward
-    wall normals and a symbolically perturbed witness point.
+    """The openness flags of each piece of ``_triangulate`` on ``c``, from
+    inward wall normals and a symbolically perturbed witness point.
 
     The wall opposite generator ``g_j`` is open when the witness ``base +
     eps*d1 + eps^2*d2 + ...`` lies strictly on its outer side; ``base`` is
@@ -603,7 +603,7 @@ def witness_flags(c: Cone, region: str) -> list[tuple[bool, ...]]:
     directions = [vec_scale(s, r) for r in c.rays]
     comp = tuple(span_lattice(c.rays, c.ambient_rank)[2])
     out = []
-    for gens in _triangulate(c):
+    for gens in _triangulate(c.rays, c.incidence, c.dim):
         inv, _ = scaled_inverse(gens + comp)
         flags = []
         for col in columns(inv)[: len(gens)]:

@@ -524,6 +524,16 @@ def test_subdivide_bad_ray(capsys):
     assert code == 1  # outside the support
     code = main(["subdivide", path("orthant_model.json"), "--ray", "x,y"])
     assert code == 1
+    # a ray of another length, and the zero ray, are refused by name at the
+    # trust boundary, before any cone is built
+    capsys.readouterr()
+    for ray, why in (
+        ("1,1,1", "a ray of the rank-2 model has 2 coordinates, not 3"),
+        ("0,0", "a ray of the rank-2 model must be nonzero"),
+    ):
+        assert main(["subdivide", path("orthant_model.json"), "--ray", ray]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: bad ray '{ray}': {why}\n")
 
 
 def _run_in_child(*argv, flags=(), timeout=None, max_memory_mb=None, **env):

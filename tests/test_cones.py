@@ -263,14 +263,18 @@ def test_cone_table_keeps_no_refused_input(monkeypatch):
 
 def test_newton_ops_leave_the_cone_table_empty(bench, monkeypatch):
     # the Newton pipeline sums over normal cones by their rays: the piece
-    # table builds the non-simplicial ones itself, outside the cone table
+    # table triangulates the non-simplicial ones from the masks of their
+    # double description and builds no cone
     run, worker, workloads, _ = bench
     _relint_pieces.cache_clear()
+    runs = count_dd_runs(monkeypatch)
     builds = count_calls(monkeypatch, "_build_cone")
+    frames = count_calls(monkeypatch, "_smith_frame")
     items = workloads.generate("newton-small", run.DEFAULT_SEED)[: workloads.TRACE_OPS["newton-small"]]
     for item in items:
         worker.OPS["newton-small"](logzeta, item, parse_newton(item["input"]))
-    assert builds
+    # one double description per support, and more for the pieces' misses
+    assert len(runs) > len(items) and frames and builds == []
     info = logzeta.cones._cone_table.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
@@ -498,17 +502,21 @@ def test_unimodular_piece_takes_no_smith_form(monkeypatch):
     assert not cone_from_rays(2, [(1, 0), (1, 2)]).is_smooth and len(snf) == 2
 
 
-def test_piece_frame_is_always_its_own():
-    # the public constructor takes no frame, and a replaced piece works out
-    # its own; pieces built inside the module carry the constructor's frame
+def test_piece_frame_is_always_its_own(monkeypatch):
+    # the constructor takes no frame, and a replaced piece works out its
+    # own; every piece the module builds comes from the constructor, which
+    # frames it once
     with pytest.raises(TypeError):
         HalfOpenCone(2, ((1, 0), (1, 2)), (True, False), _frame=((1, 1), identity(2)))
     unit = HalfOpenCone(2, ((1, 0), (0, 1)), (True, False))
     assert dataclasses.replace(unit, gens=((1, 0), (1, 2))).box_count() == 2
     c = cone_from_rays(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])  # pieces of index 2
-    pieces = triangulate_half_open(c, "closed") + list(_relint_pieces(3, c.rays))
-    assert {h.box_count() for h in pieces} == {2}
-    for h in pieces + list(_relint_pieces(3, ((1, 0, 0), (1, 2, 0)))):
+    frames = count_calls(monkeypatch, "_smith_frame")
+    square = triangulate_half_open(c, "closed") + list(_relint_pieces(3, c.rays))
+    pieces = square + list(_relint_pieces(3, ((1, 0, 0), (1, 2, 0))))
+    assert len(frames) == len(pieces) == 5
+    assert {h.box_count() for h in square} == {2}
+    for h in pieces:
         assert h._frame == HalfOpenCone(h.ambient_rank, h.gens, h.strict)._frame
 
 
@@ -844,7 +852,7 @@ def pulled(c):
 @example(SQUARE)
 @example(SQUARE_IN_4)
 def test_triangulate_is_pulling_triangulation(c):
-    assert _triangulate(c) == pulled(c)
+    assert _triangulate(c.rays, c.incidence, c.dim) == pulled(c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -866,7 +874,11 @@ def test_half_open_flags_match_witness_oracle(c):
 @example(cone_from_rays(3, [(1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)]))  # redundant input
 @example(SQUARE)
 @example(SQUARE_IN_4)
-@example(cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)]))  # a line
+@example(cone_from_rays(5, [(1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (-1, 0, 1, 0, 0), (0, -1, 1, 0, 0)]))  # flat, two lines
+@example(cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)]))  # a half-plane
+@example(cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]))  # a flat half-plane
+@example(cone_from_rays(2, [(1, 0), (-1, 0)]))  # a line
+@example(cone_from_rays(0, []))  # the zero cone of rank 0
 def test_relint_pieces_match_triangulate_half_open(c):
     # the piece table reads a pointed cone by its rays; a simplicial one is
     # one piece, every generator strict, with the frame its own Smith form
@@ -885,19 +897,25 @@ def test_relint_pieces_match_triangulate_half_open(c):
 def test_simplicial_cone_takes_no_triangulation(monkeypatch):
     _relint_pieces.cache_clear()
     runs = count_dd_runs(monkeypatch)
-    pulls = count_calls(monkeypatch, "triangulate_half_open")
+    eliminations = count_calls(monkeypatch, "_gauss_jordan")
+    frames = count_calls(monkeypatch, "_smith_frame")
+    # independent rays: the constructor's one elimination, one piece
     (piece,) = _relint_pieces(3, ((1, 2, 0), (2, 1, 0)))
     assert piece.strict == (True, True) and piece.box_count() == 3
-    assert (runs, pulls) == ([], [])
+    assert (runs, len(eliminations), len(frames)) == ([], 1, 1)
+    # the square: one double description, and per piece one elimination
+    # for its flags and the constructor's
     assert len(_relint_pieces(3, SQUARE.rays)) == 2
-    assert (runs, len(pulls)) == ([3], 1)
+    assert (runs, len(eliminations), len(frames)) == ([3], 5, 3)
+    # four rays in rank 4 but dependent: the constructor refuses them after
+    # its elimination, then they take the double description
+    assert len(_relint_pieces(4, SQUARE_IN_4.rays)) == 2
+    assert (runs, len(eliminations), len(frames)) == ([3, 4], 10, 5)
     # a cone summed over again reads the table: no elimination, no double
-    # description, no triangulation
-    del runs[:]
-    eliminations = count_calls(monkeypatch, "_gauss_jordan")
+    # description, no piece
     assert len(_relint_pieces(3, SQUARE.rays)) == 2
     assert _relint_pieces(3, ((1, 2, 0), (2, 1, 0))) == (piece,)
-    assert (eliminations, runs, len(pulls)) == ([], [], 1)
+    assert (runs, len(eliminations), len(frames)) == ([3, 4], 10, 5)
 
 
 def non_simplicial_lower_dim(rng, count):

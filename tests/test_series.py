@@ -11,6 +11,7 @@ from logzeta.cones import (
     LinealityError,
     _relint_pieces,
     box_points,
+    complex_from_cones,
     cone_from_rays,
     star_subdivision,
 )
@@ -19,16 +20,19 @@ from logzeta.mring import UNIT_SYMBOL, LaurentPoly, MClass, MCoeff
 from logzeta.monoids import MarkedMonoid, SharpFsMonoid
 from logzeta.series import ZSeries, _relint_buckets, _weighted_sum, cone_series, equal, format_poles
 from logzeta.zeta import (
+    FanModel,
     SncdComponent,
     SncdData,
     fan_poincare,
     sncd_to_fanmodel,
     transport_subdivide,
+    validate_model,
 )
 
 from genutil import (
     brute_cone_sum,
     count_calls,
+    count_dd_runs,
     expansion_case,
     fresh_box_points,
     merge_expand,
@@ -464,23 +468,25 @@ def test_cone_sum_bound_counts_box_points(monkeypatch):
 
 
 def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
-    runs = count_calls(monkeypatch, "triangulate_half_open")
     halfplane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
+    runs = count_dd_runs(monkeypatch)
     for _ in range(2):
         with pytest.raises(LinealityError):
             _relint_buckets(halfplane.rays, (1, 1), (0, 0))
-    assert len(runs) == 2  # the line is found afresh each time; nothing is kept
+    assert runs == [2, 2]  # the line is found afresh each time; nothing is kept
 
 
 def test_cone_sums_reuse_each_cone(monkeypatch):
     snf = count_calls(monkeypatch, "smith_normal_form")
-    runs = count_calls(monkeypatch, "triangulate_half_open")
-    framed = count_calls(monkeypatch, "_framed_piece")
+    runs = count_dd_runs(monkeypatch)
+    eliminations = count_calls(monkeypatch, "_gauss_jordan")
+    frames = count_calls(monkeypatch, "_smith_frame")
 
     def builds():
         # each piece is framed once, when the piece table builds it, so a
-        # simplicial ray set is one frame
-        return len(framed)
+        # simplicial ray set is one frame; the zero cell, which no sum
+        # reads, is framed once too, by validation asking if it is smooth
+        return sum(1 for gens, _ in frames if gens)
 
     def reduced(model):
         # the contributing cells' rays in span coordinates, as the kernel reads them
@@ -500,20 +506,33 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
     model = sncd_to_fanmodel(SncdData(0, comps, tuple(strata)))
     first = fan_poincare(model, 1)
     assert builds() == len(reduced(model)) and snf
-    assert runs == []  # every cell is simplicial: one piece, no triangulation
-    del snf[:]
+    assert runs == []  # every cell is simplicial: one piece, no double description
+    del snf[:], eliminations[:]
     assert str(fan_poincare(model, 1)) == str(first)
-    assert (builds(), snf) == (len(reduced(model)), [])
+    assert (builds(), snf, eliminations) == (len(reduced(model)), [], [])
 
     star = transport_subdivide(model, star_subdivision(model.complex, (1, 2, 1)))
     new = reduced(star) - reduced(model)
     assert new and new != reduced(star)
+    del runs[:]
     fan_poincare(star, 1)
-    # only a cell that is not simplicial is triangulated, in the cone its rays build
-    assert sorted(runs, key=str) == sorted(((cone(r), "relint") for r in new if len(r) != cone(r).dim), key=str)
+    ran = sorted(runs)
+    # only a cell that is not simplicial takes a double description, of its
+    # rays in span coordinates
+    assert ran == sorted(len(r[0]) for r in new if len(r) != cone(r).dim)
     built = builds()
     # the cells built are the new ones, each framed once: all are kept now
     assert built == len(reduced(model)) + sum(len(_relint_pieces(len(r[0]), r)) for r in new)
     for r in reduced(star):
         _relint_pieces(len(r[0]), r)
     assert builds() == built
+
+    # a cell over a square is not simplicial: its first sum takes one double
+    # description, of its rays in span coordinates, and the next reads the
+    # kept pieces
+    square = FanModel(complex_from_cones(3, [SQUARE]), {SQUARE: (0, 0, 1)}, {SQUARE: (1, 1, 1)}, {SQUARE: ONE})
+    assert validate_model(square) == []
+    del runs[:]
+    for _ in range(2):
+        fan_poincare(square, 1)
+    assert runs == [3] and builds() == built + 2

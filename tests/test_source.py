@@ -125,10 +125,14 @@ UNREAD_DEFINITIONS = {
     ("intlin.py", "inverse_rational"),
     ("intlin.py", "kernel_basis"),
     ("intlin.py", "solve_rational"),
-    # public checks: the relative-interior twin of Cone.contains, the L -> q
-    # specialization, the T -> L substitution of criterion 5 and the pole
-    # set the benchmark's gate reads
+    # acceptance criterion 8 states the half-open decomposition of a cone,
+    # and perfbench/spans.py traces it by name
+    ("cones.py", "triangulate_half_open"),
+    # public checks: the relative-interior twin of Cone.contains, a face
+    # record's normal cone as a Cone, the L -> q specialization, the T -> L
+    # substitution of criterion 5 and the pole set the benchmark's gate reads
     ("cones.py", "Cone.relint_contains"),
+    ("newton.py", "FaceRecord.normal_cone_closure"),
     ("mring.py", "MClass.specialize"),
     ("series.py", "ZSeries.candidate_poles"),
     ("series.py", "ZSeries.subst_T_L"),
