@@ -149,6 +149,36 @@ def _object(x: Any, what: str) -> dict[str, Any]:
     return x
 
 
+def _field(obj: Any, key: str, where: str = "the input") -> Any:
+    """The field ``key`` of the JSON object ``obj``, which ``where`` names.
+    A missing field, or an ``obj`` that is no object, raises a
+    ``ValueError`` that names it in words, for the parser to prefix with
+    the input kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} has no field {key!r}")
+    return obj[key]
+
+
+def _array(x: Any, what: str) -> list:
+    """``x``, a JSON array; anything else raises as :func:`_field` does."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(x).__name__}")
+    return x
+
+
+def _vectors(x: Any, what: str, entry: str) -> list[tuple[int, ...]]:
+    """``x``, a JSON array of arrays of integers, as tuples; ``entry``
+    names an integer in the messages of :func:`_int`."""
+    out = []
+    for j, v in enumerate(_array(x, what)):
+        if not isinstance(v, list):
+            raise ValueError(f"{what}[{j}] must be a JSON array, got {type(v).__name__}")
+        out.append(tuple(_int(c, entry) for c in v))
+    return out
+
+
 # Largest ambient rank, the fan model's ``rank`` and the Newton input's
 # ``n``: the simplicial route of cone_from_rays and the double description
 # build n lines of length n, so the cost grows with the square of the rank.
@@ -200,9 +230,11 @@ def _newton_point(key: str) -> tuple[int, ...]:
 
 def parse_newton(data: dict[str, Any]) -> NewtonInput:
     try:
-        n = _int(data["n"], "n")
-        support = tuple(tuple(_int(x, "support coordinate") for x in w) for w in data["support"])
-    except (KeyError, TypeError) as e:
+        n = _int(_field(data, "n"), "n")
+        support = tuple(_vectors(_field(data, "support"), "support", "support coordinate"))
+    except (KeyError, TypeError, ValueError) as e:
+        if isinstance(e, InputError):
+            raise
         raise InputError(f"bad newton input: {e}")
     if n > MAX_RANK:
         raise InputError(f"bad newton input: n {n} is over {MAX_RANK}")
@@ -219,34 +251,40 @@ def parse_newton(data: dict[str, Any]) -> NewtonInput:
 
 def parse_sncd(data: dict[str, Any]) -> SncdData:
     try:
-        comps = tuple(
-            SncdComponent(
-                id=str(c["id"]),
-                N=_int(c["N"], "N"),
-                mu=_int(c["mu"], "mu") if c.get("mu") is not None else None,
-                nu=_int(c["nu"], "nu") if c.get("nu") is not None else None,
+        comps = []
+        for i, c in enumerate(_array(_field(data, "components"), "components")):
+            where = f"components[{i}]"
+            comps.append(
+                SncdComponent(
+                    id=str(_field(c, "id", where)),
+                    N=_int(_field(c, "N", where), "N"),
+                    mu=_int(c["mu"], "mu") if c.get("mu") is not None else None,
+                    nu=_int(c["nu"], "nu") if c.get("nu") is not None else None,
+                )
             )
-            for c in data["components"]
-        )
         strata = tuple(
-            (frozenset(str(i) for i in s["J"]), str(s["symbol"])) for s in data["strata"]
+            (
+                frozenset(str(j) for j in _array(_field(s, "J", f"strata[{i}]"), f"strata[{i}].J")),
+                str(_field(s, "symbol", f"strata[{i}]")),
+            )
+            for i, s in enumerate(_array(_field(data, "strata"), "strata"))
         )
-        return SncdData(_int(data["m"], "m"), comps, strata)
+        return SncdData(_int(_field(data, "m"), "m"), tuple(comps), strata)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sncd input: {e}")
 
 
 def parse_fan(data: dict[str, Any]) -> FanModel:
     try:
-        rank = _int(data["rank"], "rank")
+        rank = _int(_field(data, "rank"), "rank")
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
         if rank > MAX_RANK:
             raise ValueError(f"rank {rank} is over {MAX_RANK}")
         listed = {}  # the cells, in input order
         weights = {}
-        for cell_data in data["cells"]:
-            rays = [tuple(_int(x, "ray coordinate") for x in r) for r in cell_data["rays"]]
+        for i, cell_data in enumerate(_array(_field(data, "cells"), "cells")):
+            rays = _vectors(_field(cell_data, "rays", f"cells[{i}]"), f"cells[{i}].rays", "ray coordinate")
             cell = cone_from_rays(rank, rays)
             if cell in listed:
                 raise InputError(f"cell {cell} listed twice")
@@ -258,8 +296,8 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
         # every maximal cell is a listed one: the closure adds only faces
         maximal_set = set(complex_.maximal_cells())
         ordered = [c for c in listed if c in maximal_set]
-        e_list = [tuple(_int(x, "e entry") for x in v) for v in data["e"]]
-        a_list = [tuple(_int(x, "a entry") for x in v) for v in data["a"]]
+        e_list = _vectors(_field(data, "e"), "e", "e entry")
+        a_list = _vectors(_field(data, "a"), "a", "a entry")
         if len(e_list) != len(ordered) or len(a_list) != len(ordered):
             raise InputError(
                 f"need one e and one a vector per maximal cell ({len(ordered)} cells)"

@@ -37,8 +37,10 @@ its face closure, its star subdivision and its resolution share one object
 per cell, whose values and faces are each worked out once.  Over the
 seed-0 fan-invariance pool, 8,342 calls ask for 803 distinct ray lists.
 :func:`_relint_pieces` builds no cone: it triangulates a non-simplicial
-ray tuple from the masks of one double description of it, and its own
-table keeps the pieces.
+ray tuple from the incidence and dimension its caller hands in, as the
+Newton face table does from its face lattice, and otherwise from the masks
+of one double description of it; its own table keeps the pieces, keyed by
+the rays alone.
 Faces and the pulling triangulation are read off the cone's incidence as
 bitmasks (:func:`_face_lattice`, which hands each face back with the
 facets holding it); only :func:`faces` turns masks back into cones.  A
@@ -51,9 +53,12 @@ were given.  The half-open pieces of a pointed cone's relative interior
 depend on its extreme rays alone, so a bounded table keeps them per sorted
 ray tuple (:func:`_relint_pieces`).  A simplicial cone is one piece with
 every generator strict, so it takes neither a double description nor a
-triangulation.  Each piece takes the Smith frame its box points are
-enumerated from once, when built, never keeping the points themselves; a
-unimodular piece takes no Smith normal form at all.
+triangulation.  Each piece takes its openness flags and the Smith frame its
+box points are enumerated from in one elimination, when built, never
+keeping the points themselves; a piece whose elimination shows minors of
+gcd 1 takes no Smith normal form at all.  The cone-sum kernel pairs the
+points' residues on the frame, so only :func:`resolve_complex` asks for
+the points as vectors (:func:`box_points`).
 Intended scale is small ambient rank and a few dozen rays.
 
 A star subdivision of a valid complex is a valid complex refining it with
@@ -74,11 +79,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import and_
-from typing import Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 from .intlin import (
     Mat,
@@ -248,9 +253,9 @@ class Cone:
         A pointed cone with as many rays as its dimension is smooth exactly
         when the ``k × k`` minors of its rays have gcd 1 (Cox, Little &
         Schenck, *Toric Varieties*, §11.1), that is when the half-open
-        piece over its rays has one box point.  The piece's last pivot is
-        such a minor, so a pivot of ±1 settles it; only another pivot takes
-        a Smith normal form.
+        piece over its rays has one box point.  The entries of the piece's
+        elimination are such minors, so entries of gcd 1 settle it; only
+        other rays take a Smith normal form.
         """
         if not self.is_strictly_convex() or len(self.rays) != self.dim:
             return False
@@ -805,51 +810,115 @@ class HalfOpenCone:
     runs over the fundamental parallelepiped with coordinate ``j`` ranging in
     ``(0, 1]`` when ``strict[j]`` and in ``[0, 1)`` otherwise.
 
-    The piece keeps the frame :func:`box_points` enumerates,
+    The piece keeps the frame its box points are enumerated from,
     :func:`_smith_frame`: the Smith divisors ``d_j`` and the step rows
     ``V @ diag(D/d_j)``, ``D`` the last divisor.  The constructor works it
     out from one fraction-free elimination of the generators, whose pivots
-    decide their independence and whose last pivot, a maximal minor, of ±1
-    makes the piece unimodular with no Smith normal form.  Every piece is
-    built here, so its frame is always its own.
+    decide their independence and whose rows hold ``k × k`` minors of them;
+    minors of gcd 1 make the piece unimodular with no Smith normal form.
+    ``walls = (rays, s)`` in place of the flags (``strict`` given as None)
+    asks for :func:`_half_open`'s flags, read off that same elimination,
+    which then runs on ``[G | I_k]``.  Every piece is built here, so its
+    frame is always its own.
     """
 
     ambient_rank: int
     gens: tuple[Vec, ...]
-    strict: tuple[bool, ...]
+    strict: Optional[tuple[bool, ...]]
+    walls: InitVar[Optional[tuple[tuple[Vec, ...], int]]] = None
     _frame: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.gens) != len(self.strict):
+    def __post_init__(self, walls):
+        n, k = self.ambient_rank, len(self.gens)
+        if walls is None and (self.strict is None or len(self.strict) != k):
             raise ValueError("one openness flag per generator required")
-        _, pivots, d, _ = _gauss_jordan(self.gens, self.ambient_rank)
-        if len(pivots) < len(self.gens):
+        rows = self.gens
+        if walls is not None:
+            rows = [[*g, *(int(i == j) for j in range(k))] for i, g in enumerate(self.gens)]
+        rows, pivots, d, _ = _gauss_jordan(rows, n)
+        if len(pivots) < k:
             raise ValueError("generators must be linearly independent")
-        object.__setattr__(self, "_frame", _smith_frame(self.gens, d))
+        if walls is not None:
+            object.__setattr__(self, "strict", _wall_flags(rows, pivots, d, n, *walls))
+        minors = math.gcd(*(x for row in rows for x in row[:n]))
+        object.__setattr__(self, "_frame", _smith_frame(self.gens, minors))
 
     def box_count(self) -> int:
         """The number of box points: the product of the Smith divisors, and
         1 for a piece without generators."""
         return math.prod(self._frame[0])
 
+    def _residues(self) -> tuple[int, Iterator[list[int]]]:
+        """``D``, the last Smith divisor (1 without generators), and per box
+        point its parallelepiped coordinates times ``D``: the residues
+        ``lambda_j`` in ``[0, D)``, or ``(0, D]`` for a strict generator, of
+        the point ``sum_j lambda_j g_j / D``.  Nothing is kept."""
+        divisors, steps = self._frame
+        big = divisors[-1] if divisors else 1
+        if big == 1:  # one box point: a strict generator at D, the others at 0
+            return 1, iter(([int(s) for s in self.strict],))
 
-def _smith_frame(gens: Sequence[Vec], d: int) -> tuple[tuple[int, ...], Mat]:
-    """The divisors and step rows of independent ``gens``, given the last
-    pivot ``d`` of a fraction-free elimination of them.
+        def residues():
+            for combo in itertools.product(*map(range, divisors)):
+                lam = []
+                for row, strict in zip(steps, self.strict):
+                    x = dot(row, combo) % big
+                    lam.append(big if strict and x == 0 else x)
+                yield lam
 
-    ``d`` is a maximal minor, so at ±1 the gens span a saturated lattice:
-    every divisor is 1, the box holds one point and any unimodular ``V``
-    serves, so the frame is ``((1,) * k, I_k)``.  Other gens take a Smith
-    normal form, and one whose divisors all come out 1 takes that frame too,
-    so the frame depends on the gens alone.
+        return big, residues()
+
+
+def _wall_flags(
+    rows: list[list[int]], pivots: list[int], d: int, n: int, rays: Sequence[Vec], s: int
+) -> tuple[bool, ...]:
+    """The openness flags of :func:`_half_open`, read off the rows of one
+    fraction-free elimination of ``[G | I_k]`` with pivots ``p_i`` in the
+    first ``n`` columns and last pivot ``d``.
+
+    The rows are ``d`` times ``[R | E]``, ``R = E @ G`` the reduced row
+    echelon form, whose pivot columns are the identity.  A ray ``r`` in the
+    span of the generators is ``sum_i r[p_i] R_i``, so its coordinate on
+    ``g_j`` is ``sum_i r[p_i] E[i][j]``: ``d`` times it is
+    ``sum_i r[p_i] rows[i][n + j]``.  The wall opposite ``g_j`` is open when
+    the first nonzero of ``x_j(r_1 + ... + r_m), x_j(r_1), x_j(r_2), ...``
+    has the sign of ``-s``.
+    """
+    coords = [[sum(r[p] * row[n + j] for p, row in zip(pivots, rows)) for j in range(len(pivots))] for r in rays]
+    flags = []
+    for column in zip(*coords):
+        x = next(v for v in (sum(column), *column) if v)
+        flags.append(s * x * d < 0)
+    return tuple(flags)
+
+
+def _smith_frame(gens: Sequence[Vec], minors: int) -> tuple[tuple[int, ...], Mat]:
+    """The divisors and step rows of independent ``gens``, given the gcd
+    ``minors`` of some of their ``k × k`` minors (0 without generators).
+
+    Every entry of the first ``n`` columns of a fraction-free elimination
+    of the gens is such a minor (Bareiss, Math. Comp. 22, 1968), and the
+    gcd of all of them is the product of the Smith divisors.  So at
+    ``minors == 1`` the gens span a saturated lattice: every divisor is 1,
+    the box holds one point and any unimodular ``V`` serves, so the frame is
+    ``((1,) * k, I_k)``.  Other gens take a Smith normal form, and one whose
+    divisors all come out 1 takes that frame too, so the frame depends on
+    the gens alone.
     """
     k = len(gens)
-    if abs(d) != 1:
+    if minors > 1:
         s, _, v = smith_normal_form(from_columns(gens))
         divisors = tuple(s[i][i] for i in range(k))
         big = divisors[-1]
         if big != 1:
             return divisors, tuple(tuple(x * (big // dj) for x, dj in zip(row, divisors)) for row in v)
+    return _unit_frame(k)
+
+
+@lru_cache(maxsize=16)
+def _unit_frame(k: int) -> tuple[tuple[int, ...], Mat]:
+    """The frame of ``k`` saturated generators, one object per ``k``, which
+    every unimodular piece of that many generators shares."""
     return (1,) * k, identity(k)
 
 
@@ -882,54 +951,40 @@ def _half_open(
     generator ``g_j`` open exactly when the witness ``s*(r1 + ... + rm) +
     eps*s*r1 + eps^2*s*r2 + ...`` (``eps > 0`` infinitesimal) has a negative
     ``g_j``-coordinate (Köppe & Verdoolaege, Electron. J. Combin. 15, 2008,
-    Thm. 3).  Row ``j`` of one fraction-free elimination of ``[gens |
-    rays]`` holds ``d * x_j(r)`` for each ray ``r``, ``d`` the last pivot.
-    A wall in a facet of the cone has every ``x_j(r) >= 0``, so it is open
-    for the relative interior and closed for the closed cone.
+    Thm. 3).  Each piece reads the coordinates from its constructor's own
+    elimination (:func:`_wall_flags`), so it takes one elimination in all.
+    A wall in a facet of the cone has every coordinate ``x_j(r) >= 0``, so
+    it is open for the relative interior and closed for the closed cone.
     """
-    out = []
-    for gens in _triangulate(rays, on_facet, dim):
-        k = len(gens)
-        rows, _, d, _ = _gauss_jordan(list(zip(*gens, *rays)), k)
-        flags = []
-        for row in rows[:k]:
-            x = next(v for v in (sum(row[k:]), *row[k:]) if v)
-            flags.append(s * x * d < 0)
-        out.append(HalfOpenCone(ambient_rank, gens, tuple(flags)))
-    return out
+    return [HalfOpenCone(ambient_rank, gens, None, (rays, s)) for gens in _triangulate(rays, on_facet, dim)]
 
 
-# Distinct ray tuples kept by _relint_pieces, set by measurement on the
-# seed-0 benchmark inputs, with the ops run in one process (Python 3.11):
-# 256 entries hold all 127 distinct reduced cells of the 400 fan-invariance
-# inputs, and on the 600 newton-small inputs (2,963 distinct normal cones)
-# miss 5,305 of 10,364 lookups with peak RSS at 23.2 MB; keeping every
-# cone misses 2,963 at 26.4 MB.  4,328 of the 5,305 misses are simplicial
-# and take one elimination, and a Smith form only when it is not
-# unimodular.  An entry holds the pieces and their Smith frames, never
-# their box points.
-_PIECE_TABLE_SIZE = 256
-
-
-@lru_cache(maxsize=_PIECE_TABLE_SIZE)
-def _relint_pieces(ambient_rank: int, rays: tuple[Vec, ...]) -> tuple[HalfOpenCone, ...]:
-    """``triangulate_half_open(c, "relint")`` of the cone ``c`` whose sorted
-    extreme rays are ``rays``, kept per ray tuple, so each piece's
-    elimination and Smith frame are worked out once however often ``c`` is
-    summed over.  No :class:`Cone` is built.
+def _pieces(
+    ambient_rank: int, rays: tuple[Vec, ...], on_facet: Optional[Sequence[int]], dim: Optional[int]
+) -> tuple[HalfOpenCone, ...]:
+    """``triangulate_half_open(c, "relint")`` of the pointed cone ``c``
+    whose sorted extreme rays are ``rays``, built afresh; no :class:`Cone`
+    is built.
 
     Independent rays span a simplicial cone, whose relative interior is
     one piece with every generator strict (Köppe & Verdoolaege, Electron.
-    J. Combin. 15, 2008): the pull stops at once.  So the rays go straight
-    to the constructor, whose one elimination tells their independence.
-    Other rays take one double description (:func:`_dd`) of the rays as
-    inequalities.  It numbers its inputs in sorted order, which is the
-    order of ``rays``, so each facet's mask indexes ``rays``; the cone has
-    lines exactly when some ray lies on every facet, and its dimension is
-    the ambient rank less the lines of the facets.  A cone with lines
-    raises :class:`LinealityError` again on every call, since ``lru_cache``
-    keeps only returned values.
+    J. Combin. 15, 2008): the pull stops at once.  When the caller hands in
+    the cone's incidence ``on_facet`` (one ray mask per pointed facet) and
+    its dimension ``dim``, as the Newton face table does from its face
+    lattice, a cone with ``dim == len(rays)`` is that one piece and any
+    other is triangulated from them, with no double description.  Bare
+    rays go straight to the constructor when there are at most
+    ``ambient_rank`` of them, whose one elimination tells their
+    independence; other rays take one double description (:func:`_dd`) of
+    the rays as inequalities.  It numbers its inputs in sorted order, which
+    is the order of ``rays``, so each facet's mask indexes ``rays``; the
+    cone has lines exactly when some ray lies on every facet, and its
+    dimension is the ambient rank less the lines of the facets.
     """
+    if on_facet is not None:
+        if dim == len(rays):
+            return (HalfOpenCone(ambient_rank, rays, (True,) * dim),)
+        return tuple(_half_open(ambient_rank, rays, on_facet, dim, -1))
     if len(rays) <= ambient_rank:
         try:
             return (HalfOpenCone(ambient_rank, rays, (True,) * len(rays)),)
@@ -942,8 +997,57 @@ def _relint_pieces(ambient_rank: int, rays: tuple[Vec, ...]) -> tuple[HalfOpenCo
     return tuple(_half_open(ambient_rank, rays, on_facet, ambient_rank - len(lines), -1))
 
 
+class _PieceTable:
+    """The bounded table of :func:`_pieces`, least recently used first out,
+    keyed by ``(ambient_rank, rays)`` alone: the incidence and dimension a
+    caller may hand in are read on a miss and never kept, and a pointed
+    cone is fixed by its rays, so they split no entry.  A refused cone is
+    never kept either, so it raises again on every call.  ``cache_clear``
+    empties it, as that of ``functools.lru_cache`` does."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: dict[tuple[int, tuple[Vec, ...]], tuple[HalfOpenCone, ...]] = {}
+
+    def __call__(
+        self,
+        ambient_rank: int,
+        rays: tuple[Vec, ...],
+        on_facet: Optional[Sequence[int]] = None,
+        dim: Optional[int] = None,
+    ) -> tuple[HalfOpenCone, ...]:
+        key = (ambient_rank, rays)
+        pieces = self.entries.pop(key, None)  # put back last, as most recent
+        if pieces is None:
+            pieces = _pieces(ambient_rank, rays, on_facet, dim)
+            if len(self.entries) == self.size:
+                del self.entries[next(iter(self.entries))]
+        self.entries[key] = pieces
+        return pieces
+
+    def cache_clear(self) -> None:
+        self.entries.clear()
+
+
+# Distinct ray tuples kept by _relint_pieces, set by measurement on the
+# seed-0 benchmark inputs, with the ops run in one process (Python 3.11):
+# 256 entries hold all 127 distinct reduced cells of the 400 fan-invariance
+# inputs, and on the 600 newton-small inputs (2,963 distinct normal cones)
+# miss 5,305 of 10,364 lookups with peak RSS at 22.9-23.1 MB; keeping every
+# cone misses 2,963 at 25.6-25.7 MB.  4,328 of the 5,305 misses are
+# simplicial and take one elimination, and the other 977 are triangulated
+# from the incidence the face table hands in, with no double description;
+# 2,727 pieces take a Smith form, only those whose minors have a gcd other
+# than 1.  An entry holds the pieces and their Smith frames, never their
+# box points.
+_PIECE_TABLE_SIZE = 256
+_relint_pieces = _PieceTable(_PIECE_TABLE_SIZE)
+
+
 def box_points(h: HalfOpenCone) -> list[Vec]:
-    """Lattice points of the half-open fundamental parallelepiped of ``h``.
+    """Lattice points of the half-open fundamental parallelepiped of ``h``,
+    as vectors; only :func:`resolve_complex` asks for them, since the
+    cone-sum kernel pairs the residues with its functionals directly.
 
     The count always equals the index of the generator lattice inside the
     saturated lattice of its span.  With ``G`` the generators as columns,
@@ -951,19 +1055,12 @@ def box_points(h: HalfOpenCone) -> list[Vec]:
     columns of ``G @ V`` are ``d_j`` times a basis of that saturated lattice,
     so the divisor-box vector ``c`` gives the point with parallelepiped
     coordinates ``((V @ diag(D/d_j) @ c) mod D) / D``, where a strict
-    generator takes residue ``D`` in place of 0.  The divisors and the step
-    rows ``V @ diag(D/d_j)`` are the piece's frame, worked out when ``h``
-    is built.
+    generator takes residue ``D`` in place of 0 (:meth:`HalfOpenCone._residues`).
+    The divisors and the step rows ``V @ diag(D/d_j)`` are the piece's
+    frame, worked out when ``h`` is built.
     """
     if not h.gens:
         return [zero_vec(h.ambient_rank)]
-    divisors, steps = h._frame
-    big = divisors[-1]
-    points: list[Vec] = []
-    for combo in itertools.product(*[range(d) for d in divisors]):
-        lam = []
-        for row, strict in zip(steps, h.strict):
-            x = dot(row, combo) % big
-            lam.append(big if strict and x == 0 else x)
-        points.append(tuple(dot(col, lam) // big for col in zip(*h.gens)))
-    return points
+    big, residues = h._residues()
+    cols = list(zip(*h.gens))
+    return [tuple(dot(col, lam) // big for col in cols) for lam in residues]

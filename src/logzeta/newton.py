@@ -10,9 +10,11 @@ The polyhedron is never built as a vertex/facet hull: we take the cone over
 the lifted support points together with the recession orthant, and read
 faces, normal cones and witnesses from the incidence of its rays and facets.
 That keeps all computations inside the exact cone kernel and takes one
-double description per support: a face's normal cone is kept as its rays,
-the projected facets through the face, which is all the cone-sum kernel
-reads.  The faces and their per-face zeta terms are computed once per
+double description per support, and nothing more per face: a face's normal
+cone is kept as its rays, the projected facets through the face, and its
+incidence and dimension are read off the face lattice's cover relation, so
+the cone-sum kernel triangulates it with no double description and no rank
+is taken.  The faces and their per-face zeta terms are computed once per
 support (a small cache keyed on ``(n, support)``); the global and local
 zeta functions are one sum each over the same terms, the local one over the
 compact faces.
@@ -29,7 +31,7 @@ from typing import Optional
 
 from . import cones
 from .cones import Cone, complex_from_cones, cone_from_rays
-from .intlin import Vec, dot, is_zero_vec, rank, vec_add, zero_vec
+from .intlin import Vec, dot, is_zero_vec, vec_add, zero_vec
 from .mring import LaurentPoly, MClass, MCoeff
 from .series import ZSeries, _relint_buckets
 from .zeta import FanModel
@@ -69,7 +71,9 @@ class FaceRecord:
     ``argmin_support``.  The cone lies in the dual orthant, so it is
     pointed, and it is built from its rays only when asked for.
     ``m_witness`` is a support point on the face, so the minimum value
-    function is u -> <u, m_witness> there.
+    function is u -> <u, m_witness> there.  ``normal_incidence`` holds one
+    mask over ``normal_rays`` per pointed facet of the normal cone, sorted:
+    bit ``i`` is set when ``normal_rays[i]`` lies on the facet.
     """
 
     face_id: str
@@ -78,6 +82,7 @@ class FaceRecord:
     dim_face: int
     is_compact: bool
     m_witness: Vec
+    normal_incidence: tuple[int, ...]
 
     @cached_property
     def normal_cone_closure(self) -> Cone:
@@ -110,19 +115,47 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
     *Lectures on Polytopes*, §7.1).  These are its extreme rays, primitive
     because ``t = -<u, w>`` gives ``gcd(u) = gcd(u, t) = 1``, and distinct
     because ``t`` is fixed by ``u``; they come out sorted, as the facets
-    are.  So the record keeps them as they are, with the face's dimension
-    from one rank of them.
+    are.  So the record keeps them as they are.
+
+    The normal cone of a face F is the dual face of F, and faces and dual
+    faces correspond one to one, reversing inclusion (Cox, Little &
+    Schenck, *Toric Varieties*, Prop. 1.2.10).  So its facets are the duals
+    of the faces G that cover F, that is, of which F is a facet, and normal
+    ray ``j`` lies on the facet dual to G exactly when facet ``j`` of ``c``
+    holds G: the normal cone's incidence is the covers' tight masks,
+    restricted to F's and re-indexed to the sorted normal rays.  The covers
+    are found as Kaibel & Pfetsch do (Comput. Geom. 23, 2002): the smallest
+    face holding F and one generator ``i`` more is tight at the facets of F
+    that hold ``i``, and such a face G covers F exactly when the ``i``
+    leading to it are all of its generators outside F.  The normal cone's
+    dimension then comes from the grading, one more than a cover's, with
+    the polyhedron itself at 0; no rank is taken.
     """
     gens = sorted([_lift(w, 1) for w in support] + [tuple(int(j == i) for j in range(n + 1)) for i in range(n)])
     _, facets = cones._dd(n + 1, gens)
     facets.sort()
+    on_facet = [m for _, m in facets]
+    top = (1 << len(gens)) - 1
+    lattice = cones._face_lattice(on_facet, top)
+    by_tight = {tight: face for face, tight in lattice.items()}
+    holding = [sum(1 << j for j, m in enumerate(on_facet) if m >> i & 1) for i in range(len(gens))]
+    lifted = sum(1 << i for i, g in enumerate(gens) if g[n])
+    normal_dim: dict[int, int] = {}
     found = []
-    for face, tight in cones._face_lattice([m for _, m in facets], (1 << len(gens)) - 1).items():
-        argmin = frozenset(gens[i][:n] for i in cones._bits(face) if gens[i][n])
-        if not argmin:
-            continue  # face at infinity
-        normal = tuple(facets[j][0][:n] for j in cones._bits(tight))
-        found.append((n - rank(normal), argmin, normal))
+    # a cover holds more generators than the face, so it comes first
+    for face in sorted((f for f in lattice if f & lifted), key=int.bit_count, reverse=True):
+        tight = lattice[face]
+        joins: dict[int, int] = {}
+        for i in cones._bits(top & ~face):
+            t = tight & holding[i]
+            joins[t] = joins.get(t, 0) + 1
+        covers = [t for t, count in joins.items() if count == (by_tight[t] & ~face).bit_count()]
+        normal_dim[face] = normal_dim[by_tight[covers[0]]] + 1 if covers else 0
+        rows = cones._bits(tight)
+        incidence = tuple(sorted(sum(1 << r for r, j in enumerate(rows) if t >> j & 1) for t in covers))
+        argmin = frozenset(gens[i][:n] for i in cones._bits(face & lifted))
+        normal = tuple(facets[j][0][:n] for j in rows)
+        found.append((n - normal_dim[face], argmin, normal, incidence))
     found.sort(key=lambda t: (t[0], sorted(t[1]), t[2]))
     return tuple(
         FaceRecord(
@@ -132,8 +165,9 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
             dim_face=dim_face,
             is_compact=_compact(normal, n),
             m_witness=min(argmin),
+            normal_incidence=incidence,
         )
-        for k, (dim_face, argmin, normal) in enumerate(found)
+        for k, (dim_face, argmin, normal, incidence) in enumerate(found)
     )
 
 
@@ -165,7 +199,9 @@ class _FaceTable:
             jet = f"X_tau(0)@{rec.face_id}"
             unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in rec.normal_rays) else None
             pairs = []
-            buckets, spent = _relint_buckets(rec.normal_rays, rec.m_witness, sigma, spent)
+            buckets, spent = _relint_buckets(
+                rec.normal_rays, rec.m_witness, sigma, spent, rec.normal_incidence, self.n - rec.dim_face
+            )
             for (beta, ds, h), bucket in buckets.items():
                 c = MCoeff.make(LaurentPoly.from_dict(bucket).shift(h), h)
                 pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), c.scale_l(-1)))

@@ -26,10 +26,13 @@ shared by the fan-model, Newton and monoid pipelines: the closed form of the
 sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice points ``u`` in the
 relative interior of a pointed rational cone, given by its sorted extreme
 rays alone, by half-open simplicial decomposition read from a bounded table
-in :mod:`~logzeta.cones` keyed by those rays.  A call counts the box points
-into integer buckets; rays paired to zero by ``e`` each contribute
-``L/(L-1)``, legal only when ``a`` pairs them to one, which each pipeline
-makes sure of at its entry.
+in :mod:`~logzeta.cones` keyed by those rays (a caller that knows the
+cone's incidence hands it in for a miss, as the Newton face table does).  A
+call pairs each piece's generators with ``e`` and ``a`` once and counts the
+box points into integer buckets from their residues on the piece's Smith
+frame, building no point as a vector; rays paired to zero by ``e`` each
+contribute ``L/(L-1)``, legal only when ``a`` pairs them to one, which each
+pipeline makes sure of at its entry.
 Callers attach their classes: the Newton face table makes one coefficient
 per bucket, and :func:`_weighted_sum` multiplies by weights in integers,
 one normalisation per output entry.
@@ -39,9 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .cones import _relint_pieces, box_points
+from .cones import _relint_pieces
 from .intlin import Vec, dot
 from .mring import MClass, MCoeff, _add_lifted, _lifted_sum, _symbol_product, merge
 from .monoids import MarkedMonoid
@@ -319,7 +322,14 @@ def format_poles(poles: frozenset[Fraction]) -> str:
 CONE_SUM_MAX_BOX_POINTS = 50_000
 
 
-def _relint_buckets(rays: tuple[Vec, ...], e: Vec, a: Vec, spent: int = 0) -> tuple[Buckets, int]:
+def _relint_buckets(
+    rays: tuple[Vec, ...],
+    e: Vec,
+    a: Vec,
+    spent: int = 0,
+    on_facet: Optional[Sequence[int]] = None,
+    dim: Optional[int] = None,
+) -> tuple[Buckets, int]:
     """Closed form of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
     ``u`` in the relative interior of the cone whose sorted extreme rays are
     ``rays`` (a cone of the ambient rank ``len(e)``), as integer buckets: entry
@@ -330,16 +340,23 @@ def _relint_buckets(rays: tuple[Vec, ...], e: Vec, a: Vec, spent: int = 0) -> tu
     model's verdict holds the horizontal-divisor rule, a Newton normal ray
     with ``m = 0`` is a coordinate vector, on which ``sigma`` is 1, and
     :func:`cone_series` checks its marking on entry.  The pieces and their
-    Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``.
-    Only the pairing of box points with ``e`` and ``a`` and the bucketing
-    are done per call.
+    Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``;
+    a caller that knows the cone's incidence ``on_facet`` and dimension
+    ``dim`` hands them in, for a miss to triangulate with no double
+    description.
+
+    Per call, each generator is paired with ``e`` and ``a`` once, and no
+    box point is built as a vector: the point with residues ``lambda`` over
+    the frame's last divisor ``D`` is ``sum_j lambda_j g_j / D``, so it
+    falls in the bucket ``beta = sum_j lambda_j <g_j,e> / D`` at the
+    L-exponent ``-sum_j lambda_j <g_j,a> / D``, both exact.
 
     ``spent`` counts the box points the calling pipeline has enumerated
     before; the buckets are returned with the new total, and ``ValueError``
     is raised before enumerating once it would pass
     :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
-    pieces = _relint_pieces(len(e), rays)
+    pieces = _relint_pieces(len(e), rays, on_facet, dim)
     spent += sum(piece.box_count() for piece in pieces)
     if spent > CONE_SUM_MAX_BOX_POINTS:
         raise ValueError(
@@ -347,18 +364,15 @@ def _relint_buckets(rays: tuple[Vec, ...], e: Vec, a: Vec, spent: int = 0) -> tu
         )
     out: Buckets = {}
     for piece in pieces:
-        denoms = []
-        horiz = 0
-        for g in piece.gens:
-            b = dot(g, e)
-            if b == 0:
-                horiz += 1  # <g,a> == 1 here; factor 1/(1-L^{-1}) = L/(L-1)
-            else:
-                denoms.append((-dot(g, a), b))
-        key_denoms = _canon_denoms(denoms)
-        for u0 in box_points(piece):
-            bucket = out.setdefault((dot(u0, e), key_denoms, horiz), {})
-            lexp = -dot(u0, a)
+        on_e = [dot(g, e) for g in piece.gens]
+        on_a = [dot(g, a) for g in piece.gens]
+        # <g,a> == 1 where <g,e> == 0; factor 1/(1-L^{-1}) = L/(L-1)
+        horiz = on_e.count(0)
+        key_denoms = _canon_denoms((-ga, ge) for ge, ga in zip(on_e, on_a) if ge)
+        big, residues = piece._residues()
+        for lam in residues:
+            bucket = out.setdefault((dot(lam, on_e) // big, key_denoms, horiz), {})
+            lexp = -(dot(lam, on_a) // big)
             bucket[lexp] = bucket.get(lexp, 0) + 1
     return out, spent
 

@@ -412,6 +412,40 @@ E_MU = {"id": "E", "N": 1, "mu": 0}
             {"rank": 2, "cells": [{"rays": [[1, 0], [0, 1]]}], "e": [[1, 1]], "a": [[0]]},
             "bad fan-model input: a vector [0] has length 1, not the rank 2",
         ),
+        # a missing or mistyped field is named, with its place
+        (
+            "validate",
+            {"cells": [{"rays": [[1, 0]]}], "e": [[1, 1]], "a": [[0, 0]]},
+            "bad fan-model input: the input has no field 'rank'",
+        ),
+        (
+            "fan-series",
+            {"rank": 2, "cells": [{"rays": [[1, 0]]}], "a": [[0, 0]]},
+            "bad fan-model input: the input has no field 'e'",
+        ),
+        (
+            "fan-series",
+            {"rank": 2, "cells": [{"rays": [[1, 0]]}, {"ray": [[0, 1]]}], "e": [[1, 1]], "a": [[0, 0]]},
+            "bad fan-model input: cells[1] has no field 'rays'",
+        ),
+        (
+            "validate",
+            {"rank": 2, "cells": "abc", "e": [], "a": []},
+            "bad fan-model input: cells must be a JSON array, got str",
+        ),
+        (
+            "fan-series",
+            {"rank": 2, "cells": [{"rays": [[1, 0], 1]}], "e": [[1, 1]], "a": [[0, 0]]},
+            "bad fan-model input: cells[0].rays[1] must be a JSON array, got int",
+        ),
+        ("newton-zeta", {"n": 2, "supports": [[1, 0]]}, "bad newton input: the input has no field 'support'"),
+        ("newton-poles", {"n": 2, "support": 7}, "bad newton input: support must be a JSON array, got int"),
+        ("dl-zeta", _components({"id": "E", "nu": 1}), "bad sncd input: components[0] has no field 'N'"),
+        (
+            "dl-zeta",
+            {"m": 1, "components": [E_NU], "strata": [{"J": ["E"]}]},
+            "bad sncd input: strata[0] has no field 'symbol'",
+        ),
     ],
 )
 def test_trust_boundary_rejections_exit_1(tmp_path, capsys, verb, doc, message):

@@ -3,13 +3,17 @@ import dataclasses
 import functools
 import gc
 import itertools
+import math
 import random
+import unittest.mock
 import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import logzeta.cones
+import logzeta.intlin
+import logzeta.series
 from logzeta.cli import parse_fan, parse_newton
 from logzeta.cones import (
     _carriers,
@@ -262,9 +266,10 @@ def test_cone_table_keeps_no_refused_input(monkeypatch):
 
 
 def test_newton_ops_leave_the_cone_table_empty(bench, monkeypatch):
-    # the Newton pipeline sums over normal cones by their rays: the piece
-    # table triangulates the non-simplicial ones from the masks of their
-    # double description and builds no cone
+    # the Newton pipeline sums over normal cones by their rays, with the
+    # incidence and dimension its face lattice gives: the piece table
+    # triangulates the non-simplicial ones from those, with no double
+    # description, and builds no cone
     run, worker, workloads, _ = bench
     _relint_pieces.cache_clear()
     runs = count_dd_runs(monkeypatch)
@@ -273,8 +278,8 @@ def test_newton_ops_leave_the_cone_table_empty(bench, monkeypatch):
     items = workloads.generate("newton-small", run.DEFAULT_SEED)[: workloads.TRACE_OPS["newton-small"]]
     for item in items:
         worker.OPS["newton-small"](logzeta, item, parse_newton(item["input"]))
-    # one double description per support, and more for the pieces' misses
-    assert len(runs) > len(items) and frames and builds == []
+    # one double description per support, and none for the pieces' misses
+    assert len(runs) == len(items) and frames and builds == []
     info = logzeta.cones._cone_table.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
@@ -518,6 +523,86 @@ def test_piece_frame_is_always_its_own(monkeypatch):
     assert {h.box_count() for h in square} == {2}
     for h in pieces:
         assert h._frame == HalfOpenCone(h.ambient_rank, h.gens, h.strict)._frame
+
+
+def random_independent(rng, rank, k, entries):
+    """``k`` linearly independent generators of rank ``rank`` with entries
+    drawn from ``entries``."""
+    while True:
+        gens = tuple(tuple(rng.choice(entries) for _ in range(rank)) for _ in range(k))
+        if mat_rank(gens) == k:
+            return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["strict", "closed", "mixed"]))
+@example(0, "strict")
+def test_minors_of_gcd_one_frame_a_piece_without_a_smith_form(seed, kind):
+    # the entries of the constructor's elimination are k x k minors of the
+    # generators: at gcd 1 the piece has one box point and takes no Smith
+    # form, and the frame always counts what a fresh Smith form counts
+    rng = random.Random(seed)
+    rank = rng.randint(1, 4)
+    k = rng.randint(0, rank)
+    gens = random_independent(rng, rank, k, (-2, -1, 0, 0, 1, 1, 2, 3, 5))
+    flags = tuple({"strict": True, "closed": False}.get(kind, rng.random() < 0.5) for _ in range(k))
+    rows, _, _, _ = logzeta.intlin._gauss_jordan(gens, rank)
+    minors = functools.reduce(math.gcd, (x for row in rows for x in row), 0)
+    s, _, _ = smith_normal_form(from_columns(gens)) if k else ((), None, None)
+    index = math.prod(s[i][i] for i in range(k))
+    with unittest.mock.patch.object(logzeta.cones, "smith_normal_form", side_effect=smith_normal_form) as snf:
+        h = HalfOpenCone(rank, gens, flags)
+    assert h.box_count() == index == len(box_points(h))
+    if minors == 1:
+        assert index == 1 and h._frame == ((1,) * k, identity(k)) and not snf.called
+
+
+def test_saturated_rays_with_a_pivot_past_one_take_no_smith_form(monkeypatch):
+    # (1, 0, 0), (0, 2, 3): the last pivot is 2, but the minors 2 and 3 have
+    # gcd 1, so the piece is unimodular without a Smith form; (1, 0), (1, 2)
+    # have entries of gcd 1 but the one minor 2, and take one
+    snf = count_calls(monkeypatch, "smith_normal_form")
+    h = HalfOpenCone(3, ((1, 0, 0), (0, 2, 3)), (True, False))
+    assert (h.box_count(), box_points(h), snf) == (1, [(1, 0, 0)], [])
+    assert HalfOpenCone(2, ((1, 0), (1, 2)), (False, False)).box_count() == 2 and len(snf) == 1
+
+
+def kernel_oracle(pieces, e, a):
+    """The buckets of ``series._relint_buckets`` over ``pieces``, from the
+    box points as vectors, each paired with ``e`` and ``a`` by ``dot``."""
+    out = {}
+    for h in pieces:
+        horiz = sum(dot(g, e) == 0 for g in h.gens)
+        denoms = tuple(sorted((-dot(g, a), dot(g, e)) for g in h.gens if dot(g, e)))
+        for u in box_points(h):
+            bucket = out.setdefault((dot(u, e), denoms, horiz), {})
+            bucket[-dot(u, a)] = bucket.get(-dot(u, a), 0) + 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["strict", "closed", "mixed"]))
+@example(0, "strict")
+@example(1, "closed")
+def test_kernel_pairs_on_the_frame_as_box_points_do(seed, kind):
+    # the kernel pairs each piece's residues with <g, e> and <g, a>; the
+    # buckets equal those of its box points paired as vectors, for strict,
+    # closed and mixed pieces, lower dimensional (k < rank) and
+    # generator-free (k = 0) ones included
+    rng = random.Random(seed)
+    rank = rng.randint(1, 4)
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(0, rank)
+        gens = random_independent(rng, rank, k, (0, 0, 1, 1, 2, 3))
+        flags = tuple({"strict": True, "closed": False}.get(kind, rng.random() < 0.5) for _ in range(k))
+        pieces.append(HalfOpenCone(rank, gens, flags))
+    e = tuple(rng.randint(0, 3) for _ in range(rank))
+    a = tuple(rng.randint(-3, 3) for _ in range(rank))
+    with unittest.mock.patch.object(logzeta.series, "_relint_pieces", return_value=tuple(pieces)):
+        buckets, spent = logzeta.series._relint_buckets((), e, a, 5)
+    assert buckets == kernel_oracle(pieces, e, a)
+    assert spent == 5 + sum(h.box_count() for h in pieces)
 
 
 
@@ -903,19 +988,19 @@ def test_simplicial_cone_takes_no_triangulation(monkeypatch):
     (piece,) = _relint_pieces(3, ((1, 2, 0), (2, 1, 0)))
     assert piece.strict == (True, True) and piece.box_count() == 3
     assert (runs, len(eliminations), len(frames)) == ([], 1, 1)
-    # the square: one double description, and per piece one elimination
-    # for its flags and the constructor's
+    # the square: one double description, and per piece the constructor's
+    # one elimination, which also gives its flags
     assert len(_relint_pieces(3, SQUARE.rays)) == 2
-    assert (runs, len(eliminations), len(frames)) == ([3], 5, 3)
+    assert (runs, len(eliminations), len(frames)) == ([3], 3, 3)
     # four rays in rank 4 but dependent: the constructor refuses them after
     # its elimination, then they take the double description
     assert len(_relint_pieces(4, SQUARE_IN_4.rays)) == 2
-    assert (runs, len(eliminations), len(frames)) == ([3, 4], 10, 5)
+    assert (runs, len(eliminations), len(frames)) == ([3, 4], 6, 5)
     # a cone summed over again reads the table: no elimination, no double
     # description, no piece
     assert len(_relint_pieces(3, SQUARE.rays)) == 2
     assert _relint_pieces(3, ((1, 2, 0), (2, 1, 0))) == (piece,)
-    assert (runs, len(eliminations), len(frames)) == ([3, 4], 10, 5)
+    assert (runs, len(eliminations), len(frames)) == ([3, 4], 6, 5)
 
 
 def non_simplicial_lower_dim(rng, count):

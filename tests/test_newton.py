@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import logzeta.cones
 import logzeta.newton
 from logzeta.cli import format_poles
-from logzeta.cones import complex_from_cones, cone_from_rays, faces
-from logzeta.intlin import dot
+from logzeta.cones import complex_from_cones, cone_from_rays, faces, triangulate_half_open
+from logzeta.intlin import dot, rank, vec_scale
 from logzeta.mring import MClass
 from logzeta.newton import (
     NewtonInput,
@@ -25,8 +26,10 @@ from logzeta.zeta import fan_poincare, fan_poles, validate_model
 
 from genutil import (
     brute_newton_faces,
+    count_calls,
     count_dd_runs,
     newton_expand_oracle,
+    oracle_incidence,
     random_support,
     section_product_terms,
     support_box_points,
@@ -223,8 +226,9 @@ def test_face_table_runs_one_dd_per_face(monkeypatch, seed):
     # second read builds none
     inp = random_support(random.Random(seed), 2 + seed % 3)
     runs = count_dd_runs(monkeypatch)
+    ranks = count_calls(monkeypatch, "rank")
     records = logzeta.newton._newton_faces(inp.n, inp.support)
-    assert runs == [inp.n + 1]
+    assert runs == [inp.n + 1] and ranks == []
     kinds = set()
     for r in records:
         simplicial = len(r.normal_rays) == inp.n - r.dim_face
@@ -255,6 +259,37 @@ def test_normal_rays_are_the_normal_cones_rays(seed, n):
     records = newton_polyhedron(inp)
     got = [(sorted(r.argmin_support), r.dim_face, r.normal_rays, r.normal_cone_closure) for r in records]
     assert sorted(got, key=repr) == sorted(expected, key=repr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+@example(1, 3)  # non-compact faces, and non-simplicial normal cones in N^3
+@example(0, 4)  # and in N^4
+def test_cover_incidence_and_dimension_match_the_built_normal_cone(seed, n):
+    # the covers of a face in the lifted cone's face lattice give its normal
+    # cone's pointed facets, as masks over the sorted normal rays, and the
+    # grading its dimension: as the definition (dot) and the rank read them
+    # off the cone that cone_from_rays builds; and the piece table's route
+    # from them gives the half-open pieces of that cone
+    inp = random_support(random.Random(seed), n)
+    for rec in newton_polyhedron(inp):
+        c = cone_from_rays(n, rec.normal_rays)
+        assert c.rays == rec.normal_rays
+        facets = set(c.facets)
+        pointed = [m for u, m in zip(c.facets, oracle_incidence(c)) if vec_scale(-1, u) not in facets]
+        assert rec.normal_incidence == tuple(sorted(pointed))
+        assert n - rec.dim_face == rank(rec.normal_rays) == c.dim
+        pieces = logzeta.cones._pieces(n, rec.normal_rays, rec.normal_incidence, n - rec.dim_face)
+        assert pieces == tuple(triangulate_half_open(c, "relint"))
+
+
+def test_cover_examples_have_what_they_are_for():
+    # the examples above hold non-compact faces and full-dimensional
+    # non-simplicial normal cones (in N^2 every cone is simplicial)
+    for seed, n in ((1, 3), (0, 4)):
+        records = newton_polyhedron(random_support(random.Random(seed), n))
+        assert any(not r.is_compact for r in records)
+        assert any(len(r.normal_rays) > n - r.dim_face == n for r in records)
 
 
 def test_newton_outputs_pinned():

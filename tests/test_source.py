@@ -125,6 +125,9 @@ UNREAD_DEFINITIONS = {
     ("intlin.py", "inverse_rational"),
     ("intlin.py", "kernel_basis"),
     ("intlin.py", "solve_rational"),
+    # the piece table empties as an lru_cache does: scripts/pair_ab.py
+    # empties every table between passes, and tests/conftest.py between tests
+    ("cones.py", "_PieceTable.cache_clear"),
     # acceptance criterion 8 states the half-open decomposition of a cone,
     # and perfbench/spans.py traces it by name
     ("cones.py", "triangulate_half_open"),
@@ -166,3 +169,41 @@ def test_library_holds_no_test_only_code():
     # beside the code it checks is independent only by convention: it
     # belongs in tests/genutil.py
     assert _unread_definitions() == UNREAD_DEFINITIONS
+
+
+def _readers(name):
+    """(file, function) for each place in the library that reads ``name``,
+    as a name, an attribute or an import, by the innermost function around
+    it (``<module>`` outside any)."""
+    found = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        reads = (
+            isinstance(node, ast.Name)
+            and node.id == name
+            or isinstance(node, ast.Attribute)
+            and node.attr == name
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == name for alias in node.names)
+        )
+        if reads:
+            found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "<module>")
+    return found
+
+
+def test_only_the_resolution_builds_box_point_vectors():
+    # the cone-sum kernel pairs residues on the piece's frame; only the
+    # resolution, which subdivides at a box point, needs the vectors
+    assert _readers("box_points") == {("cones.py", "resolve_complex")}
+
+
+def test_newton_takes_no_rank():
+    # a face's dimension comes from the face lattice's grading
+    assert all(file != "newton.py" for file, _ in _readers("rank"))
