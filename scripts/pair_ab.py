@@ -74,12 +74,11 @@ def _load(rev: str, into: pathlib.Path):
 
 
 def _clear_caches() -> None:
-    """Empty every ``lru_cache`` of both packages, and every table that
-    empties as one does (a class's own ``cache_clear`` is left alone)."""
+    """Empty every ``lru_cache`` of both packages."""
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] in PACKAGES:
             for value in vars(module).values():
-                if not isinstance(value, type) and callable(getattr(value, "cache_clear", None)):
+                if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
 
 

@@ -51,7 +51,8 @@ meet of its rays' masks.  Its cells are sorted when it is
 built, so the lowest cell of a mask is a smallest one, however the cells
 were given.  The half-open pieces of a pointed cone's relative interior
 depend on its extreme rays alone, so a bounded table keeps them per sorted
-ray tuple (:func:`_relint_pieces`).  A simplicial cone is one piece with
+ray tuple (:func:`_relint_pieces`), with the incidence a caller may hand
+in, which those rays fix.  A simplicial cone is one piece with
 every generator strict, so it takes neither a double description nor a
 triangulation.  Each piece takes its openness flags and the Smith frame its
 box points are enumerated from in one elimination, when built, never
@@ -414,9 +415,9 @@ def _bits(mask: int) -> list[int]:
 # than 100, and the lifted cone of 40 random points of N^6 with coordinates
 # 0-4 has 1,864.  Of the near-sphere supports of N^6 that the double
 # description's bound describes, k = 20 has 5,288 faces and newton-poles
-# takes 0.8-1.0 s of CPU; k = 40 has 15,226 faces over 1,609 facets, whose
-# poles would take 4.9 s of CPU, most of it listing the faces with their
-# facet masks, and is refused after 2.4-2.9 s.
+# takes 0.5-0.9 s of CPU with the face table's covers; k = 40 has 15,226
+# faces over 1,609 facets, whose poles would take 4.9 s of CPU, most of it
+# listing the faces with their facet masks, and is refused after 2.1-2.9 s.
 FACE_LATTICE_MAX_FACES = 10_000
 
 
@@ -816,7 +817,7 @@ class HalfOpenCone:
     out from one fraction-free elimination of the generators, whose pivots
     decide their independence and whose rows hold ``k × k`` minors of them;
     minors of gcd 1 make the piece unimodular with no Smith normal form.
-    ``walls = (rays, s)`` in place of the flags (``strict`` given as None)
+    ``walls = (rays, s)``, with ``strict`` given as None and only then,
     asks for :func:`_half_open`'s flags, read off that same elimination,
     which then runs on ``[G | I_k]``.  Every piece is built here, so its
     frame is always its own.
@@ -824,14 +825,17 @@ class HalfOpenCone:
 
     ambient_rank: int
     gens: tuple[Vec, ...]
-    strict: Optional[tuple[bool, ...]]
+    strict: tuple[bool, ...]
     walls: InitVar[Optional[tuple[tuple[Vec, ...], int]]] = None
     _frame: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, walls):
         n, k = self.ambient_rank, len(self.gens)
-        if walls is None and (self.strict is None or len(self.strict) != k):
-            raise ValueError("one openness flag per generator required")
+        if walls is None:
+            if self.strict is None or len(self.strict) != k:
+                raise ValueError("one openness flag per generator required")
+        elif self.strict is not None:
+            raise ValueError("openness flags and walls are exclusive")
         rows = self.gens
         if walls is not None:
             rows = [[*g, *(int(i == j) for j in range(k))] for i, g in enumerate(self.gens)]
@@ -915,7 +919,12 @@ def _smith_frame(gens: Sequence[Vec], minors: int) -> tuple[tuple[int, ...], Mat
     return _unit_frame(k)
 
 
-@lru_cache(maxsize=16)
+# Generator counts kept, set by measurement (Python 3.11, one pass of each
+# seed-0 pool in one process): newton-small asks 3,827 unit frames of 5
+# distinct k (0-4), newton-large 309 of 3 (0-2), fan-invariance 508 of 4
+# (0-3), and the Tier-1 suite 13,895 of 5 (0-4).  Eight entries hold every
+# k met there with room; a miss only builds one identity of k rows.
+@lru_cache(maxsize=8)
 def _unit_frame(k: int) -> tuple[tuple[int, ...], Mat]:
     """The frame of ``k`` saturated generators, one object per ``k``, which
     every unimodular piece of that many generators shares."""
@@ -997,38 +1006,6 @@ def _pieces(
     return tuple(_half_open(ambient_rank, rays, on_facet, ambient_rank - len(lines), -1))
 
 
-class _PieceTable:
-    """The bounded table of :func:`_pieces`, least recently used first out,
-    keyed by ``(ambient_rank, rays)`` alone: the incidence and dimension a
-    caller may hand in are read on a miss and never kept, and a pointed
-    cone is fixed by its rays, so they split no entry.  A refused cone is
-    never kept either, so it raises again on every call.  ``cache_clear``
-    empties it, as that of ``functools.lru_cache`` does."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.entries: dict[tuple[int, tuple[Vec, ...]], tuple[HalfOpenCone, ...]] = {}
-
-    def __call__(
-        self,
-        ambient_rank: int,
-        rays: tuple[Vec, ...],
-        on_facet: Optional[Sequence[int]] = None,
-        dim: Optional[int] = None,
-    ) -> tuple[HalfOpenCone, ...]:
-        key = (ambient_rank, rays)
-        pieces = self.entries.pop(key, None)  # put back last, as most recent
-        if pieces is None:
-            pieces = _pieces(ambient_rank, rays, on_facet, dim)
-            if len(self.entries) == self.size:
-                del self.entries[next(iter(self.entries))]
-        self.entries[key] = pieces
-        return pieces
-
-    def cache_clear(self) -> None:
-        self.entries.clear()
-
-
 # Distinct ray tuples kept by _relint_pieces, set by measurement on the
 # seed-0 benchmark inputs, with the ops run in one process (Python 3.11):
 # 256 entries hold all 127 distinct reduced cells of the 400 fan-invariance
@@ -1041,7 +1018,18 @@ class _PieceTable:
 # than 1.  An entry holds the pieces and their Smith frames, never their
 # box points.
 _PIECE_TABLE_SIZE = 256
-_relint_pieces = _PieceTable(_PIECE_TABLE_SIZE)
+
+
+@lru_cache(maxsize=_PIECE_TABLE_SIZE)
+def _relint_pieces(
+    ambient_rank: int, rays: tuple[Vec, ...], on_facet: Optional[tuple[int, ...]] = None, dim: Optional[int] = None
+) -> tuple[HalfOpenCone, ...]:
+    """:func:`_pieces`, kept per call.  A pointed cone's sorted facet masks
+    and its dimension are fixed by its sorted rays, so a caller that hands
+    them in splits no entry of the rays; the face table hands in the tuple
+    its record holds, which the key only refers to.  A refused cone is
+    never kept, so it raises again on every call."""
+    return _pieces(ambient_rank, rays, on_facet, dim)
 
 
 def box_points(h: HalfOpenCone) -> list[Vec]:

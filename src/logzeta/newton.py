@@ -127,9 +127,13 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
     are found as Kaibel & Pfetsch do (Comput. Geom. 23, 2002): the smallest
     face holding F and one generator ``i`` more is tight at the facets of F
     that hold ``i``, and such a face G covers F exactly when the ``i``
-    leading to it are all of its generators outside F.  The normal cone's
-    dimension then comes from the grading, one more than a cover's, with
-    the polyhedron itself at 0; no rank is taken.
+    leading to it are all of its generators outside F.  Only ``c`` itself
+    covers a facet of ``c``; any other cover of F lies on a facet of F,
+    and so do all of its generators, so only the generators on F's facets
+    are tried, a few per face where trying all would cost the generators
+    times the faces.  The normal cone's dimension then comes from the
+    grading, one more than a cover's, with the polyhedron itself at 0; no
+    rank is taken.
     """
     gens = sorted([_lift(w, 1) for w in support] + [tuple(int(j == i) for j in range(n + 1)) for i in range(n)])
     _, facets = cones._dd(n + 1, gens)
@@ -138,18 +142,27 @@ def _newton_faces(n: int, support: tuple[Vec, ...]) -> tuple[FaceRecord, ...]:
     top = (1 << len(gens)) - 1
     lattice = cones._face_lattice(on_facet, top)
     by_tight = {tight: face for face, tight in lattice.items()}
-    holding = [sum(1 << j for j, m in enumerate(on_facet) if m >> i & 1) for i in range(len(gens))]
+    holding = [0] * len(gens)  # per generator, the facets holding it
+    for j, m in enumerate(on_facet):
+        for i in cones._bits(m):
+            holding[i] |= 1 << j
     lifted = sum(1 << i for i, g in enumerate(gens) if g[n])
     normal_dim: dict[int, int] = {}
     found = []
     # a cover holds more generators than the face, so it comes first
     for face in sorted((f for f in lattice if f & lifted), key=int.bit_count, reverse=True):
         tight = lattice[face]
-        joins: dict[int, int] = {}
-        for i in cones._bits(top & ~face):
-            t = tight & holding[i]
-            joins[t] = joins.get(t, 0) + 1
-        covers = [t for t, count in joins.items() if count == (by_tight[t] & ~face).bit_count()]
+        if tight & (tight - 1) == 0:  # c itself, or a facet of c, which c covers
+            covers = [0] if tight else []
+        else:
+            near = 0
+            for j in cones._bits(tight):
+                near |= on_facet[j]
+            joins: dict[int, int] = {}
+            for i in cones._bits(near & ~face):
+                t = tight & holding[i]
+                joins[t] = joins.get(t, 0) + 1
+            covers = [t for t, count in joins.items() if count == (by_tight[t] & ~face).bit_count()]
         normal_dim[face] = normal_dim[by_tight[covers[0]]] + 1 if covers else 0
         rows = cones._bits(tight)
         incidence = tuple(sorted(sum(1 << r for r, j in enumerate(rows) if t >> j & 1) for t in covers))

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .cones import _relint_pieces
 from .intlin import Vec, dot
@@ -327,7 +327,7 @@ def _relint_buckets(
     e: Vec,
     a: Vec,
     spent: int = 0,
-    on_facet: Optional[Sequence[int]] = None,
+    on_facet: Optional[tuple[int, ...]] = None,
     dim: Optional[int] = None,
 ) -> tuple[Buckets, int]:
     """Closed form of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
@@ -343,7 +343,7 @@ def _relint_buckets(
     Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``;
     a caller that knows the cone's incidence ``on_facet`` and dimension
     ``dim`` hands them in, for a miss to triangulate with no double
-    description.
+    description, and they join the key, which the rays already fix.
 
     Per call, each generator is paired with ``e`` and ``a`` once, and no
     box point is built as a vector: the point with residues ``lambda`` over
@@ -356,7 +356,8 @@ def _relint_buckets(
     is raised before enumerating once it would pass
     :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
-    pieces = _relint_pieces(len(e), rays, on_facet, dim)
+    # the table keys its arguments as given, so bare rays are asked bare
+    pieces = _relint_pieces(len(e), rays) if on_facet is None else _relint_pieces(len(e), rays, on_facet, dim)
     spent += sum(piece.box_count() for piece in pieces)
     if spent > CONE_SUM_MAX_BOX_POINTS:
         raise ValueError(

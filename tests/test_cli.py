@@ -714,8 +714,8 @@ def test_convex_curve_of_a_thousand_points_finishes_fast(tmp_path):
     # vertex, and the edge from i = k-j to k-j+1 has the normal (j, 1), with
     # sigma j+1 and minimum j(k-j) + j(j+1)/2.  newton-poles took 2.4-2.9 s
     # of wall time while the face table worked the lifted cone's incidence
-    # out three times, and 0.7-0.9 s reading the double description's own
-    # (2-vCPU Xeon, Python 3.11)
+    # out three times, 0.7-0.9 s reading the double description's own, and
+    # 0.6-0.8 s also reading each face's covers off it (2-vCPU Xeon, Python 3.11)
     k = 1000
     doc = {"n": 2, "support": [[i, (k - i) * (k - i + 1) // 2] for i in range(k + 1)]}
     proc = _run_in_child("newton-poles", write(tmp_path, "input.json", doc), timeout=10, max_memory_mb=1024)

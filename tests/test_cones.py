@@ -1051,6 +1051,12 @@ def test_half_open_cone_checks_its_generators():
         HalfOpenCone(2, ((1, 0), (0, 1)), (True,))
     with pytest.raises(ValueError, match="one openness flag per generator"):
         HalfOpenCone(2, (), (False,))
+    with pytest.raises(ValueError, match="one openness flag per generator"):
+        HalfOpenCone(2, ((1, 0), (0, 1)), None)
+    walls = (((1, 0), (0, 1)), -1)
+    with pytest.raises(ValueError, match="exclusive"):
+        HalfOpenCone(2, ((1, 0), (0, 1)), (False, False), walls)
+    assert HalfOpenCone(2, ((1, 0), (0, 1)), None, walls).strict == (True, True)
 
 
 def test_box_points_examples():

@@ -125,9 +125,6 @@ UNREAD_DEFINITIONS = {
     ("intlin.py", "inverse_rational"),
     ("intlin.py", "kernel_basis"),
     ("intlin.py", "solve_rational"),
-    # the piece table empties as an lru_cache does: scripts/pair_ab.py
-    # empties every table between passes, and tests/conftest.py between tests
-    ("cones.py", "_PieceTable.cache_clear"),
     # acceptance criterion 8 states the half-open decomposition of a cone,
     # and perfbench/spans.py traces it by name
     ("cones.py", "triangulate_half_open"),
