@@ -11,9 +11,15 @@ inputs are parsed outside the profile.  The printed figure is the sum of
 ``callcount`` over ``Profile.getstats()``.  ``pstats``' ``total_calls`` is
 not used: it keys functions by file, line and name, and the methods that
 ``dataclasses`` generates all read ``<string>:2``, so colliding entries
-overwrite each other in an order that varies from run to run.  The
+overwrite each other in an order that varies from run to run.
+
+Beside it, a second pass in another fresh interpreter, with no profile,
+parses each input and runs the op with ``cones._dd`` wrapped by a
+counter, as ``tests/genutil.py``'s ``count_dd_runs`` wraps it, and prints
+the double-description (DD) runs of parse and ops together.  The
 benchmark's files are only read; no bytecode is written.  Each child runs
-this script as ``work_count.py --one WORKLOAD``, which prints the bare count.
+this script as ``work_count.py --one WORKLOAD`` or ``--dd WORKLOAD``,
+which prints the bare count.
 """
 
 from __future__ import annotations
@@ -42,23 +48,58 @@ def _load():
     return logzeta, run, worker, workloads
 
 
-def count(workload: str) -> int:
-    """The call count of one pass of ``workload``'s op over its pool."""
-    lz, run, worker, workloads = _load()
+def _passes(loaded: tuple, workload: str):
+    """``logzeta``, ``workload``'s op, and its parsed inputs one at a time,
+    each with its pool item, from the modules :func:`_load` returned."""
+    lz, run, worker, workloads = loaded
     op = worker.OPS[workload]
-    profile = cProfile.Profile()
     for item in workloads.generate(workload, run.DEFAULT_SEED):
         parse = lz.cli.parse_newton if item["kind"] == "newton" else lz.cli.parse_fan
-        x = parse(item["input"])
+        yield lz, op, item, parse(item["input"])
+
+
+def count(workload: str) -> int:
+    """The call count of one pass of ``workload``'s op over its pool."""
+    profile = cProfile.Profile()
+    for lz, op, item, x in _passes(_load(), workload):
         profile.enable()
         op(lz, item, x)
         profile.disable()
     return sum(entry.callcount for entry in profile.getstats())
 
 
+def dd_runs(workload: str) -> int:
+    """The DD runs of one pass of ``workload``'s parse and op over its pool."""
+    loaded = _load()
+    cones = loaded[0].cones
+    runs = 0
+    real = cones._dd
+
+    def counting(n, ineqs):
+        nonlocal runs
+        runs += 1
+        return real(n, ineqs)
+
+    cones._dd = counting
+    for lz, op, item, x in _passes(loaded, workload):
+        op(lz, item, x)
+    return runs
+
+
+def _child(mode: str, workload: str, env: dict) -> int:
+    """The bare count a fresh interpreter prints for ``mode``; exits the
+    script with a message when the child fails."""
+    proc = subprocess.run([sys.executable, "-B", __file__, mode, workload], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        print(f"{workload}: failed\n{proc.stderr}", file=sys.stderr)
+        sys.exit(1)
+    return int(proc.stdout)
+
+
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--one"]:
-        print(count(argv[1]))
+    child = {"--one": count, "--dd": dd_runs}.get(argv[0]) if argv else None
+    if child:
+        print(child(argv[1]))
         return 0
     workloads = _load()[3]
     names = argv or sorted(workloads.POOL)
@@ -68,13 +109,8 @@ def main(argv: list[str]) -> int:
         return 2
     env = {**os.environ, "PYTHONHASHSEED": "0"}
     for workload in names:
-        proc = subprocess.run(
-            [sys.executable, "-B", __file__, "--one", workload], env=env, capture_output=True, text=True
-        )
-        if proc.returncode:
-            print(f"{workload}: failed\n{proc.stderr}", file=sys.stderr)
-            return 1
-        print(f"{workload}: {int(proc.stdout):,} calls")
+        calls, runs = _child("--one", workload, env), _child("--dd", workload, env)
+        print(f"{workload}: {calls:,} calls, {runs:,} DD runs")
     return 0
 
 

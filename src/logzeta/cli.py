@@ -149,32 +149,34 @@ def _object(x: Any, what: str) -> dict[str, Any]:
     return x
 
 
-def _field(obj: Any, key: str, where: str = "the input") -> Any:
-    """The field ``key`` of the JSON object ``obj``, which ``where`` names.
-    A missing field, or an ``obj`` that is no object, raises a
-    ``ValueError`` that names it in words, for the parser to prefix with
-    the input kind."""
+def _field(obj: Any, key: str, where: str = "the input", *at: int) -> Any:
+    """The field ``key`` of the JSON object ``obj``, which ``where`` names,
+    its ``{}`` filled from ``at`` only on a fault, so a parser's loop
+    formats no place per item.  A missing field, or an ``obj`` that is no
+    object, raises a ``ValueError`` that names it in words, for the parser
+    to prefix with the input kind."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"{where.format(*at)} must be a JSON object, got {type(obj).__name__}")
     if key not in obj:
-        raise ValueError(f"{where} has no field {key!r}")
+        raise ValueError(f"{where.format(*at)} has no field {key!r}")
     return obj[key]
 
 
-def _array(x: Any, what: str) -> list:
+def _array(x: Any, what: str, *at: int) -> list:
     """``x``, a JSON array; anything else raises as :func:`_field` does."""
     if not isinstance(x, list):
-        raise ValueError(f"{what} must be a JSON array, got {type(x).__name__}")
+        raise ValueError(f"{what.format(*at)} must be a JSON array, got {type(x).__name__}")
     return x
 
 
-def _vectors(x: Any, what: str, entry: str) -> list[tuple[int, ...]]:
-    """``x``, a JSON array of arrays of integers, as tuples; ``entry``
-    names an integer in the messages of :func:`_int`."""
+def _vectors(x: Any, what: str, entry: str, *at: int) -> list[tuple[int, ...]]:
+    """``x``, a JSON array of arrays of integers, as tuples, named as
+    :func:`_field` names its object; ``entry`` names an integer in the
+    messages of :func:`_int`."""
     out = []
-    for j, v in enumerate(_array(x, what)):
+    for j, v in enumerate(_array(x, what, *at)):
         if not isinstance(v, list):
-            raise ValueError(f"{what}[{j}] must be a JSON array, got {type(v).__name__}")
+            raise ValueError(f"{what.format(*at)}[{j}] must be a JSON array, got {type(v).__name__}")
         out.append(tuple(_int(c, entry) for c in v))
     return out
 
@@ -284,7 +286,7 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
         listed = {}  # the cells, in input order
         weights = {}
         for i, cell_data in enumerate(_array(_field(data, "cells"), "cells")):
-            rays = _vectors(_field(cell_data, "rays", f"cells[{i}]"), f"cells[{i}].rays", "ray coordinate")
+            rays = _vectors(_field(cell_data, "rays", "cells[{}]", i), "cells[{}].rays", "ray coordinate", i)
             cell = cone_from_rays(rank, rays)
             if cell in listed:
                 raise InputError(f"cell {cell} listed twice")

@@ -36,11 +36,10 @@ given, so equal input returns the same immutable cone: a parsed fan model,
 its face closure, its star subdivision and its resolution share one object
 per cell, whose values and faces are each worked out once.  Over the
 seed-0 fan-invariance pool, 8,342 calls ask for 803 distinct ray lists.
-:func:`_relint_pieces` builds no cone: it triangulates a non-simplicial
-ray tuple from the incidence and dimension its caller hands in, as the
-Newton face table does from its face lattice, and otherwise from the masks
-of one double description of it; its own table keeps the pieces, keyed by
-the rays alone.
+:func:`_relint_pieces` builds no cone and takes no double description: it
+triangulates a non-simplicial ray tuple from the incidence and dimension
+every caller hands in, the Newton face table from its face lattice, a fan
+cell from its span coordinates and a monoid from its dual cone.
 Faces and the pulling triangulation are read off the cone's incidence as
 bitmasks (:func:`_face_lattice`, which hands each face back with the
 facets holding it); only :func:`faces` turns masks back into cones.  A
@@ -51,11 +50,11 @@ meet of its rays' masks.  Its cells are sorted when it is
 built, so the lowest cell of a mask is a smallest one, however the cells
 were given.  The half-open pieces of a pointed cone's relative interior
 depend on its extreme rays alone, so a bounded table keeps them per sorted
-ray tuple (:func:`_relint_pieces`), with the incidence a caller may hand
-in, which those rays fix.  A simplicial cone is one piece with
-every generator strict, so it takes neither a double description nor a
-triangulation.  Each piece takes its openness flags and the Smith frame its
-box points are enumerated from in one elimination, when built, never
+ray tuple (:func:`_relint_pieces`), with the incidence and dimension its
+caller hands in, which those rays fix.  A simplicial cone is one piece
+with every generator strict, so it takes no triangulation.  Each piece
+takes its openness flags and the Smith frame its box points are
+enumerated from in one elimination, when built, never
 keeping the points themselves; a piece whose elimination shows minors of
 gcd 1 takes no Smith normal form at all.  The cone-sum kernel pairs the
 points' residues on the frame, so only :func:`resolve_complex` asks for
@@ -270,19 +269,33 @@ class Cone:
         return tuple(sum(1 << i for i, r in enumerate(self.rays) if dot(u, r) == 0) for u in self.facets)
 
     @cached_property
-    def span_coordinates(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...], Mat]:
+    def span_coordinates(self) -> tuple[tuple[Vec, ...], tuple[int, ...], tuple[Vec, ...], Mat]:
         """The cone in coordinates of its saturated span lattice, worked out
-        once per cone: its rays there, sorted, the lattice basis and the
+        once per cone: its rays there, sorted, the ray masks of its pointed
+        facets over those sorted rays, sorted, the lattice basis and the
         projection (``dim`` rows of the ambient rank's length, integer on
         the span lattice and surjective onto ``Z^dim``).
 
         The projection is a lattice isomorphism of the span, so for a
         pointed cone the projected rays are the extreme rays of the reduced,
-        full-dimensional cone.  The value is made of tuples, so a caller
-        cannot change it.
+        full-dimensional cone, and the masks are its incidence, which the
+        cone-sum kernel triangulates from.  A simplicial cone's facet ``j``
+        holds every ray but the ``j``-th, in any order, so only another
+        cone's masks are read off :attr:`incidence`, where a span-cutting
+        facet holds every ray and a pointed one does not.  The value is
+        made of tuples, so a caller cannot change it.
         """
         span, proj, _ = span_lattice(self.rays, self.ambient_rank)
-        return tuple(sorted(mat_vec(proj, r) for r in self.rays)), tuple(span), proj
+        reduced = [mat_vec(proj, r) for r in self.rays]
+        k = len(reduced)
+        order = sorted(range(k), key=reduced.__getitem__)
+        full = (1 << k) - 1
+        if k == self.dim:
+            on_facet = sorted(full ^ 1 << j for j in range(k))
+        else:
+            at = {i: 1 << j for j, i in enumerate(order)}  # ray i's bit in the sorted order
+            on_facet = sorted(sum(at[i] for i in _bits(m)) for m in self.incidence if m != full)
+        return tuple(reduced[i] for i in order), tuple(on_facet), tuple(span), proj
 
     def _key(self) -> tuple:
         return (self.dim, self.rays, self.facets)
@@ -696,7 +709,7 @@ def _carriers(kp: ConeComplex, k: ConeComplex) -> Optional[list[Cone]]:
         if big.dim == 0:
             continue
         ell = _interior_dual(big)
-        proj = big.span_coordinates[2]
+        proj = big.span_coordinates[3]
         inside = [c for c, o in zip(kp.cells, carriers) if o == big and c.dim == big.dim]
         if _volume_sum(inside, ell, proj) != _volume_sum([big], ell, proj):
             return None
@@ -968,68 +981,39 @@ def _half_open(
     return [HalfOpenCone(ambient_rank, gens, None, (rays, s)) for gens in _triangulate(rays, on_facet, dim)]
 
 
-def _pieces(
-    ambient_rank: int, rays: tuple[Vec, ...], on_facet: Optional[Sequence[int]], dim: Optional[int]
-) -> tuple[HalfOpenCone, ...]:
-    """``triangulate_half_open(c, "relint")`` of the pointed cone ``c``
-    whose sorted extreme rays are ``rays``, built afresh; no :class:`Cone`
-    is built.
-
-    Independent rays span a simplicial cone, whose relative interior is
-    one piece with every generator strict (Köppe & Verdoolaege, Electron.
-    J. Combin. 15, 2008): the pull stops at once.  When the caller hands in
-    the cone's incidence ``on_facet`` (one ray mask per pointed facet) and
-    its dimension ``dim``, as the Newton face table does from its face
-    lattice, a cone with ``dim == len(rays)`` is that one piece and any
-    other is triangulated from them, with no double description.  Bare
-    rays go straight to the constructor when there are at most
-    ``ambient_rank`` of them, whose one elimination tells their
-    independence; other rays take one double description (:func:`_dd`) of
-    the rays as inequalities.  It numbers its inputs in sorted order, which
-    is the order of ``rays``, so each facet's mask indexes ``rays``; the
-    cone has lines exactly when some ray lies on every facet, and its
-    dimension is the ambient rank less the lines of the facets.
-    """
-    if on_facet is not None:
-        if dim == len(rays):
-            return (HalfOpenCone(ambient_rank, rays, (True,) * dim),)
-        return tuple(_half_open(ambient_rank, rays, on_facet, dim, -1))
-    if len(rays) <= ambient_rank:
-        try:
-            return (HalfOpenCone(ambient_rank, rays, (True,) * len(rays)),)
-        except ValueError:
-            pass  # dependent rays
-    lines, facets = _dd(ambient_rank, rays)
-    on_facet = [m for _, m in facets]
-    if reduce(and_, on_facet, (1 << len(rays)) - 1):
-        raise LinealityError("strictly convex cone required")
-    return tuple(_half_open(ambient_rank, rays, on_facet, ambient_rank - len(lines), -1))
-
-
-# Distinct ray tuples kept by _relint_pieces, set by measurement on the
-# seed-0 benchmark inputs, with the ops run in one process (Python 3.11):
-# 256 entries hold all 127 distinct reduced cells of the 400 fan-invariance
-# inputs, and on the 600 newton-small inputs (2,963 distinct normal cones)
-# miss 5,305 of 10,364 lookups with peak RSS at 22.9-23.1 MB; keeping every
-# cone misses 2,963 at 25.6-25.7 MB.  4,328 of the 5,305 misses are
-# simplicial and take one elimination, and the other 977 are triangulated
-# from the incidence the face table hands in, with no double description;
-# 2,727 pieces take a Smith form, only those whose minors have a gcd other
-# than 1.  An entry holds the pieces and their Smith frames, never their
-# box points.
+# Distinct cones kept by _relint_pieces, set by measurement on the seed-0
+# benchmark pools, one pass of the parsed inputs' ops in one process
+# (Python 3.11), keyed by rays, incidence and dimension.  fan-invariance
+# misses 127 of 8,968 lookups, once per distinct reduced cell, all of them
+# simplicial.  newton-small misses 5,305 of 10,364 over 2,963 distinct
+# normal cones, 2,963 keeping every cone, with peak RSS at 25.0 against
+# 26.5 MB; 4,328 of the misses are simplicial and take one elimination, the
+# other 977 are triangulated from the handed incidence, and 2,727 pieces
+# take a Smith form, only those whose minors have a gcd other than 1.
+# newton-large misses 933 of 2,372 over 749, all simplicial.  No miss takes
+# a double description.  An entry holds the pieces and their Smith frames,
+# never their box points.
 _PIECE_TABLE_SIZE = 256
 
 
 @lru_cache(maxsize=_PIECE_TABLE_SIZE)
 def _relint_pieces(
-    ambient_rank: int, rays: tuple[Vec, ...], on_facet: Optional[tuple[int, ...]] = None, dim: Optional[int] = None
+    ambient_rank: int, rays: tuple[Vec, ...], on_facet: tuple[int, ...], dim: int
 ) -> tuple[HalfOpenCone, ...]:
-    """:func:`_pieces`, kept per call.  A pointed cone's sorted facet masks
-    and its dimension are fixed by its sorted rays, so a caller that hands
-    them in splits no entry of the rays; the face table hands in the tuple
-    its record holds, which the key only refers to.  A refused cone is
-    never kept, so it raises again on every call."""
-    return _pieces(ambient_rank, rays, on_facet, dim)
+    """``triangulate_half_open(c, "relint")`` of the pointed cone ``c`` of
+    dimension ``dim`` whose sorted extreme rays are ``rays`` and whose
+    pointed facets hold the rays ``on_facet`` (one ray mask per facet),
+    kept per call; no :class:`Cone` is built.
+
+    A simplicial cone, ``dim == len(rays)``, is one piece with every
+    generator strict (Köppe & Verdoolaege, Electron. J. Combin. 15, 2008);
+    any other is triangulated from its incidence (:func:`_half_open`).  The
+    rays fix the incidence and the dimension, so they split no entry.
+    Pointedness is held where the input enters, not here.
+    """
+    if dim == len(rays):
+        return (HalfOpenCone(ambient_rank, rays, (True,) * dim),)
+    return tuple(_half_open(ambient_rank, rays, on_facet, dim, -1))
 
 
 def box_points(h: HalfOpenCone) -> list[Vec]:

@@ -168,7 +168,7 @@ def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
         new_rays = [v for v in (mat_vec(proj, ray) for ray in cone_l.rays) if not is_zero_vec(v)]
         pointed = cone_from_rays(r - u, new_rays)
     if pointed.dim < r - u:
-        rays, _, rows = pointed.span_coordinates
+        rays, _, _, rows = pointed.span_coordinates
         pointed = cone_from_rays(len(rows), rays)
         proj = mat_mul(rows, proj)
     return SharpFsMonoid(pointed.ambient_rank, pointed), u, proj

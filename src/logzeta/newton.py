@@ -213,7 +213,7 @@ class _FaceTable:
             unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in rec.normal_rays) else None
             pairs = []
             buckets, spent = _relint_buckets(
-                rec.normal_rays, rec.m_witness, sigma, spent, rec.normal_incidence, self.n - rec.dim_face
+                rec.normal_rays, rec.normal_incidence, self.n - rec.dim_face, rec.m_witness, sigma, spent
             )
             for (beta, ds, h), bucket in buckets.items():
                 c = MCoeff.make(LaurentPoly.from_dict(bucket).shift(h), h)

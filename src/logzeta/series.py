@@ -25,12 +25,14 @@ The heart of the module is :func:`_relint_buckets`, the one cone-sum kernel
 shared by the fan-model, Newton and monoid pipelines: the closed form of the
 sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice points ``u`` in the
 relative interior of a pointed rational cone, given by its sorted extreme
-rays alone, by half-open simplicial decomposition read from a bounded table
-in :mod:`~logzeta.cones` keyed by those rays (a caller that knows the
-cone's incidence hands it in for a miss, as the Newton face table does).  A
-call pairs each piece's generators with ``e`` and ``a`` once and counts the
-box points into integer buckets from their residues on the piece's Smith
-frame, building no point as a vector; rays paired to zero by ``e`` each
+rays, the ray masks of its pointed facets and its dimension, by half-open
+simplicial decomposition read from a bounded table in :mod:`~logzeta.cones`
+keyed by them.  Every caller hands in the incidence its own tables hold:
+the Newton face table its face lattice's, a fan cell its span
+coordinates', a monoid its dual cone's.  A call pairs each piece's
+generators with ``e`` and ``a`` once and counts the box points into
+integer buckets from their residues on the piece's Smith frame, building
+no point as a vector; rays paired to zero by ``e`` each
 contribute ``L/(L-1)``, legal only when ``a`` pairs them to one, which each
 pipeline makes sure of at its entry.
 Callers attach their classes: the Newton face table makes one coefficient
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
 from .cones import _relint_pieces
 from .intlin import Vec, dot
@@ -323,27 +325,20 @@ CONE_SUM_MAX_BOX_POINTS = 50_000
 
 
 def _relint_buckets(
-    rays: tuple[Vec, ...],
-    e: Vec,
-    a: Vec,
-    spent: int = 0,
-    on_facet: Optional[tuple[int, ...]] = None,
-    dim: Optional[int] = None,
+    rays: tuple[Vec, ...], on_facet: tuple[int, ...], dim: int, e: Vec, a: Vec, spent: int = 0
 ) -> tuple[Buckets, int]:
     """Closed form of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
-    ``u`` in the relative interior of the cone whose sorted extreme rays are
-    ``rays`` (a cone of the ambient rank ``len(e)``), as integer buckets: entry
-    ``(beta, denominators, h) -> {L-exponent: count}`` stands for those
-    L-monomials times ``(L/(L-1))^h T^beta / prod(1 - L^a T^b)``, ``h`` the
-    number of the piece's generators ``g`` with ``<g,e> = 0``, which must
-    satisfy ``<g,a> = 1``.  The callers' trust boundaries see to that: a fan
+    ``u`` in the relative interior of the pointed cone of dimension ``dim``
+    whose sorted extreme rays are ``rays`` and whose pointed facets hold the
+    rays ``on_facet`` (a cone of the ambient rank ``len(e)``), as integer
+    buckets: entry ``(beta, denominators, h) -> {L-exponent: count}`` stands
+    for those L-monomials times ``(L/(L-1))^h T^beta / prod(1 - L^a T^b)``,
+    ``h`` the number of the piece's generators ``g`` with ``<g,e> = 0``,
+    which must satisfy ``<g,a> = 1``.  The callers' trust boundaries see to that: a fan
     model's verdict holds the horizontal-divisor rule, a Newton normal ray
     with ``m = 0`` is a coordinate vector, on which ``sigma`` is 1, and
     :func:`cone_series` checks its marking on entry.  The pieces and their
-    Smith frames are read from ``cones._relint_pieces``, keyed by ``rays``;
-    a caller that knows the cone's incidence ``on_facet`` and dimension
-    ``dim`` hands them in, for a miss to triangulate with no double
-    description, and they join the key, which the rays already fix.
+    Smith frames are read from ``cones._relint_pieces``, keyed by the cone.
 
     Per call, each generator is paired with ``e`` and ``a`` once, and no
     box point is built as a vector: the point with residues ``lambda`` over
@@ -356,8 +351,7 @@ def _relint_buckets(
     is raised before enumerating once it would pass
     :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
-    # the table keys its arguments as given, so bare rays are asked bare
-    pieces = _relint_pieces(len(e), rays) if on_facet is None else _relint_pieces(len(e), rays, on_facet, dim)
+    pieces = _relint_pieces(len(e), rays, on_facet, dim)
     spent += sum(piece.box_count() for piece in pieces)
     if spent > CONE_SUM_MAX_BOX_POINTS:
         raise ValueError(
@@ -405,5 +399,7 @@ def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
     for v in dual.rays:
         if dot(v, mm.e_pi) == 0 and dot(v, mm.a_div) != 1:
             raise ValueError(f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, mm.a_div)}")
-    buckets, _ = _relint_buckets(dual.rays, mm.e_pi, mm.a_div)
+    # a sharp fs monoid's cone is strictly convex and full dimensional, so
+    # its dual is pointed, and all of its facets are pointed ones
+    buckets, _ = _relint_buckets(dual.rays, dual.incidence, dual.dim, mm.e_pi, mm.a_div)
     return _weighted_sum([(buckets, weight)])

@@ -205,20 +205,23 @@ def _cell_problems(f: FanModel, cells: Iterable[Cone]) -> Iterator[str]:
                     )
 
 
-def _cell_in_span(f: FanModel, cell: Cone) -> tuple[tuple[Vec, ...], Vec, Vec]:
-    """A pointed cell's sorted rays, with its e and a, in coordinates of its
-    saturated span lattice.
+def _cell_in_span(f: FanModel, cell: Cone) -> tuple[tuple[Vec, ...], tuple[int, ...], int, Vec, Vec]:
+    """A pointed cell's sorted rays, the ray masks of its pointed facets, its
+    dimension, and its e and a, in coordinates of its saturated span
+    lattice: the arguments of the cone-sum kernel.
 
     The lattice points of the reduced cell are exactly those of the cell.
     Triangulating there rather than in ambient coordinates fixes the ray
     order that the pulling triangulation follows, which keeps printed
-    series canonical on lower-dimensional cells.
+    series canonical on lower-dimensional cells.  A valid model's cells are
+    pointed: ``e >= 0`` on a line forces ``e = 0`` there, which the
+    horizontal-divisor rule or the generic part's smoothness refuses.
     """
     owner = f.owning_maximal(cell)
-    rays, span, _ = cell.span_coordinates
+    rays, on_facet, span, _ = cell.span_coordinates
     e_red = tuple(dot(f.e_vecs[owner], b) for b in span)
     a_red = tuple(dot(f.a_vecs[owner], b) for b in span)
-    return rays, e_red, a_red
+    return rays, on_facet, cell.dim, e_red, a_red
 
 
 def fan_poincare(f: FanModel, m: int) -> ZSeries:

@@ -4,7 +4,8 @@
 input, so a cone built by one test, with the values it keeps (``dim``,
 ``is_smooth``, ``incidence``, ``span_coordinates``), would reach the next,
 and so would the cones ``cones.faces`` keeps for it and the pieces
-``cones._relint_pieces`` keeps per ray tuple.  Each test starts with all
+``cones._relint_pieces`` keeps per cone, keyed by its rays, incidence and
+dimension.  Each test starts with all
 three tables empty, and each ``monkeypatch.setattr`` empties the cone table
 again, so a bound or a method patched in a test holds for every cone that
 test builds from then on.

@@ -424,6 +424,21 @@ def oracle_incidence(c: Cone) -> tuple[int, ...]:
     return tuple(out)
 
 
+def kernel_cone(c: Cone) -> tuple[tuple[Vec, ...], tuple[int, ...], int]:
+    """The pointed cone ``c`` as the cone-sum kernel takes it: its sorted
+    rays, the masks of :func:`oracle_incidence` of its pointed facets (those
+    whose negative is no facet), sorted, and its dimension."""
+    facets = set(c.facets)
+    pointed = [m for u, m in zip(c.facets, oracle_incidence(c)) if tuple(-x for x in u) not in facets]
+    return c.rays, tuple(sorted(pointed)), c.dim
+
+
+def relint_pieces(c: Cone) -> tuple[HalfOpenCone, ...]:
+    """``cones._relint_pieces`` of the pointed cone ``c``, handed
+    :func:`kernel_cone`."""
+    return _relint_pieces(c.ambient_rank, *kernel_cone(c))
+
+
 def brute_is_face(g: Cone, c: Cone) -> bool:
     """``g`` lies in ``c`` and equals the smallest face of ``c`` containing it."""
     if not all(c.contains(r) for r in g.rays):
@@ -942,7 +957,11 @@ def support_box_points(inp: NewtonInput) -> int:
     """The box points the face table of ``inp`` enumerates, which count
     against ``series.CONE_SUM_MAX_BOX_POINTS``: those of the pieces of the
     relative interior of every record's normal cone."""
-    return sum(p.box_count() for rec in newton_polyhedron(inp) for p in _relint_pieces(inp.n, rec.normal_rays))
+    return sum(
+        p.box_count()
+        for rec in newton_polyhedron(inp)
+        for p in _relint_pieces(inp.n, rec.normal_rays, rec.normal_incidence, inp.n - rec.dim_face)
+    )
 
 
 def _minimised_face(support, u: Vec) -> tuple[frozenset, frozenset]:

@@ -124,6 +124,74 @@ def test_invalid_model_prints_diagnostics(capsys, argv):
     assert "horizontal-divisor" in out
 
 
+# One non-simplicial cell, the cone over a square, flat in rank 4, with an
+# edge and a ray of it weighted too: the cone-sum kernel triangulates the
+# square from the incidence of its span coordinates.  No benchmark input
+# holds a non-simplicial fan cell, so its printed series is pinned here.
+FLAT_SQUARE_MODEL = {
+    "rank": 4,
+    "cells": [
+        {"rays": [[1, 0, 1, 1], [0, 1, 1, 2], [-1, 0, 1, 0], [0, -1, 1, -1]], "weight": {"S": "L^2-2*L+1"}},
+        {"rays": [[0, 1, 1, 2], [1, 0, 1, 1]], "weight": {"E": "L-1"}},
+        {"rays": [[1, 0, 1, 1]], "weight": {"R": "1"}},
+    ],
+    "e": [[1, 1, 2, 0]],
+    "a": [[0, 1, 0, -1]],
+}
+
+
+@pytest.mark.parametrize(
+    "m, text",
+    [
+        (
+            "0",
+            "[R]*L*T^3/(1-L*T^3) + [S]*(L^3-2*L^2+L)*T^4/((1-T)*(1-T)*(1-L*T^3))"
+            " + [E]*(L^3-L^2)*T^6/((1-L*T^3)*(1-L*T^3))"
+            " + [S]*(L^4-2*L^3+L^2)*T^7/((1-T)*(1-L*T^3)*(1-L*T^3))",
+        ),
+        (
+            "1",
+            "[R]*T^3/(1-L*T^3) + [S]*(L^2-2*L+1)*T^4/((1-T)*(1-T)*(1-L*T^3))"
+            " + [E]*(L^2-L)*T^6/((1-L*T^3)*(1-L*T^3))"
+            " + [S]*(L^3-2*L^2+L)*T^7/((1-T)*(1-L*T^3)*(1-L*T^3))",
+        ),
+    ],
+)
+def test_flat_square_series_pinned(tmp_path, capsys, m, text):
+    code, out = run(capsys, "fan-series", write(tmp_path, "square.json", FLAT_SQUARE_MODEL), "--m", m)
+    assert (code, out) == (0, text + "\n")
+
+
+@pytest.mark.parametrize(
+    "e, diagnostics",
+    [
+        (
+            [0, 1],
+            [
+                "cell Cone(rank 2, rays [(-1, 0), (1, 0)]) lies in the generic part (e = 0) but is not smooth",
+                "horizontal-divisor rule: ray (-1, 0) has e-value 0 but a-value 0 (expected 1)",
+                "horizontal-divisor rule: ray (1, 0) has e-value 0 but a-value 0 (expected 1)",
+            ],
+        ),
+        (
+            [0, 0],
+            [
+                "cell Cone(rank 2, rays [(-1, 0), (0, 1), (1, 0)]) lies in the generic part (e = 0) but is not smooth",
+                "cell Cone(rank 2, rays [(-1, 0), (1, 0)]) lies in the generic part (e = 0) but is not smooth",
+            ],
+        ),
+    ],
+)
+def test_cell_with_a_line_exits_2(tmp_path, capsys, e, diagnostics):
+    # the cone-sum kernel takes pointed cones only, and validation sees to
+    # it: e >= 0 on v and -v forces e(v) = 0, which the horizontal-divisor
+    # rule refuses in a contributing cell, and the generic part's
+    # smoothness in any other
+    model = {"rank": 2, "cells": [{"rays": [[1, 0], [-1, 0], [0, 1]], "weight": {"H": "1"}}], "e": [e], "a": [[0, 0]]}
+    code, out = run(capsys, "fan-series", write(tmp_path, "line.json", model))
+    assert (code, out.splitlines()) == (2, diagnostics)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

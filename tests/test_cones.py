@@ -72,6 +72,7 @@ from genutil import (
     oracle_incidence,
     random_cone,
     random_subdivided_cone,
+    relint_pieces,
     two_dd_cone,
     two_dd_facets_cone,
     uncertified,
@@ -379,11 +380,12 @@ def test_cone_values_match_their_oracles(rank_gens, rng):
         assert c.incidence == oracle_incidence(c)
         assert c.incidence is c.incidence  # worked out once per cone
         span, proj, _ = span_lattice(c.rays, rank)
-        rays, basis, projection = c.span_coordinates
+        rays, on_facet, basis, projection = c.span_coordinates
         assert (basis, projection) == (tuple(span), proj)
         assert rays == tuple(sorted(mat_vec(proj, r) for r in c.rays))
-        if c.is_strictly_convex():  # the extreme rays of the reduced cone
-            assert rays == cone_from_rays(len(span), [mat_vec(proj, r) for r in c.rays]).rays
+        if c.is_strictly_convex():  # the extreme rays of the reduced cone, and its incidence
+            reduced = cone_from_rays(len(span), [mat_vec(proj, r) for r in c.rays])
+            assert (rays, on_facet) == (reduced.rays, tuple(sorted(oracle_incidence(reduced))))
 
 
 def test_cone_from_rays_runs_one_dd_when_pointed(monkeypatch):
@@ -517,8 +519,8 @@ def test_piece_frame_is_always_its_own(monkeypatch):
     assert dataclasses.replace(unit, gens=((1, 0), (1, 2))).box_count() == 2
     c = cone_from_rays(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])  # pieces of index 2
     frames = count_calls(monkeypatch, "_smith_frame")
-    square = triangulate_half_open(c, "closed") + list(_relint_pieces(3, c.rays))
-    pieces = square + list(_relint_pieces(3, ((1, 0, 0), (1, 2, 0))))
+    square = triangulate_half_open(c, "closed") + list(relint_pieces(c))
+    pieces = square + list(relint_pieces(cone_from_rays(3, [(1, 0, 0), (1, 2, 0)])))
     assert len(frames) == len(pieces) == 5
     assert {h.box_count() for h in square} == {2}
     for h in pieces:
@@ -600,7 +602,7 @@ def test_kernel_pairs_on_the_frame_as_box_points_do(seed, kind):
     e = tuple(rng.randint(0, 3) for _ in range(rank))
     a = tuple(rng.randint(-3, 3) for _ in range(rank))
     with unittest.mock.patch.object(logzeta.series, "_relint_pieces", return_value=tuple(pieces)):
-        buckets, spent = logzeta.series._relint_buckets((), e, a, 5)
+        buckets, spent = logzeta.series._relint_buckets((), (), 0, e, a, 5)
     assert buckets == kernel_oracle(pieces, e, a)
     assert spent == 5 + sum(h.box_count() for h in pieces)
 
@@ -960,47 +962,41 @@ def test_half_open_flags_match_witness_oracle(c):
 @example(SQUARE)
 @example(SQUARE_IN_4)
 @example(cone_from_rays(5, [(1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (-1, 0, 1, 0, 0), (0, -1, 1, 0, 0)]))  # flat, two lines
-@example(cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)]))  # a half-plane
-@example(cone_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]))  # a flat half-plane
-@example(cone_from_rays(2, [(1, 0), (-1, 0)]))  # a line
 @example(cone_from_rays(0, []))  # the zero cone of rank 0
 def test_relint_pieces_match_triangulate_half_open(c):
-    # the piece table reads a pointed cone by its rays; a simplicial one is
-    # one piece, every generator strict, with the frame its own Smith form
-    if not c.is_strictly_convex():
-        for _ in range(2):  # nothing is kept of a failed build
-            with pytest.raises(LinealityError):
-                _relint_pieces(c.ambient_rank, c.rays)
-        return
+    # the piece table reads a pointed cone by its rays, incidence and
+    # dimension; a simplicial one is one piece, every generator strict,
+    # with the frame its own Smith form.  A cone with lines never reaches
+    # it: the kernel's callers refuse one at their trust boundaries
+    assume(c.is_strictly_convex())
     expected = tuple(triangulate_half_open(c, "relint"))
     for _ in range(2):  # built, then read from the table
-        pieces = _relint_pieces(c.ambient_rank, c.rays)
+        pieces = relint_pieces(c)
         assert pieces == expected
         assert [getattr(p, "_frame", None) for p in pieces] == [getattr(p, "_frame", None) for p in expected]
 
 
 def test_simplicial_cone_takes_no_triangulation(monkeypatch):
+    flat = cone_from_rays(3, [(1, 2, 0), (2, 1, 0)])
     _relint_pieces.cache_clear()
     runs = count_dd_runs(monkeypatch)
     eliminations = count_calls(monkeypatch, "_gauss_jordan")
     frames = count_calls(monkeypatch, "_smith_frame")
-    # independent rays: the constructor's one elimination, one piece
-    (piece,) = _relint_pieces(3, ((1, 2, 0), (2, 1, 0)))
+    # as many rays as the dimension: the constructor's one elimination, one piece
+    (piece,) = relint_pieces(flat)
     assert piece.strict == (True, True) and piece.box_count() == 3
     assert (runs, len(eliminations), len(frames)) == ([], 1, 1)
-    # the square: one double description, and per piece the constructor's
-    # one elimination, which also gives its flags
-    assert len(_relint_pieces(3, SQUARE.rays)) == 2
-    assert (runs, len(eliminations), len(frames)) == ([3], 3, 3)
-    # four rays in rank 4 but dependent: the constructor refuses them after
-    # its elimination, then they take the double description
-    assert len(_relint_pieces(4, SQUARE_IN_4.rays)) == 2
-    assert (runs, len(eliminations), len(frames)) == ([3, 4], 6, 5)
-    # a cone summed over again reads the table: no elimination, no double
-    # description, no piece
-    assert len(_relint_pieces(3, SQUARE.rays)) == 2
-    assert _relint_pieces(3, ((1, 2, 0), (2, 1, 0))) == (piece,)
-    assert (runs, len(eliminations), len(frames)) == ([3, 4], 6, 5)
+    # the square, full dimensional or flat in rank 4: per piece the
+    # constructor's one elimination, which also gives its flags, and no
+    # double description, since the incidence is handed in
+    assert len(relint_pieces(SQUARE)) == 2
+    assert (runs, len(eliminations), len(frames)) == ([], 3, 3)
+    assert len(relint_pieces(SQUARE_IN_4)) == 2
+    assert (runs, len(eliminations), len(frames)) == ([], 5, 5)
+    # a cone summed over again reads the table: no elimination, no piece
+    assert len(relint_pieces(SQUARE)) == 2
+    assert relint_pieces(flat) == (piece,)
+    assert (runs, len(eliminations), len(frames)) == ([], 5, 5)
 
 
 def non_simplicial_lower_dim(rng, count):

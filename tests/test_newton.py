@@ -279,7 +279,7 @@ def test_cover_incidence_and_dimension_match_the_built_normal_cone(seed, n):
         pointed = [m for u, m in zip(c.facets, oracle_incidence(c)) if vec_scale(-1, u) not in facets]
         assert rec.normal_incidence == tuple(sorted(pointed))
         assert n - rec.dim_face == rank(rec.normal_rays) == c.dim
-        pieces = logzeta.cones._pieces(n, rec.normal_rays, rec.normal_incidence, n - rec.dim_face)
+        pieces = logzeta.cones._relint_pieces(n, rec.normal_rays, rec.normal_incidence, n - rec.dim_face)
         assert pieces == tuple(triangulate_half_open(c, "relint"))
 
 

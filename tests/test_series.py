@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 import logzeta.series
 from logzeta.cli import series_to_json
 from logzeta.cones import (
-    LinealityError,
     _relint_pieces,
     box_points,
     complex_from_cones,
@@ -23,6 +22,7 @@ from logzeta.zeta import (
     FanModel,
     SncdComponent,
     SncdData,
+    _cell_in_span,
     fan_poincare,
     sncd_to_fanmodel,
     transport_subdivide,
@@ -35,6 +35,7 @@ from genutil import (
     count_dd_runs,
     expansion_case,
     fresh_box_points,
+    kernel_cone,
     merge_expand,
     nested_json,
     nested_text,
@@ -46,6 +47,7 @@ from genutil import (
     random_marked_monoid,
     random_series,
     random_terms,
+    relint_pieces,
     series_pair,
 )
 
@@ -423,15 +425,13 @@ def outcome(kernel, *args):
 @example((cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)]), (0, 0, 1), (1, 1, 0), WEIGHTS[7]))
 def test_relint_cone_sum_matches_per_call_kernel(args):
     def weighted(cone, e, a, w):
-        return _weighted_sum([(_relint_buckets(cone.rays, e, a)[0], w)])
+        return _weighted_sum([(_relint_buckets(*kernel_cone(cone), e, a)[0], w)])
 
     expected = outcome(per_call_relint_cone_sum, *args)
     assert outcome(weighted, *args) == expected
     assert outcome(weighted, *args) == expected  # read from the table
-    cone = args[0]
-    if cone.is_strictly_convex():
-        for piece in _relint_pieces(cone.ambient_rank, cone.rays):
-            assert box_points(piece) == fresh_box_points(piece)
+    for piece in relint_pieces(args[0]):
+        assert box_points(piece) == fresh_box_points(piece)
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,11 +440,11 @@ def test_relint_cone_sum_is_pure_geometry(args):
     # the kernel touches no class symbol: it returns integer counts, one per
     # box point, and on the unit weight every coefficient is on the unit
     try:
-        buckets, spent = _relint_buckets(args[0].rays, *args[1:3])
+        buckets, spent = _relint_buckets(*kernel_cone(args[0]), *args[1:3])
     except ValueError:
         return
     assert all(type(n) is int and n > 0 for b in buckets.values() for n in b.values())
-    points = sum(piece.box_count() for piece in _relint_pieces(args[0].ambient_rank, args[0].rays))
+    points = sum(piece.box_count() for piece in relint_pieces(args[0]))
     assert sum(n for b in buckets.values() for n in b.values()) == points == spent
     s = _weighted_sum([(buckets, ONE)])
     assert all(set(c.terms) == {UNIT_SYMBOL} for _, c in s.sorted_terms())
@@ -453,27 +453,30 @@ def test_relint_cone_sum_is_pure_geometry(args):
 def test_cone_sum_bound_counts_box_points(monkeypatch):
     # the cone [(1, 0), (1, N)] is one piece of N box points
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 6)
-    buckets, spent = _relint_buckets(cone_from_rays(2, [(1, 0), (1, 6)]).rays, (1, 0), (0, 1))
+    buckets, spent = _relint_buckets(*kernel_cone(cone_from_rays(2, [(1, 0), (1, 6)])), (1, 0), (0, 1))
     assert sum(n for b in buckets.values() for n in b.values()) == spent == 6
     with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
-        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 7)]).rays, (1, 0), (0, 1))
+        _relint_buckets(*kernel_cone(cone_from_rays(2, [(1, 0), (1, 7)])), (1, 0), (0, 1))
     # the points a pipeline spent before count too
-    assert _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]).rays, (1, 0), (0, 1), 1)[1] == 6
+    index5 = kernel_cone(cone_from_rays(2, [(1, 0), (1, 5)]))
+    assert _relint_buckets(*index5, (1, 0), (0, 1), 1)[1] == 6
     with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
-        _relint_buckets(cone_from_rays(2, [(1, 0), (1, 5)]).rays, (1, 0), (0, 1), 2)
+        _relint_buckets(*index5, (1, 0), (0, 1), 2)
     # pieces add up: the square's interior is two triangles of index 2
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 3)
     with pytest.raises(ValueError, match="cone sum needs 4 box points"):
-        _relint_buckets(SQUARE.rays, (0, 0, 1), (1, 1, 1))
+        _relint_buckets(*kernel_cone(SQUARE), (0, 0, 1), (1, 1, 1))
 
 
 def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
-    halfplane = cone_from_rays(2, [(1, 0), (-1, 0), (0, 1)])
-    runs = count_dd_runs(monkeypatch)
+    # the bound is checked on every call, before enumerating: a second call
+    # over it reads the kept pieces, and raises again
+    monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 3)
+    frames = count_calls(monkeypatch, "_smith_frame")
     for _ in range(2):
-        with pytest.raises(LinealityError):
-            _relint_buckets(halfplane.rays, (1, 1), (0, 0))
-    assert runs == [2, 2]  # the line is found afresh each time; nothing is kept
+        with pytest.raises(ValueError, match="cone sum needs 4 box points"):
+            _relint_buckets(*kernel_cone(SQUARE), (0, 0, 1), (1, 1, 1))
+    assert len(frames) == 2  # the square's two pieces, built once
 
 
 def test_cone_sums_reuse_each_cone(monkeypatch):
@@ -489,15 +492,16 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
         return sum(1 for gens, _ in frames if gens)
 
     def reduced(model):
-        # the contributing cells' rays in span coordinates, as the kernel reads them
+        # the contributing cells in span coordinates, as the kernel reads
+        # them: rays, incidence and dimension
         return {
-            cell.span_coordinates[0]
+            _cell_in_span(model, cell)[:3]
             for cell in model.complex.cells
             if not model.weight(cell).is_zero() and not model.e_identically_zero(cell)
         }
 
-    def cone(rays):
-        return cone_from_rays(len(rays[0]), rays)
+    def pieces(r):
+        return _relint_pieces(len(r[0][0]), *r)
 
     # an orthant model: e is positive on every ray, so no cell is generic
     # and validation takes no Smith normal form
@@ -516,23 +520,20 @@ def test_cone_sums_reuse_each_cone(monkeypatch):
     assert new and new != reduced(star)
     del runs[:]
     fan_poincare(star, 1)
-    ran = sorted(runs)
-    # only a cell that is not simplicial takes a double description, of its
-    # rays in span coordinates
-    assert ran == sorted(len(r[0]) for r in new if len(r) != cone(r).dim)
+    assert runs == []  # no cell takes a double description
     built = builds()
     # the cells built are the new ones, each framed once: all are kept now
-    assert built == len(reduced(model)) + sum(len(_relint_pieces(len(r[0]), r)) for r in new)
+    assert built == len(reduced(model)) + sum(len(pieces(r)) for r in new)
     for r in reduced(star):
-        _relint_pieces(len(r[0]), r)
+        pieces(r)
     assert builds() == built
 
-    # a cell over a square is not simplicial: its first sum takes one double
-    # description, of its rays in span coordinates, and the next reads the
-    # kept pieces
+    # a cell over a square is not simplicial: its first sum triangulates it
+    # from the incidence its span coordinates hold, with no double
+    # description, and the next reads the kept pieces
     square = FanModel(complex_from_cones(3, [SQUARE]), {SQUARE: (0, 0, 1)}, {SQUARE: (1, 1, 1)}, {SQUARE: ONE})
     assert validate_model(square) == []
     del runs[:]
     for _ in range(2):
         fan_poincare(square, 1)
-    assert runs == [3] and builds() == built + 2
+    assert runs == [] and builds() == built + 2

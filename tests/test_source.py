@@ -201,6 +201,18 @@ def test_only_the_resolution_builds_box_point_vectors():
     assert _readers("box_points") == {("cones.py", "resolve_complex")}
 
 
+def test_one_route_into_the_cone_sum_kernel():
+    # the double description builds cones and the Newton face lattice; the
+    # piece table takes every cone with its incidence and dimension, so it
+    # runs none, and the kernel (imported, then called) is its only reader
+    assert _readers("_dd") == {
+        ("cones.py", "_build_cone"),
+        ("cones.py", "_dd_generators"),
+        ("newton.py", "_newton_faces"),
+    }
+    assert _readers("_relint_pieces") == {("series.py", "<module>"), ("series.py", "_relint_buckets")}
+
+
 def test_newton_takes_no_rank():
     # a face's dimension comes from the face lattice's grading
     assert all(file != "newton.py" for file, _ in _readers("rank"))

@@ -33,6 +33,7 @@ from logzeta.zeta import (
 from genutil import (
     brute_fan_sum,
     count_calls,
+    oracle_incidence,
     random_fan_model,
     random_sncd,
     random_subdivided_cone,
@@ -605,12 +606,14 @@ def test_fan_poincare_brute_force_non_unimodular_faces(stars):
 def _models_with_odd_cells():
     rng = random.Random(91)
     models = [random_fan_model(rng, rank) for rank in (2, 3, 4) for _ in range(3)]
-    # non-smooth lower-dimensional cells, and a non-simplicial flat square
+    # non-smooth lower-dimensional cells, and non-simplicial flat squares,
+    # the second of whose rays take another order in span coordinates
     k = complex_from_cones(3, [ORTHANT3])
     for rho in [(1, 1, 0), (1, 1, 2)]:
         k = star_subdivision(k, rho)
     square = cone_from_rays(4, [(1, 0, 1, 1), (0, 1, 1, 2), (-1, 0, 1, 0), (0, -1, 1, -1)])
-    for k in (k, complex_from_cones(4, [square])):
+    reordered = cone_from_rays(4, [(0, -1, 1, 0), (0, 0, 0, 1), (2, -1, 2, 0), (4, 1, 1, 2)])
+    for k in (k, complex_from_cones(4, [square]), complex_from_cones(4, [reordered])):
         maximal = k.maximal_cells()
         ones, zeros = (1,) * k.ambient_rank, (0,) * k.ambient_rank
         models.append(FanModel(k, dict.fromkeys(maximal, ones), dict.fromkeys(maximal, zeros)))
@@ -622,12 +625,16 @@ def test_cell_in_span_matches_cone_from_rays():
     from logzeta.zeta import _cell_in_span
 
     # the kernel reads a cell by its rays in span coordinates: the sorted
-    # extreme rays of the cone they build there
+    # extreme rays of the cone they build there, with that cone's facet
+    # masks over them, sorted, and its dimension; the cone is full
+    # dimensional there, so all of its facets are pointed
     for model in _models_with_odd_cells():
         for cell in model.complex.cells:
-            rays, _, _ = _cell_in_span(model, cell)
+            rays, on_facet, dim, _, _ = _cell_in_span(model, cell)
             span, proj, _ = span_lattice(cell.rays, model.complex.ambient_rank)
-            assert rays == cone_from_rays(len(span), [mat_vec(proj, r) for r in cell.rays]).rays, cell
+            reduced = cone_from_rays(len(span), [mat_vec(proj, r) for r in cell.rays])
+            assert rays == reduced.rays, cell
+            assert (on_facet, dim) == (tuple(sorted(oracle_incidence(reduced))), reduced.dim), cell
 
 
 def test_span_coordinates_worked_out_once_per_cell(monkeypatch):
