@@ -255,23 +255,23 @@ def parse_sncd(data: dict[str, Any]) -> SncdData:
     try:
         comps = []
         for i, c in enumerate(_array(_field(data, "components"), "components")):
-            where = f"components[{i}]"
             comps.append(
                 SncdComponent(
-                    id=str(_field(c, "id", where)),
-                    N=_int(_field(c, "N", where), "N"),
+                    id=str(_field(c, "id", "components[{}]", i)),
+                    N=_int(_field(c, "N", "components[{}]", i), "N"),
                     mu=_int(c["mu"], "mu") if c.get("mu") is not None else None,
                     nu=_int(c["nu"], "nu") if c.get("nu") is not None else None,
                 )
             )
-        strata = tuple(
-            (
-                frozenset(str(j) for j in _array(_field(s, "J", f"strata[{i}]"), f"strata[{i}].J")),
-                str(_field(s, "symbol", f"strata[{i}]")),
-            )
-            for i, s in enumerate(_array(_field(data, "strata"), "strata"))
-        )
-        return SncdData(_int(_field(data, "m"), "m"), tuple(comps), strata)
+        strata = []
+        for i, s in enumerate(_array(_field(data, "strata"), "strata")):
+            ids: set[str] = set()
+            for j in map(str, _array(_field(s, "J", "strata[{}]", i), "strata[{}].J", i)):
+                if j in ids:
+                    raise ValueError(f"strata[{i}].J lists {j!r} twice")
+                ids.add(j)
+            strata.append((frozenset(ids), str(_field(s, "symbol", "strata[{}]", i))))
+        return SncdData(_int(_field(data, "m"), "m"), tuple(comps), tuple(strata))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad sncd input: {e}")
 

@@ -15,6 +15,7 @@ the generating-function machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .cones import (
@@ -68,6 +69,12 @@ class SharpFsMonoid:
         return self.cone.contains(v)
 
     def dual(self) -> Cone:
+        """The dual cone, the same object on every call, so the incidence it
+        caches is worked out once per monoid."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> Cone:
         return dual_cone(self.cone)
 
     def __str__(self) -> str:

@@ -142,6 +142,18 @@ def _exact_quotient(num: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(tuple(out))
 
 
+# Widest numerator, from its lowest to its highest power of L, that is
+# divided by (L-1): the quotient holds a term per power in between.  A fan
+# model of 160 bytes whose weights cancel to (1 - L^-A)/(L-1) printed
+# 9.9 MB in 1.0 s from `expand --degree 1` at A = 10^6, and ended in a
+# MemoryError under a 2 GB address-space cap at A = 10^9.  Dividing a
+# numerator of span 10,000 takes 0.8 ms, and its quotient prints as 79 KB
+# (2-vCPU Xeon, Python 3.11).  The seed-0 benchmark pools and scripts/data
+# divide spans of at most 2, the Tier-1 suite 142, and the coefficient
+# parser admits 2,000.
+COEFF_MAX_SPAN = 10_000
+
+
 @dataclass(frozen=True)
 class MCoeff:
     num: LaurentPoly
@@ -151,10 +163,17 @@ class MCoeff:
     def make(num: LaurentPoly, den_pow: int = 0) -> "MCoeff":
         """Normalize ``num / (L-1)^den_pow``.  ``(L-1)`` divides ``num``
         exactly when ``num(1)``, the sum of its coefficients, is zero, so
-        that is tested before each division."""
+        that is tested before each division.  A numerator wider than
+        :data:`COEFF_MAX_SPAN` raises ``ValueError`` before it is divided."""
         if den_pow < 0:
             raise ValueError("denominator power must be nonnegative")
         while den_pow > 0 and num.coeffs and sum(c for _, c in num.coeffs) == 0:
+            span = num.coeffs[-1][0] - num.coeffs[0][0]
+            if span > COEFF_MAX_SPAN:
+                raise ValueError(
+                    f"coefficient numerator spans {span} powers of L, more than {COEFF_MAX_SPAN};"
+                    " its quotient by (L-1) is too long"
+                )
             num = _exact_quotient(num)
             den_pow -= 1
         if num.is_zero():

@@ -200,23 +200,22 @@ class _FaceTable:
         ``S`` the sum of L^{-sigma(u)} T^{m(u)} over the relative interior of
         the normal cone (sigma = 1 on the coordinate vectors, where m = 0).
 
-        Written out per bucket ``(beta, D, h)`` of the kernel, which makes one
+        One kernel call takes every face's normal cone, so the box points of
+        the table count against one bound.  Written out per bucket
+        ``(beta, D, h)``, whose L-exponents over ``(L-1)^h`` make one
         coefficient ``c``: ``[X_tau(0)]·L^{-1}c·T^{beta+1}/(D·(1-L^{-1}T))`` and,
         when m does not vanish on the whole normal cone, ``[X_tau(1)]·c·T^beta/D``
         (of positive T-degree then); ``c`` is canonical and L a unit, so both are."""
         sigma = (1,) * self.n
+        normals = [(r.normal_rays, r.normal_incidence, self.n - r.dim_face, r.m_witness, sigma) for r in self.records]
         out = []
-        spent = 0  # box points, counted against one bound for the table
-        for rec in self.records:
+        for rec, buckets in zip(self.records, _relint_buckets(normals)):
             # one-atom symbols are canonical as they stand
             jet = f"X_tau(0)@{rec.face_id}"
             unit = f"X_tau(1)@{rec.face_id}" if any(rec.m_of(r) != 0 for r in rec.normal_rays) else None
             pairs = []
-            buckets, spent = _relint_buckets(
-                rec.normal_rays, rec.normal_incidence, self.n - rec.dim_face, rec.m_witness, sigma, spent
-            )
             for (beta, ds, h), bucket in buckets.items():
-                c = MCoeff.make(LaurentPoly.from_dict(bucket).shift(h), h)
+                c = MCoeff.make(LaurentPoly.from_dict(bucket), h)
                 pairs.append(((beta + 1, tuple(sorted(ds + _JET_DENOM)), jet), c.scale_l(-1)))
                 if unit is not None:
                     pairs.append(((beta, ds, unit), c))

@@ -29,12 +29,16 @@ rays, the ray masks of its pointed facets and its dimension, by half-open
 simplicial decomposition read from a bounded table in :mod:`~logzeta.cones`
 keyed by them.  Every caller hands in the incidence its own tables hold:
 the Newton face table its face lattice's, a fan cell its span
-coordinates', a monoid its dual cone's.  A call pairs each piece's
-generators with ``e`` and ``a`` once and counts the box points into
-integer buckets from their residues on the piece's Smith frame, building
-no point as a vector; rays paired to zero by ``e`` each
-contribute ``L/(L-1)``, legal only when ``a`` pairs them to one, which each
-pipeline makes sure of at its entry.
+coordinates', a monoid its dual cone's.  Each pipeline calls the kernel
+once, with all of its cones, and the kernel counts their box points
+against one bound itself.  Per cone it pairs each piece's generators with
+``e`` and ``a`` once and counts the box points into integer buckets from
+their residues on the piece's Smith frame, building no point as a vector.
+Rays paired to zero by ``e`` each contribute ``L/(L-1)``, legal only when
+``a`` pairs them to one, which each pipeline makes sure of at its entry:
+the kernel adds their ``L`` to the exponents and keys their ``(L-1)`` in
+the bucket, so a bucket ``(beta, D, h)`` stands for its L-monomials times
+``T^beta/((L-1)^h D)``.
 Callers attach their classes: the Newton face table makes one coefficient
 per bucket, and :func:`_weighted_sum` multiplies by weights in integers,
 one normalisation per output entry.
@@ -310,71 +314,77 @@ def format_poles(poles: frozenset[Fraction]) -> str:
 # Cone sums in closed form.
 
 
-# Most box points one pipeline call may enumerate: the kernel calls of one
-# fan_poincare, one Newton face table or one cone_series, summed over the
-# pieces of their cones; a piece holds the product of its Smith divisors.
-# The seed-0 benchmark pools reach 1,494 per pipeline call, the Tier-1 suite
-# 7,161 (a pinned Newton output), and the kernel's property test, whose cones
-# have coordinates 0-3 in a unimodular basis of rank at most 5, stays below
-# 3^5 * 5! = 29,160 per call.  The Newton support {(N, 0), (0, 1)} has a
-# cone of index N: newton-zeta at N = 50,000 takes 1.8 s and 110 MB and
-# prints 6.8 MB (2-vCPU Xeon, Python 3.11), and at N = 100,000 it took 2.6 s
-# and 196 MB before the bound.  A bound per kernel call would let a model of
+# Most box points one pipeline call may enumerate.  Each fan_poincare, Newton
+# face table and cone_series calls the kernel once, which counts the box
+# points of the pieces of all the cones it is handed against this bound; a
+# piece holds the product of its Smith divisors.  The seed-0 benchmark pools
+# reach 1,494 per pipeline call, the Tier-1 suite 7,161 (a pinned Newton
+# output), and the kernel's property test, whose cones have coordinates 0-3
+# in a unimodular basis of rank at most 5, stays below 3^5 * 5! = 29,160 per
+# call.  The Newton support {(N, 0), (0, 1)} has a cone of index N, and its
+# table N + 5 box points: newton-zeta at N = 49,990 takes 1.7 s and 107 MB
+# and prints 6.8 MB (2-vCPU Xeon, Python 3.11), and at N = 100,000 it took
+# 2.6 s and 196 MB before the bound.  A bound per cone would let a model of
 # 30 cells of index 40,000 each run 4.2 s.
 CONE_SUM_MAX_BOX_POINTS = 50_000
 
 
-def _relint_buckets(
-    rays: tuple[Vec, ...], on_facet: tuple[int, ...], dim: int, e: Vec, a: Vec, spent: int = 0
-) -> tuple[Buckets, int]:
-    """Closed form of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
-    ``u`` in the relative interior of the pointed cone of dimension ``dim``
-    whose sorted extreme rays are ``rays`` and whose pointed facets hold the
-    rays ``on_facet`` (a cone of the ambient rank ``len(e)``), as integer
-    buckets: entry ``(beta, denominators, h) -> {L-exponent: count}`` stands
-    for those L-monomials times ``(L/(L-1))^h T^beta / prod(1 - L^a T^b)``,
-    ``h`` the number of the piece's generators ``g`` with ``<g,e> = 0``,
-    which must satisfy ``<g,a> = 1``.  The callers' trust boundaries see to that: a fan
-    model's verdict holds the horizontal-divisor rule, a Newton normal ray
-    with ``m = 0`` is a coordinate vector, on which ``sigma`` is 1, and
-    :func:`cone_series` checks its marking on entry.  The pieces and their
-    Smith frames are read from ``cones._relint_pieces``, keyed by the cone.
+def _relint_buckets(cones: Iterable[tuple[tuple[Vec, ...], tuple[int, ...], int, Vec, Vec]]) -> Iterator[Buckets]:
+    """Closed forms of ``sum L^{-<u,a>} T^{<u,e>}`` over the lattice points
+    ``u`` in the relative interiors of ``cones``, the cones of one pipeline
+    call, yielded in order.  A cone ``(rays, on_facet, dim, e, a)`` is the
+    pointed cone of dimension ``dim`` whose sorted extreme rays are ``rays``
+    and whose pointed facets hold the rays ``on_facet``, in the ambient
+    rank ``len(e)``.  Its sum comes as integer buckets: entry
+    ``(beta, denominators, h) -> {L-exponent: count}`` stands for those
+    L-monomials times ``T^beta / ((L-1)^h prod(1 - L^a T^b))``, ``h`` the
+    number of the piece's generators ``g`` with ``<g,e> = 0``.  Each such
+    generator contributes ``L/(L-1)``, whose ``L`` the exponents already
+    hold, and must satisfy ``<g,a> = 1``.  The callers' trust boundaries see
+    to that: a fan model's verdict holds the horizontal-divisor rule, a
+    Newton normal ray with ``m = 0`` is a coordinate vector, on which
+    ``sigma`` is 1, and :func:`cone_series` checks its marking on entry.
+    The pieces and their Smith frames are read from
+    ``cones._relint_pieces``, keyed by the cone.
 
-    Per call, each generator is paired with ``e`` and ``a`` once, and no
+    Per cone, each generator is paired with ``e`` and ``a`` once, and no
     box point is built as a vector: the point with residues ``lambda`` over
     the frame's last divisor ``D`` is ``sum_j lambda_j g_j / D``, so it
     falls in the bucket ``beta = sum_j lambda_j <g_j,e> / D`` at the
-    L-exponent ``-sum_j lambda_j <g_j,a> / D``, both exact.
+    L-exponent ``h - sum_j lambda_j <g_j,a> / D``, both exact.
 
-    ``spent`` counts the box points the calling pipeline has enumerated
-    before; the buckets are returned with the new total, and ``ValueError``
-    is raised before enumerating once it would pass
+    The box points of all the cones count against one bound: ``ValueError``
+    is raised before enumerating the cone that would take the total past
     :data:`CONE_SUM_MAX_BOX_POINTS`.
     """
-    pieces = _relint_pieces(len(e), rays, on_facet, dim)
-    spent += sum(piece.box_count() for piece in pieces)
-    if spent > CONE_SUM_MAX_BOX_POINTS:
-        raise ValueError(
-            f"cone sum needs {spent} box points, more than {CONE_SUM_MAX_BOX_POINTS}; the cone is too singular"
-        )
-    out: Buckets = {}
-    for piece in pieces:
-        on_e = [dot(g, e) for g in piece.gens]
-        on_a = [dot(g, a) for g in piece.gens]
-        # <g,a> == 1 where <g,e> == 0; factor 1/(1-L^{-1}) = L/(L-1)
-        horiz = on_e.count(0)
-        key_denoms = _canon_denoms((-ga, ge) for ge, ga in zip(on_e, on_a) if ge)
-        big, residues = piece._residues()
-        for lam in residues:
-            bucket = out.setdefault((dot(lam, on_e) // big, key_denoms, horiz), {})
-            lexp = -(dot(lam, on_a) // big)
-            bucket[lexp] = bucket.get(lexp, 0) + 1
-    return out, spent
+    spent = 0
+    for rays, on_facet, dim, e, a in cones:
+        pieces = _relint_pieces(len(e), rays, on_facet, dim)
+        spent += sum(piece.box_count() for piece in pieces)
+        if spent > CONE_SUM_MAX_BOX_POINTS:
+            raise ValueError(
+                f"cone sum needs {spent} box points, more than {CONE_SUM_MAX_BOX_POINTS}; the cone is too singular"
+            )
+        out: Buckets = {}
+        for piece in pieces:
+            on_e = [dot(g, e) for g in piece.gens]
+            on_a = [dot(g, a) for g in piece.gens]
+            # <g,a> == 1 where <g,e> == 0; factor 1/(1-L^{-1}) = L/(L-1),
+            # its L added to every exponent and its L-1 keyed as horiz
+            horiz = on_e.count(0)
+            key_denoms = _canon_denoms((-ga, ge) for ge, ga in zip(on_e, on_a) if ge)
+            big, residues = piece._residues()
+            for lam in residues:
+                bucket = out.setdefault((dot(lam, on_e) // big, key_denoms, horiz), {})
+                lexp = horiz - dot(lam, on_a) // big
+                bucket[lexp] = bucket.get(lexp, 0) + 1
+        yield out
 
 
 def _weighted_sum(parts: Iterable[tuple[Buckets, MClass]]) -> ZSeries:
     """The sum of the kernel's buckets times their weights, in integers: a
-    bucket times ``p/(L-1)^k`` adds ``count·p·L^h`` to its entry's table under
+    bucket ``(beta, D, h)``, its L-monomials over ``(L-1)^h``, times
+    ``p/(L-1)^k`` adds ``count·p`` to its entry's table under
     ``den_pow = k + h``; each entry is normalised once by ``_lifted_sum``."""
     tables: dict[tuple[int, Denoms, str], dict[int, dict[int, int]]] = {}
     for buckets, weight in parts:
@@ -382,7 +392,6 @@ def _weighted_sum(parts: Iterable[tuple[Buckets, MClass]]) -> ZSeries:
             for sym, cf in weight.terms.items():
                 cell = tables.setdefault((beta, ds, sym), {}).setdefault(cf.den_pow + h, {})
                 for e, n in cf.num.coeffs:
-                    e += h  # the factor L^h of the horizontal generators
                     for i, k in bucket.items():
                         cell[e + i] = cell.get(e + i, 0) + n * k
     return ZSeries._sum_pairs([(key, _lifted_sum(by_pow)) for key, by_pow in tables.items()])
@@ -401,5 +410,4 @@ def cone_series(mm: MarkedMonoid, weight: MClass) -> ZSeries:
             raise ValueError(f"horizontal ray {v} must pair to 1 with the divisor, got {dot(v, mm.a_div)}")
     # a sharp fs monoid's cone is strictly convex and full dimensional, so
     # its dual is pointed, and all of its facets are pointed ones
-    buckets, _ = _relint_buckets(dual.rays, dual.incidence, dual.dim, mm.e_pi, mm.a_div)
-    return _weighted_sum([(buckets, weight)])
+    return _weighted_sum(zip(_relint_buckets([(dual.rays, dual.incidence, dual.dim, mm.e_pi, mm.a_div)]), [weight]))

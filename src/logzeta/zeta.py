@@ -226,20 +226,14 @@ def _cell_in_span(f: FanModel, cell: Cone) -> tuple[tuple[Vec, ...], tuple[int, 
 
 def fan_poincare(f: FanModel, m: int) -> ZSeries:
     """Weighted sum of interior cone series over the special cells, times
-    L^{-m}.  The box points of all the cells count against one bound."""
+    L^{-m}: one kernel call over the contributing cells, in complex order,
+    so their box points count against one bound."""
     problems = validate_model(f)
     if problems:
         raise InvalidModel(problems)
-
-    def parts():
-        spent = 0
-        for cell in f.complex.cells:
-            w = f.weight(cell)
-            if not w.is_zero() and not f.e_identically_zero(cell):
-                buckets, spent = _relint_buckets(*_cell_in_span(f, cell), spent)
-                yield buckets, w.scale_l(-m)
-
-    return _weighted_sum(parts())
+    live = [cell for cell in f.complex.cells if f.weights.get(cell) and not f.e_identically_zero(cell)]
+    sums = _relint_buckets(_cell_in_span(f, cell) for cell in live)
+    return _weighted_sum(zip(sums, (f.weights[cell].scale_l(-m) for cell in live)))
 
 
 def fan_poles(f: FanModel) -> frozenset[Fraction]:

@@ -654,11 +654,14 @@ def fresh_box_points(h: HalfOpenCone) -> list[Vec]:
 
 def per_call_relint_cone_sum(cone: Cone, e: Vec, a: Vec, weight: MClass) -> ZSeries:
     """``weight`` times the sum of ``L^{-<u,a>} T^{<u,e>}`` over the lattice
-    points ``u`` in the relative interior of ``cone``, as the kernel
-    ``series._relint_buckets`` and ``series._weighted_sum`` compute it, but
-    in the series ring and with nothing kept between calls: a fresh
-    half-open decomposition of ``cone`` and a fresh Smith normal form per
-    piece on every call, and one class product per bucket."""
+    points ``u`` in the relative interior of ``cone``, as a one-cone call of
+    the kernel ``series._relint_buckets``, weighted by
+    ``series._weighted_sum``, computes it, but in the series ring and with
+    nothing kept between calls: a fresh half-open decomposition of ``cone``
+    and a fresh Smith normal form per piece on every call, and one class
+    product per bucket, the factor ``(L/(L-1))^h`` of the ``h`` generators
+    that ``e`` pairs to zero among them, where the kernel puts ``L^h`` in
+    its exponents and ``(L-1)^h`` in its key."""
     from logzeta.cones import triangulate_half_open
     from logzeta.mring import UNIT_SYMBOL, LaurentPoly, MCoeff
     from logzeta.series import _canon_denoms

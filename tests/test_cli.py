@@ -514,6 +514,8 @@ E_MU = {"id": "E", "N": 1, "mu": 0}
             {"m": 1, "components": [E_NU], "strata": [{"J": ["E"]}]},
             "bad sncd input: strata[0] has no field 'symbol'",
         ),
+        # a J listing an id twice was read as the stratum {E}
+        ("sncd-zeta", _components(E_MU, strata=(["E", "E"],)), "bad sncd input: strata[0].J lists 'E' twice"),
     ],
 )
 def test_trust_boundary_rejections_exit_1(tmp_path, capsys, verb, doc, message):
@@ -740,6 +742,27 @@ STRIPES = 30  # cells of 40,000 box points each, side by side
 def test_cone_sum_bound_is_per_pipeline_call(tmp_path, verb, doc, count):
     proc = _run_in_child(verb, write(tmp_path, "input.json", doc), timeout=60, max_memory_mb=1024)
     message = f"cone sum needs {count} box points, more than 50000; the cone is too singular"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_wide_exact_division_refused_fast(tmp_path):
+    # the weights cancel at T^1 to (1 - L^-A)/(L-1), whose quotient holds A
+    # terms; at A = 10^9 expand ended in a MemoryError under a 2 GB cap
+    A = 10**9
+    model = {
+        "rank": 2,
+        "cells": [
+            {"rays": [[1, 0], [0, 1]]},
+            {"rays": [[1, 0]], "weight": {"S": "1/(L-1)"}},
+            {"rays": [[0, 1]], "weight": {"S": "-1/(L-1)"}},
+        ],
+        "e": [[1, 1]],
+        "a": [[0, A]],
+    }
+    proc = _run_in_child(
+        "expand", write(tmp_path, "input.json", model), "--degree", "1", timeout=60, max_memory_mb=1024
+    )
+    message = f"coefficient numerator spans {A} powers of L, more than 10000; its quotient by (L-1) is too long"
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 

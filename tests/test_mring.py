@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logzeta.mring import LaurentPoly, LPoleError, MClass, MCoeff, _add_lifted, _lifted_sum
+from logzeta.mring import COEFF_MAX_SPAN, LaurentPoly, LPoleError, MClass, MCoeff, _add_lifted, _lifted_sum
 
 from genutil import laurent_series
 
@@ -37,6 +37,16 @@ def test_normalization():
     c = MCoeff.make(LaurentPoly.from_dict({2: 1, 0: -1}), 1)
     assert c.den_pow == 0
     assert c.num == LaurentPoly.from_dict({1: 1, 0: 1})
+
+
+def test_division_bound_admits_its_own_span():
+    # (L^s - 1)/(L-1) is 1 + L + ... + L^(s-1): s terms from a two-term numerator
+    c = MCoeff.make(LaurentPoly.from_dict({COEFF_MAX_SPAN: 1, 0: -1}), 1)
+    assert (c.den_pow, len(c.num.coeffs)) == (0, COEFF_MAX_SPAN)
+    with pytest.raises(ValueError, match=f"spans {COEFF_MAX_SPAN + 1} powers of L, more than {COEFF_MAX_SPAN}"):
+        MCoeff.make(LaurentPoly.from_dict({COEFF_MAX_SPAN + 1: 1, 0: -1}), 1)
+    # a numerator that L-1 does not divide is never divided, however wide
+    assert MCoeff.make(LaurentPoly.from_dict({10**9: 1}), 1).den_pow == 1
 
 
 def test_assert_no_pole():

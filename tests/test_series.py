@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import logzeta.series
 from logzeta.cli import series_to_json
 from logzeta.cones import (
+    Cone,
     _relint_pieces,
     box_points,
     complex_from_cones,
@@ -311,6 +312,23 @@ def test_cone_series_rejects_bad_horizontal(monkeypatch):
         cone_series(MarkedMonoid(N2, (0, 0), (0, 0)), ONE)
 
 
+def test_cone_series_builds_its_dual_cone_once(monkeypatch):
+    # the monoid keeps its dual cone, and the cone its incidence
+    computed = []
+    real = Cone.__dict__["incidence"].func
+
+    def counting(cone):
+        computed.append(cone)
+        return real(cone)
+
+    incidence = functools.cached_property(counting)
+    incidence.__set_name__(Cone, "incidence")
+    monkeypatch.setattr(Cone, "incidence", incidence)
+    mm = MarkedMonoid(SharpFsMonoid(2, cone_from_rays(2, [(1, 0), (1, 3)])), (1, 1), (0, 0))
+    sums = [str(cone_series(mm, ONE)) for _ in range(3)]
+    assert len(set(sums)) == 1 and len(computed) == 1
+
+
 def test_cone_series_oracle_small():
     rng = random.Random(42)
     for _ in range(25):
@@ -425,7 +443,7 @@ def outcome(kernel, *args):
 @example((cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)]), (0, 0, 1), (1, 1, 0), WEIGHTS[7]))
 def test_relint_cone_sum_matches_per_call_kernel(args):
     def weighted(cone, e, a, w):
-        return _weighted_sum([(_relint_buckets(*kernel_cone(cone), e, a)[0], w)])
+        return _weighted_sum(zip(_relint_buckets([(*kernel_cone(cone), e, a)]), [w]))
 
     expected = outcome(per_call_relint_cone_sum, *args)
     assert outcome(weighted, *args) == expected
@@ -440,12 +458,12 @@ def test_relint_cone_sum_is_pure_geometry(args):
     # the kernel touches no class symbol: it returns integer counts, one per
     # box point, and on the unit weight every coefficient is on the unit
     try:
-        buckets, spent = _relint_buckets(*kernel_cone(args[0]), *args[1:3])
+        (buckets,) = _relint_buckets([(*kernel_cone(args[0]), *args[1:3])])
     except ValueError:
         return
     assert all(type(n) is int and n > 0 for b in buckets.values() for n in b.values())
     points = sum(piece.box_count() for piece in relint_pieces(args[0]))
-    assert sum(n for b in buckets.values() for n in b.values()) == points == spent
+    assert sum(n for b in buckets.values() for n in b.values()) == points
     s = _weighted_sum([(buckets, ONE)])
     assert all(set(c.terms) == {UNIT_SYMBOL} for _, c in s.sorted_terms())
 
@@ -453,19 +471,27 @@ def test_relint_cone_sum_is_pure_geometry(args):
 def test_cone_sum_bound_counts_box_points(monkeypatch):
     # the cone [(1, 0), (1, N)] is one piece of N box points
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 6)
-    buckets, spent = _relint_buckets(*kernel_cone(cone_from_rays(2, [(1, 0), (1, 6)])), (1, 0), (0, 1))
-    assert sum(n for b in buckets.values() for n in b.values()) == spent == 6
+
+    def index(n):
+        return (*kernel_cone(cone_from_rays(2, [(1, 0), (1, n)])), (1, 0), (0, 1))
+
+    (buckets,) = _relint_buckets([index(6)])
+    assert sum(n for b in buckets.values() for n in b.values()) == 6
     with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
-        _relint_buckets(*kernel_cone(cone_from_rays(2, [(1, 0), (1, 7)])), (1, 0), (0, 1))
-    # the points a pipeline spent before count too
-    index5 = kernel_cone(cone_from_rays(2, [(1, 0), (1, 5)]))
-    assert _relint_buckets(*index5, (1, 0), (0, 1), 1)[1] == 6
+        list(_relint_buckets([index(7)]))
+    # the cones of one call count against one bound, each under it alone:
+    # 1 + 5 points pass, and 2 + 5 raise before the second cone is
+    # enumerated; the next call starts from zero
+    assert len(list(_relint_buckets([index(1), index(5)]))) == 2
+    sums = _relint_buckets([index(2), index(5)])
+    assert sum(n for b in next(sums).values() for n in b.values()) == 2
     with pytest.raises(ValueError, match="cone sum needs 7 box points, more than 6"):
-        _relint_buckets(*index5, (1, 0), (0, 1), 2)
+        next(sums)
+    assert len(list(_relint_buckets([index(5)]))) == 1
     # pieces add up: the square's interior is two triangles of index 2
     monkeypatch.setattr(logzeta.series, "CONE_SUM_MAX_BOX_POINTS", 3)
     with pytest.raises(ValueError, match="cone sum needs 4 box points"):
-        _relint_buckets(*kernel_cone(SQUARE), (0, 0, 1), (1, 1, 1))
+        list(_relint_buckets([(*kernel_cone(SQUARE), (0, 0, 1), (1, 1, 1))]))
 
 
 def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
@@ -475,7 +501,7 @@ def test_cone_sum_raises_again_on_repeated_calls(monkeypatch):
     frames = count_calls(monkeypatch, "_smith_frame")
     for _ in range(2):
         with pytest.raises(ValueError, match="cone sum needs 4 box points"):
-            _relint_buckets(*kernel_cone(SQUARE), (0, 0, 1), (1, 1, 1))
+            list(_relint_buckets([(*kernel_cone(SQUARE), (0, 0, 1), (1, 1, 1))]))
     assert len(frames) == 2  # the square's two pieces, built once
 
 

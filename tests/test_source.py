@@ -213,6 +213,18 @@ def test_one_route_into_the_cone_sum_kernel():
     assert _readers("_relint_pieces") == {("series.py", "<module>"), ("series.py", "_relint_buckets")}
 
 
+def test_one_kernel_call_per_pipeline():
+    # each pipeline hands the kernel all of its cones at once, and the
+    # kernel keeps the box-point budget itself, so no caller carries it
+    assert _readers("_relint_buckets") == {
+        ("newton.py", "<module>"),
+        ("newton.py", "terms"),
+        ("series.py", "cone_series"),
+        ("zeta.py", "<module>"),
+        ("zeta.py", "fan_poincare"),
+    }
+
+
 def test_newton_takes_no_rank():
     # a face's dimension comes from the face lattice's grading
     assert all(file != "newton.py" for file, _ in _readers("rank"))
