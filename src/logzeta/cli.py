@@ -326,8 +326,8 @@ def fan_to_json(f: FanModel) -> dict[str, Any]:
     a_list = []
     for cell in ordered:
         entry: dict[str, Any] = {"rays": [list(r) for r in cell.rays]}
-        w = f.weight(cell)
-        if not w.is_zero():
+        w = f.weights.get(cell)
+        if w:
             entry["weight"] = mclass_to_json(w)
         cells.append(entry)
     for mc in maximal:

@@ -37,11 +37,8 @@ from .intlin import (
     is_zero_vec,
     mat_mul,
     mat_vec,
-    rank as mat_rank,
-    saturation_basis,
     scaled_inverse,
-    smith_normal_form,
-    solve_integer,
+    span_lattice,
     transpose,
     vec_scale,
 )
@@ -116,7 +113,9 @@ def monoid_from_generators(ambient_rank: int, gens: Sequence[Vec]) -> SharpFsMon
 
     The lattice is the group generated by the generators; the result is in
     normalized coordinates with the change of basis recorded in ``lattice``
-    (columns give the basis in the original coordinates).
+    (columns give the basis in the original coordinates).  The basis and
+    the generators' coordinates in it come from one Hermite form
+    (:func:`_lattice`).
     """
     gens = [tuple(g) for g in gens]
     for g in gens:
@@ -125,27 +124,29 @@ def monoid_from_generators(ambient_rank: int, gens: Sequence[Vec]) -> SharpFsMon
     nonzero = [g for g in gens if not is_zero_vec(g)]
     if not nonzero:
         raise ValueError("need at least one nonzero generator")
-    r = mat_rank(tuple(nonzero))
-    h, _ = hermite_normal_form(from_columns(nonzero))
-    basis = [col for col in transpose(h) if not is_zero_vec(col)]
-    if len(basis) != r:
-        raise RuntimeError("Hermite basis rank differs from the generators' rank")
-    bmat = from_columns(basis)
-    coords = []
-    for g in nonzero:
-        x = solve_integer(bmat, g)
-        if x is None:
-            raise RuntimeError(f"generator {g} outside the lattice it generates")
-        coords.append(x)
+    bmat, coords = _lattice(nonzero)
+    r = len(bmat[0])
     cone = cone_from_rays(r, coords)
     if not cone.is_strictly_convex():
         raise LinealityError("generators span units; sharpify instead")
     return SharpFsMonoid(r, cone, bmat)
 
 
-def _rays_in_basis(rays: Sequence[Vec], bmat: Mat) -> list[Vec]:
-    inv, _ = scaled_inverse(bmat)
-    return [primitive(mat_vec(inv, ray)) for ray in rays]
+def _lattice(cols: Sequence[Vec]) -> tuple[Mat, list[Vec]]:
+    """A basis of the group the columns generate, and each column's
+    coordinates in it, both read off one Hermite form ``H = A @ U``.
+
+    The basis is the ``r`` nonzero columns of ``H``, its first ones.  Since
+    ``A = H @ U^{-1}``, column ``j``'s coordinates are the first ``r``
+    entries of column ``j`` of ``U^{-1}``, which is ``scaled_inverse(U)``
+    as ``U`` is unimodular.  The reduced Hermite basis depends only on the
+    group (Cohen, *A Course in Computational Algebraic Number Theory*,
+    §2.4.3), so any generating set of one group gives the same basis.
+    """
+    h, u = hermite_normal_form(from_columns(cols))
+    basis = [col for col in transpose(h) if not is_zero_vec(col)]
+    top = scaled_inverse(u)[0][: len(basis)]
+    return from_columns(basis), [tuple(row[j] for row in top) for j in range(len(cols))]
 
 
 def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
@@ -154,12 +155,16 @@ def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
     ``lattice`` is a square invertible basis matrix in the cone's ambient
     coordinates (identity for the standard lattice).  Returns the sharp
     quotient, the rank of the unit group, and the quotient map as a matrix
-    acting on lattice-basis coordinates.
+    acting on lattice-basis coordinates.  The map is the annihilator that
+    :func:`span_lattice` reads off the Smith form of a basis of the unit
+    lattice, the saturation of the lines; taken from the lines themselves
+    it could differ when they are no basis of that lattice.
     """
     r = len(lattice)
     if cone.ambient_rank != r:
         raise ValueError("dimension mismatch")
-    cone_l = cone_from_rays(r, _rays_in_basis(cone.rays, lattice))
+    inv, _ = scaled_inverse(lattice)
+    cone_l = cone_from_rays(r, [primitive(mat_vec(inv, ray)) for ray in cone.rays])
     lines = cone_l.lineality()
     u = len(lines)
     if u == 0:
@@ -167,11 +172,7 @@ def sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
         pointed = cone_l
     else:
         # the unit lattice is the saturation of the line span in Z^r
-        sat = saturation_basis(lines, r)
-        s, p, _ = smith_normal_form(from_columns(sat))
-        if any(s[i][i] != 1 for i in range(u)):
-            raise RuntimeError("saturated unit lattice has a non-unit elementary divisor")
-        proj = tuple(p[u:])
+        proj = span_lattice(span_lattice(lines, r)[0], r)[2]
         new_rays = [v for v in (mat_vec(proj, ray) for ray in cone_l.rays) if not is_zero_vec(v)]
         pointed = cone_from_rays(r - u, new_rays)
     if pointed.dim < r - u:
@@ -216,27 +217,22 @@ def base_change(mm: MarkedMonoid, d: int) -> MarkedMonoid:
     """Ramified base change of degree ``d``: adjoin ``e_pi / d`` and saturate.
 
     Implemented by rescaling the ambient coordinates by ``d`` (making the new
-    generator integral), reducing to a Hermite basis and renormalizing; the
-    cone is unchanged up to the recorded change of basis.
+    generator integral): one Hermite form (:func:`_lattice`) of ``d * I``,
+    ``e_pi``, ``d * a_div`` and the scaled rays gives the new basis and, in
+    it, the marking and the rays; the cone is unchanged up to the recorded
+    change of basis.
     """
     if d <= 0:
         raise ValueError("degree must be positive")
     if d == 1:
         return mm
     r = mm.base.rank
-    cols = [vec_scale(d, col) for col in transpose(identity(r))] + [mm.e_pi]
-    h, _ = hermite_normal_form(from_columns(cols))
-    basis = [col for col in transpose(h) if not is_zero_vec(col)]
-    if len(basis) != r:
-        raise RuntimeError("base-changed lattice has the wrong rank")
-    bmat = from_columns(basis)
-    newcone = cone_from_rays(r, _rays_in_basis(mm.base.cone.rays, bmat))
-    new_e = solve_integer(bmat, mm.e_pi)  # old e_pi is d * (e_pi/d) in scaled coords
-    new_a = solve_integer(bmat, vec_scale(d, mm.a_div))
-    if new_e is None or new_a is None:
-        raise RuntimeError("marking outside the base-changed lattice")
-    embed = mat_mul(mm.base.lattice, bmat)
-    return MarkedMonoid(SharpFsMonoid(r, newcone, embed), new_e, new_a)
+    # d * a_div and the scaled rays lie in d * Z^r, so the columns generate
+    # the lattice that d * I and e_pi do; old e_pi is d * (e_pi / d) there
+    cols = [vec_scale(d, col) for col in transpose(identity(r))] + [mm.e_pi, vec_scale(d, mm.a_div)]
+    bmat, coords = _lattice(cols + [vec_scale(d, ray) for ray in mm.base.cone.rays])
+    base = SharpFsMonoid(r, cone_from_rays(r, coords[r + 2 :]), mat_mul(mm.base.lattice, bmat))
+    return MarkedMonoid(base, coords[r], coords[r + 1])
 
 
 def divisor_from_element(m: SharpFsMonoid, a: Vec) -> MonoidDivisor:

@@ -300,8 +300,8 @@ def transport_subdivide(f: FanModel, kp: ConeComplex) -> FanModel:
     carrier = dict(zip(kp.cells, carriers))
     new_weights: dict[Cone, MClass] = {}
     for cell, old in carrier.items():
-        w = f.weight(old)
-        if not w.is_zero():
+        w = f.weights.get(old)
+        if w:
             new_weights[cell] = w
     owner = {mc: f.owning_maximal(carrier[mc]) for mc in kp.maximal_cells()}
     new_e = {mc: f.e_vecs[o] for mc, o in owner.items()}

@@ -20,6 +20,7 @@ from logzeta.cones import (
     Cone,
     ConeComplex,
     HalfOpenCone,
+    LinealityError,
     _relint_pieces,
     _triangulate,
     complex_from_cones,
@@ -33,13 +34,18 @@ from logzeta.intlin import (
     det,
     dot,
     from_columns,
+    hermite_normal_form,
+    identity,
     is_zero_vec,
+    mat_mul,
     mat_vec,
     rank,
     saturation_basis,
+    scaled_inverse,
     smith_normal_form,
     solve_integer,
     solve_rational,
+    transpose,
     vec_add,
     vec_scale,
     vec_sub,
@@ -166,6 +172,92 @@ def local_dual_points(mm: MarkedMonoid, bound: int) -> list[Vec]:
     # points in the open cone satisfy >= 1 exactly when > 0).
     ineqs = [(-1, x) for x in dual.facets] + [(bound, vec_scale(-1, mm.e_pi))]
     return sorted(affine_lattice_points(mm.base.rank, ineqs))
+
+
+def _oracle_rays_in_basis(rays: Sequence[Vec], bmat: Mat) -> list[Vec]:
+    inv, _ = scaled_inverse(bmat)
+    return [primitive(mat_vec(inv, ray)) for ray in rays]
+
+
+def oracle_monoid_from_generators(ambient_rank: int, gens: Sequence[Vec]) -> SharpFsMonoid:
+    """``monoids.monoid_from_generators`` by a second route: the rank by
+    elimination, a Hermite basis, and each generator's coordinates by its
+    own Smith-form solve."""
+    gens = [tuple(g) for g in gens]
+    for g in gens:
+        if len(g) != ambient_rank:
+            raise ValueError("dimension mismatch")
+    nonzero = [g for g in gens if not is_zero_vec(g)]
+    if not nonzero:
+        raise ValueError("need at least one nonzero generator")
+    r = rank(tuple(nonzero))
+    h, _ = hermite_normal_form(from_columns(nonzero))
+    basis = [col for col in transpose(h) if not is_zero_vec(col)]
+    if len(basis) != r:
+        raise RuntimeError("Hermite basis rank differs from the generators' rank")
+    bmat = from_columns(basis)
+    coords = []
+    for g in nonzero:
+        x = solve_integer(bmat, g)
+        if x is None:
+            raise RuntimeError(f"generator {g} outside the lattice it generates")
+        coords.append(x)
+    cone = cone_from_rays(r, coords)
+    if not cone.is_strictly_convex():
+        raise LinealityError("generators span units; sharpify instead")
+    return SharpFsMonoid(r, cone, bmat)
+
+
+def oracle_sharpify(lattice: Mat, cone: Cone) -> tuple[SharpFsMonoid, int, Mat]:
+    """``monoids.sharpify`` by a second route: the quotient map from the
+    Smith form of ``saturation_basis`` of the lines, whose divisors are
+    checked to be units."""
+    r = len(lattice)
+    if cone.ambient_rank != r:
+        raise ValueError("dimension mismatch")
+    cone_l = cone_from_rays(r, _oracle_rays_in_basis(cone.rays, lattice))
+    lines = cone_l.lineality()
+    u = len(lines)
+    if u == 0:
+        proj = identity(r)
+        pointed = cone_l
+    else:
+        sat = saturation_basis(lines, r)
+        s, p, _ = smith_normal_form(from_columns(sat))
+        if any(s[i][i] != 1 for i in range(u)):
+            raise RuntimeError("saturated unit lattice has a non-unit elementary divisor")
+        proj = tuple(p[u:])
+        new_rays = [v for v in (mat_vec(proj, ray) for ray in cone_l.rays) if not is_zero_vec(v)]
+        pointed = cone_from_rays(r - u, new_rays)
+    if pointed.dim < r - u:
+        rays, _, _, rows = pointed.span_coordinates
+        pointed = cone_from_rays(len(rows), rays)
+        proj = mat_mul(rows, proj)
+    return SharpFsMonoid(pointed.ambient_rank, pointed), u, proj
+
+
+def oracle_base_change(mm: MarkedMonoid, d: int) -> MarkedMonoid:
+    """``monoids.base_change`` by a second route: a Hermite basis of the
+    lattice ``d * I`` and ``e_pi`` generate, the rays through its inverse,
+    and the marking by Smith-form solves."""
+    if d <= 0:
+        raise ValueError("degree must be positive")
+    if d == 1:
+        return mm
+    r = mm.base.rank
+    cols = [vec_scale(d, col) for col in transpose(identity(r))] + [mm.e_pi]
+    h, _ = hermite_normal_form(from_columns(cols))
+    basis = [col for col in transpose(h) if not is_zero_vec(col)]
+    if len(basis) != r:
+        raise RuntimeError("base-changed lattice has the wrong rank")
+    bmat = from_columns(basis)
+    newcone = cone_from_rays(r, _oracle_rays_in_basis(mm.base.cone.rays, bmat))
+    new_e = solve_integer(bmat, mm.e_pi)
+    new_a = solve_integer(bmat, vec_scale(d, mm.a_div))
+    if new_e is None or new_a is None:
+        raise RuntimeError("marking outside the base-changed lattice")
+    embed = mat_mul(mm.base.lattice, bmat)
+    return MarkedMonoid(SharpFsMonoid(r, newcone, embed), new_e, new_a)
 
 
 def max_ideal_generated_by_base(mm: MarkedMonoid, d: int, height: int = 8) -> bool:

@@ -11,7 +11,8 @@ import pathlib
 import pytest
 
 import logzeta
-from logzeta.cli import parse_fan, parse_newton
+from logzeta.cli import fan_to_json, parse_fan, parse_newton
+from logzeta.cones import star_subdivision
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,3 +78,26 @@ def test_fan_invariance_ops_validate_each_model_once(bench, monkeypatch):
         passes.clear()
         worker.OPS["fan-invariance"](logzeta, item, parse_fan(item["input"]))
         assert passes == ["full", "new cells", "new cells"]
+
+
+def test_fan_invariance_ops_build_no_zero_class(bench, monkeypatch):
+    # a moved model and a printed model read an unweighted cell as missing
+    # from the weights, as fan_poincare does, and build no zero class for it
+    run, worker, workloads, _ = bench
+    built = []
+    real = logzeta.mring.MClass.zero
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(logzeta.mring.MClass, "zero", staticmethod(counting))
+    items = workloads.generate("fan-invariance", run.DEFAULT_SEED)[:12]
+    for item in items:
+        worker.OPS["fan-invariance"](logzeta, item, parse_fan(item["input"]))
+    model = parse_fan(items[0]["input"])
+    star = star_subdivision(model.complex, tuple(items[0]["ray"]))
+    moved = logzeta.transport_subdivide(model, star)
+    assert len(moved.complex.cells) > len(moved.weights)
+    fan_to_json(moved)
+    assert built == []

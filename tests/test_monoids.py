@@ -3,7 +3,7 @@ import random
 import pytest
 
 from logzeta.cones import LinealityError, cone_from_rays, faces
-from logzeta.intlin import dot, identity, mat_vec, solve_integer
+from logzeta.intlin import det, dot, identity, mat_vec, solve_integer, span_lattice
 from logzeta.monoids import (
     MarkedMonoid,
     SharpFsMonoid,
@@ -19,6 +19,7 @@ from logzeta.monoids import (
 )
 
 from genutil import local_dual_points, max_ideal_generated_by_base, random_marked_monoid
+from genutil import oracle_base_change, oracle_monoid_from_generators, oracle_sharpify
 from genutil import root_index_via_torsion
 
 N2 = SharpFsMonoid(2, cone_from_rays(2, [(1, 0), (0, 1)]))
@@ -54,6 +55,81 @@ def test_monoid_from_generators_sublattice():
 def test_monoid_from_generators_rejects_units():
     with pytest.raises(LinealityError):
         monoid_from_generators(2, [(1, 0), (-1, 0)])
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+LATTICE_CASES = [
+    (2, [(0, 0)]),  # no nonzero generator
+    (2, [(0, 0), (0, 3)]),  # a zero generator beside a nonzero one
+    (2, [(1, 2), (2, 4), (3, 6)]),  # dependent: rank 1 in rank 2
+    (2, [(2, 0), (1, 1), (0, 2)]),  # the even-sum sublattice
+    (3, [(2, 0, 0), (0, 4, 0), (2, 2, 6)]),  # a sublattice of index 48
+    (2, [(1, 0), (-1, 0)]),  # spans a unit
+    (3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)]),  # spans a plane of units
+    (3, [(1, 2)]),  # wrong length
+]
+
+
+def _random_generators(rng):
+    n = rng.randint(1, 4)
+    return n, [tuple(rng.randint(-3, 5) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+
+
+def test_lattice_step_matches_the_solve_route():
+    # one Hermite form gives the basis and every coordinate; the oracle
+    # solves each generator and marking against the basis on its own
+    rng = random.Random(44)
+    cases = LATTICE_CASES + [_random_generators(rng) for _ in range(300)]
+    changed = 0
+    for n, gens in cases:
+        m = _outcome(monoid_from_generators, n, gens)
+        assert m == _outcome(oracle_monoid_from_generators, n, gens), (n, gens)
+        if not isinstance(m, SharpFsMonoid):
+            continue
+        ks = [rng.randint(0, 3) for _ in m.cone.rays]
+        e = tuple(sum(k * ray[i] for k, ray in zip(ks, m.cone.rays)) for i in range(m.rank))
+        a = tuple(rng.randint(-3, 3) or 1 for _ in range(m.rank))
+        mm = MarkedMonoid(m, e, a)
+        for d in range(1, 7):
+            got = base_change(mm, d)
+            assert got == oracle_base_change(mm, d), (n, gens, e, a, d)
+            changed += got.base.lattice != m.lattice
+    assert changed > 100
+
+
+def test_sharpify_matches_the_saturation_route():
+    # the quotient map is the Smith form of the saturated line basis; line
+    # sets that are no basis of their saturation must be among the inputs
+    rng = random.Random(45)
+    unsaturated = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        rays = [r for r in rays if any(r)]
+        rays += [tuple(-x for x in r) for r in rays[: rng.randint(0, len(rays))]]
+        if not rays:
+            continue
+        cone = cone_from_rays(n, rays)
+        lattice = identity(n)
+        if rng.random() < 0.5:
+            while not det(lattice):
+                lattice = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+        got = sharpify(lattice, cone)
+        assert got == oracle_sharpify(lattice, cone), (lattice, rays)
+        lines = cone.lineality()
+        if lines:
+            coords = [mat_vec(span_lattice(lines, n)[1], v) for v in lines]
+            unsaturated += abs(det(coords)) != 1
+    assert unsaturated > 20
+    wrong = cone_from_rays(3, [(1, 0, 0)])
+    assert _outcome(sharpify, identity(2), wrong) == _outcome(oracle_sharpify, identity(2), wrong)
 
 
 def test_sharpify_trivial():

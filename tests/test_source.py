@@ -106,9 +106,22 @@ def test_caches_are_bounded():
     assert found == UNBOUNDED_CACHES
 
 
+# Library functions that no library module reads and that perfbench/spans.py
+# looks up by name to trace them: when the tracer stops naming one, it goes
+# or moves to UNREAD_DEFINITIONS with a reason of its own.
+TRACED_BY_NAME = {
+    ("cones.py", "check_subdivision"),
+    ("cones.py", "cone_intersection"),
+    ("intlin.py", "inverse_rational"),
+    ("intlin.py", "kernel_basis"),
+    ("intlin.py", "saturation_basis"),
+    ("intlin.py", "solve_integer"),
+    ("intlin.py", "solve_rational"),
+}
+
 # Library functions and methods that no library module reads and that
 # __all__ does not export, with the reason each may stay.
-UNREAD_DEFINITIONS = {
+UNREAD_DEFINITIONS = TRACED_BY_NAME | {
     # acceptance criterion 7 states these monoid objects as the paper's laws
     ("monoids.py", "base_change"),
     ("monoids.py", "divisor_add"),
@@ -119,12 +132,6 @@ UNREAD_DEFINITIONS = {
     ("monoids.py", "root_index"),
     ("monoids.py", "sharpify"),
     ("monoids.py", "valuation"),
-    # perfbench/spans.py looks these up by name to trace them
-    ("cones.py", "check_subdivision"),
-    ("cones.py", "cone_intersection"),
-    ("intlin.py", "inverse_rational"),
-    ("intlin.py", "kernel_basis"),
-    ("intlin.py", "solve_rational"),
     # acceptance criterion 8 states the half-open decomposition of a cone,
     # and perfbench/spans.py traces it by name
     ("cones.py", "triangulate_half_open"),
@@ -166,6 +173,31 @@ def test_library_holds_no_test_only_code():
     # beside the code it checks is independent only by convention: it
     # belongs in tests/genutil.py
     assert _unread_definitions() == UNREAD_DEFINITIONS
+
+
+def test_tracer_allow_list_names_traced_targets(bench):
+    # an entry the tracer no longer names is code that nothing keeps
+    targets = {
+        (f"{target[0]}.py", ".".join(target[1:]))
+        for group in bench[3].GROUPS.values()
+        for target in group
+    }
+    assert TRACED_BY_NAME <= targets
+
+
+def test_monoids_reads_lattices_off_one_hermite_form():
+    # the monoid layer takes a basis and coordinates from one Hermite form
+    # and the quotient map from span_lattice, so no solve route is imported
+    # and no step that cannot fail is guarded
+    tree = ast.parse((SRC / "monoids.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"solve_integer", "saturation_basis", "smith_normal_form", "rank"})
+    assert all(getattr(node, "id", None) != "RuntimeError" for node in ast.walk(tree))
 
 
 def _readers(name):
