@@ -14,30 +14,15 @@ fails its gate, 0 otherwise.
 from __future__ import annotations
 
 import json
-import pathlib
 import sys
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-def _load():
-    """``logzeta`` from ``src/`` and the benchmark's ``run``, ``worker`` and
-    ``workloads`` modules, imported without leaving bytecode behind."""
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
-    import logzeta
-    import logzeta.cli
-    import run
-    import worker
-    import workloads
-
-    return logzeta, run, worker, workloads
+sys.dont_write_bytecode = True  # before the shared loader is imported, so it leaves no bytecode
+from benchload import PERFBENCH, load, parse  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
-    lz, run, worker, workloads = _load()
+    lz, run, worker, workloads = load()
     golden = json.loads((PERFBENCH / "golden.json").read_text())
     names = argv or sorted(workloads.POOL)
     unknown = [w for w in names if w not in workloads.POOL]
@@ -51,9 +36,8 @@ def main(argv: list[str]) -> int:
         changed, failed, equal = [], [], 0
         t0 = time.perf_counter()
         for i, item in enumerate(items):
-            parse = lz.cli.parse_newton if item["kind"] == "newton" else lz.cli.parse_fan
             try:
-                digest, bad = worker.gate(lz, op(lz, item, parse(item["input"])))
+                digest, bad = worker.gate(lz, op(lz, item, parse(lz, item)))
             except Exception as e:  # a failing op is reported, not fatal
                 failed.append((i, f"{type(e).__name__}: {e}"))
                 continue

@@ -46,7 +46,9 @@ import tarfile
 import tempfile
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # before the shared loader is imported, so it leaves no bytecode
+from benchload import PERFBENCH, ROOT, load, parse  # noqa: E402
+
 PACKAGES = ("logzeta", "logzeta_parent")
 PASSES = 5
 BLOCK = 50
@@ -56,7 +58,6 @@ def _load(rev: str, into: pathlib.Path):
     """The working tree's ``logzeta``, the revision's copy of it as
     ``logzeta_parent``, and the benchmark's ``run``, ``worker`` and
     ``workloads`` modules."""
-    sys.dont_write_bytecode = True
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/logzeta"],
         check=True,
@@ -65,15 +66,11 @@ def _load(rev: str, into: pathlib.Path):
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     (into / "src" / "logzeta").rename(into / "logzeta_parent")
-    sys.path[:0] = [str(ROOT / "src"), str(into), str(ROOT / "perfbench")]
-    import logzeta
-    import logzeta.cli
+    sys.path.insert(0, str(into))
     import logzeta_parent
     import logzeta_parent.cli
-    import run
-    import worker
-    import workloads
 
+    logzeta, run, worker, workloads = load()
     return (logzeta, logzeta_parent), run, worker, workloads
 
 
@@ -92,10 +89,6 @@ def sign_test(won: int, lost: int) -> float:
     n = won + lost
     tail = sum(math.comb(n, i) for i in range(min(won, lost) + 1))
     return min(1.0, 2 * tail / 2**n)
-
-
-def _parse(lz, item):
-    return (lz.cli.parse_newton if item["kind"] == "newton" else lz.cli.parse_fan)(item["input"])
 
 
 def main(argv: list[str]) -> int:
@@ -123,14 +116,14 @@ def main(argv: list[str]) -> int:
             parsed = [[], []]
             for block in blocks:
                 if args.what == "ops":
-                    xs = [[_parse(lz, items[i]) for i in block] for lz in sides]
+                    xs = [[parse(lz, items[i]) for i in block] for lz in sides]
                 spent = [0.0, 0.0]
                 for k, i in enumerate(block):
                     for s in (first, 1 - first):
                         lz = sides[s]
                         t0 = time.process_time()
                         if args.what == "parse":
-                            parsed[s].append(_parse(lz, items[i]))
+                            parsed[s].append(parse(lz, items[i]))
                         else:
                             op(lz, items[i], xs[s][k])
                         spent[s] += time.process_time() - t0
@@ -140,9 +133,9 @@ def main(argv: list[str]) -> int:
                 ratios.append(spent[0] / spent[1])
 
         _clear_caches()
-        digests = [[worker.gate(lz, op(lz, it, _parse(lz, it)))[0] for it in items] for lz in sides]
+        digests = [[worker.gate(lz, op(lz, it, parse(lz, it)))[0] for it in items] for lz in sides]
         agree = sum(a == b for a, b in zip(*digests))
-        golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())[args.workload]
+        golden = json.loads((PERFBENCH / "golden.json").read_text())[args.workload]
         equal = [sum(a == b for a, b in zip(d, golden)) for d in digests]
 
     won, lost = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)

@@ -26,24 +26,11 @@ import json
 import pathlib
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
+sys.dont_write_bytecode = True  # before the shared loader is imported, so it leaves no bytecode
+from benchload import ROOT, load, parse  # noqa: E402
+
 SRC = ROOT / "src" / "logzeta"
 DATA = ROOT / "scripts" / "data"
-
-
-def _load():
-    """``logzeta`` from ``src/`` and the benchmark's ``run``, ``worker`` and
-    ``workloads`` modules, imported without leaving bytecode behind."""
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
-    import logzeta
-    import logzeta.cli
-    import run
-    import worker
-    import workloads
-
-    return logzeta, run, worker, workloads
 
 
 def definitions() -> dict[tuple[str, int], str]:
@@ -81,12 +68,11 @@ def pool_runs(lz, run, worker, workloads) -> None:
     for workload, count in workloads.TRACE_OPS.items():
         op = worker.OPS[workload]
         for item in workloads.generate(workload, run.DEFAULT_SEED)[:count]:
-            parse = lz.cli.parse_newton if item["kind"] == "newton" else lz.cli.parse_fan
-            worker.gate(lz, op(lz, item, parse(item["input"])))
+            worker.gate(lz, op(lz, item, parse(lz, item)))
 
 
 def main() -> int:
-    lz, run, worker, workloads = _load()
+    lz, run, worker, workloads = load()
     ran = set()
 
     def profile(frame, event, arg):

@@ -26,42 +26,26 @@ from __future__ import annotations
 
 import cProfile
 import os
-import pathlib
 import subprocess
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-def _load():
-    """``logzeta`` from ``src/`` and the benchmark's ``run``, ``worker`` and
-    ``workloads`` modules, imported without leaving bytecode behind."""
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
-    import logzeta
-    import logzeta.cli
-    import run
-    import worker
-    import workloads
-
-    return logzeta, run, worker, workloads
+sys.dont_write_bytecode = True  # before the shared loader is imported, so it leaves no bytecode
+from benchload import load, parse  # noqa: E402
 
 
 def _passes(loaded: tuple, workload: str):
     """``logzeta``, ``workload``'s op, and its parsed inputs one at a time,
-    each with its pool item, from the modules :func:`_load` returned."""
+    each with its pool item, from the modules :func:`benchload.load` returned."""
     lz, run, worker, workloads = loaded
     op = worker.OPS[workload]
     for item in workloads.generate(workload, run.DEFAULT_SEED):
-        parse = lz.cli.parse_newton if item["kind"] == "newton" else lz.cli.parse_fan
-        yield lz, op, item, parse(item["input"])
+        yield lz, op, item, parse(lz, item)
 
 
 def count(workload: str) -> int:
     """The call count of one pass of ``workload``'s op over its pool."""
     profile = cProfile.Profile()
-    for lz, op, item, x in _passes(_load(), workload):
+    for lz, op, item, x in _passes(load(), workload):
         profile.enable()
         op(lz, item, x)
         profile.disable()
@@ -70,7 +54,7 @@ def count(workload: str) -> int:
 
 def dd_runs(workload: str) -> int:
     """The DD runs of one pass of ``workload``'s parse and op over its pool."""
-    loaded = _load()
+    loaded = load()
     cones = loaded[0].cones
     runs = 0
     real = cones._dd
@@ -101,7 +85,7 @@ def main(argv: list[str]) -> int:
     if child:
         print(child(argv[1]))
         return 0
-    workloads = _load()[3]
+    workloads = load()[3]
     names = argv or sorted(workloads.POOL)
     unknown = [w for w in names if w not in workloads.POOL]
     if unknown:

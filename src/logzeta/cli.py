@@ -3,8 +3,8 @@
 Input kinds are recognized by schema: an object with ``support`` is Newton
 input, with ``components`` sncd data, with ``cells`` a fan model.  Exit
 status is 0 on success, 2 when validation diagnostics were printed, 1 on
-parse or usage errors and when a computation gives up (a loop guard or an
-internal check raising ``RuntimeError``).
+parse or usage errors and when a computation gives up (the resolution's
+loop guard, the one place that still raises ``RuntimeError``).
 """
 
 from __future__ import annotations
@@ -304,10 +304,6 @@ def parse_fan(data: dict[str, Any]) -> FanModel:
             raise InputError(
                 f"need one e and one a vector per maximal cell ({len(ordered)} cells)"
             )
-        for name, vecs in (("e", e_list), ("a", a_list)):
-            for v in vecs:
-                if len(v) != rank:
-                    raise ValueError(f"{name} vector {list(v)} has length {len(v)}, not the rank {rank}")
         e_vecs = dict(zip(ordered, e_list))
         a_vecs = dict(zip(ordered, a_list))
         return FanModel(complex_, e_vecs, a_vecs, weights)

@@ -56,9 +56,14 @@ with every generator strict, so it takes no triangulation.  Each piece
 takes its openness flags and the Smith frame its box points are
 enumerated from in one elimination, when built, never
 keeping the points themselves; a piece whose elimination shows minors of
-gcd 1 takes no Smith normal form at all.  The cone-sum kernel pairs the
-points' residues on the frame, so only :func:`resolve_complex` asks for
-the points as vectors (:func:`box_points`).
+gcd 1 takes no Smith normal form at all, and its frame holds no step rows.
+The cone-sum kernel pairs the points' residues on the frame, so only
+:func:`resolve_complex` asks for the points as vectors (:func:`box_points`).
+The resolution is one loop of star subdivisions: at a ray of the first
+non-simplicial cell while there is one, then at a smallest box point of
+the first cell that is not smooth.  Smoothness is a cached property of the
+cone, which the cone table shares, so a cell left in place keeps its
+verdict and the loop keeps no set of singular cells.
 Intended scale is small ambient rank and a few dozen rays.
 
 A star subdivision of a valid complex is a valid complex refining it with
@@ -93,7 +98,6 @@ from .intlin import (
     det,
     dot,
     from_columns,
-    identity,
     is_zero_vec,
     mat_vec,
     smith_normal_form,
@@ -752,9 +756,9 @@ def _is_pyramid_apex(c: Cone, ray: Vec) -> bool:
     return ((1 << len(c.rays)) - 1) ^ (1 << c.rays.index(ray)) in c.incidence
 
 
-# Most box points one resolution may enumerate, summed over its phase-2
-# steps.  Each step enumerates at least two, so this bounds the number of
-# subdivisions as well.  Every seed 0-3 fan-invariance benchmark resolution
+# Most box points one resolution may enumerate, summed over its subdivisions
+# at box points.  Each of them enumerates at least two, so this bounds their
+# number as well.  Every seed 0-3 fan-invariance benchmark resolution
 # takes at most 14; the rank-4 index-166 cone (-1,-3,-1,-2), (-1,2,2,3),
 # (1,-3,-2,3), (1,-2,3,0) takes 414 over 86 subdivisions and resolves to
 # 1,340 cells.  The two-ray cell [[1,0],[1,N]] takes N(N+1)/2 - 1, so it is
@@ -763,53 +767,49 @@ RESOLVE_MAX_BOX_POINTS = 5_000
 
 
 def resolve_complex(k: ConeComplex) -> ConeComplex:
-    """Refine ``k`` to a complex all of whose cells are smooth.
+    """Refine ``k`` to a complex all of whose cells are smooth (Cox, Little
+    & Schenck, *Toric Varieties*, §11.1).
 
     Cells that are smooth together with all their faces are never touched;
     the refinement has the same support and ``check_subdivision`` holds.
     Raises ``ValueError`` once the box points enumerated would pass
-    :data:`RESOLVE_MAX_BOX_POINTS`.
+    :data:`RESOLVE_MAX_BOX_POINTS`, and ``RuntimeError`` rather than make
+    more than 10,000 subdivisions at rays.
     """
     for c in k.cells:
         if not c.is_strictly_convex():
             raise LinealityError("strictly convex cells required")
 
-    # Phase 1: make every cell simplicial by star subdivisions at rays.
-    guard = 0
+    # Non-simplicial cells go first: a star subdivision of a simplicial
+    # complex is simplicial, so none comes back once they are gone.  The
+    # cells are pointed, so a cell is simplicial when it has as many rays as
+    # its dimension.  A box holds as many points as the product of its
+    # cell's Smith divisors, so the running total is checked before each
+    # enumeration.
+    guard = work = 0
     while True:
-        bad = next((c for c in k.cells if len(c.pointed_rays()) > c.dim), None)
-        if bad is None:
-            break
-        # a strictly convex cone whose every ray is a pyramid apex is simplicial
-        pivot = next(r for r in bad.rays if not _is_pyramid_apex(bad, r))
+        bad = next((c for c in k.cells if len(c.rays) > c.dim), None)
+        if bad is not None:
+            # a strictly convex cone whose every ray is a pyramid apex is simplicial
+            pivot = next(r for r in bad.rays if not _is_pyramid_apex(bad, r))
+            guard += 1
+            if guard > 10_000:
+                raise RuntimeError("simplicialization did not terminate")
+        else:
+            bad = next((c for c in k.cells if not c.is_smooth), None)
+            if bad is None:
+                return k
+            piece = HalfOpenCone(bad.ambient_rank, tuple(bad.rays), (False,) * len(bad.rays))
+            index = piece.box_count()
+            work += index
+            if work > RESOLVE_MAX_BOX_POINTS:
+                raise ValueError(
+                    f"resolution needs more than {RESOLVE_MAX_BOX_POINTS} box points "
+                    f"(at a cell of index {index}); the model is too singular"
+                )
+            candidates = [primitive(p) for p in box_points(piece) if not is_zero_vec(p)]
+            pivot = min(candidates, key=lambda p: (sum(abs(x) for x in p), p))
         k = star_subdivision(k, pivot)
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("simplicialization did not terminate")
-
-    # Phase 2: shrink multiplicities via fundamental-parallelepiped points.
-    # Only cells new to a complex are tested; a cell left in place keeps its
-    # verdict.  A box holds as many points as the product of its cell's Smith
-    # divisors, so the running total is checked before each enumeration.
-    singular = {c for c in k.cells if not c.is_smooth}
-    work = 0
-    while True:
-        bad = next((c for c in k.cells if c in singular), None)
-        if bad is None:
-            return k
-        piece = HalfOpenCone(bad.ambient_rank, tuple(bad.rays), (False,) * len(bad.rays))
-        index = piece.box_count()
-        work += index
-        if work > RESOLVE_MAX_BOX_POINTS:
-            raise ValueError(
-                f"resolution needs more than {RESOLVE_MAX_BOX_POINTS} box points "
-                f"(at a cell of index {index}); the model is too singular"
-            )
-        candidates = [primitive(p) for p in box_points(piece) if not is_zero_vec(p)]
-        pivot = min(candidates, key=lambda p: (sum(abs(x) for x in p), p))
-        old = set(k.cells)
-        k = star_subdivision(k, pivot)
-        singular = {c for c in k.cells if c in singular or c not in old and not c.is_smooth}
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +917,8 @@ def _smith_frame(gens: Sequence[Vec], minors: int) -> tuple[tuple[int, ...], Mat
     of the gens is such a minor (Bareiss, Math. Comp. 22, 1968), and the
     gcd of all of them is the product of the Smith divisors.  So at
     ``minors == 1`` the gens span a saturated lattice: every divisor is 1,
-    the box holds one point and any unimodular ``V`` serves, so the frame is
-    ``((1,) * k, I_k)``.  Other gens take a Smith normal form, and one whose
+    the box holds one point, whose residues read no step rows, so the frame
+    is ``((1,) * k, ())``.  Other gens take a Smith normal form, and one whose
     divisors all come out 1 takes that frame too, so the frame depends on
     the gens alone.
     """
@@ -929,19 +929,7 @@ def _smith_frame(gens: Sequence[Vec], minors: int) -> tuple[tuple[int, ...], Mat
         big = divisors[-1]
         if big != 1:
             return divisors, tuple(tuple(x * (big // dj) for x, dj in zip(row, divisors)) for row in v)
-    return _unit_frame(k)
-
-
-# Generator counts kept, set by measurement (Python 3.11, one pass of each
-# seed-0 pool in one process): newton-small asks 3,827 unit frames of 5
-# distinct k (0-4), newton-large 309 of 3 (0-2), fan-invariance 508 of 4
-# (0-3), and the Tier-1 suite 13,895 of 5 (0-4).  Eight entries hold every
-# k met there with room; a miss only builds one identity of k rows.
-@lru_cache(maxsize=8)
-def _unit_frame(k: int) -> tuple[tuple[int, ...], Mat]:
-    """The frame of ``k`` saturated generators, one object per ``k``, which
-    every unimodular piece of that many generators shares."""
-    return (1,) * k, identity(k)
+    return (1,) * k, ()
 
 
 def triangulate_half_open(

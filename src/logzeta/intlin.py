@@ -9,7 +9,8 @@ multiplication.  Conventions used throughout the package:
   pivots positive, zeros to the right of each pivot and entries to the left
   of a pivot reduced into ``[0, pivot)``.
 * Smith normal form is two sided: ``S = U @ A @ V`` with nonnegative
-  diagonal entries satisfying ``d_1 | d_2 | ...``.
+  diagonal entries satisfying ``d_1 | d_2 | ...``, from one pivot loop over
+  the diagonal and a divisibility fix-up of neighbouring entries.
 * Rank, determinant, rational solve and inverse all read one fraction-free
   Gauss-Jordan elimination in integers; rationals appear only in the values
   ``solve_rational`` and ``inverse_rational`` return.
@@ -176,7 +177,12 @@ def _min_nonzero_pos(rows: list[list[int]], k: int) -> Optional[tuple[int, int]]
 def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form ``(S, U, V)`` with ``S = U @ A @ V`` diagonal.
 
-    Diagonal entries are nonnegative and each divides the next.
+    Diagonal entries are nonnegative and each divides the next.  At each
+    diagonal place ``k`` one loop moves a smallest nonzero of the block below
+    and right of ``(k, k)`` there and reduces row ``k`` and column ``k`` by
+    it, until both are clear; while one is not, the block holds a nonzero,
+    so the loop always finds a pivot.  The divisibility fix-up then mends
+    neighbouring diagonal entries that do not divide each other.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -196,19 +202,15 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
 
-    k = 0
-    while True:
+    for k in range(min(m, n)):
         pos = _min_nonzero_pos(s, k)
-        if pos is None:
-            break
-        i, j = pos
-        if i != k:
-            swap_rows(k, i)
-        if j != k:
-            _swap_cols(s, k, j)
-            _swap_cols(v, k, j)
-        # Reduce row k and column k until the pivot divides everything there.
-        while True:
+        while pos is not None:
+            i, j = pos
+            if i != k:
+                swap_rows(k, i)
+            if j != k:
+                _swap_cols(s, k, j)
+                _swap_cols(v, k, j)
             for i in range(k + 1, m):
                 q = s[i][k] // s[k][k]
                 if q:
@@ -218,24 +220,9 @@ def smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
                 if q:
                     _addmul_col(s, j, k, -q)
                     _addmul_col(v, j, k, -q)
-            if all(s[i][k] == 0 for i in range(k + 1, m)) and all(
-                s[k][j] == 0 for j in range(k + 1, n)
-            ):
-                break
-            pos = _min_nonzero_pos(s, k)
-            if pos is None:
-                raise RuntimeError("smith_normal_form lost its pivot")
-            i, j = pos
-            if i != k:
-                swap_rows(k, i)
-            if j != k:
-                _swap_cols(s, k, j)
-                _swap_cols(v, k, j)
+            pos = _min_nonzero_pos(s, k) if any(r[k] for r in s[k + 1 :]) or any(s[k][k + 1 :]) else None
         if s[k][k] < 0:
             negate_row(k)
-        k += 1
-        if k >= m or k >= n:
-            break
 
     # Divisibility fix-up d_i | d_{i+1}.
     changed = True

@@ -126,7 +126,8 @@ class FanModel:
     ``e_vecs`` and ``a_vecs`` give one dual vector per maximal cell;
     ``weights`` has one class per cell (cells missing from the mapping count
     as zero).  Weights are understood to already include their
-    (L-1)^(dim-1) factor.  The mappings are copied into read-only ones.
+    (L-1)^(dim-1) factor.  The mappings are copied into read-only ones, and
+    an e or a vector whose length is not the rank raises ``ValueError``.
     """
 
     complex: ConeComplex
@@ -137,6 +138,11 @@ class FanModel:
     def __post_init__(self):
         for name in ("e_vecs", "a_vecs", "weights"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        rank = self.complex.ambient_rank
+        for name, vecs in (("e", self.e_vecs), ("a", self.a_vecs)):
+            for v in vecs.values():
+                if len(v) != rank:
+                    raise ValueError(f"{name} vector {list(v)} has length {len(v)}, not the rank {rank}")
 
     def __reduce__(self):
         # a read-only mapping does not pickle, so a copy is built from dicts
@@ -147,7 +153,8 @@ class FanModel:
         maximal = set(self.complex.maximal_cells())
         if set(self.e_vecs) != maximal or set(self.a_vecs) != maximal:
             return (*self.complex.validate(), "e/a vectors must be indexed by the maximal cells")
-        return tuple(sorted({*self.complex.validate(), *_cell_problems(self, self.complex.cells)}))
+        strays = {f"weight on {c}, which is not a cell" for c in self.weights.keys() - set(self.complex.cells)}
+        return tuple(sorted({*self.complex.validate(), *_cell_problems(self, self.complex.cells), *strays}))
 
     def owning_maximal(self, cell: Cone) -> Cone:
         """The first maximal cell, in cell order, containing a cell of the complex."""

@@ -3,12 +3,13 @@
 ``cones.cone_from_rays`` reads a table that returns the same cone for equal
 input, so a cone built by one test, with the values it keeps (``dim``,
 ``is_smooth``, ``incidence``, ``span_coordinates``), would reach the next,
-and so would the cones ``cones.faces`` keeps for it and the pieces
-``cones._relint_pieces`` keeps per cone, keyed by its rays, incidence and
-dimension.  Each test starts with all
-three tables empty, and each ``monkeypatch.setattr`` empties the cone table
-again, so a bound or a method patched in a test holds for every cone that
-test builds from then on.
+and so would whatever another ``lru_cache`` of the library keeps: the faces
+``cones.faces`` keeps per cone, the pieces ``cones._relint_pieces`` keeps
+per cone and the Newton face table.  Each test starts with every
+``lru_cache`` of the ``logzeta`` modules empty, a table added later
+included, and each ``monkeypatch.setattr`` empties the cone table again, so
+a bound or a method patched in a test holds for every cone that test builds
+from then on.
 """
 
 import pathlib
@@ -22,10 +23,12 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(autouse=True)
-def empty_cone_caches():
-    logzeta.cones._cone_table.cache_clear()
-    logzeta.cones.faces.cache_clear()
-    logzeta.cones._relint_pieces.cache_clear()
+def empty_library_caches():
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "logzeta":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture

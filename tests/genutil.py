@@ -20,9 +20,12 @@ from logzeta.cones import (
     Cone,
     ConeComplex,
     HalfOpenCone,
+    RESOLVE_MAX_BOX_POINTS,
     LinealityError,
+    _is_pyramid_apex,
     _relint_pieces,
     _triangulate,
+    box_points,
     complex_from_cones,
     cone_from_rays,
     primitive,
@@ -37,6 +40,7 @@ from logzeta.intlin import (
     hermite_normal_form,
     identity,
     is_zero_vec,
+    mat,
     mat_mul,
     mat_vec,
     rank,
@@ -363,6 +367,160 @@ def per_factor_candidate_poles(s: ZSeries) -> frozenset[Fraction]:
         for a, b in ds:
             out.add(Fraction(a, b))
     return frozenset(out)
+
+
+def _oracle_swap_cols(rows: list[list[int]], i: int, j: int) -> None:
+    for r in rows:
+        r[i], r[j] = r[j], r[i]
+
+
+def _oracle_addmul_col(rows: list[list[int]], dst: int, src: int, k: int) -> None:
+    for r in rows:
+        r[dst] += k * r[src]
+
+
+def _oracle_min_nonzero_pos(rows: list[list[int]], k: int) -> Optional[tuple[int, int]]:
+    best = None
+    for i in range(k, len(rows)):
+        for j in range(k, len(rows[0])):
+            if rows[i][j] != 0 and (best is None or abs(rows[i][j]) < abs(rows[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def oracle_smith_normal_form(a: Mat) -> tuple[Mat, Mat, Mat]:
+    """The two-phase Smith normal form the library's one pivot loop
+    replaced, kept verbatim: the pivot is moved once before the reduction
+    loop and again inside it, behind a ``RuntimeError`` that cannot fire."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    s = [list(r) for r in a]
+    u = [list(r) for r in identity(m)]
+    v = [list(r) for r in identity(n)]
+
+    def swap_rows(i: int, j: int) -> None:
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def addmul_row(dst: int, src: int, k: int) -> None:
+        s[dst] = [x + k * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def negate_row(i: int) -> None:
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    k = 0
+    while True:
+        pos = _oracle_min_nonzero_pos(s, k)
+        if pos is None:
+            break
+        i, j = pos
+        if i != k:
+            swap_rows(k, i)
+        if j != k:
+            _oracle_swap_cols(s, k, j)
+            _oracle_swap_cols(v, k, j)
+        # Reduce row k and column k until the pivot divides everything there.
+        while True:
+            for i in range(k + 1, m):
+                q = s[i][k] // s[k][k]
+                if q:
+                    addmul_row(i, k, -q)
+            for j in range(k + 1, n):
+                q = s[k][j] // s[k][k]
+                if q:
+                    _oracle_addmul_col(s, j, k, -q)
+                    _oracle_addmul_col(v, j, k, -q)
+            if all(s[i][k] == 0 for i in range(k + 1, m)) and all(
+                s[k][j] == 0 for j in range(k + 1, n)
+            ):
+                break
+            pos = _oracle_min_nonzero_pos(s, k)
+            if pos is None:
+                raise RuntimeError("smith_normal_form lost its pivot")
+            i, j = pos
+            if i != k:
+                swap_rows(k, i)
+            if j != k:
+                _oracle_swap_cols(s, k, j)
+                _oracle_swap_cols(v, k, j)
+        if s[k][k] < 0:
+            negate_row(k)
+        k += 1
+        if k >= m or k >= n:
+            break
+
+    # Divisibility fix-up d_i | d_{i+1}.
+    changed = True
+    while changed:
+        changed = False
+        for i in range(min(m, n) - 1):
+            di, dj = s[i][i], s[i + 1][i + 1]
+            if di != 0 and dj % di != 0:
+                _oracle_addmul_col(s, i, i + 1, 1)
+                _oracle_addmul_col(v, i, i + 1, 1)
+                # Re-diagonalize the 2x2 block with row/column gcd steps.
+                while s[i + 1][i] != 0:
+                    if abs(s[i + 1][i]) <= abs(s[i][i]) or s[i][i] == 0:
+                        swap_rows(i, i + 1)
+                    q = s[i + 1][i] // s[i][i]
+                    addmul_row(i + 1, i, -q)
+                for j in (i, i + 1):
+                    if s[j][j] < 0:
+                        negate_row(j)
+                q = s[i][i + 1] // s[i][i] if s[i][i] else 0
+                if s[i][i]:
+                    _oracle_addmul_col(s, i + 1, i, -q)
+                    _oracle_addmul_col(v, i + 1, i, -q)
+                changed = True
+    return mat(s), mat(u), mat(v)
+
+
+def oracle_resolve_complex(k: ConeComplex) -> ConeComplex:
+    """The two-phase resolution the library's one loop replaced, kept
+    verbatim: every cell made simplicial first, then the singular cells
+    subdivided in turn from a set kept beside the complex."""
+    for c in k.cells:
+        if not c.is_strictly_convex():
+            raise LinealityError("strictly convex cells required")
+
+    # Phase 1: make every cell simplicial by star subdivisions at rays.
+    guard = 0
+    while True:
+        bad = next((c for c in k.cells if len(c.pointed_rays()) > c.dim), None)
+        if bad is None:
+            break
+        # a strictly convex cone whose every ray is a pyramid apex is simplicial
+        pivot = next(r for r in bad.rays if not _is_pyramid_apex(bad, r))
+        k = star_subdivision(k, pivot)
+        guard += 1
+        if guard > 10_000:
+            raise RuntimeError("simplicialization did not terminate")
+
+    # Phase 2: shrink multiplicities via fundamental-parallelepiped points.
+    # Only cells new to a complex are tested; a cell left in place keeps its
+    # verdict.  A box holds as many points as the product of its cell's Smith
+    # divisors, so the running total is checked before each enumeration.
+    singular = {c for c in k.cells if not c.is_smooth}
+    work = 0
+    while True:
+        bad = next((c for c in k.cells if c in singular), None)
+        if bad is None:
+            return k
+        piece = HalfOpenCone(bad.ambient_rank, tuple(bad.rays), (False,) * len(bad.rays))
+        index = piece.box_count()
+        work += index
+        if work > RESOLVE_MAX_BOX_POINTS:
+            raise ValueError(
+                f"resolution needs more than {RESOLVE_MAX_BOX_POINTS} box points "
+                f"(at a cell of index {index}); the model is too singular"
+            )
+        candidates = [primitive(p) for p in box_points(piece) if not is_zero_vec(p)]
+        pivot = min(candidates, key=lambda p: (sum(abs(x) for x in p), p))
+        old = set(k.cells)
+        k = star_subdivision(k, pivot)
+        singular = {c for c in k.cells if c in singular or c not in old and not c.is_smooth}
 
 
 # ---------------------------------------------------------------------------

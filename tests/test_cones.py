@@ -70,6 +70,7 @@ from genutil import (
     oracle_dd_generators,
     oracle_face_incidence,
     oracle_incidence,
+    oracle_resolve_complex,
     random_cone,
     random_subdivided_cone,
     relint_pieces,
@@ -489,7 +490,7 @@ def test_smoothness_and_frame_agree_with_the_smith_form(seed):
     assert h._frame[0] == tuple(s[i][i] for i in range(k))
     assert box_points(h) == fresh_box_points(h)
     if unimodularity_by_snf(gens):
-        assert h._frame == ((1,) * k, identity(k))
+        assert h._frame == ((1,) * k, ())
         assert box_points(h) == [tuple(map(sum, zip((0,) * rank, *(g for g, f in zip(gens, flags) if f))))]
 
 
@@ -556,7 +557,7 @@ def test_minors_of_gcd_one_frame_a_piece_without_a_smith_form(seed, kind):
         h = HalfOpenCone(rank, gens, flags)
     assert h.box_count() == index == len(box_points(h))
     if minors == 1:
-        assert index == 1 and h._frame == ((1,) * k, identity(k)) and not snf.called
+        assert index == 1 and h._frame == ((1,) * k, ()) and not snf.called
 
 
 def test_saturated_rays_with_a_pivot_past_one_take_no_smith_form(monkeypatch):
@@ -860,6 +861,24 @@ def test_index_166_cone_resolves_within_the_bound():
     r = resolve_complex(complex_from_cones(4, [c]))
     assert len(r.cells) == 1340
     assert all(cell.is_smooth for cell in r.cells)
+
+
+def test_resolution_matches_the_two_phase_oracle():
+    # one loop, a non-simplicial cell first and then the first cell that is
+    # not smooth, subdivides where the old two phases did, in the same order
+    rng = random.Random(45)
+    non_simplicial = singular = 0
+    for _ in range(300):
+        rank = rng.randint(2, 4)
+        k = complex_from_cones(rank, [random_cone(rng, rank, max_entry=3 if rank < 4 else 2)])
+        for _ in range(rng.randint(0, 2)):
+            v = tuple(rng.randint(0, 3) for _ in range(rank))
+            if any(v) and k.support_cell(v) is not None:
+                k = star_subdivision(k, v)
+        non_simplicial += any(len(c.rays) > c.dim for c in k.cells)
+        singular += any(not c.is_smooth for c in k.cells)
+        assert resolve_complex(k).cells == oracle_resolve_complex(k).cells, k.cells
+    assert non_simplicial > 50 and singular > 150
 
 
 @st.composite

@@ -1,4 +1,10 @@
+import random
+import unittest.mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
+
+import logzeta.intlin
 
 from logzeta.intlin import (
     content_primitive,
@@ -18,7 +24,7 @@ from logzeta.intlin import (
     span_lattice,
 )
 
-from genutil import torsion_order
+from genutil import oracle_smith_normal_form, torsion_order
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -29,6 +35,26 @@ small_matrices = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+# Most pivot reads the Smith forms of one test may make.  The seeded
+# identity test makes about 11,000, so a pivot loop that stops making
+# progress fails within a second instead of hanging.
+MAX_PIVOT_READS = 100_000
+
+
+@pytest.fixture(autouse=True)
+def bounded_pivot_reads(monkeypatch):
+    real = logzeta.intlin._min_nonzero_pos
+    reads = 0
+
+    def read(rows, k):
+        nonlocal reads
+        reads += 1
+        assert reads <= MAX_PIVOT_READS, "the pivot loop makes no progress"
+        return real(rows, k)
+
+    monkeypatch.setattr(logzeta.intlin, "_min_nonzero_pos", read)
 
 
 def is_unimodular(u):
@@ -109,6 +135,34 @@ def test_snf_defining_equations(rows):
             assert diag[i + 1] % diag[i] == 0
         else:
             assert diag[i + 1] == 0
+
+
+def test_smith_form_matches_the_two_phase_oracle():
+    # the one pivot loop makes the old routine's moves in the old order, so
+    # (S, U, V) is the same; the fix-up is the only step that adds a column
+    # into an earlier one, and over 50 of these matrices reach it
+    rng = random.Random(45)
+    entries = (-3, -2, -1, 0, 0, 0, 1, 2, 3, 4, 6)
+    cases = [(), ((), ()), ((0, 0, 0),)]
+    for _ in range(3_000):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        cases.append(tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(m)))
+    real = logzeta.intlin._addmul_col
+    fix_ups = 0
+
+    def addmul(rows, dst, src, k):
+        nonlocal fix_ups
+        fix_ups += dst < src
+        real(rows, dst, src, k)
+
+    def reaches_fix_up(a):
+        before = fix_ups
+        assert smith_normal_form(a) == oracle_smith_normal_form(a), a
+        return fix_ups > before
+
+    with unittest.mock.patch.object(logzeta.intlin, "_addmul_col", addmul):
+        assert reaches_fix_up(((2, 0), (0, 3)))
+        assert sum(map(reaches_fix_up, cases)) > 50
 
 
 def test_torsion_order_examples():

@@ -192,7 +192,6 @@ def test_face_table_built_once_per_support(monkeypatch):
         return real(n, support)
 
     monkeypatch.setattr(logzeta.newton, "_newton_faces", counting)
-    logzeta.newton._face_table.cache_clear()
     inp = NewtonInput(3, ((0, 0, 2), (1, 1, 1), (2, 2, 0)))
     newton_zeta(inp)
     newton_zeta_local(inp)

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import logzeta
 
@@ -198,6 +199,25 @@ def test_monoids_reads_lattices_off_one_hermite_form():
     }
     assert imported.isdisjoint({"solve_integer", "saturation_basis", "smith_normal_form", "rank"})
     assert all(getattr(node, "id", None) != "RuntimeError" for node in ast.walk(tree))
+
+
+def test_smith_form_guards_no_step_that_cannot_fail():
+    # while row or column k is not clear the block holds a nonzero, so the
+    # one pivot loop always finds a pivot and intlin raises no RuntimeError
+    tree = ast.parse((SRC / "intlin.py").read_text())
+    assert all(getattr(node, "id", None) != "RuntimeError" for node in ast.walk(tree))
+
+
+def test_each_test_starts_with_every_library_table_empty():
+    # conftest empties every lru_cache of the library, a table added later too
+    tables = [
+        value
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "logzeta"
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_info", None))
+    ]
+    assert len(tables) >= 4 and all(table.cache_info().currsize == 0 for table in tables)
 
 
 def _readers(name):

@@ -293,6 +293,27 @@ def test_transported_model_is_still_model_checked():
         fan_poincare(moved, 0)
 
 
+def test_model_refuses_a_vector_of_another_length():
+    # the model checks its own shape, in the words parse_fan's error uses,
+    # rather than leave a bare dimension mismatch to validate_model
+    orthant = cone_from_rays(2, [(1, 0), (0, 1)])
+    k = complex_from_cones(2, [orthant])
+    with pytest.raises(ValueError, match=r"^e vector \[1, 1, 1\] has length 3, not the rank 2$"):
+        FanModel(k, {orthant: (1, 1, 1)}, {orthant: (0, 0)})
+    with pytest.raises(ValueError, match=r"^a vector \[0\] has length 1, not the rank 2$"):
+        FanModel(k, {orthant: (1, 1)}, {orthant: (0,)})
+
+
+def test_weight_on_a_cone_that_is_no_cell_is_a_diagnostic():
+    # a weight the sum would silently drop makes the model invalid
+    orthant, wedge = cone_from_rays(2, [(1, 0), (0, 1)]), cone_from_rays(2, [(1, 0), (1, 2)])
+    k = complex_from_cones(2, [orthant])
+    model = FanModel(k, {orthant: (1, 1)}, {orthant: (0, 0)}, {wedge: MClass.symbol("X")})
+    assert validate_model(model) == [f"weight on {wedge}, which is not a cell"]
+    with pytest.raises(InvalidModel, match="not a cell"):
+        fan_poincare(model, 0)
+
+
 def test_model_mappings_are_read_only():
     # a model copies its mappings when built, so its kept verdict cannot go stale
     k = complex_from_cones(3, [ORTHANT3])
