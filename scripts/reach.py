@@ -6,9 +6,10 @@
 One process traces every call with ``sys.setprofile`` while it runs:
 
 * the CLI (``logzeta.cli.main``) on every file in ``scripts/data``, with
-  every verb, as text and as ``--json`` (``expand`` at ``--degree 3``,
-  ``subdivide`` at the sum of the first cell's rays, ``probe-nondegenerate``
-  at ``--prime 3``), its output discarded;
+  every verb of ``logzeta.cli.VERBS``, as text and as ``--json``
+  (``expand`` at ``--degree 3``, ``subdivide`` at the sum of the first
+  cell's rays, ``probe-nondegenerate`` at ``--prime 3``), its output
+  discarded;
 * the benchmark's own op and gate (``perfbench/worker.py``) on the first
   ``TRACE_OPS`` default-seed inputs of each workload pool, parse included.
 
@@ -51,13 +52,12 @@ def definitions() -> dict[tuple[str, int], str]:
 
 def cli_runs(lz) -> None:
     """Every verb on every data file, as text and as JSON."""
-    verbs = next(a for a in lz.cli.build_parser()._actions if a.dest == "verb").choices
     for path in sorted(DATA.glob("*.json")):
         doc = json.loads(path.read_text())
         rays = doc["cells"][0]["rays"] if "cells" in doc else [[1, 1]]
         ray = ",".join(str(sum(c)) for c in zip(*rays))
         extra = {"expand": ["--degree", "3"], "subdivide": ["--ray", ray], "probe-nondegenerate": ["--prime", "3"]}
-        for verb in verbs:
+        for verb in lz.cli.VERBS:
             for fmt in ([], ["--json"]):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     lz.cli.main([verb, str(path), *extra.get(verb, []), *fmt])

@@ -1,5 +1,11 @@
 """Command-line front end: one verb per pipeline, file in, stdout out.
 
+Each verb is one row of :data:`VERBS`: its help text, its options, what it
+computes from the loaded input and the lines it prints; :func:`build_parser`
+and :func:`main` read nothing else.  ``--json`` changes what the series,
+pole, ``nearby``, ``expand`` and probe verbs print; ``subdivide`` and
+``resolve`` print the model as JSON and ``validate`` prints ``ok`` either way.
+
 Input kinds are recognized by schema: an object with ``support`` is Newton
 input, with ``components`` sncd data, with ``cells`` a fan model.  Exit
 status is 0 on success, 2 when validation diagnostics were printed, 1 on
@@ -14,7 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .cones import cone_from_rays, complex_from_cones, resolve_complex, star_subdivision
 from .mring import LaurentPoly, MClass, MCoeff
@@ -333,77 +339,66 @@ def fan_to_json(f: FanModel) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Verbs: one row each, which build_parser and main read.
 
 
-def _emit_series(s: ZSeries, args) -> int:
+class Verb(NamedTuple):
+    """A verb's help text, its options beyond ``input`` and ``--json`` as
+    ``(flag, add_argument keywords)`` pairs, ``compute(data, args)`` on the
+    loaded input, and ``lines(result, args)``, the whole lines it prints: no
+    lines print nothing, and one empty line prints a newline."""
+
+    help: str
+    options: tuple[tuple[str, dict[str, Any]], ...]
+    compute: Callable[[dict[str, Any], argparse.Namespace], Any]
+    lines: Callable[[Any, argparse.Namespace], list[str]]
+
+
+def _series_lines(s: ZSeries, args) -> list[str]:
+    return [json.dumps(series_to_json(s), sort_keys=True) if args.json else str(s)]
+
+
+def _pole_lines(poles, args) -> list[str]:
+    return [json.dumps({"poles": [str(p) for p in sorted(poles)]}) if args.json else format_poles(poles)]
+
+
+def _class_lines(c: MClass, args) -> list[str]:
+    return [json.dumps(mclass_to_json(c), sort_keys=True) if args.json else str(c)]
+
+
+def _expansion_lines(coeffs: list[MClass], args) -> list[str]:
     if args.json:
-        print(json.dumps(series_to_json(s), sort_keys=True))
-    else:
-        print(s)
-    return 0
+        return [json.dumps([mclass_to_json(c) for c in coeffs], sort_keys=True)]
+    return [f"T^{d}: {c}" for d, c in enumerate(coeffs, start=1)]
 
 
-def _emit_poles(poles, args) -> int:
+def _model_lines(model: FanModel, args) -> list[str]:
+    return [json.dumps(fan_to_json(model), sort_keys=True)]
+
+
+def _probe_lines(result, args) -> list[str]:
+    status, face, witness = result
     if args.json:
-        print(json.dumps({"poles": [str(p) for p in sorted(poles)]}))
-    else:
-        print(format_poles(poles))
-    return 0
+        return [json.dumps({"status": status, "face": face, "witness": list(witness) if witness else None})]
+    return [f"fail: face {face} has a singular torus point {witness} mod {args.prime}" if status == "fail" else status]
 
 
-def cmd_newton_zeta(args) -> int:
-    return _emit_series(newton_zeta(parse_newton(load_input(args.input))), args)
-
-
-def cmd_newton_zeta_local(args) -> int:
-    return _emit_series(newton_zeta_local(parse_newton(load_input(args.input))), args)
-
-
-def cmd_newton_poles(args) -> int:
-    return _emit_poles(newton_poles(parse_newton(load_input(args.input))), args)
-
-
-def cmd_sncd_zeta(args) -> int:
-    return _emit_series(sncd_poincare(parse_sncd(load_input(args.input))), args)
-
-
-def cmd_dl_zeta(args) -> int:
-    return _emit_series(dl_zeta(parse_sncd(load_input(args.input))), args)
-
-
-def _load_fan_checked(args) -> FanModel:
-    model = parse_fan(load_input(args.input))
-    problems = validate_model(model)
-    if problems:
+def _checked_fan(data: dict[str, Any]) -> FanModel:
+    """The fan model, which must be valid: main prints the diagnostics of an
+    invalid one and exits 2."""
+    model = parse_fan(data)
+    if problems := validate_model(model):
         raise InvalidModel(problems)
     return model
 
 
-def cmd_fan_series(args) -> int:
-    # fan_poincare validates the model itself
-    return _emit_series(fan_poincare(parse_fan(load_input(args.input)), args.m), args)
-
-
-def cmd_fan_poles(args) -> int:
-    return _emit_poles(fan_poles(_load_fan_checked(args)), args)
-
-
-def cmd_nearby(args) -> int:
-    data = load_input(args.input)
-    kind = input_kind(data)
-    if kind != "sncd":
+def _nearby(data, args) -> MClass:
+    if input_kind(data) != "sncd":
         raise InputError("nearby expects sncd data with nu orders")
-    result = nearby_fibre(dl_zeta(parse_sncd(data)))
-    if args.json:
-        print(json.dumps(mclass_to_json(result), sort_keys=True))
-    else:
-        print(result)
-    return 0
+    return nearby_fibre(dl_zeta(parse_sncd(data)))
 
 
-def cmd_expand(args) -> int:
-    data = load_input(args.input)
+def _expansion(data, args) -> list[MClass]:
     kind = input_kind(data)
     if kind == "newton":
         series = newton_zeta(parse_newton(data))
@@ -412,17 +407,11 @@ def cmd_expand(args) -> int:
         series = dl_zeta(d) if all(c.nu is not None for c in d.components) else sncd_poincare(d)
     else:
         series = fan_poincare(parse_fan(data), args.m)
-    coeffs = series.expand(args.degree)
-    if args.json:
-        print(json.dumps([mclass_to_json(c) for c in coeffs], sort_keys=True))
-    else:
-        for d, c in enumerate(coeffs, start=1):
-            print(f"T^{d}: {c}")
-    return 0
+    return series.expand(args.degree)
 
 
-def cmd_subdivide(args) -> int:
-    model = _load_fan_checked(args)
+def _subdivided(data, args) -> FanModel:
+    model = _checked_fan(data)
     try:
         ray = tuple(int(x) for x in args.ray.split(","))
     except ValueError:
@@ -432,96 +421,84 @@ def cmd_subdivide(args) -> int:
         raise InputError(f"bad ray {args.ray!r}: a ray of the rank-{rank} model has {rank} coordinates, not {len(ray)}")
     if not any(ray):
         raise InputError(f"bad ray {args.ray!r}: a ray of the rank-{rank} model must be nonzero")
-    new_model = transport_subdivide(model, star_subdivision(model.complex, ray))
-    print(json.dumps(fan_to_json(new_model), sort_keys=True))
-    return 0
+    return transport_subdivide(model, star_subdivision(model.complex, ray))
 
 
-def cmd_resolve(args) -> int:
-    model = _load_fan_checked(args)
-    new_model = transport_subdivide(model, resolve_complex(model.complex))
-    print(json.dumps(fan_to_json(new_model), sort_keys=True))
-    return 0
+_M = ("--m", {"type": int, "default": 0, "help": "relative dimension"})
+_DEGREE = ("--degree", {"type": int, "required": True, "help": "expansion degree"})
+_RAY = ("--ray", {"required": True, "help": "subdivision ray, comma separated"})
+_PRIME = ("--prime", {"type": int, "required": True, "help": "probe prime"})
 
+VERBS = {
+    "newton-zeta": Verb(
+        "global zeta function from a Newton support", (), lambda d, a: newton_zeta(parse_newton(d)), _series_lines
+    ),
+    "newton-zeta-local": Verb(
+        "local zeta function at the origin", (), lambda d, a: newton_zeta_local(parse_newton(d)), _series_lines
+    ),
+    "newton-poles": Verb(
+        "candidate poles from the Newton polyhedron", (), lambda d, a: newton_poles(parse_newton(d)), _pole_lines
+    ),
+    "sncd-zeta": Verb(
+        "volume Poincare series of sncd data (uses mu)", (), lambda d, a: sncd_poincare(parse_sncd(d)), _series_lines
+    ),
+    "dl-zeta": Verb(
+        "motivic zeta function of sncd data (uses nu)", (), lambda d, a: dl_zeta(parse_sncd(d)), _series_lines
+    ),
+    # fan_poincare validates the model itself
+    "fan-series": Verb(
+        "volume Poincare series of a fan model", (_M,), lambda d, a: fan_poincare(parse_fan(d), a.m), _series_lines
+    ),
+    "fan-poles": Verb("candidate poles of a fan model", (), lambda d, a: fan_poles(_checked_fan(d)), _pole_lines),
+    "nearby": Verb("motivic nearby fibre of sncd data", (), _nearby, _class_lines),
+    "expand": Verb("series coefficients T^1..T^D", (_DEGREE, _M), _expansion, _expansion_lines),
+    "subdivide": Verb("star-subdivide a fan model at a ray", (_RAY,), _subdivided, _model_lines),
+    "resolve": Verb(
+        "resolve a fan model to smooth cells",
+        (),
+        lambda d, a: transport_subdivide(model := _checked_fan(d), resolve_complex(model.complex)),
+        _model_lines,
+    ),
+    "validate": Verb("check fan-model invariants", (), lambda d, a: _checked_fan(d), lambda model, a: ["ok"]),
+    "probe-nondegenerate": Verb(
+        "finite-field nondegeneracy probe",
+        (_PRIME,),
+        lambda d, a: nondegeneracy_probe(parse_newton(d), a.prime),
+        _probe_lines,
+    ),
+}
 
-def cmd_validate(args) -> int:
-    _load_fan_checked(args)  # main prints the diagnostics and exits 2
-    print("ok")
-    return 0
-
-
-def cmd_probe(args) -> int:
-    inp = parse_newton(load_input(args.input))
-    status, face, witness = nondegeneracy_probe(inp, args.prime)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "status": status,
-                    "face": face,
-                    "witness": list(witness) if witness else None,
-                }
-            )
-        )
-    else:
-        if status == "fail":
-            print(f"fail: face {face} has a singular torus point {witness} mod {args.prime}")
-        else:
-            print(status)
-    return 0
+# argparse's own negative numbers, and a comma-separated ray that starts with
+# a negative coordinate: "-1,0" is read as a value, as "-1" is
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logzeta",
-        description="Motivic zeta functions from combinatorial models, exactly.",
-    )
+    description = "Motivic zeta functions from combinatorial models, exactly."
+    parser = argparse.ArgumentParser(prog="logzeta", description=description)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, help_, *, degree=False, ray=False, prime=False, m=False):
-        p = sub.add_parser(name, help=help_)
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
         p.add_argument("input", help="input JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if degree:
-            p.add_argument("--degree", type=int, required=True, help="expansion degree")
-        if ray:
-            p.add_argument("--ray", required=True, help="subdivision ray, comma separated")
-            # a ray may start with a negative coordinate: read "-1,0" as a
-            # value, as argparse reads "-1"
-            p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
-        if prime:
-            p.add_argument("--prime", type=int, required=True, help="probe prime")
-        if m:
-            p.add_argument("--m", type=int, default=0, help="relative dimension")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("newton-zeta", cmd_newton_zeta, "global zeta function from a Newton support")
-    add("newton-zeta-local", cmd_newton_zeta_local, "local zeta function at the origin")
-    add("newton-poles", cmd_newton_poles, "candidate poles from the Newton polyhedron")
-    add("sncd-zeta", cmd_sncd_zeta, "volume Poincare series of sncd data (uses mu)")
-    add("dl-zeta", cmd_dl_zeta, "motivic zeta function of sncd data (uses nu)")
-    add("fan-series", cmd_fan_series, "volume Poincare series of a fan model", m=True)
-    add("fan-poles", cmd_fan_poles, "candidate poles of a fan model")
-    add("nearby", cmd_nearby, "motivic nearby fibre of sncd data")
-    add("expand", cmd_expand, "series coefficients T^1..T^D", degree=True, m=True)
-    add("subdivide", cmd_subdivide, "star-subdivide a fan model at a ray", ray=True)
-    add("resolve", cmd_resolve, "resolve a fan model to smooth cells")
-    add("validate", cmd_validate, "check fan-model invariants")
-    add("probe-nondegenerate", cmd_probe, "finite-field nondegeneracy probe", prime=True)
+        for flag, kwargs in verb.options:
+            p.add_argument(flag, **kwargs)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on a usage error, after printing the usage line to
         # stderr, and 0 after --help; exit 2 is kept for printed diagnostics
         return 1 if e.code else 0
+    verb = VERBS[args.verb]
     try:
-        return args.fn(args)
+        for line in verb.lines(verb.compute(load_input(args.input), args), args):
+            print(line)
+        return 0
     except InvalidModel as d:
         for p in d.problems:
             print(p)

@@ -250,20 +250,28 @@ class Cone:
         return True
 
     @cached_property
+    def closed_piece(self) -> Optional[HalfOpenCone]:
+        """The closed piece over the rays of a pointed simplicial cone, and
+        None for any other cone, built once per cone: :attr:`is_smooth`
+        counts its box points and :func:`resolve_complex` enumerates them,
+        so a cell the resolution subdivides takes one Smith normal form."""
+        if not self.is_strictly_convex() or len(self.rays) != self.dim:
+            return None
+        return HalfOpenCone(self.ambient_rank, self.rays, (False,) * self.dim)
+
+    @cached_property
     def is_smooth(self) -> bool:
         """Whether the rays form part of a basis of the ambient lattice,
         worked out once per cone.
 
         A pointed cone with as many rays as its dimension is smooth exactly
         when the ``k × k`` minors of its rays have gcd 1 (Cox, Little &
-        Schenck, *Toric Varieties*, §11.1), that is when the half-open
-        piece over its rays has one box point.  The entries of the piece's
+        Schenck, *Toric Varieties*, §11.1), that is when its
+        :attr:`closed_piece` has one box point.  The entries of the piece's
         elimination are such minors, so entries of gcd 1 settle it; only
         other rays take a Smith normal form.
         """
-        if not self.is_strictly_convex() or len(self.rays) != self.dim:
-            return False
-        return HalfOpenCone(self.ambient_rank, self.rays, (False,) * self.dim).box_count() == 1
+        return self.closed_piece is not None and self.closed_piece.box_count() == 1
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
@@ -799,7 +807,7 @@ def resolve_complex(k: ConeComplex) -> ConeComplex:
             bad = next((c for c in k.cells if not c.is_smooth), None)
             if bad is None:
                 return k
-            piece = HalfOpenCone(bad.ambient_rank, tuple(bad.rays), (False,) * len(bad.rays))
+            piece = bad.closed_piece
             index = piece.box_count()
             work += index
             if work > RESOLVE_MAX_BOX_POINTS:

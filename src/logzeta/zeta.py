@@ -60,7 +60,8 @@ class SncdData:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate component ids")
         seen = set()
-        for subset, _ in self.strata:
+        for subset, symbol in self.strata:
+            MClass.symbol(symbol)  # raises on an empty or malformed class symbol
             if not subset:
                 raise ValueError("empty stratum")
             if subset in seen:

@@ -2,8 +2,8 @@
 
 ``cones.cone_from_rays`` reads a table that returns the same cone for equal
 input, so a cone built by one test, with the values it keeps (``dim``,
-``is_smooth``, ``incidence``, ``span_coordinates``), would reach the next,
-and so would whatever another ``lru_cache`` of the library keeps: the faces
+``closed_piece``, ``is_smooth``, ``incidence``, ``span_coordinates``),
+would reach the next, and so would whatever another ``lru_cache`` of the library keeps: the faces
 ``cones.faces`` keeps per cone, the pieces ``cones._relint_pieces`` keeps
 per cone and the Newton face table.  Each test starts with every
 ``lru_cache`` of the ``logzeta`` modules empty, a table added later

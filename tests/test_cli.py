@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logzeta.cli import MAX_RANK, InputError, main, parse_coeff, parse_fan, parse_newton
+from logzeta.cli import MAX_RANK, VERBS, InputError, main, parse_coeff, parse_fan, parse_newton
 from logzeta.mring import LaurentPoly, MCoeff
 from logzeta.series import equal, format_poles
 from logzeta.zeta import InvalidModel, fan_poincare, validate_model
@@ -287,6 +287,16 @@ def test_negative_expansion_degree_exits_1(capsys):
     assert run(capsys, "expand", path("single_component.json"), "--degree", "0") == (0, "")
 
 
+def test_expand_passes_m_to_the_fan_series(capsys):
+    # expand reads --m as fan-series does; at m = 1 every coefficient is
+    # L^-1 times the one at m = 0 on this model, so a dropped --m shows
+    code, out = run(capsys, "expand", path("orthant_model.json"), "--degree", "2", "--m", "1")
+    model = parse_fan(json.load(open(path("orthant_model.json"))))
+    expected = [f"T^{d}: {c}" for d, c in enumerate(fan_poincare(model, 1).expand(2), start=1)]
+    assert (code, out.splitlines()) == (0, expected)
+    assert fan_poincare(model, 1).expand(2) != fan_poincare(model, 0).expand(2)
+
+
 def test_probe(capsys):
     code, out = run(capsys, "probe-nondegenerate", path("cusp_newton.json"), "--prime", "7")
     assert code == 0
@@ -516,6 +526,18 @@ E_MU = {"id": "E", "N": 1, "mu": 0}
         ),
         # a J listing an id twice was read as the stratum {E}
         ("sncd-zeta", _components(E_MU, strata=(["E", "E"],)), "bad sncd input: strata[0].J lists 'E' twice"),
+        # a class symbol is checked where the sncd data is read, as a fan
+        # model's weight symbol is
+        (
+            "sncd-zeta",
+            {"m": 1, "components": [E_MU], "strata": [{"J": ["E"], "symbol": ""}]},
+            "bad sncd input: empty class symbol",
+        ),
+        (
+            "sncd-zeta",
+            {"m": 1, "components": [E_MU], "strata": [{"J": ["E"], "symbol": "A*1"}]},
+            "bad sncd input: bad class symbol 'A*1'",
+        ),
     ],
 )
 def test_trust_boundary_rejections_exit_1(tmp_path, capsys, verb, doc, message):
@@ -885,11 +907,8 @@ PIN_ARGS = {
     "subdivide": ("--ray", "1,1"),
     "probe-nondegenerate": ("--prime", "7"),
 }
-PIN_VERBS = [
-    "newton-zeta", "newton-zeta-local", "newton-poles", "sncd-zeta", "dl-zeta",
-    "fan-series", "fan-poles", "nearby", "expand", "subdivide", "resolve",
-    "validate", "probe-nondegenerate",
-]
+# every verb of the table, so a verb without pinned output fails
+PIN_VERBS = list(VERBS)
 # "verb file [--json]": (exit code, sha256 of stdout)
 PINNED = {
     "newton-zeta bad_model.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -1023,6 +1042,11 @@ PINNED = {
     "probe-nondegenerate single_component.json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "probe-nondegenerate single_component.json --json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
+
+
+def test_pinned_output_names_every_verb():
+    # a verb dropped from the table leaves its pins behind, and fails here
+    assert sorted({key.split()[0] for key in PINNED}) == sorted(PIN_VERBS)
 
 
 @pytest.mark.parametrize("verb", PIN_VERBS)

@@ -863,6 +863,16 @@ def test_index_166_cone_resolves_within_the_bound():
     assert all(cell.is_smooth for cell in r.cells)
 
 
+def test_resolution_takes_each_smith_form_once(monkeypatch):
+    # a cell's smoothness and its box points, when the resolution subdivides
+    # it, come from the one closed piece the cell keeps
+    snf = count_calls(monkeypatch, "smith_normal_form")
+    c = cone_from_rays(4, [(-1, -3, -1, -2), (-1, 2, 2, 3), (1, -3, -2, 3), (1, -2, 3, 0)])
+    assert len(resolve_complex(complex_from_cones(4, [c])).cells) == 1340
+    taken = collections.Counter(tuple(map(tuple, a)) for (a,) in snf)
+    assert (len(snf), set(taken.values())) == (86, {1})
+
+
 def test_resolution_matches_the_two_phase_oracle():
     # one loop, a non-simplicial cell first and then the first cell that is
     # not smooth, subdivides where the old two phases did, in the same order

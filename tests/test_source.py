@@ -280,3 +280,13 @@ def test_one_kernel_call_per_pipeline():
 def test_newton_takes_no_rank():
     # a face's dimension comes from the face lattice's grading
     assert all(file != "newton.py" for file, _ in _readers("rank"))
+
+
+def test_cli_verbs_are_rows_of_one_table():
+    # each verb is a row of cli.VERBS, which build_parser and main read: no
+    # verb has a cmd_ function of its own and build_parser switches on none
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not [name for name in functions if name.startswith("cmd_")]
+    assert not [node for node in ast.walk(functions["build_parser"]) if isinstance(node, ast.If)]
+    assert {("cli.py", "build_parser"), ("cli.py", "main")} <= _readers("VERBS")
