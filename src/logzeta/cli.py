@@ -1,10 +1,16 @@
 """Command-line front end: one verb per pipeline, file in, stdout out.
 
-Each verb is one row of :data:`VERBS`: its help text, its options, what it
-computes from the loaded input and the lines it prints; :func:`build_parser`
-and :func:`main` read nothing else.  ``--json`` changes what the series,
-pole, ``nearby``, ``expand`` and probe verbs print; ``subdivide`` and
-``resolve`` print the model as JSON and ``validate`` prints ``ok`` either way.
+Each verb is one row of :data:`VERBS`: its help text, what ``--json`` does
+for it, its options, what it computes from the loaded input and the lines it
+prints; :func:`build_parser` and :func:`main` read nothing else.  ``--json``
+changes what the series, pole, ``nearby``, ``expand`` and probe verbs print;
+``subdivide`` and ``resolve`` print the model as JSON and ``validate`` prints
+``ok`` either way, and their ``--help`` says so.
+
+A fan model's coefficient texts are read through a bounded table keyed by
+the text (:func:`parse_coeff`), and its cells go to the cone and complex
+tables of :mod:`logzeta.cones`, so a parse works once per distinct text,
+ray list and cell set.
 
 Input kinds are recognized by schema: an object with ``support`` is Newton
 input, with ``components`` sncd data, with ``cells`` a fan model.  Exit
@@ -20,6 +26,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from .cones import cone_from_rays, complex_from_cones, resolve_complex, star_subdivision
@@ -69,6 +76,16 @@ COEFF_MAX_EXPONENT = 1000
 
 
 def parse_coeff(text: str) -> MCoeff:
+    """The coefficient the text form ``text`` names, read from the
+    coefficient table keyed by the text: an ``MCoeff`` is a frozen value, so
+    equal text returns the same object, which :func:`_read_coeff` builds on
+    a miss.  A refused text is never kept, so it raises ``InputError`` again
+    on every call."""
+    return _coeff_table(text)
+
+
+def _read_coeff(text: str) -> MCoeff:
+    """The coefficient :func:`parse_coeff` returns, read afresh."""
     if re.search(r"\d\s+\d", text):
         raise InputError(f"cannot parse coefficient {text!r}: digits split by a space")
     s = text.strip().replace(" ", "")
@@ -101,6 +118,17 @@ def parse_coeff(text: str) -> MCoeff:
         coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
     return MCoeff.make(LaurentPoly.from_dict(coeffs), den_pow)
+
+
+# Texts kept by parse_coeff, set by measurement (Python 3.11).  The seed-0
+# fan-invariance pool parses 2,632 weights over three texts, "1", "L-1" and
+# "L^2-2*L+1", which 1 and 2 entries miss 954 and 562 times and 4 entries 3
+# times; newton-large parses 600 over two, and the 1,340-cell resolution of
+# the rank-4 index-166 cone 1,325 over one.  An entry is one short text and
+# one coefficient, so the bound leaves room for hand-written models with
+# many distinct weights.
+_COEFF_TABLE_SIZE = 256
+_coeff_table = lru_cache(maxsize=_COEFF_TABLE_SIZE)(_read_coeff)
 
 
 def parse_mclass(obj: dict[str, Any]) -> MClass:
@@ -345,13 +373,15 @@ def fan_to_json(f: FanModel) -> dict[str, Any]:
 class Verb(NamedTuple):
     """A verb's help text, its options beyond ``input`` and ``--json`` as
     ``(flag, add_argument keywords)`` pairs, ``compute(data, args)`` on the
-    loaded input, and ``lines(result, args)``, the whole lines it prints: no
-    lines print nothing, and one empty line prints a newline."""
+    loaded input, ``lines(result, args)``, the whole lines it prints (no
+    lines print nothing, and one empty line prints a newline), and the help
+    text of its ``--json`` flag, which says what the flag does for it."""
 
     help: str
     options: tuple[tuple[str, dict[str, Any]], ...]
     compute: Callable[[dict[str, Any], argparse.Namespace], Any]
     lines: Callable[[Any, argparse.Namespace], list[str]]
+    json: str = "emit JSON instead of text"
 
 
 def _series_lines(s: ZSeries, args) -> list[str]:
@@ -424,6 +454,9 @@ def _subdivided(data, args) -> FanModel:
     return transport_subdivide(model, star_subdivision(model.complex, ray))
 
 
+# what --json does for subdivide and resolve, which print the same line either way
+_MODEL_JSON = "no effect: the model is printed as JSON either way"
+
 _M = ("--m", {"type": int, "default": 0, "help": "relative dimension"})
 _DEGREE = ("--degree", {"type": int, "required": True, "help": "expansion degree"})
 _RAY = ("--ray", {"required": True, "help": "subdivision ray, comma separated"})
@@ -452,14 +485,21 @@ VERBS = {
     "fan-poles": Verb("candidate poles of a fan model", (), lambda d, a: fan_poles(_checked_fan(d)), _pole_lines),
     "nearby": Verb("motivic nearby fibre of sncd data", (), _nearby, _class_lines),
     "expand": Verb("series coefficients T^1..T^D", (_DEGREE, _M), _expansion, _expansion_lines),
-    "subdivide": Verb("star-subdivide a fan model at a ray", (_RAY,), _subdivided, _model_lines),
+    "subdivide": Verb("star-subdivide a fan model at a ray", (_RAY,), _subdivided, _model_lines, _MODEL_JSON),
     "resolve": Verb(
         "resolve a fan model to smooth cells",
         (),
         lambda d, a: transport_subdivide(model := _checked_fan(d), resolve_complex(model.complex)),
         _model_lines,
+        _MODEL_JSON,
     ),
-    "validate": Verb("check fan-model invariants", (), lambda d, a: _checked_fan(d), lambda model, a: ["ok"]),
+    "validate": Verb(
+        "check fan-model invariants",
+        (),
+        lambda d, a: _checked_fan(d),
+        lambda model, a: ["ok"],
+        "no effect: the verdict is printed as text either way",
+    ),
     "probe-nondegenerate": Verb(
         "finite-field nondegeneracy probe",
         (_PRIME,),
@@ -480,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, verb in VERBS.items():
         p = sub.add_parser(name, help=verb.help)
         p.add_argument("input", help="input JSON file")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.add_argument("--json", action="store_true", help=verb.json)
         for flag, kwargs in verb.options:
             p.add_argument(flag, **kwargs)
         p._negative_number_matcher = _NEGATIVE_NUMBER

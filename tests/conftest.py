@@ -5,11 +5,13 @@ input, so a cone built by one test, with the values it keeps (``dim``,
 ``closed_piece``, ``is_smooth``, ``incidence``, ``span_coordinates``),
 would reach the next, and so would whatever another ``lru_cache`` of the library keeps: the faces
 ``cones.faces`` keeps per cone, the pieces ``cones._relint_pieces`` keeps
-per cone and the Newton face table.  Each test starts with every
+per cone, the complexes ``cones.complex_from_cones`` keeps with their
+verdicts and masks, the coefficients ``cli.parse_coeff`` keeps per text and
+the Newton face table.  Each test starts with every
 ``lru_cache`` of the ``logzeta`` modules empty, a table added later
-included, and each ``monkeypatch.setattr`` empties the cone table again, so
-a bound or a method patched in a test holds for every cone that test builds
-from then on.
+included, and each ``monkeypatch.setattr`` empties the cone and complex
+tables again, so a bound or a method patched in a test holds for every cone
+and complex that test builds from then on.
 """
 
 import pathlib
@@ -38,6 +40,7 @@ def monkeypatch(monkeypatch):
     def emptying_setattr(*args, **kwargs):
         setattr_(*args, **kwargs)
         logzeta.cones._cone_table.cache_clear()
+        logzeta.cones._complex_table.cache_clear()
 
     monkeypatch.setattr = emptying_setattr
     return monkeypatch

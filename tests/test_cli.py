@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logzeta.cli
 from logzeta.cli import MAX_RANK, VERBS, InputError, main, parse_coeff, parse_fan, parse_newton
 from logzeta.mring import LaurentPoly, MCoeff
 from logzeta.series import equal, format_poles
 from logzeta.zeta import InvalidModel, fan_poincare, validate_model
 
-from genutil import count_dd_runs
+from genutil import count_calls, count_dd_runs
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "scripts", "data")
 
@@ -76,6 +77,36 @@ def test_parse_coeff_roundtrip_random(coeffs, den_pow):
 def test_parse_coeff_rejects_malformed(text):
     with pytest.raises(ValueError, match="cannot parse coefficient"):
         parse_coeff(text)
+
+
+def test_parse_coeff_reads_each_text_once():
+    # a coefficient is a frozen value, so equal text shares one object
+    assert parse_coeff("L-1") is parse_coeff("L-1")
+    assert parse_coeff("L^2-2*L+1") is parse_coeff("L^2-2*L+1")
+    assert parse_coeff(" L - 1 ") == parse_coeff("L-1")
+
+
+@pytest.mark.parametrize("text", ["2L", "T", "L^1001", ""])
+def test_refused_coefficient_text_is_never_kept(text):
+    for _ in range(3):
+        with pytest.raises(InputError):
+            parse_coeff(text)
+    assert logzeta.cli._coeff_table.cache_info().currsize == 0
+
+
+def test_parsing_a_model_twice_validates_its_complex_once(monkeypatch):
+    # a chain of five cones in the plane, four pairs of neighbours among them
+    meets = count_calls(monkeypatch, "_meet_in_common_face")
+    model = {
+        "rank": 2,
+        "cells": [{"rays": [[1, i], [1, i + 1]], "weight": {"U": "L-1"}} for i in range(5)],
+        "e": [[1, 0]] * 5,
+        "a": [[0, 0]] * 5,
+    }
+    first, second = parse_fan(model), parse_fan(json.loads(json.dumps(model)))
+    assert validate_model(first) == validate_model(second) == []
+    assert second.complex is first.complex
+    assert len(meets) == math.comb(5, 2)
 
 
 def test_malformed_weight_exits_1(tmp_path, capsys):
@@ -213,6 +244,50 @@ def test_usage_errors_exit_1(capsys, argv, message):
 def test_help_exits_0(capsys):
     code, out = run(capsys, "--help")
     assert code == 0 and out.startswith("usage: logzeta")
+
+
+# The help of the verbs whose output --json does not change, at 80 columns.
+JSON_HELP = {
+    "subdivide": """usage: logzeta subdivide [-h] [--json] --ray RAY input
+
+positional arguments:
+  input       input JSON file
+
+options:
+  -h, --help  show this help message and exit
+  --json      no effect: the model is printed as JSON either way
+  --ray RAY   subdivision ray, comma separated
+""",
+    "resolve": """usage: logzeta resolve [-h] [--json] input
+
+positional arguments:
+  input       input JSON file
+
+options:
+  -h, --help  show this help message and exit
+  --json      no effect: the model is printed as JSON either way
+""",
+    "validate": """usage: logzeta validate [-h] [--json] input
+
+positional arguments:
+  input       input JSON file
+
+options:
+  -h, --help  show this help message and exit
+  --json      no effect: the verdict is printed as text either way
+""",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(JSON_HELP))
+def test_json_help_says_what_the_flag_does(monkeypatch, capsys, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, verb, "--help") == (0, JSON_HELP[verb])
+
+
+def test_json_help_of_the_other_verbs():
+    helps = {name: verb.json for name, verb in VERBS.items() if name not in JSON_HELP}
+    assert set(helps.values()) == {"emit JSON instead of text"}
 
 
 def test_ray_with_a_negative_first_coordinate(tmp_path, capsys):

@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import gc
 import itertools
+import json
 import math
+import pathlib
 import random
 import unittest.mock
 import weakref
@@ -79,6 +81,8 @@ from genutil import (
     uncertified,
     witness_flags,
 )
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "data"
 
 ORTHANT2 = cone_from_rays(2, [(1, 0), (0, 1)])
 ORTHANT3 = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -1363,3 +1367,119 @@ def test_replaced_cone_hashes_its_new_fields():
     assert moved == ORTHANT2
     assert hash(moved) == hash(ORTHANT2) == hash((2, ORTHANT2.rays, ORTHANT2.facets))
     assert {moved: 1}[ORTHANT2] == 1
+
+
+# ---------------------------------------------------------------------------
+# The complex's ray masks and the complex table.
+
+INDEX_166 = [(-1, -3, -1, -2), (-1, 2, 2, 3), (1, -3, -2, 3), (1, -2, 3, 0)]
+
+
+def assert_ray_masks_match_contains(k: ConeComplex) -> None:
+    """Every ray of every cell has a mask, and bit ``i`` of it is set
+    exactly when ``cells[i]`` contains the ray, by ``Cone.contains``."""
+    table = k._ray_masks
+    assert set(table) == {r for c in k.cells for r in c.rays}
+    for r, mask in table.items():
+        assert [mask >> i & 1 for i in range(len(k.cells))] == [int(c.contains(r)) for c in k.cells]
+
+
+def random_arrangement(rng: random.Random) -> ConeComplex:
+    """Independent random cones of rank 1-4 with their faces: cells of every
+    dimension, with lines among them, overlapping at will."""
+    rank = rng.randint(1, 4)
+    cones = []
+    for _ in range(rng.randint(1, 4)):
+        rays = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(0, rank + 1))]
+        cones.append(cone_from_rays(rank, rays))
+    return complex_from_cones(rank, cones)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_ray_masks_match_contains(seed):
+    rng = random.Random(seed)
+    assert_ray_masks_match_contains(random_complex(rng))  # valid or not, rank 2-3
+    assert_ray_masks_match_contains(random_arrangement(rng))
+
+
+PLANE_CELL = cone_from_rays(3, [(1, 0, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        (ZERO2,),
+        (ZERO2, RAY_X),
+        (HALF_PLANE, LINE_X, RAY_XY),
+        (LINE_X, RAY_Y, cone_from_rays(2, [(0, -1)])),
+        (WEDGE, HIGH, RAY_XY),  # overlapping cells
+        (LOW, HIGH, RAY_X, RAY_Y, ZERO2),
+        # a lower-dimensional cell with rays of other cells on both sides of
+        # its span, so each facet of its span-cutting pair rules one out
+        (PLANE_CELL, cone_from_rays(3, [(1, 1, 1)]), cone_from_rays(3, [(1, 1, -1)])),
+        (PLANE_CELL, cone_from_rays(3, [(1, 1, 1), (1, 1, -1)])),
+    ],
+)
+def test_ray_masks_match_contains_on_edge_cases(cells):
+    assert_ray_masks_match_contains(ConeComplex(cells[0].ambient_rank, cells))
+    assert_ray_masks_match_contains(complex_from_cones(cells[0].ambient_rank, cells))
+
+
+def test_ray_masks_of_the_sample_models():
+    for name in ("bad_model.json", "orthant_model.json", "cusp_resolution.json", "single_component.json"):
+        data = json.loads((DATA / name).read_text())
+        if "cells" in data:
+            assert_ray_masks_match_contains(parse_fan(data).complex)
+
+
+def test_ray_masks_take_one_dot_per_facet_and_ray(monkeypatch):
+    # the 1,340-cell resolution of the index-166 cone, in a fresh complex
+    # with nothing worked out on it: each distinct facet is paired with each
+    # ray at most once, where one scan of every cell per ray took 322,662
+    cells = resolve_complex(complex_from_cones(4, [cone_from_rays(4, INDEX_166)])).cells
+    k = ConeComplex(4, cells)
+    rays = {r for c in cells for r in c.rays}
+    facets = {u for c in cells for u in c.facets}
+    dots = count_calls(monkeypatch, "dot")
+    assert len(k.maximal_cells()) == 289
+    assert all(k.owners(c) for c in cells)
+    assert (len(rays), len(facets)) == (90, 1130)
+    assert max(collections.Counter(dots).values()) == 1
+    assert len(dots) <= len(facets) * len(rays)
+
+
+def test_equal_cell_lists_share_one_complex():
+    k = complex_from_cones(2, [LOW, HIGH])
+    # equal cells, built afresh, in another order and with faces listed
+    again = [cone_from_rays(2, [(0, 1), (1, 1)]), RAY_X, ZERO2, cone_from_rays(2, [(1, 1), (2, 0), (1, 0)])]
+    assert complex_from_cones(2, again) is k
+    assert complex_from_cones(2, list(reversed(k.cells))) is k
+    assert complex_from_cones(2, [LOW]) is not k
+    assert complex_from_cones(2, [LOW]).cells == tuple(sorted(faces(LOW), key=Cone._key))
+
+
+def test_complex_table_keys_the_rank():
+    # no cells at all, so only the rank tells the two complexes apart
+    assert [complex_from_cones(n, []).ambient_rank for n in (2, 3, 2)] == [2, 3, 2]
+    assert complex_from_cones(2, [ORTHANT2]).ambient_rank == 2
+    for _ in range(2):  # a refused input is never kept
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            complex_from_cones(3, [ORTHANT2])
+
+
+def test_star_subdivision_writes_nothing_into_a_table_complex():
+    k = complex_from_cones(2, [ORTHANT2])
+    assert k.validate() == []
+    for built in (star_subdivision(k, (1, 1)), resolve_complex(complex_from_cones(2, [WEDGE]))):
+        assert built._certificate is not None
+        table = complex_from_cones(2, built.cells)
+        assert table == built and table is not built
+        assert table._certificate is None and "_problems" not in vars(table)
+    assert k._certificate is None
+    # an overlapping pair is no complex: its subdivision is the table's own,
+    # with no certificate
+    bad = complex_from_cones(2, [WEDGE, HIGH])
+    assert bad.validate() != []
+    sub = star_subdivision(bad, (1, 1))
+    assert sub is complex_from_cones(2, sub.cells) and sub._certificate is None
